@@ -7,7 +7,11 @@ set -eu
 export CARGO_NET_OFFLINE=true
 
 cargo build --release --offline
+# The root manifest's default-members make this the whole workspace.
 cargo test -q --offline
+# Once more on one harness thread: tests must not depend on running
+# concurrently, or on the order the parallel harness happens to pick.
+cargo test -q --offline -- --test-threads=1
 
 # Lint gate: the workspace must be clippy-clean, warnings as errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings

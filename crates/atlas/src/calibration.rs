@@ -7,19 +7,38 @@
 //! two weeks of mesh pings are summarized the way every algorithm in the
 //! paper consumes them: per anchor pair, the *minimum* observed RTT
 //! (halved to one-way), paired with the pair's great-circle distance.
+//!
+//! The server's per-landmark model is refreshed with the data, not per
+//! measurement: a [`CalibrationSet`] fits its CBG++ bestline once, when it
+//! is built, and every clone shares both the scatter and that fit.
 
 use crate::constellation::Constellation;
+use geokit::hull::line_below;
+use geokit::regress::Line;
+use geokit::{BASELINE_SLOPE_MS_PER_KM, SLOWLINE_SLOPE_MS_PER_KM};
 use netsim::Network;
+use std::sync::Arc;
 
 /// Delay–distance calibration data for one landmark: `(distance_km,
-/// one_way_ms)` per peer anchor.
-#[derive(Debug, Clone, Default)]
+/// one_way_ms)` per peer anchor, and the CBG++ bestline fitted to it.
+///
+/// Immutable once built. Cloning only bumps a reference count, so every
+/// observation of a landmark shares its anchor's scatter.
+#[derive(Debug, Clone)]
 pub struct CalibrationSet {
-    points: Vec<(f64, f64)>,
+    points: Arc<[(f64, f64)]>,
+    bestline: Line,
+}
+
+impl Default for CalibrationSet {
+    /// No calibration data; the bestline falls back to the baseline.
+    fn default() -> Self {
+        CalibrationSet::from_points(Vec::new())
+    }
 }
 
 impl CalibrationSet {
-    /// Build from raw points (used by tests and synthetic scenarios).
+    /// Build from raw points and fit the CBG++ bestline to them.
     pub fn from_points(points: Vec<(f64, f64)>) -> CalibrationSet {
         assert!(
             points
@@ -27,12 +46,24 @@ impl CalibrationSet {
                 .all(|&(d, t)| d.is_finite() && t.is_finite() && d >= 0.0 && t >= 0.0),
             "calibration points must be finite and non-negative"
         );
-        CalibrationSet { points }
+        let bestline = line_below(&points, BASELINE_SLOPE_MS_PER_KM, SLOWLINE_SLOPE_MS_PER_KM);
+        CalibrationSet {
+            points: points.into(),
+            bestline,
+        }
     }
 
     /// The `(distance_km, one_way_ms)` scatter.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
+    }
+
+    /// The CBG++ bestline (§5.1): the line below every point with the
+    /// least total residual, its slope held between the baseline and the
+    /// slowline. Fitted once, when the set was built; with no points it
+    /// is the baseline itself.
+    pub fn bestline(&self) -> Line {
+        self.bestline
     }
 
     /// Number of calibration points.
@@ -177,6 +208,13 @@ mod tests {
         assert_eq!(set.points(), &[(100.0, 2.0)]);
         assert!(!set.is_empty());
         assert!(CalibrationSet::default().is_empty());
+    }
+
+    #[test]
+    fn clones_share_the_scatter() {
+        let set = CalibrationSet::from_points(vec![(100.0, 2.0), (2000.0, 15.0)]);
+        let copy = set.clone();
+        assert_eq!(copy.points().as_ptr(), set.points().as_ptr());
     }
 
     #[test]

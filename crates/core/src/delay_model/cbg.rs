@@ -11,19 +11,15 @@
 //! one-way delays past 237 ms say nothing (§5.1).
 //!
 //! The optimal constrained line lies on the lower convex hull of the
-//! scatter: every hull edge is a candidate, as are the slope-clamped
-//! lines pushed down until feasible; we enumerate and take the minimum
-//! total residual.
+//! scatter ([`geokit::hull::line_below`]). A landmark's CBG++ bestline is
+//! fitted once, when its [`CalibrationSet`] is built (the paper's landmark
+//! server refreshes one model per landmark, §4.1); plain CBG fits on
+//! demand with the same routine.
 
 use atlas::CalibrationSet;
-use geokit::hull::lower_hull;
-use geokit::{FIBER_SPEED_KM_PER_MS, SLOWLINE_SPEED_KM_PER_MS};
-
-/// Slope of the baseline in ms/km (1 / 200 km·ms⁻¹).
-pub const BASELINE_SLOPE_MS_PER_KM: f64 = 1.0 / FIBER_SPEED_KM_PER_MS;
-
-/// Slope of the slowline in ms/km (1 / 84.5 km·ms⁻¹).
-pub const SLOWLINE_SLOPE_MS_PER_KM: f64 = 1.0 / SLOWLINE_SPEED_KM_PER_MS;
+use geokit::hull::line_below;
+use geokit::regress::Line;
+use geokit::{BASELINE_SLOPE_MS_PER_KM, FIBER_SPEED_KM_PER_MS};
 
 /// A fitted per-landmark CBG model.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,13 +35,14 @@ pub struct CbgModel {
 impl CbgModel {
     /// Plain CBG fit: slope constrained to `[1/200, ∞)` ms/km.
     pub fn calibrate(set: &CalibrationSet) -> CbgModel {
-        fit(set, BASELINE_SLOPE_MS_PER_KM, f64::INFINITY)
+        line_below(set.points(), BASELINE_SLOPE_MS_PER_KM, f64::INFINITY).into()
     }
 
     /// CBG++ fit: slope additionally capped at the slowline
     /// (`1/84.5` ms/km), eliminating a class of underestimates (§5.1).
+    /// The set fitted it when it was built; this reads it.
     pub fn calibrate_with_slowline(set: &CalibrationSet) -> CbgModel {
-        fit(set, BASELINE_SLOPE_MS_PER_KM, SLOWLINE_SLOPE_MS_PER_KM)
+        set.bestline().into()
     }
 
     /// Bestline distance bound: the farthest the target can be given a
@@ -67,63 +64,20 @@ impl CbgModel {
     }
 }
 
-/// Fit the minimum-total-residual line below all points with slope in
-/// `[min_slope, max_slope]`.
-fn fit(set: &CalibrationSet, min_slope: f64, max_slope: f64) -> CbgModel {
-    let pts = set.points();
-    if pts.is_empty() {
-        // No calibration: fall back to the baseline itself (pure physics).
-        return CbgModel {
-            intercept_ms: 0.0,
-            slope_ms_per_km: min_slope,
-        };
-    }
-
-    // Candidate slopes: every edge of the lower hull, plus both clamps.
-    let hull = lower_hull(pts);
-    let mut slopes: Vec<f64> = hull
-        .windows(2)
-        .filter(|w| w[1].0 > w[0].0)
-        .map(|w| (w[1].1 - w[0].1) / (w[1].0 - w[0].0))
-        .collect();
-    slopes.push(min_slope);
-    if max_slope.is_finite() {
-        slopes.push(max_slope);
-    }
-
-    let sum_x: f64 = pts.iter().map(|p| p.0).sum();
-    let sum_y: f64 = pts.iter().map(|p| p.1).sum();
-    let n = pts.len() as f64;
-
-    let mut best: Option<CbgModel> = None;
-    let mut best_cost = f64::INFINITY;
-    for slope in slopes {
-        let slope = slope.clamp(min_slope, max_slope);
-        // Push the line down until it clears every point. The intercept
-        // may be negative (noisy points below the physical floor); that
-        // only makes distance bounds *larger*, which is the safe
-        // direction for a coverage-first algorithm.
-        let intercept = pts
-            .iter()
-            .map(|&(x, y)| y - slope * x)
-            .fold(f64::INFINITY, f64::min);
-        // Total residual of a feasible (below-all-points) line.
-        let cost = sum_y - (slope * sum_x + n * intercept);
-        debug_assert!(cost >= -1e-9, "negative residual for feasible line");
-        if cost < best_cost {
-            best_cost = cost;
-            best = Some(CbgModel {
-                intercept_ms: intercept,
-                slope_ms_per_km: slope,
-            });
+impl From<Line> for CbgModel {
+    fn from(line: Line) -> CbgModel {
+        CbgModel {
+            intercept_ms: line.intercept,
+            slope_ms_per_km: line.slope,
         }
     }
-    best.expect("at least one candidate slope")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geokit::hull::lower_hull;
+    use geokit::SLOWLINE_SPEED_KM_PER_MS;
 
     fn set(points: Vec<(f64, f64)>) -> CalibrationSet {
         CalibrationSet::from_points(points)

@@ -693,11 +693,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let result =
             run_two_phase(world.network_mut(), &server, &mut prober, &mut rng).unwrap();
+        // Observations share their anchor's scatter; none holds a copy.
+        let anchor_scatters: Vec<*const (f64, f64)> = (0..calibration.len())
+            .map(|i| calibration.for_anchor(i).points().as_ptr())
+            .collect();
         for obs in &result.observations {
             // One-way times are physically bounded below by distance/200,
             // minus the coarse tolerance of the berlin attachment.
             assert!(obs.one_way_ms > 0.0);
             assert!(!obs.calibration.is_empty());
+            assert!(
+                anchor_scatters.contains(&obs.calibration.points().as_ptr()),
+                "observation at {:?} copied its calibration scatter",
+                obs.landmark
+            );
         }
     }
 

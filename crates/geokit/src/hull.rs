@@ -2,8 +2,11 @@
 //!
 //! (Quasi-)Octant models the fastest feasible delay for a given distance by
 //! the **lower** boundary of the convex hull of the (distance, delay)
-//! calibration scatter (paper §3.2). This module provides that hull and a
-//! piecewise-linear evaluator over it.
+//! calibration scatter (paper §3.2). This module provides that hull, a
+//! piecewise-linear evaluator over it, and CBG's line below the scatter
+//! (paper §3.1), whose optimum lies on the hull.
+
+use crate::regress::Line;
 
 /// Compute the lower convex hull of a point set.
 ///
@@ -45,6 +48,59 @@ pub fn lower_hull(points: &[(f64, f64)]) -> Vec<(f64, f64)> {
         hull.push(p);
     }
     hull
+}
+
+/// Fit the line below every point that is as close as possible to all of
+/// them (minimum total vertical residual), with slope in
+/// `[min_slope, max_slope]` (`max_slope` may be infinite).
+///
+/// The optimal constrained line lies on the lower hull: every hull edge
+/// is a candidate slope, as are the two clamps, each pushed down until it
+/// clears every point; the cheapest candidate wins (the earliest on a
+/// tie). The intercept may be negative when noisy points sit below the
+/// physical floor; for a delay–distance bestline that only enlarges
+/// distance bounds, the safe direction. No points gives the `min_slope`
+/// line through the origin.
+pub fn line_below(points: &[(f64, f64)], min_slope: f64, max_slope: f64) -> Line {
+    if points.is_empty() {
+        return Line {
+            intercept: 0.0,
+            slope: min_slope,
+        };
+    }
+
+    let hull = lower_hull(points);
+    let mut slopes: Vec<f64> = hull
+        .windows(2)
+        .filter(|w| w[1].0 > w[0].0)
+        .map(|w| (w[1].1 - w[0].1) / (w[1].0 - w[0].0))
+        .collect();
+    slopes.push(min_slope);
+    if max_slope.is_finite() {
+        slopes.push(max_slope);
+    }
+
+    let sum_x: f64 = points.iter().map(|p| p.0).sum();
+    let sum_y: f64 = points.iter().map(|p| p.1).sum();
+    let n = points.len() as f64;
+
+    let mut best: Option<Line> = None;
+    let mut best_cost = f64::INFINITY;
+    for slope in slopes {
+        let slope = slope.clamp(min_slope, max_slope);
+        let intercept = points
+            .iter()
+            .map(|&(x, y)| y - slope * x)
+            .fold(f64::INFINITY, f64::min);
+        // Total residual of a feasible (below-all-points) line.
+        let cost = sum_y - (slope * sum_x + n * intercept);
+        debug_assert!(cost >= -1e-9, "negative residual for feasible line");
+        if cost < best_cost {
+            best_cost = cost;
+            best = Some(Line { intercept, slope });
+        }
+    }
+    best.expect("at least one candidate slope")
 }
 
 /// A piecewise-linear function through hull vertices, clamped flat beyond

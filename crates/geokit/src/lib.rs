@@ -65,6 +65,12 @@ pub const FIBER_SPEED_KM_PER_MS: f64 = 200.0;
 /// minimum speed of 20 037.508 / 237 ≈ 84.5 km/ms.
 pub const SLOWLINE_SPEED_KM_PER_MS: f64 = MAX_GC_DISTANCE_KM / 237.0;
 
+/// Slope of the baseline in ms/km (1 / 200 km·ms⁻¹).
+pub const BASELINE_SLOPE_MS_PER_KM: f64 = 1.0 / FIBER_SPEED_KM_PER_MS;
+
+/// Slope of the slowline in ms/km (1 / 84.5 km·ms⁻¹).
+pub const SLOWLINE_SLOPE_MS_PER_KM: f64 = 1.0 / SLOWLINE_SPEED_KM_PER_MS;
+
 /// Total land area of Earth in km², used to normalize prediction-region
 /// areas for Fig. 9 panel C ("roughly 150 square megametres", §5.2).
 pub const EARTH_LAND_AREA_KM2: f64 = 1.489e8;

@@ -11,7 +11,7 @@ use proxy_verifier::netsim::{FilterPolicy, WorldNet, WorldNetConfig};
 use proxy_verifier::{CbgPlusPlus, GeoGrid, GeoPoint, Geolocator, WorldAtlas};
 use simrng::rngs::StdRng;
 use simrng::SeedableRng;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 struct Fixture {
     world: WorldNet,
@@ -33,41 +33,41 @@ struct Fixture {
     client: u32,
 }
 
-fn fixture() -> &'static Mutex<Fixture> {
-    static S: OnceLock<Mutex<Fixture>> = OnceLock::new();
-    S.get_or_init(|| {
-        let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
-        let mut world = WorldNet::build(atlas, WorldNetConfig::default());
-        let constellation = Constellation::place(&mut world, &ConstellationConfig::small(55));
-        let calibration = CalibrationDb::collect(world.network_mut(), &constellation, 10);
-        let truth_ams = GeoPoint::new(52.37, 4.90);
-        let proxy_ams = world.attach_host(truth_ams, FilterPolicy::vpn_server());
-        let truth_jnb = GeoPoint::new(-26.20, 28.05);
-        let proxy_jnb = world.attach_host(truth_jnb, FilterPolicy::vpn_server());
-        let client = world.attach_host(GeoPoint::new(50.11, 8.68), FilterPolicy::default());
-        Mutex::new(Fixture {
-            world,
-            constellation,
-            calibration,
-            proxy_ams,
-            truth_ams,
-            proxy_jnb,
-            truth_jnb,
-            client,
-        })
-    })
+/// A freshly built world for one test. Each test advances the network
+/// clock and RNG, attaches hosts and sets faults, so tests never share
+/// one: their results would depend on the order the harness ran them in.
+fn fixture() -> Fixture {
+    let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
+    let mut world = WorldNet::build(atlas, WorldNetConfig::default());
+    let constellation = Constellation::place(&mut world, &ConstellationConfig::small(55));
+    let calibration = CalibrationDb::collect(world.network_mut(), &constellation, 10);
+    let truth_ams = GeoPoint::new(52.37, 4.90);
+    let proxy_ams = world.attach_host(truth_ams, FilterPolicy::vpn_server());
+    let truth_jnb = GeoPoint::new(-26.20, 28.05);
+    let proxy_jnb = world.attach_host(truth_jnb, FilterPolicy::vpn_server());
+    let client = world.attach_host(GeoPoint::new(50.11, 8.68), FilterPolicy::default());
+    Fixture {
+        world,
+        constellation,
+        calibration,
+        proxy_ams,
+        truth_ams,
+        proxy_jnb,
+        truth_jnb,
+        client,
+    }
 }
 
 #[test]
 fn web_tool_slope_ratio_is_about_two() {
     // Fig. 4: the Web tool's two-round-trip group has ≈ 2× the slope of
     // its one-round-trip group (paper: 1.96 on Linux).
-    let mut g = fixture().lock().unwrap();
+    let mut g = fixture();
     let Fixture {
         world,
         constellation,
         ..
-    } = &mut *g;
+    } = &mut g;
     let client_loc = GeoPoint::new(50.06, 8.6);
     let client = world.attach_host(client_loc, FilterPolicy::default());
     let tool = WebTool {
@@ -99,12 +99,12 @@ fn web_tool_slope_ratio_is_about_two() {
 fn cli_tool_matches_the_one_round_trip_group() {
     // §4.3's ANOVA conclusion: CLI and one-round-trip Web measurements
     // estimate the same delay–distance relationship.
-    let mut g = fixture().lock().unwrap();
+    let mut g = fixture();
     let Fixture {
         world,
         constellation,
         ..
-    } = &mut *g;
+    } = &mut g;
     let client_loc = GeoPoint::new(50.06, 8.6);
     let client = world.attach_host(client_loc, FilterPolicy::default());
     let mut cli = Vec::new();
@@ -160,7 +160,7 @@ fn added_delay_inflates_the_region_without_breaking_coverage() {
     // Gill et al. (§8): an adversary adding delay makes CBG-family
     // regions *bigger* (simple models can't be dragged off the truth by
     // delay inflation alone).
-    let mut g = fixture().lock().unwrap();
+    let mut g = fixture();
     let (proxy, client, truth) = (g.proxy_ams, g.client, g.truth_ams);
 
     let honest = locate_proxy_region(&mut g, proxy, client).expect("measurable");
@@ -193,7 +193,7 @@ fn forged_synacks_corrupt_the_prediction() {
     // fragment that happens to sit near some landmark. Either way the
     // prediction collapses far below the honest region's size and no
     // longer resembles it.
-    let mut g = fixture().lock().unwrap();
+    let mut g = fixture();
     let (proxy, client, truth) = (g.proxy_jnb, g.client, g.truth_jnb);
 
     let honest = locate_proxy_region(&mut g, proxy, client).expect("measurable");

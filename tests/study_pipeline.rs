@@ -1,6 +1,10 @@
 //! End-to-end integration test of the §6 audit pipeline: build a small
 //! study once, then check every cross-crate invariant against it.
 
+use proxy_verifier::atlas::CalibrationSet;
+use proxy_verifier::geokit::hull::line_below;
+use proxy_verifier::geokit::{BASELINE_SLOPE_MS_PER_KM, SLOWLINE_SLOPE_MS_PER_KM};
+use proxy_verifier::geoloc::delay_model::CbgModel;
 use proxy_verifier::vpnstudy::confusion::{continent_confusion, country_confusion};
 use proxy_verifier::vpnstudy::report;
 use proxy_verifier::vpnstudy::{Study, StudyConfig};
@@ -23,6 +27,39 @@ fn every_proxy_gets_a_verdict() {
     let (s, r) = &*g;
     assert_eq!(r.records.len() + r.unmeasured, s.providers.proxies.len());
     assert!(r.unmeasured <= s.providers.proxies.len() / 10);
+}
+
+/// The bestline a set stored when it was built, and the CBG++ model read
+/// from it, must equal a fresh run of the fit routine bit for bit.
+fn assert_stored_fit_is_fresh(set: &CalibrationSet) {
+    let fresh = line_below(
+        set.points(),
+        BASELINE_SLOPE_MS_PER_KM,
+        SLOWLINE_SLOPE_MS_PER_KM,
+    );
+    let bits = |intercept: f64, slope: f64| (intercept.to_bits(), slope.to_bits());
+    let stored = set.bestline();
+    let model = CbgModel::calibrate_with_slowline(set);
+    let want = bits(fresh.intercept, fresh.slope);
+    assert_eq!(bits(stored.intercept, stored.slope), want);
+    assert_eq!(bits(model.intercept_ms, model.slope_ms_per_km), want);
+}
+
+#[test]
+fn stored_bestlines_equal_a_fresh_fit_bit_for_bit() {
+    let g = study().lock().unwrap();
+    let (s, _) = &*g;
+    assert!(!s.calibration.is_empty());
+    for i in 0..s.calibration.len() {
+        assert_stored_fit_is_fresh(s.calibration.for_anchor(i));
+    }
+    let one = CalibrationSet::from_points(vec![(1200.0, 9.5)]);
+    assert_stored_fit_is_fresh(&one);
+    // No data: the baseline itself, not a zero line.
+    let empty = CalibrationSet::default();
+    assert_stored_fit_is_fresh(&empty);
+    assert_eq!(empty.bestline().intercept, 0.0);
+    assert_eq!(empty.bestline().slope, 1.0 / 200.0);
 }
 
 #[test]
