@@ -13,6 +13,12 @@ cargo test -q --offline
 # concurrently, or on the order the parallel harness happens to pick.
 cargo test -q --offline -- --test-threads=1
 
+# Routing exactness at paper scale: every (source, destination) route of
+# the paper world, 31.9M pairs, must equal the whole-graph Dijkstra's
+# (tests/routing_exactness.rs; tier-1 runs the same check on the small
+# world). Release, since it takes minutes in debug.
+cargo test -q --release --offline --test routing_exactness -- --ignored
+
 # Lint gate: the workspace must be clippy-clean, warnings as errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

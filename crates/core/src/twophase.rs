@@ -597,7 +597,7 @@ mod tests {
     use geokit::GeoGrid;
     use netsim::{FilterPolicy, WorldNet, WorldNetConfig};
     use simrng::SeedableRng;
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::Arc;
     use worldmap::WorldAtlas;
 
     struct Fixture {
@@ -606,36 +606,33 @@ mod tests {
         calibration: CalibrationDb,
     }
 
-    fn fixture() -> &'static Mutex<Fixture> {
-        static S: OnceLock<Mutex<Fixture>> = OnceLock::new();
-        S.get_or_init(|| {
-            let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
-            let mut world = WorldNet::build(atlas, WorldNetConfig::default());
-            let constellation =
-                Constellation::place(&mut world, &ConstellationConfig::small(21));
-            let calibration = CalibrationDb::collect(world.network_mut(), &constellation, 8);
-            Mutex::new(Fixture {
-                world,
-                constellation,
-                calibration,
-            })
-        })
+    /// A fresh world per test: every test attaches a host and probes, so
+    /// a shared one would make results depend on test order.
+    fn fixture() -> Fixture {
+        let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
+        let mut world = WorldNet::build(atlas, WorldNetConfig::default());
+        let constellation = Constellation::place(&mut world, &ConstellationConfig::small(21));
+        let calibration = CalibrationDb::collect(world.network_mut(), &constellation, 8);
+        Fixture {
+            world,
+            constellation,
+            calibration,
+        }
     }
 
     #[test]
     fn continent_guess_is_correct_for_european_host() {
-        let mut f = fixture().lock().unwrap();
         let Fixture {
-            world,
+            mut world,
             constellation,
             calibration,
-        } = &mut *f;
+        } = fixture();
         let host = world.attach_host(
             geokit::GeoPoint::new(48.2, 11.5), // Munich
             FilterPolicy::default(),
         );
         let atlas = Arc::clone(world.atlas());
-        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let server = LandmarkServer::new(&constellation, &calibration, &atlas);
         let mut prober = CliProber {
             client: host,
             attempts: 3,
@@ -653,18 +650,17 @@ mod tests {
 
     #[test]
     fn continent_guess_is_correct_for_american_host() {
-        let mut f = fixture().lock().unwrap();
         let Fixture {
-            world,
+            mut world,
             constellation,
             calibration,
-        } = &mut *f;
+        } = fixture();
         let host = world.attach_host(
             geokit::GeoPoint::new(41.8, -87.7), // Chicago
             FilterPolicy::default(),
         );
         let atlas = Arc::clone(world.atlas());
-        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let server = LandmarkServer::new(&constellation, &calibration, &atlas);
         let mut prober = CliProber {
             client: host,
             attempts: 3,
@@ -677,15 +673,14 @@ mod tests {
 
     #[test]
     fn observations_are_one_way_times() {
-        let mut f = fixture().lock().unwrap();
         let Fixture {
-            world,
+            mut world,
             constellation,
             calibration,
-        } = &mut *f;
+        } = fixture();
         let host = world.attach_host(geokit::GeoPoint::new(52.5, 13.4), FilterPolicy::default());
         let atlas = Arc::clone(world.atlas());
-        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let server = LandmarkServer::new(&constellation, &calibration, &atlas);
         let mut prober = CliProber {
             client: host,
             attempts: 2,
@@ -712,18 +707,17 @@ mod tests {
 
     #[test]
     fn refinement_never_grows_the_final_region_much() {
-        let mut f = fixture().lock().unwrap();
         let Fixture {
-            world,
+            mut world,
             constellation,
             calibration,
-        } = &mut *f;
+        } = fixture();
         let host = world.attach_host(
             geokit::GeoPoint::new(48.85, 2.35), // Paris
             FilterPolicy::default(),
         );
         let atlas = Arc::clone(world.atlas());
-        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let server = LandmarkServer::new(&constellation, &calibration, &atlas);
         let mask = atlas.plausibility_mask().clone();
         let locator = crate::algorithms::CbgPlusPlus;
         let mut prober = CliProber {
@@ -764,15 +758,14 @@ mod tests {
 
     #[test]
     fn dark_phase1_is_unmeasurable_with_diagnostics() {
-        let mut f = fixture().lock().unwrap();
         let Fixture {
-            world,
+            mut world,
             constellation,
             calibration,
-        } = &mut *f;
+        } = fixture();
         let host = world.attach_host(geokit::GeoPoint::new(48.0, 9.0), FilterPolicy::default());
         let atlas = Arc::clone(world.atlas());
-        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let server = LandmarkServer::new(&constellation, &calibration, &atlas);
         world.network_mut().faults_mut().set_drop_chance(1.0);
         let prober = CliProber {
             client: host,
@@ -787,7 +780,6 @@ mod tests {
             &mut rng,
             &ReliabilityConfig::default(),
         );
-        world.network_mut().faults_mut().clear();
         assert_eq!(out.status, MeasurementStatus::Unmeasurable);
         assert!(out.result.is_none());
         assert!(!out.diagnostics.is_empty(), "no attempts recorded");
@@ -799,18 +791,17 @@ mod tests {
 
     #[test]
     fn missed_phase1_quorum_degrades_to_all_continent_sweep() {
-        let mut f = fixture().lock().unwrap();
         let Fixture {
-            world,
+            mut world,
             constellation,
             calibration,
-        } = &mut *f;
+        } = fixture();
         let host = world.attach_host(
             geokit::GeoPoint::new(48.2, 11.5), // Munich
             FilterPolicy::default(),
         );
         let atlas = Arc::clone(world.atlas());
-        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let server = LandmarkServer::new(&constellation, &calibration, &atlas);
         // Keep exactly one phase-1 anchor (a European one) alive: one
         // responsive anchor misses the default quorum of two.
         let phase1 = server.phase1_landmarks();
@@ -845,7 +836,6 @@ mod tests {
             &mut rng,
             &ReliabilityConfig::default(),
         );
-        world.network_mut().faults_mut().clear();
         assert!(out.diagnostics.quorum_degraded, "quorum miss not flagged");
         assert_eq!(out.diagnostics.phase1_responsive, 1);
         assert_eq!(out.status, MeasurementStatus::Ok);
@@ -862,18 +852,17 @@ mod tests {
 
     #[test]
     fn thin_phase2_is_flagged_insufficient_not_silently_ok() {
-        let mut f = fixture().lock().unwrap();
         let Fixture {
-            world,
+            mut world,
             constellation,
             calibration,
-        } = &mut *f;
+        } = fixture();
         let host = world.attach_host(
             geokit::GeoPoint::new(50.1, 8.7), // Frankfurt
             FilterPolicy::default(),
         );
         let atlas = Arc::clone(world.atlas());
-        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let server = LandmarkServer::new(&constellation, &calibration, &atlas);
         // Phase-1 anchors stay up everywhere, so the continent guess is
         // sound — but every *other* European landmark is down, so phase 2
         // contributes nothing beyond the phase-1 anchors.
@@ -902,7 +891,6 @@ mod tests {
         };
         let out =
             run_two_phase_reliable(world.network_mut(), &server, &mut sched, &mut rng, &cfg);
-        world.network_mut().faults_mut().clear();
         assert_eq!(out.status, MeasurementStatus::InsufficientData);
         let result = out.result.expect("partial evidence is still reported");
         assert!(
@@ -983,15 +971,14 @@ mod tests {
 
     #[test]
     fn unreachable_target_returns_none() {
-        let mut f = fixture().lock().unwrap();
         let Fixture {
-            world,
+            mut world,
             constellation,
             calibration,
-        } = &mut *f;
+        } = fixture();
         let host = world.attach_host(geokit::GeoPoint::new(48.0, 2.0), FilterPolicy::default());
         let atlas = Arc::clone(world.atlas());
-        let server = LandmarkServer::new(constellation, calibration, &atlas);
+        let server = LandmarkServer::new(&constellation, &calibration, &atlas);
         world.network_mut().faults_mut().set_drop_chance(1.0);
         let mut prober = CliProber {
             client: host,
@@ -1000,6 +987,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let result = run_two_phase(world.network_mut(), &server, &mut prober, &mut rng);
         assert!(result.is_none());
-        world.network_mut().faults_mut().set_drop_chance(0.0);
     }
 }

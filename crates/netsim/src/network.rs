@@ -40,9 +40,11 @@ pub const DEFAULT_PROBE_TIMEOUT_MS: f64 = 2_000.0;
 ///
 /// Topology and routing are `Arc`-shared so [`fork`](Network::fork) can
 /// hand out independent measurement handles over the same world without
-/// copying the graph or the Dijkstra cache.
+/// copying the graph or the route cache.
 pub struct Network {
     topo: Arc<Topology>,
+    /// Routes over `topo` as it is now: shared with the forks that share
+    /// `topo`, replaced whenever this handle edits the topology.
     router: Arc<Router>,
     /// `Arc`-shared copy-on-write: [`fork`](Network::fork) shares the
     /// model, and mutation would clone it first (`Arc::make_mut`).
@@ -93,7 +95,7 @@ impl Network {
 
     /// An independent measurement handle over the same world.
     ///
-    /// The fork shares the topology, the router's Dijkstra cache, and
+    /// The fork shares the topology, the router's route cache, and
     /// the delay model (all `Arc`; all read-only during runs, so sharing
     /// across threads cannot change any result), inherits the parent's
     /// clock, and starts a **fresh RNG stream** from `seed`. Probing
@@ -170,11 +172,12 @@ impl Network {
         &self.topo
     }
 
-    /// Mutable topology access; invalidates the routing cache. If forks
-    /// of this network are alive the topology is copied-on-write — forks
-    /// keep seeing the world as it was when they were taken.
+    /// Mutable topology access. If forks of this network are alive the
+    /// topology is copied-on-write — forks keep seeing the world as it was
+    /// when they were taken, and keep the router that routes it. This
+    /// handle takes a fresh router for the edited world.
     pub fn topology_mut(&mut self) -> &mut Topology {
-        self.router.invalidate();
+        self.router = Arc::new(Router::new());
         Arc::make_mut(&mut self.topo)
     }
 
@@ -819,6 +822,23 @@ mod tests {
         assert!(
             fork.tcp_connect_rtt(client, lm, 80).is_some(),
             "fork must keep its copy-on-write view of the world"
+        );
+    }
+
+    #[test]
+    fn parent_topology_growth_does_not_read_fork_routes() {
+        // A fork probing its old world must not fill the parent's route
+        // cache with routes over the old topology.
+        let (mut parent, client, _, lm) = net();
+        let mut fork = parent.fork(1);
+        let topo = parent.topology_mut();
+        let newcomer = topo.add_node(plain_node(NodeKind::Host, GeoPoint::new(48.6, 2.1)));
+        topo.add_link(newcomer, 1, 0.2);
+        assert!(fork.tcp_connect_rtt(client, lm, 80).is_some());
+        assert!(parent.tcp_connect_rtt(client, newcomer, 80).is_some());
+        assert_eq!(
+            parent.traceroute(client, newcomer, 10).last(),
+            Some(&Some(newcomer))
         );
     }
 

@@ -1,8 +1,9 @@
 //! Network topology: nodes (routers, IXPs, hosts), links, adjacency.
 //!
-//! The topology is a flat graph. By convention (enforced by the builder,
-//! relied on by routing): backbone nodes (routers/IXPs) interconnect
-//! freely; a host has exactly one access link to a backbone node.
+//! The topology is a flat graph. By convention (enforced by `WorldNet`):
+//! backbone nodes (routers/IXPs) interconnect freely; a host has exactly
+//! one access link to a backbone node. Routing accepts any graph, and
+//! routes this shape cheaply (see [`crate::routing`]).
 
 use crate::policy::FilterPolicy;
 use geokit::GeoPoint;
@@ -139,18 +140,6 @@ impl Topology {
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         0..self.nodes.len() as NodeId
     }
-
-    /// The backbone attachment of a host (its single IXP neighbour).
-    /// Returns `None` for backbone nodes or unattached hosts.
-    pub fn attachment(&self, host: NodeId) -> Option<(LinkId, NodeId)> {
-        if self.node(host).kind != NodeKind::Host {
-            return None;
-        }
-        self.adjacency[host as usize]
-            .iter()
-            .copied()
-            .find(|&(_, n)| self.node(n).kind == NodeKind::Ixp)
-    }
 }
 
 /// Convenience constructor for a plain node.
@@ -184,8 +173,7 @@ mod tests {
         assert_eq!(t.num_nodes(), 3);
         assert_eq!(t.num_links(), 2);
         assert_eq!(t.neighbours(a).len(), 2);
-        assert_eq!(t.attachment(h), Some((1, a)));
-        assert_eq!(t.attachment(a), None);
+        assert_eq!(t.neighbours(h), &[(1, a)]);
     }
 
     #[test]
