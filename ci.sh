@@ -12,6 +12,9 @@ cargo test -q --offline
 # Once more on one harness thread: tests must not depend on running
 # concurrently, or on the order the parallel harness happens to pick.
 cargo test -q --offline -- --test-threads=1
+# Once more in a shuffled order: no test may rely on another having run
+# first. The harness's shuffle is unstable, hence RUSTC_BOOTSTRAP.
+RUSTC_BOOTSTRAP=1 cargo test -q --offline -- -Z unstable-options --shuffle-seed 8
 
 # Routing exactness at paper scale: every (source, destination) route of
 # the paper world, 31.9M pairs, must equal the whole-graph Dijkstra's

@@ -7,8 +7,8 @@
 //!
 //! * the smoke suite is tiny and dominated by the hot kernels the paper
 //!   pipeline actually spends its time in (cap rasterization, disk
-//!   intersection, the counting sweep, disk-cache lookups, and one full
-//!   single-proxy audit);
+//!   intersection, the cached subset search, the counting sweep,
+//!   disk-cache lookups, and one full single-proxy audit);
 //! * only **medians** are compared, with a generous relative tolerance —
 //!   the default is ±30 % ([`DEFAULT_TOLERANCE`]), overridable globally
 //!   via the `PV_PERF_GATE_TOL` environment variable and per entry via
@@ -30,8 +30,8 @@ use geokit::{GeoGrid, GeoPoint, Region, SphericalCap};
 use geoloc::algorithms::CbgPlusPlus;
 use geoloc::assess::assess_claim;
 use geoloc::multilateration::{
-    intersect_constraints, max_consistent_subset, pairwise_infeasible_flags,
-    robust_max_consistent_subset, DiskCache, RingConstraint,
+    intersect_constraints, max_consistent_subset, max_consistent_subset_profiled,
+    pairwise_infeasible_flags, robust_max_consistent_subset, DiskCache, RingConstraint,
 };
 use geoloc::proxy::ProxyContext;
 use geoloc::twophase::{run_two_phase, ProxyProber};
@@ -76,12 +76,13 @@ pub fn suite_tolerance(name: &str) -> Option<f64> {
     }
 }
 
-/// Three honest disks around a European target on `grid`.
-fn gate_disks(grid_res: f64) -> (Vec<RingConstraint>, Region) {
+/// `n` honest disks around a European target, spread evenly in
+/// bearing, on a full mask of the given grid.
+fn gate_disks(n: u32, grid_res: f64) -> (Vec<RingConstraint>, Region) {
     let target = GeoPoint::new(48.0, 11.0);
-    let constraints = (0..3)
+    let constraints = (0..n)
         .map(|i| {
-            let lm = target.destination(120.0 * f64::from(i), 900.0);
+            let lm = target.destination(360.0 / f64::from(n) * f64::from(i), 900.0);
             RingConstraint::disk(lm, 1100.0)
         })
         .collect();
@@ -134,9 +135,26 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
         b.iter(|| Region::from_cap(black_box(&grid), black_box(&cap)))
     }));
 
-    let (disks, mask) = gate_disks(1.0);
+    let (disks, mask) = gate_disks(3, 1.0);
     out.push(run_sampled("gate/disk_intersect", samples, |b| {
         b.iter(|| intersect_constraints(black_box(&disks), black_box(&mask)))
+    }));
+
+    // The audit's own intersection path: a full honest constellation on
+    // the paper's 0.5° grid, every disk drawn from a warm cache, as each
+    // CBG++ pass after the first few proxies sees it.
+    let (honest, paper_mask) = gate_disks(25, 0.5);
+    let warm = DiskCache::new(std::sync::Arc::clone(paper_mask.grid()));
+    max_consistent_subset_profiled(&honest, &paper_mask, Some(&warm), None);
+    out.push(run_sampled("gate/cached_subset", samples, |b| {
+        b.iter(|| {
+            max_consistent_subset_profiled(
+                black_box(&honest),
+                black_box(&paper_mask),
+                Some(&warm),
+                None,
+            )
+        })
     }));
 
     let (bad, bad_mask) = inconsistent_disks();
@@ -509,6 +527,7 @@ mod tests {
             [
                 "gate/cap_raster",
                 "gate/disk_intersect",
+                "gate/cached_subset",
                 "gate/counting_sweep",
                 "gate/robust_subset",
                 "gate/cache_hit",

@@ -40,19 +40,9 @@ impl Geolocator for CbgPlusPlus {
 
 impl CbgPlusPlus {
     /// [`Geolocator::locate`] with both constraint passes drawing disks
-    /// from a shared [`DiskCache`].
-    pub fn locate_cached(
-        &self,
-        observations: &[Observation],
-        mask: &Region,
-        cache: &DiskCache,
-    ) -> Prediction {
-        CbgPlusPlusVariant::default().locate_impl(observations, mask, Some(cache), None)
-    }
-
-    /// [`CbgPlusPlus::locate_cached`] that also narrates its stage funnel
-    /// (baseline region, bestline filter, subset search, empty-region
-    /// causes) through an [`obs::Recorder`].
+    /// from a shared [`DiskCache`] when one is given, narrating its stage
+    /// funnel (baseline region, bestline filter, subset search,
+    /// empty-region causes) through an [`obs::Recorder`].
     pub fn locate_traced(
         &self,
         observations: &[Observation],
@@ -100,17 +90,6 @@ impl Geolocator for CbgPlusPlusVariant {
 }
 
 impl CbgPlusPlusVariant {
-    /// [`Geolocator::locate`] with both constraint passes drawing disks
-    /// from a shared [`DiskCache`].
-    pub fn locate_cached(
-        &self,
-        observations: &[Observation],
-        mask: &Region,
-        cache: &DiskCache,
-    ) -> Prediction {
-        self.locate_impl(observations, mask, Some(cache), None)
-    }
-
     fn locate_impl(
         &self,
         observations: &[Observation],

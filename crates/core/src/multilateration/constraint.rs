@@ -9,7 +9,9 @@
 //! slack ("ineffective", §5.2), so this is orders of magnitude cheaper
 //! than rasterizing every disk.
 
+use crate::multilateration::diskcache::{DiskCache, DiskRuns};
 use geokit::{CapRaster, GeoGrid, GeoPoint, Region, SphericalCap};
+use std::sync::Arc;
 
 /// One per-landmark distance constraint.
 #[derive(Debug, Clone, Copy)]
@@ -110,28 +112,30 @@ impl<'g> ConstraintRaster<'g> {
     /// allocate nothing here.
     pub(crate) fn row_runs_into(&self, row: u32, out: &mut Vec<(u32, u32)>) {
         out.clear();
-        self.outer.row_runs(row, |lo, hi| out.push((lo, hi)));
-        if out.is_empty() {
+        let Some(inner) = &self.inner else {
+            self.outer.row_runs(row, |lo, hi| out.push((lo, hi)));
+            return;
+        };
+        let (mut outer, mut inn) = ([(0u32, 0u32); 2], [(0u32, 0u32); 2]);
+        let (mut n, mut m) = (0usize, 0usize);
+        self.outer.row_runs(row, |lo, hi| {
+            outer[n] = (lo, hi);
+            n += 1;
+        });
+        if n == 0 {
             return;
         }
-        if let Some(inner) = &self.inner {
-            let mut inn = [(0u32, 0u32); 2];
-            let mut n = 0usize;
-            inner.row_runs(row, |lo, hi| {
-                inn[n] = (lo, hi);
-                n += 1;
-            });
-            if n > 0 {
-                subtract_sorted(out, &inn[..n]);
-            }
-        }
+        inner.row_runs(row, |lo, hi| {
+            inn[m] = (lo, hi);
+            m += 1;
+        });
+        subtract_sorted(&outer[..n], &inn[..m], out);
     }
 }
 
-/// `a -= b` for sorted disjoint half-open run lists.
-fn subtract_sorted(a: &mut Vec<(u32, u32)>, b: &[(u32, u32)]) {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    for &(alo, ahi) in a.iter() {
+/// Append `a \ b` to `out`, for sorted disjoint half-open run lists.
+fn subtract_sorted(a: &[(u32, u32)], b: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
+    for &(alo, ahi) in a {
         let mut lo = alo;
         for &(blo, bhi) in b {
             if bhi <= lo || blo >= ahi {
@@ -149,12 +153,10 @@ fn subtract_sorted(a: &mut Vec<(u32, u32)>, b: &[(u32, u32)]) {
             out.push((lo, ahi));
         }
     }
-    *a = out;
 }
 
-/// `out = a ∩ b` for sorted disjoint half-open run lists.
+/// Append `a ∩ b` to `out`, for sorted disjoint half-open run lists.
 fn intersect_sorted(a: &[(u32, u32)], b: &[(u32, u32)], out: &mut Vec<(u32, u32)>) {
-    out.clear();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         let lo = a[i].0.max(b[j].0);
@@ -200,7 +202,7 @@ pub fn intersect_constraints(constraints: &[RingConstraint], mask: &Region) -> R
         .map(|c| ConstraintRaster::new(grid, c))
         .collect();
 
-    let mut out = Region::empty(std::sync::Arc::clone(grid));
+    let mut out = Region::empty(Arc::clone(grid));
     let mut cur: Vec<(u32, u32)> = Vec::new();
     let mut other: Vec<(u32, u32)> = Vec::new();
     let mut next: Vec<(u32, u32)> = Vec::new();
@@ -211,6 +213,7 @@ pub fn intersect_constraints(constraints: &[RingConstraint], mask: &Region) -> R
                 continue;
             }
             raster.row_runs_into(row, &mut other);
+            next.clear();
             intersect_sorted(&cur, &other, &mut next);
             std::mem::swap(&mut cur, &mut next);
         }
@@ -223,8 +226,7 @@ pub fn intersect_constraints(constraints: &[RingConstraint], mask: &Region) -> R
 }
 
 /// [`intersect_constraints`] drawing its disks from a shared
-/// [`DiskCache`](crate::multilateration::DiskCache) instead of
-/// rasterizing.
+/// [`DiskCache`] instead of rasterizing.
 ///
 /// Radii are quantized by the cache — outer radii **up**, inner radii
 /// **down**, each by at most one grid cell — so the result covers the
@@ -233,16 +235,20 @@ pub fn intersect_constraints(constraints: &[RingConstraint], mask: &Region) -> R
 /// many constraint sets over a shared constellation (the audit: proxies
 /// × landmarks × algorithms); one-off queries should prefer the exact
 /// run-based [`intersect_constraints`].
+///
+/// Constraints are taken tightest first (stable in `max_km`). The
+/// running set starts as the first disk's runs and folds each further
+/// disk (then, for an annulus, its inner disk) into the rows still
+/// alive; a row whose runs all vanish is dropped, and once no row is
+/// left the remaining constraints are not looked up at all.
 pub fn intersect_constraints_cached(
     constraints: &[RingConstraint],
     mask: &Region,
-    cache: &crate::multilateration::DiskCache,
+    cache: &DiskCache,
 ) -> Region {
     if constraints.is_empty() {
         return mask.clone();
     }
-    // Tightest disk first so the working set shrinks as fast as
-    // possible.
     let mut order: Vec<usize> = (0..constraints.len()).collect();
     order.sort_by(|&a, &b| {
         constraints[a]
@@ -250,27 +256,79 @@ pub fn intersect_constraints_cached(
             .partial_cmp(&constraints[b].max_km)
             .expect("finite radii")
     });
-    let first = &constraints[order[0]];
-    let mut out = (*cache.disk(&first.center, first.max_km)).clone();
-    if first.min_km > 0.0 {
-        if let Some(inner) = cache.inner_disk(&first.center, first.min_km) {
-            out.subtract(&inner);
-        }
-    }
-    for &i in &order[1..] {
-        if out.is_empty() {
+    let mut live = LiveRows::default();
+    let mut next = LiveRows::default();
+    for (k, &i) in order.iter().enumerate() {
+        let c = &constraints[i];
+        if k > 0 && live.rows.is_empty() {
             break;
         }
-        let c = &constraints[i];
-        out.intersect_with(&cache.disk(&c.center, c.max_km));
+        let outer = cache.disk(&c.center, c.max_km);
+        if k == 0 {
+            live.start(&outer);
+        } else {
+            live.fold_into(&mut next, &outer, intersect_sorted);
+            std::mem::swap(&mut live, &mut next);
+        }
         if c.min_km > 0.0 {
             if let Some(inner) = cache.inner_disk(&c.center, c.min_km) {
-                out.subtract(&inner);
+                live.fold_into(&mut next, &inner, subtract_sorted);
+                std::mem::swap(&mut live, &mut next);
             }
         }
     }
+    let mut out = Region::empty(Arc::clone(cache.grid()));
+    let mut start = 0usize;
+    for &(row, end) in &live.rows {
+        for &(lo, hi) in &live.runs[start..end] {
+            out.insert_run(row, lo..hi);
+        }
+        start = end;
+    }
     out.intersect_with(mask);
     out
+}
+
+/// The running set of [`intersect_constraints_cached`]: only the rows
+/// that still hold cells, ascending, each with its sorted, disjoint
+/// column runs.
+#[derive(Default)]
+struct LiveRows {
+    /// `(row, end)`: the row owns `runs[previous end..end]`.
+    rows: Vec<(u32, usize)>,
+    runs: Vec<(u32, u32)>,
+}
+
+impl LiveRows {
+    /// Become the disk's nonempty rows.
+    fn start(&mut self, disk: &DiskRuns) {
+        for row in disk.rows() {
+            let runs = disk.row_runs(row);
+            if !runs.is_empty() {
+                self.runs.extend_from_slice(runs);
+                self.rows.push((row, self.runs.len()));
+            }
+        }
+    }
+
+    /// Replace `out` with `op(row's runs, disk's runs on that row)` for
+    /// every live row, keeping the rows it leaves nonempty.
+    fn fold_into<F>(&self, out: &mut LiveRows, disk: &DiskRuns, op: F)
+    where
+        F: Fn(&[(u32, u32)], &[(u32, u32)], &mut Vec<(u32, u32)>),
+    {
+        out.rows.clear();
+        out.runs.clear();
+        let mut start = 0usize;
+        for &(row, end) in &self.rows {
+            let before = out.runs.len();
+            op(&self.runs[start..end], disk.row_runs(row), &mut out.runs);
+            if out.runs.len() > before {
+                out.rows.push((row, out.runs.len()));
+            }
+            start = end;
+        }
+    }
 }
 
 #[cfg(test)]

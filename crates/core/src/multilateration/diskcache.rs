@@ -3,10 +3,14 @@
 //! The audit evaluates thousands of proxies against the *same* landmark
 //! constellation, and several algorithms (CBG's bestline disks, CBG++'s
 //! baseline and bestline passes) rebuild disks around the same centres
-//! with near-identical radii. A [`DiskCache`] keys rasterized cap
-//! [`Region`]s by (landmark position, radius quantized **up** to a whole
-//! grid cell) so that every repeat is a clone of an `Arc` instead of a
-//! fresh rasterization.
+//! with near-identical radii. A [`DiskCache`] keys rasterized caps by
+//! (landmark position, radius quantized **up** to a whole grid cell) so
+//! that every repeat is a clone of an `Arc` instead of a fresh
+//! rasterization.
+//!
+//! Each entry is a [`DiskRuns`]: the cap's latitude band with at most
+//! two column runs per row, a kilobyte or two where a whole-globe
+//! [`Region`](geokit::Region) bitset on the 0.5° grid is 32.4 KB.
 //!
 //! Quantizing the radius up preserves soundness: a cached disk is never
 //! smaller than the exact disk, so a region built from cached disks can
@@ -30,10 +34,59 @@
 //!
 //! [`grid_slack_km`]: crate::multilateration::constraint::grid_slack_km
 
-use geokit::{GeoGrid, GeoPoint, Region, SphericalCap};
+use geokit::{CapRaster, GeoGrid, GeoPoint, SphericalCap};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// One rasterized disk as per-row column runs: the rows of the cap's
+/// latitude band, each with the sorted, disjoint, half-open `(lo, hi)`
+/// column runs [`CapRaster::row_runs`] yields (at most two: a row whose
+/// arc crosses the antimeridian splits in two). Holds exactly the cells
+/// [`Region::from_cap`](geokit::Region::from_cap) would.
+#[derive(Debug)]
+pub struct DiskRuns {
+    /// First row of the band.
+    row_lo: u32,
+    /// Band row `row_lo + i` owns `runs[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+}
+
+impl DiskRuns {
+    fn from_cap(grid: &GeoGrid, cap: &SphericalCap) -> DiskRuns {
+        let raster = CapRaster::new(grid, cap);
+        let rows = raster.rows();
+        let mut starts = Vec::with_capacity(rows.len() + 1);
+        let mut runs = Vec::with_capacity(rows.len());
+        starts.push(0);
+        for row in rows.clone() {
+            raster.row_runs(row, |lo, hi| runs.push((lo, hi)));
+            starts.push(runs.len() as u32);
+        }
+        DiskRuns {
+            row_lo: rows.start,
+            starts,
+            runs,
+        }
+    }
+
+    /// The rows of the cap's latitude band; no other row has runs.
+    pub fn rows(&self) -> std::ops::Range<u32> {
+        self.row_lo..self.row_lo + (self.starts.len() - 1) as u32
+    }
+
+    /// `row`'s in-disk column runs, sorted and disjoint; empty outside
+    /// the band.
+    pub fn row_runs(&self, row: u32) -> &[(u32, u32)] {
+        match row.checked_sub(self.row_lo).map(|i| i as usize) {
+            Some(i) if i + 1 < self.starts.len() => {
+                &self.runs[self.starts[i] as usize..self.starts[i + 1] as usize]
+            }
+            _ => &[],
+        }
+    }
+}
 
 /// Cache key: exact landmark coordinates (bit patterns — landmarks are
 /// shared constellation points, so equal positions have equal bits) plus
@@ -66,7 +119,7 @@ const SHARD_COUNT: usize = 16;
 
 /// One reservation cell: empty while the reserving worker rasterizes,
 /// filled exactly once.
-type DiskSlot = Arc<OnceLock<Arc<Region>>>;
+type DiskSlot = Arc<OnceLock<Arc<DiskRuns>>>;
 
 /// Running totals of cache traffic. Exact under any thread count: the
 /// fill-once protocol guarantees every lookup counts exactly one hit or
@@ -154,7 +207,7 @@ impl DiskCache {
 
     /// The rasterized disk of (up to one cell more than) `radius_km`
     /// around `center`, from the memo when possible.
-    pub fn disk(&self, center: &GeoPoint, radius_km: f64) -> Arc<Region> {
+    pub fn disk(&self, center: &GeoPoint, radius_km: f64) -> Arc<DiskRuns> {
         self.disk_of_cells(center, self.radius_cells(radius_km))
     }
 
@@ -164,38 +217,9 @@ impl DiskCache {
     /// This is the sound quantization for the *inner* cap of an annulus
     /// constraint: shrinking what gets subtracted can only over-cover,
     /// mirroring how [`disk`](DiskCache::disk) grows the outer cap.
-    pub fn inner_disk(&self, center: &GeoPoint, radius_km: f64) -> Option<Arc<Region>> {
+    pub fn inner_disk(&self, center: &GeoPoint, radius_km: f64) -> Option<Arc<DiskRuns>> {
         let cells = (radius_km / self.cell_km).floor() as u32;
         (cells > 0).then(|| self.disk_of_cells(center, cells))
-    }
-
-    /// Rasterize the given disks now, on the calling thread, so a
-    /// parallel fan-out starts with them already filled. Radii quantize
-    /// exactly as [`disk`](DiskCache::disk) does. Returns how many
-    /// entries were newly rasterized; already-present keys are skipped.
-    ///
-    /// Pre-warming counts neither hits nor misses — it is setup, not
-    /// traffic — so a warmed run reports more hits (and zero extra
-    /// entries) for the same lookups, deterministically.
-    pub fn prewarm<I>(&self, disks: I) -> usize
-    where
-        I: IntoIterator<Item = (GeoPoint, f64)>,
-    {
-        let mut filled = 0usize;
-        for (center, radius_km) in disks {
-            let key = DiskKey {
-                lat_bits: center.lat().to_bits(),
-                lon_bits: center.lon().to_bits(),
-                radius_cells: self.radius_cells(radius_km),
-            };
-            let (slot, reserved) = self.reserve(key);
-            if reserved {
-                slot.set(self.rasterize(&center, key.radius_cells))
-                    .expect("reserved slot filled twice");
-                filled += 1;
-            }
-        }
-        filled
     }
 
     /// Probe-or-reserve: returns the key's slot and whether *this* call
@@ -212,13 +236,13 @@ impl DiskCache {
         }
     }
 
-    fn rasterize(&self, center: &GeoPoint, cells: u32) -> Arc<Region> {
+    fn rasterize(&self, center: &GeoPoint, cells: u32) -> Arc<DiskRuns> {
         let _raster_span = self.obs.profile_span("cache.rasterize");
         let cap = SphericalCap::new(*center, f64::from(cells) * self.cell_km);
-        Arc::new(Region::from_cap(&self.grid, &cap))
+        Arc::new(DiskRuns::from_cap(&self.grid, &cap))
     }
 
-    fn disk_of_cells(&self, center: &GeoPoint, cells: u32) -> Arc<Region> {
+    fn disk_of_cells(&self, center: &GeoPoint, cells: u32) -> Arc<DiskRuns> {
         let _lookup_span = self.obs.profile_span("cache.lookup");
         let key = DiskKey {
             lat_bits: center.lat().to_bits(),
@@ -284,9 +308,42 @@ impl DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geokit::Region;
 
     fn cache() -> DiskCache {
         DiskCache::new(GeoGrid::new(2.0))
+    }
+
+    /// The cells of a cached disk as a region on the cache's grid.
+    fn region(c: &DiskCache, disk: &DiskRuns) -> Region {
+        let mut r = Region::empty(Arc::clone(c.grid()));
+        for row in disk.rows() {
+            for &(lo, hi) in disk.row_runs(row) {
+                r.insert_run(row, lo..hi);
+            }
+        }
+        r
+    }
+
+    #[test]
+    fn disk_runs_hold_exactly_the_cap_cells() {
+        let c = cache();
+        // Mid-latitude, antimeridian-wrapping, polar and whole-globe caps.
+        for (lat, lon, r) in [
+            (48.0, 11.0, 700.0),
+            (-40.0, 179.0, 1500.0),
+            (89.0, -30.0, 900.0),
+            (0.0, -180.0, geokit::MAX_GC_DISTANCE_KM),
+        ] {
+            let lm = GeoPoint::new(lat, lon);
+            let disk = c.disk(&lm, r);
+            let cap = SphericalCap::new(lm, c.quantized_radius_km(r));
+            assert_eq!(region(&c, &disk), Region::from_cap(c.grid(), &cap));
+            assert!(disk.row_runs(disk.rows().end).is_empty());
+            if let Some(below) = disk.rows().start.checked_sub(1) {
+                assert!(disk.row_runs(below).is_empty());
+            }
+        }
     }
 
     #[test]
@@ -321,7 +378,7 @@ mod tests {
         let lm = GeoPoint::new(30.0, 30.0);
         let exact = Region::from_cap(c.grid(), &SphericalCap::new(lm, 750.0));
         let cached = c.disk(&lm, 750.0);
-        assert!(exact.is_subset_of(&cached));
+        assert!(exact.is_subset_of(&region(&c, &cached)));
     }
 
     #[test]
@@ -331,11 +388,11 @@ mod tests {
         // Below one cell: nothing to subtract.
         assert!(c.inner_disk(&lm, 100.0).is_none());
         let exact = Region::from_cap(c.grid(), &SphericalCap::new(lm, 750.0));
-        let inner = c.inner_disk(&lm, 750.0).unwrap();
+        let inner = region(&c, &c.inner_disk(&lm, 750.0).unwrap());
         assert!(inner.is_subset_of(&exact));
         // Outer ceil and inner floor of the same radius share no key
         // only when the radius is not already whole-cell.
-        assert!(inner.cell_count() <= c.disk(&lm, 750.0).cell_count());
+        assert!(inner.cell_count() <= region(&c, &c.disk(&lm, 750.0)).cell_count());
     }
 
     #[test]
@@ -363,25 +420,6 @@ mod tests {
         c.disk(&GeoPoint::new(10.0, 12.0), 400.0);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 2, 2));
-    }
-
-    #[test]
-    fn prewarm_fills_without_counting_traffic() {
-        let c = cache();
-        let lm = GeoPoint::new(48.0, 11.0);
-        // Two distinct keys, one repeated: two fresh rasterizations.
-        let filled = c.prewarm([(lm, 700.0), (lm, 700.0), (lm, 1500.0)]);
-        assert_eq!(filled, 2);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 2));
-        // A warmed lookup is a hit and shares the warmed rasterization.
-        let warmed = c.disk(&lm, 700.0);
-        let again = c.disk(&lm, 700.0);
-        assert!(Arc::ptr_eq(&warmed, &again));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (2, 0, 2));
-        // Prewarming an existing key is a no-op.
-        assert_eq!(c.prewarm([(lm, 700.0)]), 0);
     }
 
     /// The satellite-1 stress test: hammer one shared cache from many

@@ -9,11 +9,8 @@ pub mod subset;
 
 pub use bayes::{bayes_region, BayesOutput};
 pub use constraint::{intersect_constraints, intersect_constraints_cached, RingConstraint};
-pub use diskcache::{DiskCache, DiskCacheStats};
+pub use diskcache::{DiskCache, DiskCacheStats, DiskRuns};
 pub use robust::{
     pairwise_infeasible_flags, robust_max_consistent_subset, PairwiseReport, RobustSubsetResult,
 };
-pub use subset::{
-    max_consistent_subset, max_consistent_subset_cached, max_consistent_subset_profiled,
-    SubsetResult,
-};
+pub use subset::{max_consistent_subset, max_consistent_subset_profiled, SubsetResult};

@@ -36,19 +36,6 @@ pub fn max_consistent_subset(constraints: &[RingConstraint], mask: &Region) -> S
     max_consistent_subset_profiled(constraints, mask, None, None)
 }
 
-/// [`max_consistent_subset`] with the fast path drawing disks from a
-/// shared [`DiskCache`](crate::multilateration::DiskCache). The
-/// counting sweep (reached only when the full set is inconsistent) stays
-/// exact and run-based — it never materializes per-disk regions, so
-/// there is nothing for it to reuse.
-pub fn max_consistent_subset_cached(
-    constraints: &[RingConstraint],
-    mask: &Region,
-    cache: &crate::multilateration::DiskCache,
-) -> SubsetResult {
-    max_consistent_subset_profiled(constraints, mask, Some(cache), None)
-}
-
 /// The fully-parameterized subset search: optional shared disk cache for
 /// the fast-path intersection, optional recorder for wall-clock profile
 /// spans (`subset.intersect` around the full-set intersection,
@@ -162,12 +149,17 @@ fn counting_sweep(constraints: &[RingConstraint], mask: &Region) -> SubsetResult
 /// bestline disks that contradict the baseline region (§5.1).
 ///
 /// Evaluated as a run/bitset intersection test per touched row — no
-/// per-cell distances.
+/// per-cell distances. A row where the region has no cells cannot hold a
+/// shared cell, so it is passed over on a word scan of the region,
+/// without solving for the constraint's runs there.
 pub fn constraint_overlaps_region(constraint: &RingConstraint, region: &Region) -> bool {
     let grid = region.grid();
     let raster = ConstraintRaster::new(grid, constraint);
     let mut runs: Vec<(u32, u32)> = Vec::new();
     for row in raster.rows() {
+        if !region.intersects_run(row, 0..grid.cols()) {
+            continue;
+        }
         raster.row_runs_into(row, &mut runs);
         if runs
             .iter()

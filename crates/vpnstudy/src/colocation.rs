@@ -114,21 +114,19 @@ mod tests {
     use crate::audit::Study;
     use crate::config::StudyConfig;
     use geoloc::proxy::ProxyContext;
-    use std::sync::{Mutex, OnceLock};
 
-    fn study() -> &'static Mutex<Study> {
-        static S: OnceLock<Mutex<Study>> = OnceLock::new();
-        S.get_or_init(|| {
-            Mutex::new(Study::build(StudyConfig {
-                total_proxies: 40,
-                ..StudyConfig::small(321)
-            }))
+    /// A fresh study per test: both tests establish tunnels and probe
+    /// through the network, which changes its state.
+    fn study() -> Study {
+        Study::build(StudyConfig {
+            total_proxies: 40,
+            ..StudyConfig::small(321)
         })
     }
 
     #[test]
     fn detects_true_datacenter_groups() {
-        let mut s = study().lock().unwrap();
+        let mut s = study();
         let client = s.client;
         let proxies = s.providers.proxies.clone();
         let mut self_pings = Vec::with_capacity(proxies.len());
@@ -189,7 +187,7 @@ mod tests {
         // Different providers renting space in the same hub city end up
         // in the same detected group — "including proxies claimed to be
         // in separate countries" (§8.1).
-        let mut s = study().lock().unwrap();
+        let mut s = study();
         let client = s.client;
         let proxies = s.providers.proxies.clone();
         let mut self_pings = Vec::with_capacity(proxies.len());

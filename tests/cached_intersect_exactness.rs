@@ -1,0 +1,246 @@
+//! `intersect_constraints_cached` folds each cached disk's per-row runs
+//! into the rows still alive. It must give, bit for bit, the region of the
+//! plain bitset formulation below, and must look up exactly the same disk
+//! keys in the same order, so the cache's hits, misses, entries and
+//! exported keys cannot move either. `constraint_overlaps_region`, which
+//! passes over the rows where the region has no cells, is pinned against a
+//! test over every row of the grid.
+
+use geokit::{GeoGrid, GeoPoint, Region, SphericalCap};
+use geoloc::multilateration::subset::constraint_overlaps_region;
+use geoloc::multilateration::{intersect_constraints_cached, DiskCache, RingConstraint};
+use simrng::prop::prelude::*;
+use simrng::rngs::StdRng;
+use simrng::{RngExt, SeedableRng};
+use std::sync::Arc;
+
+/// A disk-cache key as `DiskCache::export_keys` reports it.
+type Key = (u64, u64, u32);
+
+/// The reference: every disk is a whole-globe `Region` from
+/// `Region::from_cap` at the cache's quantized radius (outer radii rounded
+/// up to whole cells, at least one; inner radii rounded down, skipped at
+/// zero). Constraints are taken in stable `max_km` order; each outer disk
+/// is intersected and each inner disk subtracted, and the walk stops
+/// before the next constraint once the running set is empty. Returns the
+/// region and every (centre, radius in cells) looked up, in order.
+fn reference(constraints: &[RingConstraint], mask: &Region) -> (Region, Vec<Key>) {
+    let grid = mask.grid();
+    let cell_km = grid.resolution_deg() * 111.32;
+    let mut lookups = Vec::new();
+    if constraints.is_empty() {
+        return (mask.clone(), lookups);
+    }
+    let mut disk = |center: &GeoPoint, cells: u32| {
+        lookups.push((center.lat().to_bits(), center.lon().to_bits(), cells));
+        Region::from_cap(
+            grid,
+            &SphericalCap::new(*center, f64::from(cells) * cell_km),
+        )
+    };
+    let mut order: Vec<&RingConstraint> = constraints.iter().collect();
+    order.sort_by(|a, b| a.max_km.partial_cmp(&b.max_km).expect("finite radii"));
+    let mut out: Option<Region> = None;
+    for c in order {
+        if out.as_ref().is_some_and(Region::is_empty) {
+            break;
+        }
+        let outer = disk(&c.center, ((c.max_km / cell_km).ceil()).max(1.0) as u32);
+        let mut running = match out {
+            None => outer,
+            Some(mut r) => {
+                r.intersect_with(&outer);
+                r
+            }
+        };
+        if c.min_km > 0.0 {
+            let cells = (c.min_km / cell_km).floor() as u32;
+            if cells > 0 {
+                running.subtract(&disk(&c.center, cells));
+            }
+        }
+        out = Some(running);
+    }
+    let mut out = out.expect("at least one constraint");
+    out.intersect_with(mask);
+    (out, lookups)
+}
+
+const RESOLUTIONS: [f64; 3] = [0.5, 1.0, 2.0];
+
+/// A centre: anywhere, or on a pole, or on the antimeridian (±180°).
+fn random_centre(rng: &mut StdRng) -> GeoPoint {
+    let lat = match rng.random_range(0..6u32) {
+        0 => 90.0,
+        1 => -90.0,
+        _ => rng.random_range(-90.0..90.0),
+    };
+    let lon = match rng.random_range(0..6u32) {
+        0 => 180.0,
+        1 => -180.0,
+        _ => rng.random_range(-180.0..180.0),
+    };
+    GeoPoint::new(lat, lon)
+}
+
+/// A radius from a tenth of a cell to past half the circumference,
+/// log-uniform so every scale is drawn.
+fn random_radius(rng: &mut StdRng) -> f64 {
+    let ln = rng.random_range(1.0f64.ln()..21_000.0f64.ln());
+    ln.exp()
+}
+
+/// 1–40 disks and annuli drawn from small pools of centres and radii, so
+/// centres repeat and `max_km` ties occur. Most sets are honest: every
+/// constraint holds a common target, so the intersection survives; the
+/// rest are arbitrary and mostly go empty. Some sets also get a disk far
+/// from the target, with a radius taken from the set so that it sorts
+/// among the others and empties the running set part-way through.
+fn random_constraints(rng: &mut StdRng) -> Vec<RingConstraint> {
+    let target = random_centre(rng);
+    let honest = rng.random_bool(0.75);
+    let centres: Vec<GeoPoint> = (0..rng.random_range(1..8usize))
+        .map(|_| random_centre(rng))
+        .collect();
+    let radii: Vec<f64> = (0..rng.random_range(1..10usize))
+        .map(|_| random_radius(rng))
+        .collect();
+    let n = rng.random_range(1..41usize);
+    let mut constraints: Vec<RingConstraint> = (0..n)
+        .map(|_| {
+            let centre = *rng.choose(&centres).expect("nonempty pool");
+            let r = *rng.choose(&radii).expect("nonempty pool");
+            let (reach, max_km) = if honest {
+                let d = centre.distance_km(&target);
+                (d, d + r)
+            } else {
+                (r, r)
+            };
+            match rng.random_range(0..4u32) {
+                0 => RingConstraint::ring(centre, reach * rng.random_range(0.0..1.0), max_km),
+                1 => RingConstraint::ring(centre, reach, max_km),
+                _ => RingConstraint::disk(centre, max_km),
+            }
+        })
+        .collect();
+    if rng.random_bool(0.3) {
+        let far = target.destination(rng.random_range(0.0..360.0), 15_000.0);
+        let max_km = rng.choose(&constraints).expect("nonempty set").max_km;
+        constraints.push(RingConstraint::disk(far, max_km.min(14_000.0)));
+    }
+    constraints
+}
+
+/// A mask: the whole grid, nothing, a cap, or random cells.
+fn random_mask(rng: &mut StdRng, grid: &Arc<GeoGrid>) -> Region {
+    match rng.random_range(0..8u32) {
+        0 | 1 => Region::full(Arc::clone(grid)),
+        2 => Region::empty(Arc::clone(grid)),
+        3 | 4 => Region::from_cap(
+            grid,
+            &SphericalCap::new(random_centre(rng), random_radius(rng)),
+        ),
+        _ => {
+            let density = rng.random_range(0.05..0.95);
+            let mut mask = Region::empty(Arc::clone(grid));
+            for cell in grid.all_cells() {
+                if rng.random_bool(density) {
+                    mask.insert(cell);
+                }
+            }
+            mask
+        }
+    }
+}
+
+/// The constraint tested against every row of the grid: its exact
+/// rasterization as a whole-globe region, then one test over all words.
+fn overlaps_by_full_scan(c: &RingConstraint, region: &Region) -> bool {
+    Region::from_ring(region.grid(), c.center, c.min_km, c.max_km).intersects(region)
+}
+
+/// A region for the overlap check: empty, a cap, random runs, or single
+/// cells on the first or last column. Runs and cells may sit on the first
+/// and the last row.
+fn random_region(rng: &mut StdRng, grid: &Arc<GeoGrid>) -> Region {
+    let mut region = Region::empty(Arc::clone(grid));
+    if rng.random_bool(0.25) {
+        return region;
+    }
+    if rng.random_bool(0.25) {
+        let cap = SphericalCap::new(random_centre(rng), random_radius(rng));
+        return Region::from_cap(grid, &cap);
+    }
+    let edge_cells = rng.random_bool(0.5);
+    let (first, last) = (0, grid.rows() - 1);
+    let mut rows: Vec<u32> = (0..rng.random_range(0..4usize))
+        .map(|_| rng.random_range(0..grid.rows()))
+        .collect();
+    rows.extend([first, last].into_iter().filter(|_| rng.random_bool(0.5)));
+    for row in rows {
+        let cols = if edge_cells {
+            let col = if rng.random_bool(0.5) {
+                0
+            } else {
+                grid.cols() - 1
+            };
+            col..col + 1
+        } else {
+            let lo = rng.random_range(0..grid.cols());
+            lo..rng.random_range(lo + 1..=grid.cols())
+        };
+        region.insert_run(row, cols);
+    }
+    region
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn cached_intersection_matches_the_bitset_reference(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grid = GeoGrid::new(*rng.choose(&RESOLUTIONS).expect("resolutions"));
+        let constraints = random_constraints(&mut rng);
+        let mask = random_mask(&mut rng, &grid);
+        let (want, lookups) = reference(&constraints, &mask);
+
+        let cache = DiskCache::new(Arc::clone(&grid));
+        let got = intersect_constraints_cached(&constraints, &mask, &cache);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got.cell_count(), want.cell_count());
+
+        let mut keys = lookups.clone();
+        keys.sort_unstable();
+        keys.dedup();
+        let stats = cache.stats();
+        prop_assert_eq!(stats.hits + stats.misses, lookups.len() as u64);
+        prop_assert_eq!(stats.misses, keys.len() as u64);
+        prop_assert_eq!(stats.entries, keys.len());
+        prop_assert_eq!(cache.export_keys(), keys);
+
+        // Served again from the now-warm cache: the same region, and
+        // every lookup a hit.
+        let again = intersect_constraints_cached(&constraints, &mask, &cache);
+        prop_assert_eq!(&again, &want);
+        let warm = cache.stats();
+        prop_assert_eq!(warm.hits, stats.hits + lookups.len() as u64);
+        prop_assert_eq!(warm.misses, stats.misses);
+    }
+
+    #[test]
+    fn overlap_test_matches_a_full_row_scan(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grid = GeoGrid::new(*rng.choose(&RESOLUTIONS).expect("resolutions"));
+        let region = random_region(&mut rng, &grid);
+        for c in random_constraints(&mut rng) {
+            prop_assert_eq!(
+                constraint_overlaps_region(&c, &region),
+                overlaps_by_full_scan(&c, &region),
+                "constraint {:?}, region of {} cells",
+                c,
+                region.cell_count()
+            );
+        }
+    }
+}

@@ -3,13 +3,26 @@
 use atlas::CalibrationSet;
 use geoloc::algorithms::{Cbg, CbgPlusPlus};
 use geoloc::delay_model::{CbgModel, OctantModel};
-use geoloc::multilateration::{intersect_constraints, max_consistent_subset, DiskCache, RingConstraint};
+use geoloc::multilateration::{
+    intersect_constraints, max_consistent_subset, DiskCache, DiskRuns, RingConstraint,
+};
 use geoloc::{Geolocator, Observation};
 use geokit::{GeoGrid, GeoPoint, Region};
 use simrng::prop::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = GeoPoint> {
     (-80.0f64..80.0, -180.0f64..180.0).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
+}
+
+/// The cells of a cached disk as a region on `grid`.
+fn disk_region(grid: &std::sync::Arc<GeoGrid>, disk: &DiskRuns) -> Region {
+    let mut r = Region::empty(std::sync::Arc::clone(grid));
+    for row in disk.rows() {
+        for &(lo, hi) in disk.row_runs(row) {
+            r.insert_run(row, lo..hi);
+        }
+    }
+    r
 }
 
 fn arb_calibration() -> impl Strategy<Value = CalibrationSet> {
@@ -129,9 +142,9 @@ proptest! {
         let exact = Region::from_cap(&grid, &geokit::SphericalCap::new(center, radius));
         prop_assert!(cache.quantized_radius_km(radius) + 1e-9 >= radius);
         let outer = cache.disk(&center, radius);
-        prop_assert!(exact.is_subset_of(&outer));
+        prop_assert!(exact.is_subset_of(&disk_region(&grid, &outer)));
         if let Some(inner) = cache.inner_disk(&center, radius) {
-            prop_assert!(inner.is_subset_of(&exact));
+            prop_assert!(disk_region(&grid, &inner).is_subset_of(&exact));
         }
     }
 
