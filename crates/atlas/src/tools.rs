@@ -54,22 +54,6 @@ impl CliTool {
             true_round_trips: 1,
         })
     }
-
-    /// Measure through a VPN proxy (the client's connect is tunnelled).
-    pub fn measure_via_proxy(
-        &self,
-        network: &mut Network,
-        client: NodeId,
-        proxy: NodeId,
-        landmark: NodeId,
-    ) -> Option<RttSample> {
-        let rtt = network.tcp_connect_via_proxy_rtt(client, proxy, landmark, 80)?;
-        Some(RttSample {
-            landmark,
-            rtt_ms: rtt.as_ms(),
-            true_round_trips: 1,
-        })
-    }
 }
 
 /// Client operating system for the Web tool (§4.3: Windows measurements

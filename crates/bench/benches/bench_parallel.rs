@@ -1,5 +1,5 @@
 //! Audit scaling: wall-clock of the full per-proxy fan-out
-//! (`Study::run_with_threads`) at 1/2/4/8/16 workers, plus the
+//! (`Study::run_sharded` on one shard) at 1/2/4/8/16 workers, plus the
 //! byte-identity check that makes the parallel path trustworthy at all.
 //!
 //! Unlike the Criterion-style benches, one measurement here is one full
@@ -22,49 +22,22 @@
 //! `small` / `medium` / `paper` to override, and `PV_BENCH_RUNS` for the
 //! per-configuration repeat count (default 2).
 
+use bench::determinism::contract_bytes;
 use bench::Scale;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::time::Instant;
 use vpnstudy::audit::{Study, StudyResults};
 
 const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// A cheap but complete digest of the deterministic study output: if two
-/// runs agree on this, they agreed on every record field that reaches a
-/// report. Cache hit/miss telemetry is *included* — the fill-once disk
-/// cache makes the split exact, so it is part of the determinism
-/// contract rather than an exemption from it.
-fn fingerprint(results: &StudyResults) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(results.records.len() as u64);
-    mix(results.failures.len() as u64);
-    for r in &results.records {
-        mix(u64::from(r.proxy.node));
-        mix(r.proxy.claimed as u64);
-        mix(r.verdict.assessment as u64);
-        mix(r.refined.assessment as u64);
-        mix(r.region_area_km2.to_bits());
-        mix(r.self_ping_ms.to_bits());
-        mix(r.observations.len() as u64);
-        for (lm, ms) in &r.observations {
-            mix(lm.lat().to_bits());
-            mix(lm.lon().to_bits());
-            mix(ms.to_bits());
-        }
-    }
-    for f in &results.failures {
-        mix(u64::from(f.proxy.node));
-        mix(f.diagnostics.attempts as u64);
-    }
-    let cache = results.cache_stats();
-    mix(cache.hits);
-    mix(cache.misses);
-    mix(cache.entries as u64);
-    h
+/// A digest of the run's contract bytes (`bench::determinism`): every
+/// deterministic output, exact disk-cache counters included.
+fn fingerprint(study: &Study, results: &StudyResults) -> u64 {
+    let mut h = DefaultHasher::new();
+    contract_bytes(study, results).hash(&mut h);
+    h.finish()
 }
 
 /// Measure how much CPU the machine actually serves concurrent spinning
@@ -120,10 +93,10 @@ fn measure(scale: Scale, threads: usize, runs: usize) -> Measurement {
         let mut study = Study::build(scale.study_config());
         proxies = study.providers.proxies.len();
         let t0 = Instant::now();
-        let results = study.run_with_threads(threads);
+        let results = study.run_sharded(1, threads);
         let secs = t0.elapsed().as_secs_f64();
         best_secs = best_secs.min(secs);
-        fp = fingerprint(&results);
+        fp = fingerprint(&study, &results);
         let cache = results.cache_stats();
         hits = cache.hits;
         misses = cache.misses;
@@ -188,7 +161,7 @@ fn main() {
 
     // Byte-identity across thread counts is part of the contract; a bench
     // that silently measured diverging runs would be lying about what it
-    // parallelized. The fingerprint now covers cache telemetry too, so a
+    // parallelized. The fingerprint covers cache telemetry too, so a
     // reappearance of the old racy double-rasterize would fail here.
     let fp0 = measurements[0].fingerprint;
     assert!(

@@ -13,7 +13,6 @@
 //!   "threads": 8,
 //!   "git": "b67b00b",
 //!   "counters": { "net.probe.sent": 123 },
-//!   "wall_counters": { "audit.threads": 8 },
 //!   "results": [
 //!     { "name": "audit/one proxy", "median_ns": 127000.5, "p10_ns": 1.0,
 //!       "p90_ns": 2.0, "iters_per_sample": 39, "samples": 20,
@@ -79,8 +78,6 @@ pub struct BenchArtifact {
     pub git: Option<String>,
     /// Deterministic counters snapshotted from a supplied recorder.
     pub counters: Vec<(String, u64)>,
-    /// Wall-compartment counters snapshotted from a supplied recorder.
-    pub wall_counters: Vec<(String, u64)>,
     /// Per-bench timing summaries.
     pub results: Vec<BenchRecord>,
 }
@@ -136,20 +133,15 @@ impl BenchArtifact {
                 let _ = writeln!(out, "  \"git\": null,");
             }
         }
-        for (label, table) in [
-            ("counters", &self.counters),
-            ("wall_counters", &self.wall_counters),
-        ] {
-            let _ = write!(out, "  \"{label}\": {{");
-            for (i, (k, v)) in table.iter().enumerate() {
-                let sep = if i == 0 { "\n" } else { ",\n" };
-                let _ = write!(out, "{sep}    {}: {}", json_str(k), v);
-            }
-            if table.is_empty() {
-                out.push_str("},\n");
-            } else {
-                out.push_str("\n  },\n");
-            }
+        out.push_str("  \"counters\": {");
+        for (i, (k, v)) in self.counters.iter().enumerate() {
+            let sep = if i == 0 { "\n" } else { ",\n" };
+            let _ = write!(out, "{sep}    {}: {}", json_str(k), v);
+        }
+        if self.counters.is_empty() {
+            out.push_str("},\n");
+        } else {
+            out.push_str("\n  },\n");
         }
         out.push_str("  \"results\": [");
         for (i, r) in self.results.iter().enumerate() {
@@ -194,7 +186,6 @@ impl BenchArtifact {
                 "threads" => art.threads = val.as_f64().unwrap_or(0.0) as u64,
                 "git" => art.git = val.as_str().map(str::to_string),
                 "counters" => art.counters = parse_counter_table(val),
-                "wall_counters" => art.wall_counters = parse_counter_table(val),
                 "results" => {
                     let arr = val.as_array().ok_or("\"results\" is not an array")?;
                     for item in arr {
@@ -263,7 +254,6 @@ mod tests {
             threads: 8,
             git: Some("b67b00b-dirty".into()),
             counters: vec![("net.probe.sent".into(), 123)],
-            wall_counters: vec![("audit.threads".into(), 8)],
             results: vec![
                 BenchRecord {
                     name: "audit/one proxy".into(),
@@ -298,7 +288,6 @@ mod tests {
         assert_eq!(parsed.threads, art.threads);
         assert_eq!(parsed.git, art.git);
         assert_eq!(parsed.counters, art.counters);
-        assert_eq!(parsed.wall_counters, art.wall_counters);
         assert_eq!(parsed.results, art.results);
     }
 

@@ -1,69 +1,22 @@
-//! Render the audit's deterministic report blocks for the CI
-//! determinism gate.
+//! Print each determinism scenario's contract bytes (plain, faulted,
+//! armed+defended), audited as one shard on one thread.
 //!
-//! `ci.sh` runs this under `PV_THREADS=1`, `8`, and `16`, then again
-//! under `PV_SHARDS=2` and `5` crossed with `PV_THREADS=1` and `8`, and
-//! fails on any byte difference, proving that neither the parallel
-//! audit engine nor the master/worker shard split changes anything the
-//! study reports. Everything printed here must therefore be
-//! a pure function of the study seed: the perf telemetry block
-//! (`render_perf_telemetry`) is absent because it prints wall-clock
-//! span timings, but the disk-cache hit/miss/entry counts it draws on
-//! are exact under the fill-once cache, so they are printed — and
-//! diffed — directly. The observability block, the deterministic half
-//! of the progress-snapshot stream, and the full JSONL event trace are
-//! included too: per-proxy event buffers and snapshot deltas are merged
-//! in proxy order, so they must be byte-identical at any thread count.
+//! The bytes are a pure function of the code and the seed, so diffing
+//! this binary's output between two commits shows exactly what a change
+//! did to the study's deterministic output. Whether the bytes hold
+//! across shard and thread splits is checked in-process by the
+//! determinism matrix (`cargo test -p bench --test determinism`).
+//!
+//! ```text
+//! cargo run --release --offline -p bench --bin determinism_report > bytes.txt
+//! ```
 
-use vpnstudy::audit::Study;
-use vpnstudy::campaign::{shaping_plan, AdversaryModel};
-use vpnstudy::report;
-use vpnstudy::StudyConfig;
+use bench::determinism::{audit, contract_bytes, Scenario, REFERENCE};
 
 fn main() {
-    let mut study = Study::build(StudyConfig::small(0xd1ff));
-    // `Study::run` reads PV_THREADS via `parallel::configured_threads`
-    // and PV_SHARDS via `parallel::configured_shards`.
-    let results = study.run();
-    print!("{}", report::render_overall(&study, &results));
-    println!("---");
-    print!("{}", report::render_reliability(&results));
-    println!("---");
-    print!("{}", report::render_fig21(&study, &results));
-    println!("---");
-    print!("{}", report::render_observability(&results));
-    println!("---");
-    let cache = results.cache_stats();
-    println!(
-        "disk cache: {} hits, {} misses, {} entries",
-        cache.hits, cache.misses, cache.entries
-    );
-    println!("---");
-    // The deterministic half of each progress snapshot: a pure function
-    // of (seed, snapshot_every), so it diffs byte-identically across
-    // every shard × thread combination. The wall half (elapsed, ETA,
-    // cache hit ratio) is deliberately absent from this rendering.
-    print!("{}", results.snapshots_jsonl());
-    println!("---");
-    print!("{}", results.trace_jsonl());
-
-    // The same gate with the active-adversary layer armed and the
-    // Byzantine defense on: holds, selective timeouts, collusion,
-    // self-ping inflation, the challenge sweep, and every `defense`
-    // event must be just as scheduling-independent as the honest run.
-    let mut armed = Study::build(StudyConfig::small(0xd1ff));
-    armed.config.defense.enabled = true;
-    let (plan, _) = shaping_plan(&armed, AdversaryModel::FullShaping, 0.66);
-    *armed.world.network_mut().adversary_mut() = plan;
-    let armed_results = armed.run();
-    println!("--- armed ---");
-    print!("{}", report::render_overall(&armed, &armed_results));
-    println!("---");
-    print!("{}", report::render_reliability(&armed_results));
-    println!("---");
-    print!("{}", report::render_observability(&armed_results));
-    println!("---");
-    print!("{}", armed_results.snapshots_jsonl());
-    println!("---");
-    print!("{}", armed_results.trace_jsonl());
+    for scenario in Scenario::ALL {
+        let (study, results) = audit(scenario, &scenario.config(scenario.seed()), REFERENCE);
+        println!("=== {} ===", scenario.name());
+        print!("{}", contract_bytes(&study, &results));
+    }
 }

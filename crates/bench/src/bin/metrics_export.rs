@@ -1,5 +1,5 @@
 //! Export a small study's OpenMetrics exposition for the CI telemetry
-//! gates.
+//! gate.
 //!
 //! ```text
 //! metrics_export                  # deterministic subset (byte-diffable)
@@ -10,12 +10,12 @@
 //! ```
 //!
 //! The default mode prints only families registered as deterministic
-//! ([`obs::export::deterministic_family`]): `ci.sh` runs it under
-//! `PV_THREADS=1` and `8` and fails on any byte difference, extending
-//! the determinism gate to the exposition itself. `--check` proves the
-//! rendered text round-trips through the in-repo OpenMetrics parser
-//! byte-for-byte, and `--slo` is the nonzero-exit alerting mode a
-//! release pipeline would gate on.
+//! ([`obs::export::deterministic_family`]), the subset the determinism
+//! matrix (`crates/bench/tests/determinism.rs`) checks across shard and
+//! thread splits. `--check` proves the rendered text round-trips
+//! through the in-repo OpenMetrics parser byte-for-byte, and `--slo` is
+//! the nonzero-exit alerting mode a release pipeline would gate on;
+//! `ci.sh` runs both.
 
 use vpnstudy::audit::Study;
 use vpnstudy::{ops, StudyConfig};
@@ -24,8 +24,7 @@ fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
 
     let mut study = Study::build(StudyConfig::small(0xd1ff));
-    // Thread/shard shape comes from PV_THREADS / PV_SHARDS, exactly as
-    // in determinism_report.
+    // One shard on `PV_THREADS` workers.
     let results = study.run();
     let set = match ops::study_metrics(&results) {
         Ok(set) => set,

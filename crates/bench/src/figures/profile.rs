@@ -7,14 +7,14 @@
 //!
 //! Unlike the other figures this output is **machine- and
 //! scheduling-dependent** (it reports real elapsed time), so it must
-//! never be byte-diffed by the determinism gate. Its value is the
+//! never be byte-compared by the determinism matrix. Its value is the
 //! *shape*: where a run spends its time and how often each stage runs.
 
 use crate::scale::StudyContext;
 use vpnstudy::report;
 
-/// Render the study run's span tree plus the wall-clock telemetry block
-/// (thread count, disk-cache hit rate, coarse span totals).
+/// Render the study run's span tree plus the run-shape telemetry block
+/// (thread and shard counts, disk-cache hit rate).
 pub fn profile_spans(ctx: &StudyContext) -> String {
     let mut out = report::render_profile(&ctx.results);
     out.push('\n');

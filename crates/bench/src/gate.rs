@@ -145,14 +145,15 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
     // CBG++ pass after the first few proxies sees it.
     let (honest, paper_mask) = gate_disks(25, 0.5);
     let warm = DiskCache::new(std::sync::Arc::clone(paper_mask.grid()));
-    max_consistent_subset_profiled(&honest, &paper_mask, Some(&warm), None);
+    let off = obs::Recorder::off();
+    max_consistent_subset_profiled(&honest, &paper_mask, Some(&warm), &off);
     out.push(run_sampled("gate/cached_subset", samples, |b| {
         b.iter(|| {
             max_consistent_subset_profiled(
                 black_box(&honest),
                 black_box(&paper_mask),
                 Some(&warm),
-                None,
+                &off,
             )
         })
     }));
@@ -171,7 +172,7 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
                 &report.flagged,
                 black_box(&mixed_mask),
                 None,
-                None,
+                &off,
             )
         })
     }));
@@ -408,7 +409,6 @@ pub fn baseline_from(measured: &[Sampled], threads: u64, git: Option<String>) ->
         threads,
         git,
         counters: Vec::new(),
-        wall_counters: Vec::new(),
         results: measured
             .iter()
             .map(|s| {

@@ -318,11 +318,6 @@ impl Criterion {
                     .into_iter()
                     .map(|(k, v)| (k.to_string(), v))
                     .collect();
-                artifact.wall_counters = rec
-                    .wall_counters()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
             }
             artifact.merge_results(&records);
             if std::fs::write(&path, artifact.to_json()).is_err() {

@@ -5,6 +5,7 @@
 //! text-rendering helpers (ASCII CDFs, aligned tables).
 
 pub mod artifact;
+pub mod determinism;
 pub mod figures;
 pub mod gate;
 pub mod harness;

@@ -50,7 +50,7 @@ impl CbgPlusPlus {
         cache: Option<&DiskCache>,
         rec: &obs::Recorder,
     ) -> Prediction {
-        CbgPlusPlusVariant::default().locate_impl(observations, mask, cache, Some(rec))
+        CbgPlusPlusVariant::default().locate_impl(observations, mask, cache, rec)
     }
 }
 
@@ -85,7 +85,7 @@ impl Geolocator for CbgPlusPlusVariant {
     }
 
     fn locate(&self, observations: &[Observation], mask: &Region) -> Prediction {
-        self.locate_impl(observations, mask, None, None)
+        self.locate_impl(observations, mask, None, &obs::Recorder::off())
     }
 }
 
@@ -95,7 +95,7 @@ impl CbgPlusPlusVariant {
         observations: &[Observation],
         mask: &Region,
         cache: Option<&DiskCache>,
-        rec: Option<&obs::Recorder>,
+        rec: &obs::Recorder,
     ) -> Prediction {
         let subset = |constraints: &[RingConstraint], m: &Region| {
             max_consistent_subset_profiled(constraints, m, cache, rec)
@@ -104,7 +104,7 @@ impl CbgPlusPlusVariant {
 
         let search_mask: Region;
         let baseline_region: Option<&Region> = if self.use_baseline_filter {
-            let baseline_span = rec.map(|r| r.profile_span("cbgpp.baseline"));
+            let baseline_span = rec.profile_span("cbgpp.baseline");
             // Baseline disks: pure physics, cannot underestimate.
             let baseline: Vec<RingConstraint> = observations
                 .iter()
@@ -119,30 +119,26 @@ impl CbgPlusPlusVariant {
             let base = subset(&baseline, mask);
             drop(baseline_span);
             search_mask = base.region;
-            if let Some(rec) = rec {
-                rec.record("alg.baseline_cells", u64::from(search_mask.cell_count()));
+            rec.record("alg.baseline_cells", u64::from(search_mask.cell_count()));
+            if rec.events_enabled() {
+                rec.event(
+                    "cbgpp",
+                    "baseline",
+                    vec![
+                        ("disks", baseline.len().into()),
+                        ("satisfied", base.satisfied.into()),
+                        ("cells", search_mask.cell_count().into()),
+                    ],
+                );
+            }
+            if search_mask.is_empty() {
+                rec.count("alg.empty_region", 1);
                 if rec.events_enabled() {
                     rec.event(
                         "cbgpp",
-                        "baseline",
-                        vec![
-                            ("disks", baseline.len().into()),
-                            ("satisfied", base.satisfied.into()),
-                            ("cells", search_mask.cell_count().into()),
-                        ],
+                        "empty_region",
+                        vec![("stage", "baseline".into())],
                     );
-                }
-            }
-            if search_mask.is_empty() {
-                if let Some(rec) = rec {
-                    rec.count("alg.empty_region", 1);
-                    if rec.events_enabled() {
-                        rec.event(
-                            "cbgpp",
-                            "empty_region",
-                            vec![("stage", "baseline".into())],
-                        );
-                    }
                 }
                 return Prediction {
                     region: search_mask,
@@ -156,7 +152,7 @@ impl CbgPlusPlusVariant {
 
         // Covers the bestline build + overlap filter + subset search
         // (early returns drop it at scope exit).
-        let _bestline_span = rec.map(|r| r.profile_span("cbgpp.bestline"));
+        let _bestline_span = rec.profile_span("cbgpp.bestline");
         let bestline: Vec<RingConstraint> = observations
             .iter()
             .map(|o| {
@@ -173,58 +169,52 @@ impl CbgPlusPlusVariant {
                 None => true,
             })
             .collect();
-        if let Some(rec) = rec {
-            let dropped = observations.len() - bestline.len();
-            rec.count("alg.bestline_dropped", dropped as u64);
+        let dropped = observations.len() - bestline.len();
+        rec.count("alg.bestline_dropped", dropped as u64);
+        if rec.events_enabled() {
+            rec.event(
+                "cbgpp",
+                "bestline_filter",
+                vec![
+                    ("input", observations.len().into()),
+                    ("kept", bestline.len().into()),
+                ],
+            );
+        }
+        if bestline.is_empty() {
+            rec.count("alg.baseline_fallback", 1);
             if rec.events_enabled() {
                 rec.event(
                     "cbgpp",
-                    "bestline_filter",
-                    vec![
-                        ("input", observations.len().into()),
-                        ("kept", bestline.len().into()),
-                    ],
+                    "baseline_fallback",
+                    vec![("cells", effective_mask.cell_count().into())],
                 );
-            }
-        }
-        if bestline.is_empty() {
-            if let Some(rec) = rec {
-                rec.count("alg.baseline_fallback", 1);
-                if rec.events_enabled() {
-                    rec.event(
-                        "cbgpp",
-                        "baseline_fallback",
-                        vec![("cells", effective_mask.cell_count().into())],
-                    );
-                }
             }
             return Prediction {
                 region: effective_mask.clone(),
             };
         }
         let result = subset(&bestline, effective_mask);
-        if let Some(rec) = rec {
-            rec.record("alg.region_cells", u64::from(result.region.cell_count()));
+        rec.record("alg.region_cells", u64::from(result.region.cell_count()));
+        if result.region.is_empty() {
+            rec.count("alg.empty_region", 1);
+        }
+        if rec.events_enabled() {
+            rec.event(
+                "cbgpp",
+                "subset",
+                vec![
+                    ("satisfied", result.satisfied.into()),
+                    ("total", result.total.into()),
+                    ("cells", result.region.cell_count().into()),
+                ],
+            );
             if result.region.is_empty() {
-                rec.count("alg.empty_region", 1);
-            }
-            if rec.events_enabled() {
                 rec.event(
                     "cbgpp",
-                    "subset",
-                    vec![
-                        ("satisfied", result.satisfied.into()),
-                        ("total", result.total.into()),
-                        ("cells", result.region.cell_count().into()),
-                    ],
+                    "empty_region",
+                    vec![("stage", "bestline".into())],
                 );
-                if result.region.is_empty() {
-                    rec.event(
-                        "cbgpp",
-                        "empty_region",
-                        vec![("stage", "bestline".into())],
-                    );
-                }
             }
         }
         Prediction {

@@ -236,7 +236,7 @@ pub fn run_defense(
     // 2. Trimmed robust subset over the unflagged disks: anything the
     // subset search *still* discards is named (but on its own it is the
     // ordinary underestimation CBG++ tolerates, not evidence).
-    let robust = robust_max_consistent_subset(&disks, &pairwise.flagged, mask, cache, Some(rec));
+    let robust = robust_max_consistent_subset(&disks, &pairwise.flagged, mask, cache, rec);
     report.trimmed = robust.discarded.len();
 
     // 3. Disjoint-subset quorum over the unflagged observations.

@@ -149,17 +149,6 @@ pub struct RobustSubsetResult {
     pub discarded: Vec<usize>,
 }
 
-impl RobustSubsetResult {
-    /// Fraction of the given constraints the final region satisfies.
-    pub fn satisfied_fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.satisfied as f64 / self.total as f64
-        }
-    }
-}
-
 /// The trimmed max-consistent-subset search: exclude `flagged`
 /// constraints, run the subset search over the rest, and name any
 /// surviving constraint the search still discarded.
@@ -174,7 +163,7 @@ pub fn robust_max_consistent_subset(
     flagged: &[bool],
     mask: &Region,
     cache: Option<&DiskCache>,
-    rec: Option<&obs::Recorder>,
+    rec: &obs::Recorder,
 ) -> RobustSubsetResult {
     assert_eq!(constraints.len(), flagged.len(), "flag/constraint mismatch");
     let kept_idx: Vec<usize> = (0..constraints.len()).filter(|&i| !flagged[i]).collect();
@@ -199,7 +188,9 @@ pub fn robust_max_consistent_subset(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multilateration::max_consistent_subset;
     use geokit::{GeoGrid, GeoPoint};
+    use obs::Recorder;
 
     fn disk(lat: f64, lon: f64, r: f64) -> RingConstraint {
         RingConstraint::disk(GeoPoint::new(lat, lon), r)
@@ -282,8 +273,8 @@ mod tests {
         let mask = Region::full(grid);
         let cs = vec![disk(50.0, 8.0, 800.0), disk(48.0, 12.0, 800.0)];
         let flags = vec![false, false];
-        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None, None);
-        let plain = max_consistent_subset_profiled(&cs, &mask, None, None);
+        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None, &Recorder::off());
+        let plain = max_consistent_subset(&cs, &mask);
         assert_eq!(robust.satisfied, plain.satisfied);
         assert_eq!(robust.excluded, 0);
         assert!(robust.discarded.is_empty());
@@ -303,7 +294,7 @@ mod tests {
         ];
         let report = pairwise_infeasible_flags(&cs);
         assert!(report.flagged[2]);
-        let robust = robust_max_consistent_subset(&cs, &report.flagged, &mask, None, None);
+        let robust = robust_max_consistent_subset(&cs, &report.flagged, &mask, None, &Recorder::off());
         assert_eq!(robust.excluded, 1);
         assert!(robust.region.contains_point(&GeoPoint::new(48.0, 11.0)));
         assert!(!robust.region.contains_point(&GeoPoint::new(-30.0, -20.0)));
@@ -322,7 +313,7 @@ mod tests {
             disk(-30.0, -20.0, 300.0),
         ];
         let flags = vec![false, false, false];
-        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None, None);
+        let robust = robust_max_consistent_subset(&cs, &flags, &mask, None, &Recorder::off());
         assert_eq!(robust.satisfied, 2);
         assert_eq!(robust.excluded, 0);
         assert_eq!(robust.discarded, vec![2]);

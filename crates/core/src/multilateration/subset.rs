@@ -33,19 +33,20 @@ pub struct SubsetResult {
 ///
 /// With no constraints, the whole mask is trivially consistent.
 pub fn max_consistent_subset(constraints: &[RingConstraint], mask: &Region) -> SubsetResult {
-    max_consistent_subset_profiled(constraints, mask, None, None)
+    max_consistent_subset_profiled(constraints, mask, None, &obs::Recorder::off())
 }
 
 /// The fully-parameterized subset search: optional shared disk cache for
-/// the fast-path intersection, optional recorder for wall-clock profile
+/// the fast-path intersection, and a recorder for wall-clock profile
 /// spans (`subset.intersect` around the full-set intersection,
-/// `subset.counting_sweep` around the inconsistent-set sweep). Both
-/// `None`s reduce to [`max_consistent_subset`] exactly.
+/// `subset.counting_sweep` around the inconsistent-set sweep). No cache
+/// and [`obs::Recorder::off`] reduce to [`max_consistent_subset`]
+/// exactly.
 pub fn max_consistent_subset_profiled(
     constraints: &[RingConstraint],
     mask: &Region,
     cache: Option<&crate::multilateration::DiskCache>,
-    rec: Option<&obs::Recorder>,
+    rec: &obs::Recorder,
 ) -> SubsetResult {
     let total = constraints.len();
     if total == 0 {
@@ -58,7 +59,7 @@ pub fn max_consistent_subset_profiled(
 
     // Fast path: all constraints already agree somewhere.
     let all = {
-        let _span = rec.map(|r| r.profile_span("subset.intersect"));
+        let _span = rec.profile_span("subset.intersect");
         match cache {
             Some(cache) => crate::multilateration::constraint::intersect_constraints_cached(
                 constraints,
@@ -75,7 +76,7 @@ pub fn max_consistent_subset_profiled(
             total,
         };
     }
-    let _span = rec.map(|r| r.profile_span("subset.counting_sweep"));
+    let _span = rec.profile_span("subset.counting_sweep");
     counting_sweep(constraints, mask)
 }
 

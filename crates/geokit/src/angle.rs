@@ -1,16 +1,4 @@
-//! Angle helpers: degree/radian conversion and coordinate normalization.
-
-/// Convert degrees to radians.
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg.to_radians()
-}
-
-/// Convert radians to degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad.to_degrees()
-}
+//! Angle helpers: coordinate normalization.
 
 /// Normalize a longitude into the half-open interval `[-180, 180)`.
 ///

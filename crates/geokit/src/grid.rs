@@ -77,11 +77,6 @@ impl GeoGrid {
         })
     }
 
-    /// The default grid used throughout the project: 0.25° (cells ≤ 28 km).
-    pub fn default_grid() -> Arc<GeoGrid> {
-        GeoGrid::new(0.25)
-    }
-
     /// Cell edge length in degrees.
     #[inline]
     pub fn resolution_deg(&self) -> f64 {

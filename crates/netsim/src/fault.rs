@@ -210,11 +210,6 @@ impl FaultPlan {
             .is_some_and(|ws| ws.iter().any(|w| w.covers(at)))
     }
 
-    /// True if any node has outage windows configured.
-    pub fn has_outages(&self) -> bool {
-        !self.outages.is_empty()
-    }
-
     /// Would a reply from this node at `at` exceed its rate limit? A
     /// `false` answer *consumes* one slot of the window (the reply is
     /// about to be sent); state advances with sim time only.

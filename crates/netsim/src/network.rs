@@ -15,9 +15,11 @@
 //! (the exposition layer maps them to `pv_probe_total{outcome}`,
 //! `pv_probe_loss_total{cause}`, `pv_probe_rtt_microseconds`), and
 //! `net.probe.sent − net.probe.completed` is the numerator of the
-//! `pv_probe_loss_rate` gauge the SLO engine watches — adding a count
-//! site here without a registry entry fails `vpnstudy::ops` and the
-//! CI export gate.
+//! `pv_probe_loss_rate` gauge the SLO engine watches. A count site
+//! added here without a registry entry makes `vpnstudy::ops` fail to
+//! export any run that emits it; the determinism matrix exports a
+//! plain, a faulted and an armed study, so it catches the names those
+//! runs reach (`net.adv.*` included).
 
 use crate::adversary::{AdversaryPlan, AdversaryTally};
 use crate::delay::{DelayModel, PathDelays};
@@ -160,11 +162,6 @@ impl Network {
     /// between measurement attempts).
     pub fn advance(&mut self, d: SimDuration) {
         self.now = self.now + d;
-    }
-
-    /// Set how long an unanswered probe occupies the clock.
-    pub fn set_probe_timeout(&mut self, d: SimDuration) {
-        self.probe_timeout = d;
     }
 
     /// The topology (read-only).

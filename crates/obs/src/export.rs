@@ -10,9 +10,9 @@
 //!
 //! Determinism contract: a `MetricSet` renders its families and samples
 //! in sorted order, so two sets built from the same deterministic
-//! counters are byte-identical regardless of insertion order. CI
-//! byte-diffs the deterministic subset (see
-//! [`MetricSet::render_filtered`]) across `PV_THREADS` values.
+//! counters are byte-identical regardless of insertion order. The
+//! determinism matrix byte-compares the deterministic subset (see
+//! [`MetricSet::render_filtered`]) across shard and thread splits.
 
 use crate::json;
 use crate::registry;
@@ -216,8 +216,9 @@ impl MetricSet {
     }
 
     /// Render only the families `keep` accepts (still `# EOF`
-    /// terminated). CI uses this to byte-diff the deterministic subset
-    /// across thread counts while the wall-clock families float free.
+    /// terminated). The determinism matrix uses this to byte-compare
+    /// the deterministic subset across splits while the wall-clock
+    /// families float free.
     pub fn render_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
         let mut out = String::new();
         for (name, f) in &self.families {
@@ -426,11 +427,6 @@ impl Exposition {
         None
     }
 
-    /// Total sample lines across all families.
-    pub fn sample_count(&self) -> usize {
-        self.families.iter().map(|f| f.samples.len()).sum()
-    }
-
     /// Re-render the parsed document. For everything the in-repo writer
     /// emits, `render(parse(text)) == text` — the round-trip CI checks.
     pub fn render(&self) -> String {
@@ -627,56 +623,29 @@ fn parse_sample(line: &str) -> Result<ParsedSample, String> {
 ///
 /// * deterministic counters and histograms (pre-seeded at zero for every
 ///   registered series, so the exported schema is run-independent),
-/// * wall counters,
-/// * wall-span and profile-tree stats under the dynamic
-///   `pv_span_*`/`pv_wall_span_*` families (`path`/`name` labels).
+/// * profile-tree stats under the dynamic `pv_span_*` families (`path`
+///   label).
 ///
 /// Errors on a counter or histogram name that is not in the registry —
-/// the build-breaking teeth behind the "register your metric" rule.
+/// the teeth behind the "register your metric" rule.
 pub fn recorder_metrics(rec: &crate::Recorder) -> Result<MetricSet, String> {
     let mut set = MetricSet::new();
+    let add = |set: &mut MetricSet, def: &registry::MetricDef, v: u64| match def.kind {
+        MetricKind::Gauge => set.set_gauge_u64(def.family, def.help, def.labels, v),
+        _ => set.add_counter(def.family, def.help, def.labels, v),
+    };
     for def in registry::COUNTERS {
-        set.add_counter(def.family, def.help, def.labels, 0);
-    }
-    for def in registry::WALL_COUNTERS {
-        match def.kind {
-            MetricKind::Counter => set.add_counter(def.family, def.help, def.labels, 0),
-            MetricKind::Gauge => set.set_gauge_u64(def.family, def.help, def.labels, 0),
-            MetricKind::Histogram => unreachable!("wall counters are scalar"),
-        }
+        add(&mut set, def, 0);
     }
     for (raw, v) in rec.counters() {
         let def = registry::counter(raw)
             .ok_or_else(|| format!("unregistered counter {raw:?}: add it to obs::registry"))?;
-        set.add_counter(def.family, def.help, def.labels, v);
+        add(&mut set, def, v);
     }
     for (raw, h) in rec.hists() {
         let def = registry::hist(raw)
             .ok_or_else(|| format!("unregistered histogram {raw:?}: add it to obs::registry"))?;
         set.add_hist(def.family, def.help, def.labels, &h);
-    }
-    for (raw, v) in rec.wall_counters() {
-        let def = registry::wall_counter(raw)
-            .ok_or_else(|| format!("unregistered wall counter {raw:?}: add it to obs::registry"))?;
-        match def.kind {
-            MetricKind::Counter => set.add_counter(def.family, def.help, def.labels, v),
-            MetricKind::Gauge => set.set_gauge_u64(def.family, def.help, def.labels, v),
-            MetricKind::Histogram => unreachable!("wall counters are scalar"),
-        }
-    }
-    for (name, w) in rec.wall_spans() {
-        set.add_counter(
-            "pv_wall_span_calls_total",
-            "Completed wall-clock spans by name.",
-            &[("name", name)],
-            w.count,
-        );
-        set.set_gauge(
-            "pv_wall_span_seconds_total",
-            "Summed wall-clock span time by name.",
-            &[("name", name)],
-            w.total_ns as f64 / 1e9,
-        );
     }
     for (path, p) in rec.profile() {
         let path = path.as_str();
@@ -702,8 +671,8 @@ pub fn recorder_metrics(rec: &crate::Recorder) -> Result<MetricSet, String> {
     Ok(set)
 }
 
-/// True for families registered as deterministic — the subset CI
-/// byte-diffs across thread counts.
+/// True for families registered as deterministic — the subset the
+/// determinism matrix byte-compares across splits.
 pub fn deterministic_family(name: &str) -> bool {
     registry::family(name)
         .is_some_and(|def| def.compartment == registry::Compartment::Deterministic)
@@ -844,7 +813,8 @@ mod tests {
         rec.count("net.probe.sent", 7);
         rec.count("net.probe.timeout", 2);
         rec.record("net.probe.rtt_us", 1500);
-        rec.wall_count("cache.disk.hits", 3);
+        rec.count("cache.disk.hits", 3);
+        rec.count("cache.disk.entries", 2);
         let set = recorder_metrics(&rec).expect("all names registered");
         assert_eq!(set.value("pv_probe_total", &[("outcome", "sent")]), Some(7.0));
         assert_eq!(
@@ -860,6 +830,9 @@ mod tests {
             set.value("pv_cache_lookup_total", &[("result", "hit")]),
             Some(3.0)
         );
+        // A counter registered as a gauge exports as one.
+        assert_eq!(set.kind("pv_cache_entries"), Some(MetricKind::Gauge));
+        assert_eq!(set.value("pv_cache_entries", &[]), Some(2.0));
         assert!(set.hist("pv_probe_rtt_microseconds", &[]).is_some());
         assert!(set.lint_against_registry().is_empty());
 
@@ -873,13 +846,14 @@ mod tests {
     fn deterministic_subset_excludes_wall_families() {
         let rec = Recorder::new(Level::Counters);
         rec.count("net.probe.sent", 1);
-        rec.wall_count("cache.disk.hits", 1);
-        drop(rec.span("w"));
+        rec.count("cache.disk.hits", 1);
+        drop(rec.profile_span("w"));
         let set = recorder_metrics(&rec).unwrap();
+        assert!(set.value("pv_span_calls_total", &[("path", "w")]).is_some());
         let det = set.render_filtered(deterministic_family);
         assert!(det.contains("pv_probe_total"));
-        assert!(!det.contains("pv_cache_lookup_total"), "wall family leaked:\n{det}");
-        assert!(!det.contains("pv_wall_span"), "span family leaked:\n{det}");
+        assert!(det.contains("pv_cache_lookup_total"), "cache counters are exact:\n{det}");
+        assert!(!det.contains("pv_span_"), "span family leaked:\n{det}");
         assert!(parse_exposition(&det).is_ok(), "subset must still parse");
     }
 

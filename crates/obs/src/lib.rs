@@ -9,25 +9,23 @@
 //! result structs. The design contract is **determinism**: everything a
 //! recorder collects on the deterministic side is a pure function of the
 //! computation it observed, never of scheduling, so traces and rendered
-//! summaries can be byte-diffed across thread counts in CI.
+//! summaries can be byte-compared across shard and thread splits.
 //!
 //! Two strictly separated compartments:
 //!
 //! * **Deterministic** — structured [`Event`]s timestamped on the
-//!   *simulation* clock, monotonic counters, and power-of-two
-//!   [`Hist`]ograms. These participate in the JSONL trace export
-//!   ([`Recorder::events_jsonl`]) and the rendered observability report,
-//!   both of which CI byte-diffs across `PV_THREADS` values.
-//! * **Wall-clock** — [`Span`] timings (`std::time::Instant`) and
-//!   run-machinery tallies ([`Recorder::wall_count`], e.g. the worker
-//!   count or a shared cache's hit/miss split). These are performance
-//!   telemetry, rendered in their own section; span timings are never
-//!   included in determinism diffs (exact tallies may be, at the
-//!   consumer's discretion — the fill-once disk cache's counters are).
+//!   *simulation* clock, monotonic counters ([`Recorder::count`]), and
+//!   power-of-two [`Hist`]ograms. Every exact number lives here,
+//!   including the fill-once disk cache's hit/miss/entry counts. These
+//!   feed the JSONL trace export ([`Recorder::events_jsonl`]) and the
+//!   rendered observability report, which the determinism matrix
+//!   byte-compares across shard and thread splits.
+//! * **Wall-clock** — the profile tree below, the only timing API.
+//!   It never enters a determinism check.
 //!
 //! ## Hierarchical profiling
 //!
-//! The wall compartment also carries a span *tree*:
+//! The wall compartment is a span *tree*:
 //! [`Recorder::profile_span`] tracks parent/child relationships through
 //! a thread-local stack, so nested spans accumulate under a
 //! `/`-separated path (`audit.proxy/audit.locate/subset.intersect`).
@@ -35,9 +33,8 @@
 //! nanoseconds (cumulative minus time attributed to child spans), and
 //! [`Recorder::render_profile`] renders the whole thing as an indented
 //! flamegraph-style text tree. Profile data merges additively across
-//! [`fork`](Recorder::fork)/[`absorb`](Recorder::absorb), lives entirely
-//! on the wall-clock side, and adds nothing to the deterministic
-//! compartment — the cross-thread determinism gate is unaffected.
+//! [`fork`](Recorder::fork)/[`absorb`](Recorder::absorb) and adds
+//! nothing to the deterministic compartment.
 //!
 //! ## Fork/merge rule
 //!
@@ -66,13 +63,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How much the recorder keeps. Levels are cumulative: `Events` implies
-/// `Counters`. Wall-clock spans and wall counters are recorded at any
-/// level except `Off`.
+/// `Counters`. Profile spans are recorded at any level except `Off`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Level {
     /// Record nothing at all.
     Off,
-    /// Counters, histograms, and wall-clock telemetry only.
+    /// Counters, histograms, and profile spans only.
     Counters,
     /// Everything: structured events plus all of the above (the
     /// default).
@@ -332,26 +328,6 @@ impl Hist {
     }
 }
 
-/// Accumulated wall-clock timing for one span name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WallStat {
-    /// Completed spans.
-    pub count: u64,
-    /// Summed wall time, nanoseconds.
-    pub total_ns: u128,
-}
-
-impl WallStat {
-    /// Mean span duration, milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64 / 1e6
-        }
-    }
-}
-
 /// Aggregated wall-clock timing for one profile-tree path (see
 /// [`Recorder::profile_span`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -380,8 +356,6 @@ struct Buffers {
     events: Vec<Event>,
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Hist>,
-    wall_spans: BTreeMap<&'static str, WallStat>,
-    wall_counters: BTreeMap<&'static str, u64>,
     profile: BTreeMap<String, ProfileStat>,
 }
 
@@ -468,8 +442,8 @@ impl Recorder {
     }
 
     /// Fold a forked child's buffers into this recorder: events are
-    /// appended in the child's order, counters and histograms merge
-    /// additively, wall telemetry sums. Call in a deterministic order
+    /// appended in the child's order, counters, histograms and profile
+    /// stats merge additively. Call in a deterministic order
     /// (the caller's item order, never completion order) to keep the
     /// merged event stream scheduling-independent.
     pub fn absorb(&self, child: &Recorder) {
@@ -486,14 +460,6 @@ impl Recorder {
         }
         for (k, h) in taken.hists {
             inner.hists.entry(k).or_default().merge(&h);
-        }
-        for (k, w) in taken.wall_spans {
-            let e = inner.wall_spans.entry(k).or_default();
-            e.count += w.count;
-            e.total_ns += w.total_ns;
-        }
-        for (k, v) in taken.wall_counters {
-            *inner.wall_counters.entry(k).or_insert(0) += v;
         }
         for (k, p) in taken.profile {
             inner.profile.entry(k).or_default().merge(&p);
@@ -619,8 +585,7 @@ impl Recorder {
 
     /// Render the deterministic side (counters, then histograms) as an
     /// aligned text block. Excludes events (see
-    /// [`events_jsonl`](Recorder::events_jsonl)) and all wall-clock
-    /// telemetry.
+    /// [`events_jsonl`](Recorder::events_jsonl)) and the profile tree.
     pub fn render_deterministic(&self) -> String {
         let inner = self.lock();
         let mut out = String::new();
@@ -633,52 +598,7 @@ impl Recorder {
         out
     }
 
-    // --- wall-clock side ---------------------------------------------------
-
-    /// Start timing a wall-clock span; the elapsed time is recorded when
-    /// the returned guard drops. Wall spans are performance telemetry:
-    /// they never enter the deterministic trace or its diffs.
-    pub fn span(&self, name: &'static str) -> Span {
-        if self.level == Level::Off {
-            return Span { sink: None };
-        }
-        Span {
-            sink: Some((Arc::clone(&self.inner), name, Instant::now())),
-        }
-    }
-
-    /// Add `n` to the wall-side counter `name` — telemetry about the
-    /// run's machinery (worker count, shared-cache hit/miss split)
-    /// rather than the study's findings.
-    pub fn wall_count(&self, name: &'static str, n: u64) {
-        if self.level == Level::Off {
-            return;
-        }
-        *self.lock().wall_counters.entry(name).or_insert(0) += n;
-    }
-
-    /// The wall-side counter `name` (0 if never touched).
-    pub fn wall_counter(&self, name: &str) -> u64 {
-        self.lock().wall_counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Snapshot of all wall-side counters, sorted by name.
-    pub fn wall_counters(&self) -> Vec<(&'static str, u64)> {
-        self.lock()
-            .wall_counters
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
-    /// Snapshot of all wall-span accumulators, sorted by name.
-    pub fn wall_spans(&self) -> Vec<(&'static str, WallStat)> {
-        self.lock()
-            .wall_spans
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
+    // --- wall-clock side: the profile tree ----------------------------------
 
     /// Start a hierarchical wall-clock profile span named `name`.
     ///
@@ -764,14 +684,6 @@ impl Recorder {
     pub fn render_profile(&self) -> String {
         render_profile_from(&self.profile())
     }
-
-    /// Render the wall-clock side: span timings sorted by total time
-    /// descending (name tiebreak), then wall counters by name.
-    /// **Scheduling-dependent by design** — keep out of determinism
-    /// diffs.
-    pub fn render_wall(&self) -> String {
-        render_wall_from(&self.wall_spans(), &self.wall_counters())
-    }
 }
 
 /// Render a profile snapshot (as returned by [`Recorder::profile`]) as
@@ -843,46 +755,6 @@ pub fn render_profile_from(entries: &[(String, ProfileStat)]) -> String {
     out
 }
 
-/// Render wall-span and wall-counter snapshots as the text block of
-/// [`Recorder::render_wall`]: spans sorted by total wall time
-/// descending (name tiebreak, so equal-cost spans are still
-/// machine-diffable run-to-run), counters by name.
-pub fn render_wall_from(spans: &[(&'static str, WallStat)], counters: &[(&'static str, u64)]) -> String {
-    let mut spans = spans.to_vec();
-    spans.sort_by(|(an, a), (bn, b)| b.total_ns.cmp(&a.total_ns).then(an.cmp(bn)));
-    let mut out = String::new();
-    for (k, w) in &spans {
-        let _ = writeln!(
-            out,
-            "{k:<34} {:>8} x {:>10.3} ms = {:>10.1} ms",
-            w.count,
-            w.mean_ms(),
-            w.total_ns as f64 / 1e6
-        );
-    }
-    for (k, v) in counters {
-        let _ = writeln!(out, "{k:<34} {v:>10}");
-    }
-    out
-}
-
-/// Guard for one wall-clock span (see [`Recorder::span`]).
-pub struct Span {
-    sink: Option<(Arc<Mutex<Buffers>>, &'static str, Instant)>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((inner, name, start)) = self.sink.take() {
-            let elapsed = start.elapsed().as_nanos();
-            let mut buf = inner.lock().expect("recorder poisoned");
-            let e = buf.wall_spans.entry(name).or_default();
-            e.count += 1;
-            e.total_ns += elapsed;
-        }
-    }
-}
-
 /// Guard for one hierarchical profile span (see
 /// [`Recorder::profile_span`]). Dropping it closes the span and every
 /// not-yet-closed span opened under it on the same thread.
@@ -948,13 +820,11 @@ mod tests {
         r.event("t", "e", vec![("k", Value::U64(1))]);
         r.count("c", 5);
         r.record("h", 9);
-        r.wall_count("w", 2);
-        drop(r.span("s"));
+        drop(r.profile_span("s"));
         assert_eq!(r.events_len(), 0);
         assert_eq!(r.counter("c"), 0);
         assert!(r.hist("h").is_none());
-        assert_eq!(r.wall_counter("w"), 0);
-        assert!(r.wall_spans().is_empty());
+        assert!(r.profile().is_empty());
     }
 
     #[test]
@@ -992,7 +862,6 @@ mod tests {
         kid_b.event_at(9, "a", "third", vec![]);
         kid_b.count("c", 10);
         kid_b.record("h", 100);
-        kid_b.wall_count("w", 1);
         kid_a.event_at(7, "a", "second", vec![]);
         kid_a.count("c", 5);
         kid_a.record("h", 2);
@@ -1000,7 +869,6 @@ mod tests {
         root.absorb(&kid_a);
         root.absorb(&kid_b);
         assert_eq!(root.counter("c"), 16);
-        assert_eq!(root.wall_counter("w"), 1);
         let h = root.hist("h").unwrap();
         assert_eq!((h.count, h.min, h.max, h.sum), (2, 2, 100, 102));
         root.with_events(|ev| {
@@ -1037,22 +905,6 @@ mod tests {
         assert_eq!(h.count, 8);
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 1023);
-    }
-
-    #[test]
-    fn span_records_wall_time() {
-        let r = Recorder::new(Level::Counters);
-        {
-            let _s = r.span("work");
-            std::hint::black_box(0u64);
-        }
-        {
-            let _s = r.span("work");
-        }
-        let spans = r.wall_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].0, "work");
-        assert_eq!(spans[0].1.count, 2);
     }
 
     #[test]
@@ -1110,34 +962,6 @@ mod tests {
         assert_eq!((h.min, h.max, h.sum), (u64::MAX, u64::MAX, u64::MAX));
         // The rendered bucket floor is 2^63, which must not overflow.
         assert!(h.render_line().contains(&format!("{}:1", 1u64 << 63)));
-    }
-
-    #[test]
-    fn wallstat_accumulates_across_spans_and_absorb() {
-        let r = Recorder::new(Level::Counters);
-        drop(r.span("w"));
-        drop(r.span("w"));
-        let child = r.fork();
-        drop(child.span("w"));
-        r.absorb(&child);
-        let stat = r
-            .wall_spans()
-            .into_iter()
-            .find(|(k, _)| *k == "w")
-            .map(|(_, s)| s)
-            .unwrap();
-        assert_eq!(stat.count, 3);
-        let each = WallStat {
-            count: 1,
-            total_ns: 7,
-        };
-        let mut acc = WallStat::default();
-        assert_eq!(acc.mean_ms(), 0.0);
-        for _ in 0..4 {
-            acc.count += each.count;
-            acc.total_ns += each.total_ns;
-        }
-        assert_eq!((acc.count, acc.total_ns), (4, 28));
     }
 
     #[test]
@@ -1296,23 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn render_wall_orders_spans_by_total_time_then_name() {
-        let w = |count, total_ns| WallStat { count, total_ns };
-        let spans = vec![
-            ("a.cheap", w(9, 100)),
-            ("z.hot", w(1, 9_000)),
-            ("m.tie", w(1, 100)),
-        ];
-        let counters = vec![("a.count", 1u64), ("z.count", 2u64)];
-        let txt = render_wall_from(&spans, &counters);
-        let pos = |needle: &str| txt.find(needle).unwrap_or_else(|| panic!("{needle} missing:\n{txt}"));
-        assert!(pos("z.hot") < pos("a.cheap"), "{txt}");
-        assert!(pos("a.cheap") < pos("m.tie"), "tie must break by name:\n{txt}");
-        assert!(pos("m.tie") < pos("a.count"), "counters render after spans:\n{txt}");
-        assert!(pos("a.count") < pos("z.count"), "{txt}");
-    }
-
-    #[test]
     fn hist_quantile_empty_is_none() {
         let h = Hist::default();
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
@@ -1402,7 +1209,5 @@ mod tests {
         let z = det.find("z.last").unwrap();
         assert!(a < z, "counters not sorted:\n{det}");
         assert!(det.contains("m.hist"));
-        r.wall_count("w.c", 1);
-        assert!(r.render_wall().contains("w.c"));
     }
 }

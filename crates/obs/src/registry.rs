@@ -1,21 +1,25 @@
 //! The metric-name registry: the single source of truth mapping every
-//! raw [`Recorder`](crate::Recorder) counter, histogram, and wall
-//! counter emitted anywhere in the workspace onto a stable, linted
-//! OpenMetrics family name with fixed labels.
+//! raw [`Recorder`](crate::Recorder) counter and histogram emitted
+//! anywhere in the workspace onto a stable, linted OpenMetrics family
+//! name with fixed labels.
 //!
 //! Adding a new `rec.count("sub.thing", …)` call site anywhere in the
-//! workspace **requires** registering the name here — the exporter
-//! ([`crate::export::recorder_metrics`]) errors on unregistered names,
-//! and the registry lint test (plus the cross-crate integration test in
-//! `tests/ops_telemetry.rs`) fails the build on a duplicate,
-//! ill-formed, or unregistered name. That is the point: metric names
-//! are API, and silent drift breaks every dashboard scraping them.
+//! workspace requires registering the name here:
+//! [`crate::export::recorder_metrics`] returns an error on an
+//! unregistered name. That error only surfaces for names some run
+//! actually emits and exports, so a counter that no test drives stays
+//! unchecked; the determinism matrix (`crates/bench/tests/determinism.rs`)
+//! exports a plain, a faulted and an armed, defended study for exactly
+//! this reason. The lint test below rejects duplicate, ill-formed, or
+//! cardinality-exploding registrations outright. Metric names are API,
+//! and silent drift breaks every dashboard scraping them.
 //!
-//! Families are split into two compartments. `Deterministic` families
-//! derive purely from the simulation (CI byte-diffs their rendered
-//! exposition across `PV_THREADS`); `Wall` families carry run-machinery
-//! telemetry (timings, thread counts, cache luck) that legitimately
-//! varies run to run.
+//! Every raw counter and histogram is deterministic: a pure function of
+//! the study seed, whatever the shard and thread split. Families whose
+//! label values are only known at export time ([`DYNAMIC`]) carry a
+//! [`Compartment`]: `Wall` ones (profile-span timings, run shape,
+//! per-shard gauges) legitimately vary run to run and stay out of every
+//! determinism check.
 
 use crate::export::{lint_metric_name, MetricKind};
 use std::collections::BTreeMap;
@@ -24,16 +28,18 @@ use std::sync::OnceLock;
 /// Which determinism compartment a family belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Compartment {
-    /// Pure function of the study seed; byte-diffed by CI.
+    /// Pure function of the study seed; checked by the determinism
+    /// matrix.
     Deterministic,
-    /// Run machinery (wall timings, scheduling); excluded from diffs.
+    /// Run machinery (wall timings, run shape); excluded from checks.
     Wall,
 }
 
-/// One registered raw recorder name and its exported identity.
+/// One registered raw recorder name and its exported identity. Every
+/// raw name is deterministic.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricDef {
-    /// The raw name passed to `Recorder::count`/`record`/`wall_count`.
+    /// The raw name passed to `Recorder::count`/`record`.
     pub raw: &'static str,
     /// The exported OpenMetrics family.
     pub family: &'static str,
@@ -41,8 +47,6 @@ pub struct MetricDef {
     pub labels: &'static [(&'static str, &'static str)],
     /// Exposition kind.
     pub kind: MetricKind,
-    /// Determinism compartment.
-    pub compartment: Compartment,
     /// `# HELP` text.
     pub help: &'static str,
 }
@@ -50,7 +54,7 @@ pub struct MetricDef {
 /// A family whose label *values* are only known at export time (span
 /// paths, shard indexes, provider names). Cardinality stays bounded by
 /// construction: span paths by the static span inventory, shards by
-/// `PV_SHARDS`, providers by the study's provider table.
+/// the caller's shard count, providers by the study's provider table.
 #[derive(Debug, Clone, Copy)]
 pub struct DynamicDef {
     /// The exported OpenMetrics family.
@@ -66,7 +70,9 @@ pub struct DynamicDef {
 }
 
 /// Deterministic counters: every `Recorder::count` name in the
-/// workspace.
+/// workspace. Most export as counters; a name whose value is a level
+/// rather than a running total (the cache's entry count) exports as a
+/// gauge.
 pub const COUNTERS: &[MetricDef] = &[
     def("net.probe.sent", "pv_probe_total", &[("outcome", "sent")], PROBE_HELP),
     def("net.probe.completed", "pv_probe_total", &[("outcome", "completed")], PROBE_HELP),
@@ -82,6 +88,14 @@ pub const COUNTERS: &[MetricDef] = &[
         "pv_adversary_collusion_total",
         &[],
         "Probe answers shaped by colluding adversary nodes.",
+    ),
+    def("net.adv.hold", "pv_adversary_actions_total", &[("action", "hold")], ADVERSARY_HELP),
+    def("net.adv.timeout", "pv_adversary_actions_total", &[("action", "timeout")], ADVERSARY_HELP),
+    def(
+        "net.adv.self_ping_pad",
+        "pv_adversary_actions_total",
+        &[("action", "self_ping_pad")],
+        ADVERSARY_HELP,
     ),
     def("rel.retry", "pv_retry_total", &[], "Probe retries scheduled by the reliability layer."),
     def(
@@ -189,6 +203,15 @@ pub const COUNTERS: &[MetricDef] = &[
         &[("outcome", "unmeasurable")],
         AUDIT_HELP,
     ),
+    def("cache.disk.hits", "pv_cache_lookup_total", &[("result", "hit")], CACHE_HELP),
+    def("cache.disk.misses", "pv_cache_lookup_total", &[("result", "miss")], CACHE_HELP),
+    MetricDef {
+        raw: "cache.disk.entries",
+        family: "pv_cache_entries",
+        labels: &[],
+        kind: MetricKind::Gauge,
+        help: "Entries resident in the fill-once disk cache.",
+    },
 ];
 
 /// Deterministic histograms: every `Recorder::record` name.
@@ -221,56 +244,8 @@ pub const HISTS: &[MetricDef] = &[
     ),
 ];
 
-/// Wall-side counters: every `Recorder::wall_count` name.
-pub const WALL_COUNTERS: &[MetricDef] = &[
-    MetricDef {
-        raw: "cache.disk.hits",
-        family: "pv_cache_lookup_total",
-        labels: &[("result", "hit")],
-        kind: MetricKind::Counter,
-        compartment: Compartment::Wall,
-        help: CACHE_HELP,
-    },
-    MetricDef {
-        raw: "cache.disk.misses",
-        family: "pv_cache_lookup_total",
-        labels: &[("result", "miss")],
-        kind: MetricKind::Counter,
-        compartment: Compartment::Wall,
-        help: CACHE_HELP,
-    },
-    MetricDef {
-        raw: "cache.disk.entries",
-        family: "pv_cache_entries",
-        labels: &[],
-        kind: MetricKind::Gauge,
-        compartment: Compartment::Wall,
-        help: "Entries resident in the fill-once disk cache.",
-    },
-    MetricDef {
-        raw: "audit.threads",
-        family: "pv_audit_threads",
-        labels: &[],
-        kind: MetricKind::Gauge,
-        compartment: Compartment::Wall,
-        help: "Worker threads the audit fanned out over.",
-    },
-    MetricDef {
-        raw: "audit.shards",
-        family: "pv_audit_shards",
-        labels: &[],
-        kind: MetricKind::Gauge,
-        compartment: Compartment::Wall,
-        help: "Shards the audit master split the proxy list into.",
-    },
-];
-
 /// Families whose label values are only known at export time.
 pub const DYNAMIC: &[DynamicDef] = &[
-    dyn_def("pv_wall_span_calls_total", MetricKind::Counter, &["name"], Compartment::Wall,
-        "Completed wall-clock spans by name."),
-    dyn_def("pv_wall_span_seconds_total", MetricKind::Gauge, &["name"], Compartment::Wall,
-        "Summed wall-clock span time by name."),
     dyn_def("pv_span_calls_total", MetricKind::Counter, &["path"], Compartment::Wall,
         "Completed profile spans by tree path."),
     dyn_def("pv_span_seconds_total", MetricKind::Gauge, &["path"], Compartment::Wall,
@@ -305,6 +280,10 @@ pub const DYNAMIC: &[DynamicDef] = &[
         "Wall-clock milliseconds the audit run took."),
     dyn_def("pv_eta_ms", MetricKind::Gauge, &[], Compartment::Wall,
         "Estimated wall-clock milliseconds of audit work remaining."),
+    dyn_def("pv_audit_threads", MetricKind::Gauge, &[], Compartment::Wall,
+        "Worker threads the audit fanned out over."),
+    dyn_def("pv_audit_shards", MetricKind::Gauge, &[], Compartment::Wall,
+        "Shards the audit master split the proxy list into."),
 ];
 
 const PROBE_HELP: &str = "Probes by terminal outcome.";
@@ -314,6 +293,7 @@ const PHASE1_HELP: &str = "Phase-1 landmark probing tallies by state.";
 const DEFENSE_HELP: &str = "Byzantine-defense pipeline events by kind.";
 const GEO_HELP: &str = "Geolocation algorithm fallbacks by kind.";
 const AUDIT_HELP: &str = "Audited proxies by measurement outcome.";
+const ADVERSARY_HELP: &str = "Adversary timing actions applied to probes, by action.";
 const CACHE_HELP: &str = "Fill-once disk cache lookups by result.";
 
 const fn def(
@@ -327,7 +307,6 @@ const fn def(
         family,
         labels,
         kind: MetricKind::Counter,
-        compartment: Compartment::Deterministic,
         help,
     }
 }
@@ -338,7 +317,6 @@ const fn hist_def(raw: &'static str, family: &'static str, help: &'static str) -
         family,
         labels: &[],
         kind: MetricKind::Histogram,
-        compartment: Compartment::Deterministic,
         help,
     }
 }
@@ -369,11 +347,6 @@ pub fn hist(raw: &str) -> Option<&'static MetricDef> {
     HISTS.iter().find(|d| d.raw == raw)
 }
 
-/// The registered identity of the wall counter `raw`, if any.
-pub fn wall_counter(raw: &str) -> Option<&'static MetricDef> {
-    WALL_COUNTERS.iter().find(|d| d.raw == raw)
-}
-
 /// Aggregated, family-level view of the registry.
 #[derive(Debug, Clone)]
 pub struct FamilyInfo {
@@ -391,11 +364,11 @@ fn family_map() -> &'static BTreeMap<&'static str, FamilyInfo> {
     static MAP: OnceLock<BTreeMap<&'static str, FamilyInfo>> = OnceLock::new();
     MAP.get_or_init(|| {
         let mut map: BTreeMap<&'static str, FamilyInfo> = BTreeMap::new();
-        for d in COUNTERS.iter().chain(HISTS).chain(WALL_COUNTERS) {
+        for d in COUNTERS.iter().chain(HISTS) {
             let info = map.entry(d.family).or_insert_with(|| FamilyInfo {
                 kind: d.kind,
                 label_keys: Vec::new(),
-                compartment: d.compartment,
+                compartment: Compartment::Deterministic,
                 help: d.help,
             });
             for (k, _) in d.labels {
@@ -431,16 +404,16 @@ pub fn family_names() -> Vec<&'static str> {
 ///
 /// Rules enforced:
 /// 1. every family name is `pv_`-prefixed lowercase snake_case;
-/// 2. raw recorder names are globally unique across the counter,
-///    histogram, and wall tables;
+/// 2. raw recorder names are globally unique across the counter and
+///    histogram tables;
 /// 3. no two static defs collide on `(family, labels)`;
-/// 4. a family never mixes kinds, compartments, or label-key sets;
+/// 4. a family never mixes kinds or label-key sets;
 /// 5. label cardinality stays sane: at most one label key per family
 ///    and at most 16 statically registered values for it;
 /// 6. every entry has help text.
 pub fn lint() -> Vec<String> {
     let mut problems = Vec::new();
-    let statics: Vec<&MetricDef> = COUNTERS.iter().chain(HISTS).chain(WALL_COUNTERS).collect();
+    let statics: Vec<&MetricDef> = COUNTERS.iter().chain(HISTS).collect();
 
     let mut raws = BTreeMap::new();
     for d in &statics {
@@ -466,25 +439,20 @@ pub fn lint() -> Vec<String> {
     #[derive(PartialEq)]
     struct Shape {
         kind: MetricKind,
-        compartment: Compartment,
         keys: Vec<&'static str>,
     }
     let mut shapes: BTreeMap<&str, Shape> = BTreeMap::new();
     let mut value_counts: BTreeMap<&str, usize> = BTreeMap::new();
     for d in &statics {
         let keys: Vec<&'static str> = d.labels.iter().map(|(k, _)| *k).collect();
-        let shape = Shape {
-            kind: d.kind,
-            compartment: d.compartment,
-            keys,
-        };
+        let shape = Shape { kind: d.kind, keys };
         match shapes.get(d.family) {
             None => {
                 shapes.insert(d.family, shape);
             }
             Some(prev) if *prev != shape => {
                 problems.push(format!(
-                    "family {:?} mixes kinds, compartments, or label keys",
+                    "family {:?} mixes kinds or label keys",
                     d.family
                 ));
             }
@@ -560,9 +528,6 @@ mod tests {
         for d in HISTS {
             assert!(hist(d.raw).is_some(), "{}", d.raw);
         }
-        for d in WALL_COUNTERS {
-            assert!(wall_counter(d.raw).is_some(), "{}", d.raw);
-        }
         assert!(counter("no.such.counter").is_none());
     }
 
@@ -573,9 +538,10 @@ mod tests {
         assert_eq!(probe.label_keys, ["outcome"]);
         assert_eq!(probe.compartment, Compartment::Deterministic);
         let cache = family("pv_cache_lookup_total").unwrap();
-        assert_eq!(cache.compartment, Compartment::Wall);
+        assert_eq!(cache.compartment, Compartment::Deterministic);
         let spans = family("pv_span_seconds_total").unwrap();
         assert_eq!(spans.label_keys, ["path"]);
+        assert_eq!(spans.compartment, Compartment::Wall);
         assert!(family("pv_never_registered").is_none());
     }
 }

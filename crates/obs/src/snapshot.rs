@@ -10,8 +10,8 @@
 //!   function of `(seed, k)`. Per-proxy stat deltas are captured in
 //!   each shard's absorb loop (already proxy-ordered), carried through
 //!   the merge, and folded in shard-range order — so the snapshot
-//!   stream is byte-identical across any `PV_SHARDS × PV_THREADS`
-//!   combination, and CI diffs the JSONL rendering
+//!   stream is byte-identical across any shard × thread split, and the
+//!   determinism matrix compares its JSONL rendering
 //!   ([`ProgressSnapshot::deterministic_jsonl`]) exactly like the event
 //!   trace;
 //! * the **wall** fields ([`WallProgress`]: elapsed, ETA, cache hit
@@ -106,7 +106,7 @@ impl ProgressSnapshot {
 
     /// Render the deterministic compartment as one JSONL line
     /// (newline-terminated). Byte-identical across shard and thread
-    /// counts; CI diffs it.
+    /// counts; the determinism matrix compares it.
     pub fn deterministic_jsonl(&self) -> String {
         format!(
             "{{\"seq\":{},\"done\":{},\"total\":{},\"sim_ns\":{},\"probes\":{},\"timeouts\":{},\"retries\":{},\"measured\":{},\"insufficient\":{},\"unmeasurable\":{}}}\n",
@@ -182,11 +182,6 @@ impl JsonlSink {
     /// The accumulated JSONL document.
     pub fn text(&self) -> &str {
         &self.text
-    }
-
-    /// Consume the sink, returning the accumulated JSONL document.
-    pub fn into_text(self) -> String {
-        self.text
     }
 }
 

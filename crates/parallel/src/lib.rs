@@ -26,8 +26,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The environment variable that pins the worker count for every
-/// consumer of [`configured_threads`] (the CI determinism gate runs the
-/// audit under `PV_THREADS=1`, `8`, and `16` and diffs the output).
+/// consumer of [`configured_threads`].
 pub const THREADS_ENV: &str = "PV_THREADS";
 
 /// The worker count to use when the caller expresses no preference:
@@ -55,53 +54,14 @@ pub fn configured_threads() -> usize {
 /// `Err(warning)` — the exact stderr line to emit — when the variable
 /// is set to something unusable.
 fn resolve_thread_setting(value: Option<&str>) -> Result<Option<usize>, String> {
-    resolve_positive_setting(THREADS_ENV, value, "available parallelism")
-}
-
-/// The environment variable that pins the audit master's shard count
-/// (the CI determinism gate crosses `PV_SHARDS` ∈ {1, 2, 5} with
-/// `PV_THREADS` ∈ {1, 8} and diffs the output).
-pub const SHARDS_ENV: &str = "PV_SHARDS";
-
-/// The shard count to use when the caller expresses no preference:
-/// `PV_SHARDS` if set to a positive integer, otherwise **1** (the
-/// monolithic run). Unlike [`configured_threads`], the default is not
-/// machine-dependent — sharding is an explicit opt-in, and the
-/// determinism contract makes any value produce the same bytes anyway.
-///
-/// A present-but-unusable value is rejected with a one-line stderr
-/// warning naming the value, mirroring the `PV_THREADS` policy.
-pub fn configured_shards() -> usize {
-    let setting = std::env::var(SHARDS_ENV).ok();
-    match resolve_shard_setting(setting.as_deref()) {
-        Ok(Some(n)) => n,
-        Ok(None) => 1,
-        Err(warning) => {
-            eprintln!("{warning}");
-            1
-        }
-    }
-}
-
-/// Resolve an explicit `PV_SHARDS` setting; same contract as
-/// [`resolve_thread_setting`] with a different fallback description.
-fn resolve_shard_setting(value: Option<&str>) -> Result<Option<usize>, String> {
-    resolve_positive_setting(SHARDS_ENV, value, "1 shard")
-}
-
-fn resolve_positive_setting(
-    var: &str,
-    value: Option<&str>,
-    fallback: &str,
-) -> Result<Option<usize>, String> {
     let Some(v) = value else {
         return Ok(None);
     };
     match v.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Ok(Some(n)),
         _ => Err(format!(
-            "warning: ignoring {var}={v:?} (not a positive integer); \
-             falling back to {fallback}"
+            "warning: ignoring {THREADS_ENV}={v:?} (not a positive integer); \
+             falling back to available parallelism"
         )),
     }
 }
@@ -319,36 +279,6 @@ mod tests {
                 "warning must name the variable and the rejected value: {err}"
             );
             assert_eq!(err.lines().count(), 1, "warning must be one line");
-        }
-    }
-
-    #[test]
-    fn shard_setting_accepts_positive_integers() {
-        assert_eq!(resolve_shard_setting(Some("1")), Ok(Some(1)));
-        assert_eq!(resolve_shard_setting(Some("5")), Ok(Some(5)));
-        assert_eq!(resolve_shard_setting(Some(" 2 ")), Ok(Some(2)), "whitespace trims");
-        assert_eq!(resolve_shard_setting(None), Ok(None));
-    }
-
-    #[test]
-    fn rejected_shard_setting_warns_naming_the_value() {
-        for bad in ["0", "many", "-1", "2.5", ""] {
-            let err = resolve_shard_setting(Some(bad))
-                .expect_err(&format!("{bad:?} should be rejected"));
-            assert!(
-                err.contains(&format!("{bad:?}")) && err.contains(SHARDS_ENV),
-                "warning must name the variable and the rejected value: {err}"
-            );
-            assert_eq!(err.lines().count(), 1, "warning must be one line");
-        }
-    }
-
-    #[test]
-    fn configured_shards_defaults_to_one() {
-        // PV_SHARDS is not set in the test environment; the default must
-        // be the monolithic run, never machine parallelism.
-        if std::env::var(SHARDS_ENV).is_err() {
-            assert_eq!(configured_shards(), 1);
         }
     }
 }

@@ -125,11 +125,10 @@ pub struct StudyResults {
     /// number for quick summaries).
     pub unmeasured: usize,
     /// The study's observability recorder: per-proxy event buffers
-    /// merged in proxy order (deterministic for any thread count), plus
-    /// the wall-clock compartment (timing spans and run-shape tallies
-    /// like the thread count) that must never enter a determinism diff.
-    /// The disk-cache hit/miss split also lives there for reporting, but
-    /// since the fill-once cache it is exact and thread-invariant.
+    /// merged in proxy order, and every counter and histogram the run
+    /// emitted, the disk cache's `cache.disk.*` counts included — all
+    /// deterministic for any shard and thread split. Its profile tree
+    /// is wall-clock telemetry and never enters a determinism check.
     pub obs: Recorder,
     /// Worker count the audit actually ran with.
     pub threads: usize,
@@ -141,7 +140,7 @@ pub struct StudyResults {
     /// [`StudyConfig::snapshot_every`] proxies plus a final one. The
     /// deterministic compartment of each snapshot is a pure function of
     /// the study seed ([`StudyResults::snapshots_jsonl`] is what the
-    /// determinism gates diff); the wall compartment is back-filled at
+    /// determinism matrix compares); the wall compartment is back-filled at
     /// merge time and stays out of every diff.
     pub snapshots: Vec<ProgressSnapshot>,
     /// Per-shard final gauges (wall-side: the split itself is invisible
@@ -211,20 +210,12 @@ impl Study {
         self.progress_sinks.push(sink);
     }
 
-    /// Run the audit over every deployed proxy, on
-    /// [`parallel::configured_shards`] shards ×
-    /// [`parallel::configured_threads`] workers (`PV_SHARDS` and
-    /// `PV_THREADS` pin the counts; results are byte-identical for any
-    /// combination — see [`run_sharded`](Study::run_sharded)).
+    /// Run the audit over every deployed proxy on one shard and
+    /// [`parallel::configured_threads`] workers (`PV_THREADS` pins the
+    /// count; results are byte-identical for any split — see
+    /// [`run_sharded`](Study::run_sharded)).
     pub fn run(&mut self) -> StudyResults {
-        self.run_sharded(parallel::configured_shards(), parallel::configured_threads())
-    }
-
-    /// Run the audit with an explicit worker count on a single shard —
-    /// the monolithic path, kept as the reference the sharded runs are
-    /// byte-diffed against.
-    pub fn run_with_threads(&mut self, threads: usize) -> StudyResults {
-        self.run_sharded(1, threads)
+        self.run_sharded(1, parallel::configured_threads())
     }
 
     /// Run the audit as `shard_count` independent shards on `threads`
@@ -637,14 +628,11 @@ impl StudyResults {
         apply_group_disambiguation(&mut records);
 
         // Reconstructed shared-cache counters: exact for any shard and
-        // thread count (misses == entries under fill-once). Wall-side,
-        // like the monolithic path, but legitimate to diff.
+        // thread count (misses == entries under fill-once).
         let entries = keys.len() as u64;
-        recorder.wall_count("cache.disk.hits", lookups.saturating_sub(entries));
-        recorder.wall_count("cache.disk.misses", entries);
-        recorder.wall_count("cache.disk.entries", entries);
-        recorder.wall_count("audit.threads", master.threads.max(1) as u64);
-        recorder.wall_count("audit.shards", shard_count as u64);
+        recorder.count("cache.disk.hits", lookups.saturating_sub(entries));
+        recorder.count("cache.disk.misses", entries);
+        recorder.count("cache.disk.entries", entries);
 
         // Drive the snapshot stream: the concatenated per-proxy stats
         // are in global proxy order (contiguous ranges, sorted), so the
@@ -1176,14 +1164,15 @@ impl StudyResults {
     }
 
     /// Landmark disk-cache telemetry, read back from the recorder's
-    /// wall-clock compartment. The fill-once cache makes the split
-    /// exact: `misses == entries` and `hits + misses` equals the lookup
-    /// count, for any worker count.
+    /// `cache.disk.*` counters (all zero at [`obs::Level::Off`]). The
+    /// fill-once cache makes the split exact: `misses == entries` and
+    /// `hits + misses` equals the lookup count, for any shard and
+    /// thread split.
     pub fn cache_stats(&self) -> DiskCacheStats {
         DiskCacheStats {
-            hits: self.obs.wall_counter("cache.disk.hits"),
-            misses: self.obs.wall_counter("cache.disk.misses"),
-            entries: self.obs.wall_counter("cache.disk.entries") as usize,
+            hits: self.obs.counter("cache.disk.hits"),
+            misses: self.obs.counter("cache.disk.misses"),
+            entries: self.obs.counter("cache.disk.entries") as usize,
         }
     }
 
@@ -1195,8 +1184,8 @@ impl StudyResults {
     }
 
     /// The deterministic compartment of every progress snapshot as
-    /// JSONL — byte-identical for any `PV_SHARDS × PV_THREADS`, so the
-    /// determinism gates diff it alongside the event trace.
+    /// JSONL — byte-identical for any shard × thread split, so the
+    /// determinism matrix compares it alongside the event trace.
     pub fn snapshots_jsonl(&self) -> String {
         self.snapshots
             .iter()
@@ -1467,7 +1456,7 @@ mod tests {
         let ring = Arc::new(Mutex::new(RingSink::new(2)));
         study.add_progress_sink(Box::new(Arc::clone(&jsonl)));
         study.add_progress_sink(Box::new(Arc::clone(&ring)));
-        let res = study.run_with_threads(2);
+        let res = study.run_sharded(1, 2);
         // 12 proxies, k=5 → snapshots at 5, 10, 12.
         assert_eq!(res.snapshots.len(), 3);
         assert_eq!(
@@ -1547,12 +1536,12 @@ mod tests {
         cfg.total_proxies = 8;
         cfg.obs_level = obs::Level::Off;
         let mut quiet = Study::build(cfg.clone());
-        let quiet_res = quiet.run_with_threads(2);
+        let quiet_res = quiet.run_sharded(1, 2);
         assert_eq!(quiet_res.obs.events_len(), 0);
         assert_eq!(quiet_res.obs.counter("net.probe.sent"), 0);
         cfg.obs_level = obs::Level::Events;
         let mut loud = Study::build(cfg);
-        let loud_res = loud.run_with_threads(2);
+        let loud_res = loud.run_sharded(1, 2);
         assert!(loud_res.obs.events_len() > 0);
         // Observability depth never changes the science.
         assert_eq!(quiet_res.records.len(), loud_res.records.len());

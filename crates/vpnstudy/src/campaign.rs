@@ -122,11 +122,6 @@ pub struct CampaignCell {
 }
 
 impl CampaignCell {
-    /// Fraction of attacked-and-measured proxies the baseline certified.
-    pub fn baseline_deception_rate(&self) -> f64 {
-        rate(self.baseline_deceived, self.measured)
-    }
-
     /// Fraction of attacked-and-measured proxies the defense caught.
     pub fn detection_rate(&self) -> f64 {
         rate(self.caught, self.measured)

@@ -34,7 +34,7 @@ pub struct StudyConfig {
     pub reliability: ReliabilityConfig,
     /// Observability depth: `Off` (no recording), `Counters`
     /// (counters + histograms), or `Events` (adds the per-probe event
-    /// trace). The default, `Events`, is what the determinism gate and
+    /// trace). The default, `Events`, is what the determinism matrix and
     /// the trace figure consume.
     pub obs_level: obs::Level,
     /// Byzantine-defense knobs (pairwise consistency, trimmed robust

@@ -13,7 +13,8 @@
 //! deterministic in [`obs::registry`] carries only seed-pure values, so
 //! [`obs::export::MetricSet::render_filtered`] over
 //! [`obs::export::deterministic_family`] is byte-identical for any
-//! `PV_SHARDS × PV_THREADS` — that rendering is what `ci.sh` diffs.
+//! shard × thread split — that rendering is part of what the
+//! determinism matrix (`crates/bench/tests/determinism.rs`) compares.
 
 use crate::audit::StudyResults;
 use crate::store::{RevalidationPriority, VerdictStore};
@@ -88,8 +89,8 @@ pub fn suspicious_rates(results: &StudyResults) -> Vec<(usize, f64)> {
 /// Build the full metric set for a finished study: every recorder
 /// counter/histogram/span family via [`obs::export::recorder_metrics`],
 /// plus the derived gauges — probe loss rate, per-provider suspicious
-/// rates, progress totals (deterministic compartment), and the per-shard
-/// and timing gauges (wall compartment).
+/// rates, progress totals (deterministic compartment), and the run
+/// shape, per-shard and timing gauges (wall compartment).
 pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
     let mut set = recorder_metrics(&results.obs)?;
 
@@ -121,7 +122,10 @@ pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
         results.snapshots.len() as u64,
     );
 
-    // Wall-compartment gauges: per-shard progress and run timing.
+    // Wall-compartment gauges: run shape, per-shard progress and run
+    // timing.
+    gauge(&mut set, "pv_audit_threads", &[], results.threads as f64);
+    gauge(&mut set, "pv_audit_shards", &[], results.shards as f64);
     for sp in &results.shard_progress {
         let label = sp.shard_id.to_string();
         let shard = [("shard", label.as_str())];
@@ -205,7 +209,7 @@ mod tests {
             let mut cfg = StudyConfig::small(41);
             cfg.total_proxies = 24;
             let mut study = Study::build(cfg);
-            let results = study.run_with_threads(2);
+            let results = study.run_sharded(1, 2);
             let set = study_metrics(&results).expect("every emitted metric is registered");
             (results, set)
         })

@@ -171,17 +171,15 @@ pub fn render_reliability(results: &StudyResults) -> String {
     out
 }
 
-/// Performance telemetry: worker count, landmark disk-cache
-/// effectiveness, and the recorder's wall-clock compartment (span
-/// timings). **Not deterministic across thread counts** — under more
-/// than one worker, two threads can race to rasterize the same disk,
-/// shifting the hit/miss split, and wall timings depend on the machine —
-/// so the CI determinism gate must never include this block in the
-/// bytes it diffs.
+/// Performance telemetry: the run's shape (worker and shard counts) and
+/// landmark disk-cache effectiveness. The cache counts are exact for
+/// any split, but the shape is a choice of the caller, so the
+/// determinism matrix leaves this block out.
 pub fn render_perf_telemetry(results: &StudyResults) -> String {
     let mut out = String::new();
     let c = results.cache_stats();
     let _ = writeln!(out, "threads: {}", results.threads);
+    let _ = writeln!(out, "shards: {}", results.shards);
     let _ = writeln!(
         out,
         "disk cache: {} hits / {} misses ({:.1} % hit rate), {} cached disks",
@@ -190,10 +188,6 @@ pub fn render_perf_telemetry(results: &StudyResults) -> String {
         c.hit_rate() * 100.0,
         c.entries
     );
-    let wall = results.obs.render_wall();
-    if !wall.is_empty() {
-        let _ = write!(out, "{wall}");
-    }
     out
 }
 
@@ -219,9 +213,9 @@ pub fn render_profile(results: &StudyResults) -> String {
 }
 
 /// The deterministic observability block: every counter and histogram
-/// the layers emitted during the run, identical for any thread count
-/// (the wall-clock compartment is deliberately excluded — it lives in
-/// [`render_perf_telemetry`]).
+/// the layers emitted during the run, identical for any shard and
+/// thread split (the profile tree is deliberately excluded — it lives
+/// in [`render_profile`]).
 pub fn render_observability(results: &StudyResults) -> String {
     // A wall-side profile span around rendering the deterministic block
     // is safe: the span changes nothing in the bytes rendered here.

@@ -3,11 +3,13 @@
 //! `Credible` verdict, (b) caught — deflation-capable attacks that do
 //! deceive the baseline pipeline are flagged by the Byzantine defense
 //! with named evidence, and (c) deterministic — an armed, defended
-//! study renders byte-identical reports and JSONL traces at any thread
-//! count.
+//! study renders the same contract bytes at 1 and 8 threads (the
+//! determinism matrix, `crates/bench/tests/determinism.rs`, checks the
+//! same scenario at every shard and thread split).
 
+use bench::determinism::{check_scenario, section, split, Scenario};
 use proxy_verifier::vpnstudy::campaign::{run_cell, shaping_plan, AdversaryModel};
-use proxy_verifier::vpnstudy::{report, Study, StudyConfig};
+use proxy_verifier::vpnstudy::{Study, StudyConfig};
 use proxy_verifier::Assessment;
 
 const SEED: u64 = 0xadbeef;
@@ -102,29 +104,15 @@ fn full_shaping_is_caught_with_named_evidence() {
 
 /// An armed, defended study — adversary holds, timeouts, collusion,
 /// self-ping inflation, challenge sweep, defense events and all — must
-/// render byte-identical reports and JSONL traces at 1 and 8 worker
-/// threads.
+/// render the same contract bytes (reports, JSONL trace, metrics and
+/// every record) at 1 and 8 worker threads.
 #[test]
 fn armed_defended_study_is_byte_deterministic_across_threads() {
-    let render = |threads: usize| -> (String, String, String) {
-        let mut study = Study::build(campaign_config());
-        study.config.defense.enabled = true;
-        let (plan, _) = shaping_plan(&study, AdversaryModel::FullShaping, 0.66);
-        *study.world.network_mut().adversary_mut() = plan;
-        let results = study.run_with_threads(threads);
-        (
-            report::render_overall(&study, &results),
-            report::render_reliability(&results),
-            results.trace_jsonl(),
-        )
-    };
-    let (overall_1, reliability_1, trace_1) = render(1);
-    let (overall_8, reliability_8, trace_8) = render(8);
-    assert_eq!(overall_1, overall_8, "report differs across thread counts");
-    assert_eq!(reliability_1, reliability_8);
+    let reference = check_scenario(Scenario::ArmedDefended, &campaign_config(), &[split(1, 8)])
+        .unwrap_or_else(|e| panic!("{e}"));
+    let trace = section(&reference, "trace");
     assert!(
-        trace_1.contains("\"adv\"") || trace_1.contains("defense"),
+        trace.contains("\"adv\"") || trace.contains("defense"),
         "trace records no adversary/defense events"
     );
-    assert_eq!(trace_1, trace_8, "JSONL trace differs across thread counts");
 }

@@ -1,14 +1,16 @@
 //! Fault campaign: the audit pipeline under probe loss and landmark
 //! outages must degrade *loudly* — every proxy accounted for, every
-//! verdict backed by diagnostics — and deterministically.
+//! verdict backed by diagnostics — and deterministically. The
+//! determinism matrix (`crates/bench/tests/determinism.rs`) runs the
+//! same faults at every shard and thread split.
 //!
 //! Fault intensities are the campaign's stated operating envelope:
 //! ~2.5 % per-hop loss (≈ 20 % end-to-end probe loss over the typical
 //! simulated path) and 10 % of landmarks in permanent outage.
 
+use bench::determinism::{check_scenario, Scenario, REFERENCE};
 use proxy_verifier::netsim::NodeId;
 use proxy_verifier::vpnstudy::{MeasureFailure, Study, StudyConfig, StudyResults};
-use proxy_verifier::Assessment;
 
 const SEED: u64 = 4242;
 const PER_HOP_LOSS: f64 = 0.025;
@@ -112,34 +114,14 @@ fn verdicts_stay_within_tolerance_of_the_fault_free_baseline() {
     }
 }
 
+/// Two fresh builds of this campaign under its faults (the harness's
+/// faulted scenario installs the same ones as `run_with_faults`: every
+/// 10th landmark down, 2.5 % per-hop loss) render the same contract
+/// bytes.
 #[test]
 fn faulted_campaign_is_deterministic() {
-    let digest = |results: &StudyResults| {
-        let mut d: Vec<(u32, u8, usize, usize)> = results
-            .records
-            .iter()
-            .map(|r| {
-                let a = match r.refined.assessment {
-                    Assessment::Credible => 0u8,
-                    Assessment::Uncertain => 1,
-                    Assessment::False => 2,
-                    Assessment::Suspicious => 3,
-                };
-                (r.proxy.node, a, r.diagnostics.attempts, r.diagnostics.retries)
-            })
-            .collect();
-        d.extend(results.failures.iter().map(|f| {
-            let a = match f.failure {
-                MeasureFailure::Unmeasurable => 10u8,
-                MeasureFailure::InsufficientData => 11,
-            };
-            (f.proxy.node, a, f.diagnostics.attempts, f.diagnostics.retries)
-        }));
-        d
-    };
-    let (_, a) = run_with_faults(PER_HOP_LOSS, OUTAGE_FRACTION);
-    let (_, b) = run_with_faults(PER_HOP_LOSS, OUTAGE_FRACTION);
-    assert_eq!(digest(&a), digest(&b), "faulted campaign not reproducible");
+    check_scenario(Scenario::Faulted, &campaign_config(), &[REFERENCE])
+        .unwrap_or_else(|e| panic!("faulted campaign not reproducible: {e}"));
 }
 
 /// The SLO alert engine sees the faults: with 10 % of landmarks dark,

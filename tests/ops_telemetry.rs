@@ -2,9 +2,12 @@
 //! export a lint-clean OpenMetrics exposition that round-trips through
 //! the in-repo parser, a Perfetto-loadable trace, a progress-snapshot
 //! stream whose deterministic half is thread-count invariant, and an
-//! ops dashboard that renders all of it.
+//! ops dashboard that renders all of it. The determinism matrix
+//! (`crates/bench/tests/determinism.rs`) checks the deterministic
+//! subset of the exposition at every shard and thread split.
 
-use proxy_verifier::obs::export::{deterministic_family, parse_exposition};
+use bench::determinism::{check_scenario, section, split, Scenario};
+use proxy_verifier::obs::export::parse_exposition;
 use proxy_verifier::obs::json::Json;
 use proxy_verifier::vpnstudy::audit::StudyResults;
 use proxy_verifier::vpnstudy::{ops, report, Study, StudyConfig};
@@ -14,7 +17,7 @@ fn study() -> &'static StudyResults {
     static S: OnceLock<StudyResults> = OnceLock::new();
     S.get_or_init(|| {
         let mut study = Study::build(StudyConfig::small(2018));
-        study.run_with_threads(4)
+        study.run_sharded(1, 4)
     })
 }
 
@@ -29,27 +32,23 @@ fn real_run_exports_a_round_trippable_exposition() {
     let text = set.render();
     let parsed = parse_exposition(&text).expect("exposition must parse");
     assert_eq!(parsed.render(), text, "round-trip drifted");
-    // Spot-check both compartments made it out.
+    // Spot-check both compartments made it out, run shape included.
     assert!(parsed.family("pv_probe_total").is_some());
     assert!(parsed.family("pv_span_seconds_total").is_some());
+    assert_eq!(parsed.value("pv_audit_threads", &[]), Some(4.0));
+    assert_eq!(parsed.value("pv_audit_shards", &[]), Some(1.0));
     assert!(parsed.value("pv_progress_proxies_done", &[]).unwrap() > 0.0);
 }
 
 /// The deterministic subset of the exposition is a pure function of the
-/// seed: 1-thread and 8-thread runs render byte-identical text. (The
-/// full exposition differs — span timings are wall-clock.)
+/// seed: it is part of the contract bytes, which 1-thread and 8-thread
+/// runs render byte-identically. (The full exposition differs — span
+/// timings are wall-clock.)
 #[test]
 fn deterministic_exposition_subset_is_thread_invariant() {
-    let render = |threads: usize| {
-        let mut study = Study::build(StudyConfig::small(909));
-        let results = study.run_with_threads(threads);
-        ops::study_metrics(&results)
-            .expect("export")
-            .render_filtered(deterministic_family)
-    };
-    let one = render(1);
-    assert!(!one.is_empty());
-    assert_eq!(one, render(8), "deterministic exposition subset diverged");
+    let reference = check_scenario(Scenario::Plain, &StudyConfig::small(909), &[split(1, 8)])
+        .unwrap_or_else(|e| panic!("deterministic exposition subset diverged: {e}"));
+    assert!(!section(&reference, "openmetrics").is_empty());
 }
 
 /// The Perfetto export is valid JSON in trace-event shape: a

@@ -8,6 +8,7 @@ use geokit::{GeoGrid, GeoPoint, Region};
 use geoloc::multilateration::{
     pairwise_infeasible_flags, robust_max_consistent_subset, RingConstraint,
 };
+use obs::Recorder;
 use simrng::prop::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = GeoPoint> {
@@ -94,7 +95,7 @@ proptest! {
         let (_, disks) = pair;
         let mask = Region::full(GeoGrid::new(2.0));
         let report = pairwise_infeasible_flags(&disks);
-        let robust = robust_max_consistent_subset(&disks, &report.flagged, &mask, None, None);
+        let robust = robust_max_consistent_subset(&disks, &report.flagged, &mask, None, &Recorder::off());
         prop_assert_eq!(robust.excluded, report.flagged_count());
         prop_assert!(!robust.discarded.iter().any(|i| report.flagged[*i]));
 
@@ -109,7 +110,7 @@ proptest! {
             &vec![false; survivors.len()],
             &mask,
             None,
-            None,
+            &Recorder::off(),
         );
         prop_assert_eq!(robust.satisfied, alone.satisfied);
         prop_assert_eq!(robust.region.cell_count(), alone.region.cell_count());
@@ -124,11 +125,11 @@ proptest! {
         let shuffled = permute(&disks, perm);
         let a = {
             let f = pairwise_infeasible_flags(&disks);
-            robust_max_consistent_subset(&disks, &f.flagged, &mask, None, None)
+            robust_max_consistent_subset(&disks, &f.flagged, &mask, None, &Recorder::off())
         };
         let b = {
             let f = pairwise_infeasible_flags(&shuffled);
-            robust_max_consistent_subset(&shuffled, &f.flagged, &mask, None, None)
+            robust_max_consistent_subset(&shuffled, &f.flagged, &mask, None, &Recorder::off())
         };
         prop_assert_eq!(a.satisfied, b.satisfied);
         prop_assert_eq!(a.excluded, b.excluded);

@@ -13,6 +13,7 @@
 //! `run_shards` (merging consumes the master recorder, and absorbing a
 //! shard trace drains it).
 
+use bench::determinism::contract_bytes;
 use proxy_verifier::vpnstudy::audit::{plan_shards, StudyResults};
 use proxy_verifier::vpnstudy::{Study, StudyConfig};
 use simrng::prop::prelude::*;
@@ -25,35 +26,14 @@ fn tiny_config(seed: u64) -> StudyConfig {
     config
 }
 
-/// Everything deterministic the merge is responsible for assembling:
-/// records in proxy order, failures, exact cache counters, and the
-/// absorbed event trace.
-fn fingerprint(results: &StudyResults) -> String {
-    use std::fmt::Write as _;
-    let cache = results.cache_stats();
-    let mut out = format!("cache {} {} {}\n", cache.hits, cache.misses, cache.entries);
-    for r in &results.records {
-        let _ = writeln!(
-            out,
-            "rec {} {} {:?} {:?} {:x}",
-            r.proxy.node,
-            r.proxy.claimed,
-            r.verdict.assessment,
-            r.refined.assessment,
-            r.region_area_km2.to_bits(),
-        );
-    }
-    for f in &results.failures {
-        let _ = writeln!(out, "fail {} {:?}", f.proxy.node, f.failure);
-    }
-    out.push_str(&results.trace_jsonl());
-    out
-}
-
-/// The monolithic reference: one shard, one worker.
+/// The monolithic reference: one shard, one worker. Runs compare by
+/// contract bytes (`bench::determinism`), which hold everything the
+/// merge assembles: records in proxy order, failures, exact cache
+/// counters, the absorbed event trace and the reports built from them.
 fn reference(seed: u64) -> String {
     let mut study = Study::build(tiny_config(seed));
-    fingerprint(&study.run_sharded(1, 1))
+    let results = study.run_sharded(1, 1);
+    contract_bytes(&study, &results)
 }
 
 /// Deterministically shuffle by a rotation + parity reversal derived
@@ -128,7 +108,7 @@ proptest! {
         let mut study = Study::build(tiny_config(77));
         let (master, shard_results) = study.run_shards(shards, 2);
         let merged = StudyResults::merge(master, permute(shard_results, perm));
-        prop_assert_eq!(fingerprint(&merged), reference(77));
+        prop_assert_eq!(contract_bytes(&study, &merged), reference(77));
     }
 
     // Empty shards are neutral: a plan with more shards than proxies
@@ -144,7 +124,7 @@ proptest! {
             "expected at least one empty shard"
         );
         let merged = StudyResults::merge(master, shard_results);
-        prop_assert_eq!(fingerprint(&merged), reference(41));
+        prop_assert_eq!(contract_bytes(&study, &merged), reference(41));
     }
 }
 
@@ -165,7 +145,7 @@ fn single_full_universe_shard_is_identity() {
         );
         let merged = StudyResults::merge(master, shard_results);
         assert_eq!(
-            fingerprint(&merged),
+            contract_bytes(&study, &merged),
             expected,
             "one-shard merge diverged from the monolithic run at {threads} threads"
         );
