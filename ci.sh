@@ -22,6 +22,12 @@ RUSTC_BOOTSTRAP=1 cargo test -q --offline -- -Z unstable-options --shuffle-seed 
 # world). Release, since it takes minutes in debug.
 cargo test -q --release --offline --test routing_exactness -- --ignored
 
+# Probe exactness at paper scale: the audit's probe kinds over a slice of
+# the paper fleet, clean and hostile, must match the discrete-event
+# engine the probe walk replaced, probe by probe (tests/probe_exactness.rs;
+# tier-1 runs the random-world property). Release, like the step above.
+cargo test -q --release --offline --test probe_exactness -- --ignored
+
 # Lint gate: the workspace must be clippy-clean, warnings as errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

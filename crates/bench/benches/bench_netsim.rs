@@ -1,5 +1,5 @@
-//! Network-simulator throughput: closed-form RTT sampling vs full
-//! packet-level DES measurement, and routing cost.
+//! Network-simulator throughput: world build, closed-form RTT sampling,
+//! and probes walked packet by packet, direct and through a tunnel.
 
 use atlas::{Constellation, ConstellationConfig};
 use bench::harness::Criterion;
@@ -33,7 +33,7 @@ fn bench_measurement(c: &mut Criterion) {
     c.bench_function("closed-form RTT sample", |bench| {
         bench.iter(|| world.network_mut().sample_rtt_ms(black_box(a), black_box(b_node)))
     });
-    c.bench_function("DES tcp_connect_rtt", |bench| {
+    c.bench_function("walk tcp_connect_rtt", |bench| {
         bench.iter(|| {
             world
                 .network_mut()
@@ -48,7 +48,7 @@ fn bench_measurement(c: &mut Criterion) {
         geokit::GeoPoint::new(48.8, 2.3),
         netsim::FilterPolicy::vpn_server(),
     );
-    c.bench_function("DES tunnelled connect (4 legs)", |bench| {
+    c.bench_function("walk tunnelled connect (4 legs)", |bench| {
         bench.iter(|| {
             world.network_mut().tcp_connect_via_proxy_rtt(
                 black_box(client),

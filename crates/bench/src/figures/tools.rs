@@ -222,7 +222,7 @@ pub fn fig7_tool_semantics(ctx: &mut CrowdContext) -> String {
         out,
         "# The web tool cannot tell which case it measured (§4.2)."
     );
-    // A real packet dump of one handshake (the DES trace).
+    // A real packet dump of one handshake (the probe walk's trace).
     let _ = writeln!(out, "# packet trace of one connect() to the open landmark:");
     let (trace, rtt) = ctx
         .world

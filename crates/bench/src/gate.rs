@@ -8,7 +8,8 @@
 //! * the smoke suite is tiny and dominated by the hot kernels the paper
 //!   pipeline actually spends its time in (cap rasterization, disk
 //!   intersection, the cached subset search, the counting sweep,
-//!   disk-cache lookups, and one full single-proxy audit);
+//!   disk-cache lookups, one tunnelled probe, and one full single-proxy
+//!   audit);
 //! * only **medians** are compared, with a generous relative tolerance —
 //!   the default is ±30 % ([`DEFAULT_TOLERANCE`]), overridable globally
 //!   via the `PV_PERF_GATE_TOL` environment variable and per entry via
@@ -209,6 +210,23 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
 
     let proxy = ctx.study.providers.proxies[0].clone();
     let client = ctx.study.client;
+
+    // The probe layer: one TCP connect through a proxy's tunnel, the
+    // kind of probe that makes up most of an audit's probes. The same
+    // landmark every time, as a proxy's retries and repeated rounds
+    // probe it.
+    let landmark = ctx.study.constellation.anchors()[0].node;
+    out.push(run_sampled("gate/tunnel_probe", samples, |b| {
+        b.iter(|| {
+            ctx.study.world.network_mut().tcp_connect_via_proxy_rtt(
+                client,
+                black_box(proxy.node),
+                black_box(landmark),
+                80,
+            )
+        })
+    }));
+
     let atlas = std::sync::Arc::clone(ctx.study.world.atlas());
     let study_mask = ctx.study.mask.clone();
     // One server for every iteration, mirroring the audit (which builds
@@ -275,23 +293,25 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
     out
 }
 
-/// Measure the smoke suite `passes` times and keep, per bench, the
-/// middle of the per-pass medians. A single pass is exposed to whole-run
+/// Measure the smoke suite `passes` times and keep, per bench, the pass
+/// with the middle median. A single pass is exposed to whole-run
 /// machine-state swings (frequency scaling, cache pressure from a
 /// sibling job); the median of several passes centres the committed
 /// baseline so the gate's tolerance band covers the real spread.
 pub fn measure_baseline(samples: usize, passes: usize) -> Vec<Sampled> {
-    let mut runs: Vec<Vec<Sampled>> =
-        (0..passes.max(1)).map(|_| smoke_suite(samples)).collect();
-    let mut out = runs.remove(0);
-    for (i, s) in out.iter_mut().enumerate() {
-        let mut medians: Vec<f64> = std::iter::once(s.median_ns)
-            .chain(runs.iter().map(|r| r[i].median_ns))
-            .collect();
-        medians.sort_by(f64::total_cmp);
-        s.median_ns = medians[medians.len() / 2];
-    }
-    out
+    median_passes((0..passes.max(1)).map(|_| smoke_suite(samples)).collect())
+}
+
+/// Per bench, the whole record of the pass whose median is the middle
+/// one, so its percentiles come from the same pass as its median.
+fn median_passes(passes: Vec<Vec<Sampled>>) -> Vec<Sampled> {
+    (0..passes[0].len())
+        .map(|i| {
+            let mut bench: Vec<&Sampled> = passes.iter().map(|pass| &pass[i]).collect();
+            bench.sort_by(|a, b| a.median_ns.total_cmp(&b.median_ns));
+            bench[bench.len() / 2].clone()
+        })
+        .collect()
 }
 
 /// How one measured bench fared against the baseline.
@@ -518,26 +538,71 @@ mod tests {
         assert!(rows.iter().all(|c| c.verdict == Verdict::Regressed));
     }
 
+    /// Every bench of the smoke suite, in order.
+    const GATE_BENCHES: [&str; 11] = [
+        "gate/cap_raster",
+        "gate/disk_intersect",
+        "gate/cached_subset",
+        "gate/counting_sweep",
+        "gate/robust_subset",
+        "gate/cache_hit",
+        "gate/phase1_server_build",
+        "gate/tunnel_probe",
+        "gate/audit_one_proxy",
+        "gate/verdict_query",
+        "gate/metrics_export",
+    ];
+
     #[test]
     fn smoke_suite_measures_every_gate_bench() {
         let suite = smoke_suite(2);
         let names: Vec<&str> = suite.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "gate/cap_raster",
-                "gate/disk_intersect",
-                "gate/cached_subset",
-                "gate/counting_sweep",
-                "gate/robust_subset",
-                "gate/cache_hit",
-                "gate/phase1_server_build",
-                "gate/audit_one_proxy",
-                "gate/verdict_query",
-                "gate/metrics_export",
-            ]
-        );
+        assert_eq!(names, GATE_BENCHES);
         assert!(suite.iter().all(|s| s.median_ns > 0.0));
+    }
+
+    #[test]
+    fn the_baseline_keeps_the_median_pass_whole() {
+        let pass = |median: f64, p10: f64, p90: f64| {
+            vec![Sampled {
+                p10_ns: p10,
+                p90_ns: p90,
+                ..sampled("gate/a", median)
+            }]
+        };
+        // The first pass is the slowest; its percentiles must not ride
+        // along with another pass's median.
+        let passes = vec![
+            pass(300.0, 250.0, 400.0),
+            pass(100.0, 90.0, 130.0),
+            pass(200.0, 180.0, 260.0),
+        ];
+        let centred = median_passes(passes);
+        assert_eq!(centred.len(), 1);
+        let s = &centred[0];
+        assert_eq!((s.p10_ns, s.median_ns, s.p90_ns), (180.0, 200.0, 260.0));
+    }
+
+    #[test]
+    fn committed_gate_entries_have_ordered_percentiles() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench_output/BENCH_gate.json"
+        );
+        let text = std::fs::read_to_string(path).expect("committed gate baseline");
+        let art = BenchArtifact::parse(&text).expect("gate baseline parses");
+        let names: Vec<&str> = art.results.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, GATE_BENCHES);
+        for r in &art.results {
+            assert!(
+                r.p10_ns <= r.median_ns && r.median_ns <= r.p90_ns,
+                "{}: p10 {} median {} p90 {}",
+                r.name,
+                r.p10_ns,
+                r.median_ns,
+                r.p90_ns
+            );
+        }
     }
 
     #[test]

@@ -118,10 +118,11 @@ pub struct AdversaryPlan {
     tactics: HashMap<NodeId, ProxyTactic>,
 }
 
-/// Tally of adversary interventions during one engine run, mirroring
-/// [`LossTally`](crate::engine::LossTally): the hot loop counts, the
+/// Tally of adversary interventions during one probe, mirroring
+/// [`LossTally`](crate::engine::LossTally): the walk counts, the
 /// [`Network`](crate::Network) facade turns counts into `net.adv.*`
-/// observability counters after the run.
+/// observability counters after the probe. (Collusion deflates the
+/// finished reading, so the facade counts `net.adv.collude` itself.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdversaryTally {
     /// Tunnel replies held (targeted delay applied).
@@ -130,14 +131,12 @@ pub struct AdversaryTally {
     pub timeouts: u32,
     /// Self-ping legs padded at an adversarial proxy.
     pub self_ping_padded: u32,
-    /// Completed readings deflated by a colluding landmark.
-    pub colluded: u32,
 }
 
 impl AdversaryTally {
     /// Total interventions, all tactics.
     pub fn total(&self) -> u32 {
-        self.held_replies + self.timeouts + self.self_ping_padded + self.colluded
+        self.held_replies + self.timeouts + self.self_ping_padded
     }
 }
 

@@ -16,8 +16,8 @@
 //! just above it, and a long upper tail — and it makes *minimum*-of-many
 //! measurements approach the floor, which is what CBG's bestline exploits.
 
-use crate::topology::{Node, Topology};
-use crate::NodeId;
+use crate::topology::Topology;
+use crate::{LinkId, NodeId};
 use geokit::sampling;
 use simrng::Rng;
 
@@ -71,32 +71,27 @@ impl DelayModel {
         sampling::lognormal(rng, self.vpn_forward_mu_log, self.vpn_forward_sigma_log)
     }
 
-    /// One queueing draw at a node, in ms.
-    pub fn queue_draw_ms<R: Rng + ?Sized>(&self, node: &Node, rng: &mut R) -> f64 {
+    /// One queueing draw at a node with the given congestion factor, in
+    /// ms.
+    pub fn queue_draw_ms<R: Rng + ?Sized>(&self, congestion: f64, rng: &mut R) -> f64 {
         let base = sampling::lognormal(rng, self.queue_mu_log, self.queue_sigma_log);
-        let spike = if sampling::coin(rng, self.spike_probability * node.congestion.min(3.0)) {
+        let spike = if sampling::coin(rng, self.spike_probability * congestion.min(3.0)) {
             sampling::pareto(rng, self.spike_scale_ms, self.spike_shape)
         } else {
             0.0
         };
-        (base + spike) * node.congestion
+        (base + spike) * congestion
     }
 
-    /// Stochastic one-way delay along a node path (`path[0]` = source,
-    /// `path.last()` = destination), in ms. Queueing is drawn at every
-    /// *intermediate* node (routers forward; endpoints pay the stack cost
-    /// instead).
-    pub fn one_way_ms<R: Rng + ?Sized>(
-        &self,
-        topo: &Topology,
-        path: &PathDelays,
-        rng: &mut R,
-    ) -> f64 {
+    /// Stochastic one-way delay along a routed path, in ms. Queueing is
+    /// drawn at every *intermediate* node (routers forward; endpoints pay
+    /// the stack cost instead).
+    pub fn one_way_ms<R: Rng + ?Sized>(&self, path: &PathDelays, rng: &mut R) -> f64 {
         let mut total = path.propagation_ms
-            + self.per_hop_fixed_ms * path.hops as f64
+            + self.per_hop_fixed_ms * path.hops.len() as f64
             + 2.0 * self.endpoint_ms;
-        for &node in &path.intermediate {
-            total += self.queue_draw_ms(topo.node(node), rng);
+        for hop in path.hops.iter().skip(1) {
+            total += self.queue_draw_ms(hop.congestion, rng);
         }
         total
     }
@@ -104,42 +99,75 @@ impl DelayModel {
     /// The hard floor of the one-way delay for a path: propagation +
     /// fixed overheads, no queueing. No measurement can beat this.
     pub fn floor_one_way_ms(&self, path: &PathDelays) -> f64 {
-        path.propagation_ms + self.per_hop_fixed_ms * path.hops as f64 + 2.0 * self.endpoint_ms
+        path.propagation_ms
+            + self.per_hop_fixed_ms * path.hops.len() as f64
+            + 2.0 * self.endpoint_ms
     }
 }
 
-/// Precomputed delay-relevant facts about a routed path.
+/// One hop of a routed path: a node and the link it sends the packet on,
+/// with the delay facts of both fixed when the route is built.
+#[derive(Debug, Clone, Copy)]
+pub struct Hop {
+    /// The sending node: the path's source, then each router it crosses.
+    pub node: NodeId,
+    /// The link to the next node (the first of the node's links that
+    /// leads there, in adjacency order).
+    pub link: LinkId,
+    /// That link's one-way propagation delay, ms.
+    pub propagation_ms: f64,
+    /// The node's queueing scale factor (`Node::congestion`).
+    pub congestion: f64,
+}
+
+/// A routed path with its delay facts resolved: what the probe walk
+/// crosses hop by hop and what the closed-form sampler sums.
 #[derive(Debug, Clone)]
 pub struct PathDelays {
-    /// Sum of link propagation delays, ms (one way).
+    /// The source.
+    pub src: NodeId,
+    /// The destination.
+    pub dst: NodeId,
+    /// One hop per link traversed, from the source; empty for the path
+    /// from a node to itself.
+    pub hops: Vec<Hop>,
+    /// Sum of link propagation delays, ms (one way), added in path order.
     pub propagation_ms: f64,
-    /// Number of links traversed.
-    pub hops: usize,
-    /// Intermediate nodes (everything except the two endpoints).
-    pub intermediate: Vec<NodeId>,
 }
 
 impl PathDelays {
     /// Build from an explicit node path using the topology's links.
     ///
     /// # Panics
-    /// Panics if consecutive path nodes are not adjacent.
+    /// Panics if the path is empty or consecutive path nodes are not
+    /// adjacent.
     pub fn from_node_path(topo: &Topology, path: &[NodeId]) -> PathDelays {
-        assert!(path.len() >= 2, "path needs at least two nodes");
+        let (&src, &dst) = path.first().zip(path.last()).expect("path needs a node");
         let mut propagation_ms = 0.0;
-        for w in path.windows(2) {
-            let link = topo
-                .neighbours(w[0])
-                .iter()
-                .find(|&&(_, n)| n == w[1])
-                .map(|&(l, _)| l)
-                .unwrap_or_else(|| panic!("no link {} → {}", w[0], w[1]));
-            propagation_ms += topo.link(link).propagation_ms;
-        }
+        let hops = path
+            .windows(2)
+            .map(|w| {
+                let link = topo
+                    .neighbours(w[0])
+                    .iter()
+                    .find(|&&(_, n)| n == w[1])
+                    .map(|&(l, _)| l)
+                    .unwrap_or_else(|| panic!("no link {} → {}", w[0], w[1]));
+                let hop = Hop {
+                    node: w[0],
+                    link,
+                    propagation_ms: topo.link(link).propagation_ms,
+                    congestion: topo.node(w[0]).congestion,
+                };
+                propagation_ms += hop.propagation_ms;
+                hop
+            })
+            .collect();
         PathDelays {
+            src,
+            dst,
+            hops,
             propagation_ms,
-            hops: path.len() - 1,
-            intermediate: path[1..path.len() - 1].to_vec(),
         }
     }
 }
@@ -172,9 +200,13 @@ mod tests {
     fn path_delays_accumulate() {
         let (t, ids) = line_topology();
         let p = PathDelays::from_node_path(&t, &ids);
-        assert_eq!(p.hops, 3);
+        assert_eq!((p.src, p.dst), (ids[0], ids[3]));
+        assert_eq!(p.hops.len(), 3);
         assert_eq!(p.propagation_ms, 9.0);
-        assert_eq!(p.intermediate, vec![ids[1], ids[2]]);
+        let senders: Vec<NodeId> = p.hops.iter().map(|h| h.node).collect();
+        assert_eq!(senders, ids[..3]);
+        assert_eq!(p.hops[1].link, 1);
+        assert_eq!(p.hops[1].congestion, 1.0);
     }
 
     #[test]
@@ -185,7 +217,7 @@ mod tests {
         let floor = m.floor_one_way_ms(&p);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..5000 {
-            let d = m.one_way_ms(&t, &p, &mut rng);
+            let d = m.one_way_ms(&p, &mut rng);
             assert!(d >= floor, "{d} < floor {floor}");
         }
     }
@@ -198,7 +230,7 @@ mod tests {
         let floor = m.floor_one_way_ms(&p);
         let mut rng = StdRng::seed_from_u64(2);
         let min = (0..2000)
-            .map(|_| m.one_way_ms(&t, &p, &mut rng))
+            .map(|_| m.one_way_ms(&p, &mut rng))
             .fold(f64::INFINITY, f64::min);
         // Two intermediate routers at median ~0.07 ms each: the min of
         // 2000 draws should sit within a few hundred µs of the floor.
@@ -211,7 +243,7 @@ mod tests {
         let p = PathDelays::from_node_path(&t, &ids);
         let m = DelayModel::default();
         let mut rng = StdRng::seed_from_u64(3);
-        let samples: Vec<f64> = (0..20_000).map(|_| m.one_way_ms(&t, &p, &mut rng)).collect();
+        let samples: Vec<f64> = (0..20_000).map(|_| m.one_way_ms(&p, &mut rng)).collect();
         let med = geokit::stats::median(&samples).unwrap();
         let p999 = geokit::stats::Ecdf::new(samples).quantile(0.999).unwrap();
         // The 99.9th percentile should be far above the median — the
@@ -225,12 +257,14 @@ mod tests {
         let m = DelayModel::default();
         let p = PathDelays::from_node_path(&t, &ids);
         let mut rng = StdRng::seed_from_u64(1);
-        let calm: f64 = (0..4000).map(|_| m.one_way_ms(&t, &p, &mut rng)).sum();
+        let calm: f64 = (0..4000).map(|_| m.one_way_ms(&p, &mut rng)).sum();
         for id in &ids {
             t.node_mut(*id).congestion = 5.0;
         }
+        // A path's hops carry the congestion they were built with.
+        let p = PathDelays::from_node_path(&t, &ids);
         let mut rng = StdRng::seed_from_u64(1);
-        let congested: f64 = (0..4000).map(|_| m.one_way_ms(&t, &p, &mut rng)).sum();
+        let congested: f64 = (0..4000).map(|_| m.one_way_ms(&p, &mut rng)).sum();
         assert!(congested > calm * 1.5, "congested {congested} calm {calm}");
     }
 }

@@ -1,9 +1,12 @@
-//! The packet-level discrete-event engine.
+//! The probe walk: one packet in flight, hop by hop along routed paths.
 //!
-//! Packets traverse precomputed routes hop by hop; every hop costs link
-//! propagation plus a queueing draw at the forwarding node (the same
-//! distributions the closed-form sampler uses). Endpoints implement the
-//! protocol semantics the paper's measurement methods depend on:
+//! A probe is a chain of legs. Each leg carries one packet from a sender
+//! to a receiver along the routed path between them; every hop costs
+//! link propagation plus a queueing draw at the forwarding node (the same
+//! distributions the closed-form sampler uses). At the receiver, the
+//! packet kind's delivery rule yields the next leg, a completion, or
+//! silence. Endpoints implement the protocol semantics the paper's
+//! measurement methods depend on:
 //!
 //! * **ICMP echo** — answered unless the target's policy drops it (as 90 %
 //!   of VPN servers do, §4.2);
@@ -19,26 +22,26 @@
 //!   Castelluccia-style trick the paper uses to cancel the client↔proxy
 //!   leg (§5.3, Fig. 12/13).
 //!
-//! The engine is single-run: build, inject probes, `run()`, read
-//! completions. Determinism comes from the seeded RNG and a sequence
-//! number that breaks simultaneous-event ties.
+//! Every rule sends at most one packet, so a probe never has more than
+//! one packet in flight and needs no event queue: the walk follows the
+//! packet until it completes or vanishes. Determinism comes from the
+//! seeded RNG, drawn in a fixed order along the walk.
 
 use crate::adversary::{AdversaryPlan, AdversaryTally};
-use crate::delay::DelayModel;
+use crate::delay::{DelayModel, PathDelays};
 use crate::fault::FaultPlan;
 use crate::policy::SynResponse;
-use crate::routing::Router;
+use crate::routing::Routes;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::NodeId;
 use simrng::Rng;
-use std::collections::BinaryHeap;
 
-/// Unique id of one probe (measurement attempt).
-pub type ProbeId = u64;
+/// The TTL every packet starts with unless the probe sets its own.
+const DEFAULT_TTL: u32 = 64;
 
 /// What kind of packet is in flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// ICMP echo request.
     EchoRequest,
@@ -100,10 +103,10 @@ impl PacketKind {
     }
 }
 
-/// Why packets in one engine run were swallowed, by cause. The engine
-/// tallies causes as they happen; the [`Network`](crate::Network) facade
-/// turns the tally into observability counters/events after the run, so
-/// the hot loop never touches a recorder.
+/// Why packets in one probe were swallowed, by cause. The walk tallies
+/// causes as they happen; the [`Network`](crate::Network) facade turns
+/// the tally into observability counters/events after the probe, so the
+/// hot loop never touches a recorder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LossTally {
     /// Swallowed by a node inside an outage window (forwarding or
@@ -145,38 +148,26 @@ impl LossTally {
     }
 }
 
-/// A packet in flight along a precomputed route.
-#[derive(Debug, Clone)]
-struct Packet {
-    probe: ProbeId,
-    kind: PacketKind,
-    src: NodeId,
-    dst: NodeId,
-    ttl: u32,
-    route: Vec<NodeId>,
-    /// Index of the node the packet currently sits at.
-    pos: usize,
-}
-
 /// How a probe finished.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProbeOutcome {
+#[derive(Debug, PartialEq)]
+pub(crate) enum Outcome {
     /// A reply arrived at the probe's originator at the given time.
     Completed {
-        /// Arrival time of the completing packet.
+        /// Arrival time of the completing packet, after the receiver's
+        /// stack cost.
         at: SimTime,
         /// The packet kind that completed the probe.
         reply: PacketKind,
     },
-    /// No reply by the end of the run (filtered, dropped, or unreachable).
+    /// No reply came back (filtered, dropped, or unreachable).
     TimedOut,
 }
 
 /// One recorded packet-trace entry: a packet arriving at a node.
-/// The DES analogue of the packet dumps event-driven network stacks
-/// provide for debugging — consumed by `Network::trace_*` and the Fig. 7
-/// harness.
-#[derive(Debug, Clone)]
+/// The walk's analogue of the packet dumps event-driven network stacks
+/// provide for debugging — consumed by `Network::trace_tcp_connect` and
+/// the Fig. 7 harness.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Arrival time.
     pub at: SimTime,
@@ -189,35 +180,42 @@ pub struct TraceEvent {
     pub delivered: bool,
 }
 
-/// One scheduled event: a packet arriving at a node.
-struct Event {
+/// One packet on its way from `src` to `dst`.
+struct Leg {
+    kind: PacketKind,
+    src: NodeId,
+    dst: NodeId,
+    ttl: u32,
+    /// When the packet leaves `src`: the sender has paid its stack cost.
     at: SimTime,
-    seq: u64,
-    packet: Packet,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap: earliest time first; sequence number breaks ties.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// How a leg ended.
+enum Arrival {
+    /// The packet reached the leg's destination at this time.
+    Delivered(SimTime),
+    /// The TTL ran out at `router`, at this time.
+    Expired { router: NodeId, at: SimTime },
+    /// A fault swallowed the packet on the way.
+    Lost,
 }
 
-/// The discrete-event engine for one batch of probes.
-pub struct Engine<'a, R: Rng> {
+/// What happens after a leg ends.
+enum Step {
+    /// `from` sends `kind` to `to` at `at` (before its stack cost).
+    Send {
+        from: NodeId,
+        to: NodeId,
+        kind: PacketKind,
+        at: SimTime,
+    },
+    /// The probe is over.
+    Done(Outcome),
+}
+
+/// The walk of one probe over shared network state.
+pub(crate) struct Engine<'a, R: Rng> {
     topo: &'a Topology,
-    router: &'a Router,
     model: &'a DelayModel,
     faults: &'a FaultPlan,
     /// Active-adversary hooks (targeted delay, selective timeout,
@@ -225,260 +223,190 @@ pub struct Engine<'a, R: Rng> {
     /// an empty plan and costs one branch per relevant packet.
     adversary: Option<&'a AdversaryPlan>,
     rng: &'a mut R,
-    queue: BinaryHeap<Event>,
-    seq: u64,
-    outcomes: Vec<(ProbeId, ProbeOutcome)>,
-    /// Per-probe originator (where a completion must arrive).
-    originators: Vec<(ProbeId, NodeId)>,
-    /// Outstanding proxied connections: (probe, proxy, client) — when the
-    /// onward SYN's answer returns to the proxy, it is relayed to the
-    /// client.
-    relay_targets: Vec<(ProbeId, NodeId, NodeId)>,
-    next_probe: ProbeId,
-    default_ttl: u32,
     /// When set, every packet arrival is recorded here.
-    trace: Option<Vec<TraceEvent>>,
-    /// Loss-cause tally for this run (read by the `Network` facade).
-    losses: LossTally,
-    /// Adversary-intervention tally for this run (read by the facade).
-    adv_tally: AdversaryTally,
+    trace: Option<&'a mut Vec<TraceEvent>>,
+    /// Loss-cause tally for this probe (read by the `Network` facade).
+    pub(crate) losses: LossTally,
+    /// Adversary-intervention tally for this probe (read by the facade).
+    pub(crate) adv_tally: AdversaryTally,
 }
 
 impl<'a, R: Rng> Engine<'a, R> {
-    /// Create an engine over shared network state.
-    pub fn new(
+    /// A walk over shared network state, recording every packet arrival
+    /// into `trace` when given; an inactive adversary plan is the same
+    /// as none.
+    pub(crate) fn new(
         topo: &'a Topology,
-        router: &'a Router,
         model: &'a DelayModel,
         faults: &'a FaultPlan,
+        adversary: &'a AdversaryPlan,
         rng: &'a mut R,
+        trace: Option<&'a mut Vec<TraceEvent>>,
     ) -> Engine<'a, R> {
         Engine {
             topo,
-            router,
             model,
             faults,
-            adversary: None,
+            adversary: adversary.is_active().then_some(adversary),
             rng,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            outcomes: Vec::new(),
-            originators: Vec::new(),
-            relay_targets: Vec::new(),
-            next_probe: 0,
-            default_ttl: 64,
-            trace: None,
+            trace,
             losses: LossTally::default(),
             adv_tally: AdversaryTally::default(),
         }
     }
 
-    /// Attach an adversary plan for this run. Equivalent to not calling
-    /// this when the plan is inactive.
-    pub fn set_adversary(&mut self, plan: &'a AdversaryPlan) {
-        self.adversary = plan.is_active().then_some(plan);
-    }
-
-    /// Loss causes tallied so far in this run.
-    pub fn losses(&self) -> LossTally {
-        self.losses
-    }
-
-    /// Adversary interventions tallied so far in this run.
-    pub fn adversary_tally(&self) -> AdversaryTally {
-        self.adv_tally
-    }
-
-    /// Enable packet tracing for this run (records every arrival).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Take the recorded trace (empty if tracing was never enabled).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.take().unwrap_or_default()
-    }
-
-    /// Inject a probe packet at `src` at time `at`; returns its id, or
-    /// `None` if the destination is unreachable.
-    pub fn inject(
+    /// Send a probe from `src` to `dst` at `start` and follow it to its
+    /// end, or `None` if no route leads from `src` to `dst`.
+    pub(crate) fn run(
         &mut self,
-        at: SimTime,
+        routes: &mut Routes,
+        start: SimTime,
         src: NodeId,
         dst: NodeId,
         kind: PacketKind,
         ttl: Option<u32>,
-    ) -> Option<ProbeId> {
-        let route = self.router.path(self.topo, src, dst)?;
-        let probe = self.next_probe;
-        self.next_probe += 1;
-        self.originators.push((probe, src));
-        let packet = Packet {
-            probe,
+    ) -> Option<Outcome> {
+        // Every sender pays its network-stack cost up front (the receiver
+        // pays at delivery), keeping the walk and the closed-form sampler
+        // on the same per-one-way budget.
+        let stack = SimDuration::from_ms(self.model.endpoint_ms);
+        let mut leg = Leg {
             kind,
             src,
             dst,
-            ttl: ttl.unwrap_or(self.default_ttl),
-            route,
-            pos: 0,
+            ttl: ttl.unwrap_or(DEFAULT_TTL),
+            at: start + stack,
         };
-        // The sender pays its network-stack cost up front (the receiver
-        // pays at delivery), keeping the DES and the closed-form sampler
-        // on the same per-one-way budget.
-        let stack = SimDuration::from_ms(self.model.endpoint_ms);
-        self.schedule(at + stack, packet);
-        Some(probe)
-    }
-
-    fn schedule(&mut self, at: SimTime, packet: Packet) {
-        self.seq += 1;
-        self.queue.push(Event {
-            at,
-            seq: self.seq,
-            packet,
-        });
-    }
-
-    /// Send a (response) packet from `src` to `dst`, keeping the probe id.
-    /// Like [`Engine::inject`], the sender pays its stack cost up front.
-    fn send(&mut self, at: SimTime, probe: ProbeId, src: NodeId, dst: NodeId, kind: PacketKind) {
-        if let Some(route) = self.router.path(self.topo, src, dst) {
-            let packet = Packet {
-                probe,
-                kind,
-                src,
-                dst,
-                ttl: self.default_ttl,
-                route,
-                pos: 0,
+        let mut route = routes.get(self.topo, src, dst)?;
+        // The (proxy, client) of a tunnelled connect whose onward SYN is
+        // out: the answer arriving back at the proxy goes to the client.
+        let mut relay = None;
+        loop {
+            let step = match self.walk(route, &leg) {
+                Arrival::Delivered(at) => self.deliver(at, &leg, src, &mut relay),
+                Arrival::Expired { router, at }
+                    if !self.topo.node(router).policy.drop_time_exceeded =>
+                {
+                    Step::Send {
+                        from: router,
+                        to: leg.src,
+                        kind: PacketKind::TimeExceeded { router },
+                        at,
+                    }
+                }
+                Arrival::Expired { .. } | Arrival::Lost => return Some(Outcome::TimedOut),
             };
-            let stack = SimDuration::from_ms(self.model.endpoint_ms);
-            self.schedule(at + stack, packet);
+            let (from, to, kind, at) = match step {
+                Step::Send { from, to, kind, at } => (from, to, kind, at),
+                Step::Done(outcome) => return Some(outcome),
+            };
+            leg = Leg {
+                kind,
+                src: from,
+                dst: to,
+                ttl: DEFAULT_TTL,
+                at: at + stack,
+            };
+            // A reply with no route back is never sent.
+            route = match routes.get(self.topo, from, to) {
+                Some(route) => route,
+                None => return Some(Outcome::TimedOut),
+            };
         }
     }
 
-    /// Run until the event queue drains, then mark unanswered probes as
-    /// timed out. Returns `(probe, outcome)` pairs in probe order.
-    pub fn run(&mut self) -> Vec<(ProbeId, ProbeOutcome)> {
-        while let Some(Event { at, packet, .. }) = self.queue.pop() {
-            self.handle_arrival(at, packet);
-        }
-        let mut outcomes = std::mem::take(&mut self.outcomes);
-        // Any probe without an outcome timed out.
-        for &(probe, _) in &self.originators {
-            if !outcomes.iter().any(|(p, _)| *p == probe) {
-                outcomes.push((probe, ProbeOutcome::TimedOut));
-            }
-        }
-        outcomes.sort_by_key(|(p, _)| *p);
-        outcomes
-    }
-
-    fn handle_arrival(&mut self, at: SimTime, mut packet: Packet) {
-        let here = packet.route[packet.pos];
+    fn record(&mut self, at: SimTime, node: NodeId, kind: PacketKind, delivered: bool) {
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent {
                 at,
-                node: here,
-                kind: packet.kind.clone(),
-                delivered: here == packet.dst,
+                node,
+                kind,
+                delivered,
             });
         }
-        if here == packet.dst {
-            self.handle_delivery(at, packet);
-            return;
-        }
-
-        // Forwarding through an intermediate node: TTL check, queueing.
-        let is_endpoint_origin = packet.pos == 0;
-        if !is_endpoint_origin {
-            if packet.ttl == 0 {
-                // Should have expired earlier; defensive.
-                return;
-            }
-            packet.ttl -= 1;
-            if packet.ttl == 0 {
-                // Expired here: time-exceeded back to the source, unless
-                // suppressed by this router's policy or it's a reply kind.
-                if !self.topo.node(here).policy.drop_time_exceeded {
-                    let probe = packet.probe;
-                    let src = packet.src;
-                    self.send(
-                        at,
-                        probe,
-                        here,
-                        src,
-                        PacketKind::TimeExceeded { router: here },
-                    );
-                }
-                return;
-            }
-        }
-
-        // Fault injection: outage at the forwarding node, random loss.
-        if self.faults.is_down(here, at) {
-            self.losses.outage += 1;
-            return;
-        }
-        if self.faults.drops_packet(here, self.rng) {
-            self.losses.random_drop += 1;
-            return;
-        }
-
-        let queue_ms = if is_endpoint_origin {
-            0.0
-        } else {
-            self.model.queue_draw_ms(self.topo.node(here), self.rng)
-        };
-        let next = packet.route[packet.pos + 1];
-        let link = self
-            .topo
-            .neighbours(here)
-            .iter()
-            .find(|&&(_, n)| n == next)
-            .map(|&(l, _)| l)
-            .expect("route follows links");
-        // Fault injection: independent loss on the traversed link.
-        if self.faults.drops_on_link(link, self.rng) {
-            self.losses.link_loss += 1;
-            return;
-        }
-        let extra = self.faults.added_delay_ms(here, self.rng);
-        let hop = SimDuration::from_ms(
-            self.topo.link(link).propagation_ms
-                + self.model.per_hop_fixed_ms
-                + queue_ms
-                + extra,
-        );
-        packet.pos += 1;
-        self.schedule(at + hop, packet);
     }
 
-    fn handle_delivery(&mut self, at: SimTime, packet: Packet) {
-        let here = packet.dst;
+    /// Carry the leg's packet along its route. At every forwarding node
+    /// (the source included) the order of checks and draws is fixed:
+    /// TTL, outage, random drop, queueing, link loss, added delay. Each
+    /// hop's delay is truncated to whole nanoseconds on its own.
+    fn walk(&mut self, route: &PathDelays, leg: &Leg) -> Arrival {
+        let mut at = leg.at;
+        let mut ttl = leg.ttl;
+        for (pos, hop) in route.hops.iter().enumerate() {
+            let here = hop.node;
+            self.record(at, here, leg.kind, false);
+            // The source sends; every later node forwards, so it checks
+            // the TTL and queues.
+            let forwards = pos > 0;
+            if forwards {
+                if ttl == 0 {
+                    return Arrival::Lost;
+                }
+                ttl -= 1;
+                if ttl == 0 {
+                    return Arrival::Expired { router: here, at };
+                }
+            }
+            if self.faults.is_down(here, at) {
+                self.losses.outage += 1;
+                return Arrival::Lost;
+            }
+            if self.faults.drops_packet(self.rng) {
+                self.losses.random_drop += 1;
+                return Arrival::Lost;
+            }
+            let queue_ms = if forwards {
+                self.model.queue_draw_ms(hop.congestion, self.rng)
+            } else {
+                0.0
+            };
+            if self.faults.drops_on_link(hop.link, self.rng) {
+                self.losses.link_loss += 1;
+                return Arrival::Lost;
+            }
+            let extra = self.faults.added_delay_ms(here, self.rng);
+            let hop_ms = hop.propagation_ms + self.model.per_hop_fixed_ms + queue_ms + extra;
+            at = at + SimDuration::from_ms(hop_ms);
+        }
+        self.record(at, leg.dst, leg.kind, true);
+        Arrival::Delivered(at)
+    }
+
+    /// The receiver's rule for a packet delivered at `at`: what it sends
+    /// next, if anything. `origin` is the probe's originator, the only
+    /// node a reply completes the probe at.
+    fn deliver(
+        &mut self,
+        at: SimTime,
+        leg: &Leg,
+        origin: NodeId,
+        relay: &mut Option<(NodeId, NodeId)>,
+    ) -> Step {
+        let here = leg.dst;
+        let silence = Step::Done(Outcome::TimedOut);
         // A node inside an outage window swallows everything addressed
         // to it — no replies, no tunnel forwarding.
         if self.faults.is_down(here, at) {
             self.losses.outage += 1;
-            return;
+            return silence;
         }
         // Reply rate-limiting (§4.2): a limited node silently drops
         // request probes beyond its reply budget for the window.
         if matches!(
-            packet.kind,
+            leg.kind,
             PacketKind::EchoRequest | PacketKind::TcpSyn { .. }
         ) && self.faults.rate_limited(here, at)
         {
             self.losses.rate_limited += 1;
-            return;
+            return silence;
         }
-        let stack = SimDuration::from_ms(self.model.endpoint_ms);
-        let mut at = at + stack;
+        let mut at = at + SimDuration::from_ms(self.model.endpoint_ms);
         // Tunnelled packets handled by a proxy pay VPN forwarding
         // overhead (encryption, user-space forwarding): the "extra noise
         // and queueing delays" of through-proxy measurement (§5.3).
         if matches!(
-            packet.kind,
+            leg.kind,
             PacketKind::TunnelConnect { .. }
                 | PacketKind::TunnelSelfPing
                 | PacketKind::TunnelSelfPingReply
@@ -487,7 +415,7 @@ impl<'a, R: Rng> Engine<'a, R> {
             // Adversary tactic (c): an adversarial proxy pads its own
             // self-ping legs so the client's η correction over-subtracts.
             if matches!(
-                packet.kind,
+                leg.kind,
                 PacketKind::TunnelSelfPing | PacketKind::TunnelSelfPingReply
             ) {
                 if let Some(adv) = self.adversary {
@@ -499,26 +427,31 @@ impl<'a, R: Rng> Engine<'a, R> {
                 }
             }
         }
-        let policy = self.topo.node(here).policy.clone();
-        match packet.kind {
+        let reply = |kind| Step::Send {
+            from: here,
+            to: leg.src,
+            kind,
+            at,
+        };
+        let topo = self.topo;
+        let policy = &topo.node(here).policy;
+        match leg.kind {
             PacketKind::EchoRequest => {
                 if policy.drop_icmp_echo {
                     self.losses.filtered += 1;
+                    silence
                 } else {
-                    self.send(at, packet.probe, here, packet.src, PacketKind::EchoReply);
+                    reply(PacketKind::EchoReply)
                 }
             }
             PacketKind::TcpSyn { port } => match policy.syn_response(port) {
-                SynResponse::SynAck => {
-                    // An adversarial proxy in the middle could have forged
-                    // this earlier; that is modelled at the proxy, not here.
-                    self.send(at, packet.probe, here, packet.src, PacketKind::TcpSynAck);
-                }
-                SynResponse::Rst => {
-                    self.send(at, packet.probe, here, packet.src, PacketKind::TcpRst);
-                }
+                // An adversarial proxy in the middle could have forged
+                // this earlier; that is modelled at the proxy, not here.
+                SynResponse::SynAck => reply(PacketKind::TcpSynAck),
+                SynResponse::Rst => reply(PacketKind::TcpRst),
                 SynResponse::Dropped => {
                     self.losses.filtered += 1;
+                    silence
                 }
             },
             PacketKind::TunnelConnect { target, port } => {
@@ -531,126 +464,84 @@ impl<'a, R: Rng> Engine<'a, R> {
                     .is_some_and(|adv| adv.times_out(here, target))
                 {
                     self.adv_tally.timeouts += 1;
-                    return;
+                    return silence;
                 }
                 // The proxy opens the onward connection. An adversarial
                 // proxy may instead forge an immediate answer (§8: it sees
                 // the SYNs, so it can forge SYN-ACKs without guessing
                 // sequence numbers).
                 if self.faults.forges_synack(here) {
-                    self.send(
-                        at,
-                        packet.probe,
-                        here,
-                        packet.src,
-                        PacketKind::TunnelConnectDone { refused: false },
-                    );
+                    reply(PacketKind::TunnelConnectDone { refused: false })
                 } else {
-                    self.send(at, packet.probe, here, target, PacketKind::TcpSyn { port });
-                    // Remember where to relay the answer: the engine keys
-                    // relays by probe id — the onward SYN keeps the probe
-                    // id, and when its answer arrives back here we relay.
-                    // (Stored implicitly: the SYN's src is this proxy, so
-                    // the SYN-ACK is delivered here and matched below.)
-                    self.relay_targets.push((packet.probe, here, packet.src));
+                    // The SYN's answer comes back here, to be relayed.
+                    *relay = Some((here, leg.src));
+                    Step::Send {
+                        from: here,
+                        to: target,
+                        kind: PacketKind::TcpSyn { port },
+                        at,
+                    }
                 }
             }
-            PacketKind::TcpSynAck | PacketKind::TcpRst => {
-                let refused = packet.kind == PacketKind::TcpRst;
-                // Is this the return half of a proxied connection?
-                if let Some(idx) = self
-                    .relay_targets
-                    .iter()
-                    .position(|&(p, proxy, _)| p == packet.probe && proxy == here)
-                {
-                    let (_, _, client) = self.relay_targets.swap_remove(idx);
+            PacketKind::TcpSynAck | PacketKind::TcpRst => match *relay {
+                // The return half of a proxied connection. (Nothing the
+                // relayed answer leads to sends the proxy another SYN
+                // answer, so the relay needs no clearing.)
+                Some((proxy, client)) if proxy == here => {
                     // Relaying the answer down the tunnel costs another
                     // VPN forwarding step.
                     let mut at =
                         at + SimDuration::from_ms(self.model.vpn_forward_draw_ms(self.rng));
                     // Adversary tactic (a): hold this landmark's reply so
                     // the client's observed RTT matches the distance from
-                    // a faked coordinate (`packet.src` is the landmark
-                    // that answered the onward SYN).
+                    // a faked coordinate (`leg.src` is the landmark that
+                    // answered the onward SYN).
                     if let Some(adv) = self.adversary {
-                        let hold = adv.hold_ms(here, packet.src);
+                        let hold = adv.hold_ms(here, leg.src);
                         if hold > 0.0 {
                             self.adv_tally.held_replies += 1;
                             at = at + SimDuration::from_ms(hold);
                         }
                     }
-                    self.send(
+                    Step::Send {
+                        from: here,
+                        to: client,
+                        kind: PacketKind::TunnelConnectDone {
+                            refused: leg.kind == PacketKind::TcpRst,
+                        },
                         at,
-                        packet.probe,
-                        here,
-                        client,
-                        PacketKind::TunnelConnectDone { refused },
-                    );
-                } else {
-                    self.complete(packet.probe, here, at, packet.kind);
+                    }
                 }
-            }
-            PacketKind::TunnelSelfPing => {
-                // Leg 2: the proxy routes the tunnel-addressed ping back
-                // down to the client.
-                self.send(
-                    at,
-                    packet.probe,
-                    here,
-                    packet.src,
-                    PacketKind::TunnelSelfPingEcho,
-                );
-            }
-            PacketKind::TunnelSelfPingEcho => {
-                // Leg 3: the client's tunnel interface answers, up again.
-                self.send(
-                    at,
-                    packet.probe,
-                    here,
-                    packet.src,
-                    PacketKind::TunnelSelfPingReply,
-                );
-            }
-            PacketKind::TunnelSelfPingReply => {
-                // Leg 4: proxy relays the reply down to the client.
-                self.send(
-                    at,
-                    packet.probe,
-                    here,
-                    packet.src,
-                    PacketKind::TunnelSelfPingDone,
-                );
-            }
+                _ => complete(here, origin, at, leg.kind),
+            },
+            // Leg 2: the proxy routes the tunnel-addressed ping back down
+            // to the client.
+            PacketKind::TunnelSelfPing => reply(PacketKind::TunnelSelfPingEcho),
+            // Leg 3: the client's tunnel interface answers, up again.
+            PacketKind::TunnelSelfPingEcho => reply(PacketKind::TunnelSelfPingReply),
+            // Leg 4: the proxy relays the reply down to the client.
+            PacketKind::TunnelSelfPingReply => reply(PacketKind::TunnelSelfPingDone),
             PacketKind::EchoReply
             | PacketKind::TimeExceeded { .. }
             | PacketKind::TunnelConnectDone { .. }
-            | PacketKind::TunnelSelfPingDone => {
-                self.complete(packet.probe, here, at, packet.kind);
-            }
+            | PacketKind::TunnelSelfPingDone => complete(here, origin, at, leg.kind),
         }
     }
+}
 
-    fn complete(&mut self, probe: ProbeId, at_node: NodeId, at: SimTime, reply: PacketKind) {
-        // Only the probe's originator completes it; stray deliveries
-        // (e.g. time-exceeded racing a reply) keep the first completion.
-        let is_originator = self
-            .originators
-            .iter()
-            .any(|&(p, n)| p == probe && n == at_node);
-        if !is_originator {
-            return;
-        }
-        if self.outcomes.iter().any(|(p, _)| *p == probe) {
-            return;
-        }
-        self.outcomes.push((probe, ProbeOutcome::Completed { at, reply }));
-    }
+/// A reply delivered at `here` completes the probe only at its
+/// originator; anywhere else the probe ends unanswered.
+fn complete(here: NodeId, origin: NodeId, at: SimTime, reply: PacketKind) -> Step {
+    Step::Done(if here == origin {
+        Outcome::Completed { at, reply }
+    } else {
+        Outcome::TimedOut
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
     use crate::policy::FilterPolicy;
     use crate::topology::{plain_node, NodeKind, Topology};
     use geokit::GeoPoint;
@@ -659,7 +550,6 @@ mod tests {
 
     struct World {
         topo: Topology,
-        router: Router,
         model: DelayModel,
         faults: FaultPlan,
         client: NodeId,
@@ -682,7 +572,6 @@ mod tests {
         topo.add_link(landmark, b, 0.3);
         World {
             topo,
-            router: Router::new(),
             model: DelayModel::default(),
             faults: FaultPlan::default(),
             client,
@@ -692,23 +581,19 @@ mod tests {
         }
     }
 
-    fn run_one(w: &World, kind: PacketKind, src: NodeId, dst: NodeId, ttl: Option<u32>) -> ProbeOutcome {
+    fn run_one(w: &World, kind: PacketKind, src: NodeId, dst: NodeId, ttl: Option<u32>) -> Outcome {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut eng = Engine::new(&w.topo, &w.router, &w.model, &w.faults, &mut rng);
-        let p = eng.inject(SimTime::ZERO, src, dst, kind, ttl).unwrap();
-        let outcomes = eng.run();
-        outcomes
-            .into_iter()
-            .find(|(id, _)| *id == p)
-            .map(|(_, o)| o)
-            .unwrap()
+        let adversary = AdversaryPlan::default();
+        Engine::new(&w.topo, &w.model, &w.faults, &adversary, &mut rng, None)
+            .run(&mut Routes::new(), SimTime::ZERO, src, dst, kind, ttl)
+            .expect("routable")
     }
 
     #[test]
     fn ping_round_trip() {
         let w = world();
         match run_one(&w, PacketKind::EchoRequest, w.client, w.landmark, None) {
-            ProbeOutcome::Completed { at, reply } => {
+            Outcome::Completed { at, reply } => {
                 assert_eq!(reply, PacketKind::EchoReply);
                 // 2 × (0.5 + 4.0 + 0.3) = 9.6 ms propagation minimum.
                 assert!(at.since(SimTime::ZERO).as_ms() >= 9.6);
@@ -724,7 +609,7 @@ mod tests {
         w.topo.node_mut(w.landmark).policy = FilterPolicy::vpn_server();
         assert_eq!(
             run_one(&w, PacketKind::EchoRequest, w.client, w.landmark, None),
-            ProbeOutcome::TimedOut
+            Outcome::TimedOut
         );
     }
 
@@ -732,11 +617,11 @@ mod tests {
     fn tcp_connect_open_and_closed() {
         let w = world();
         match run_one(&w, PacketKind::TcpSyn { port: 80 }, w.client, w.landmark, None) {
-            ProbeOutcome::Completed { reply, .. } => assert_eq!(reply, PacketKind::TcpSynAck),
+            Outcome::Completed { reply, .. } => assert_eq!(reply, PacketKind::TcpSynAck),
             o => panic!("{o:?}"),
         }
         match run_one(&w, PacketKind::TcpSyn { port: 9999 }, w.client, w.landmark, None) {
-            ProbeOutcome::Completed { reply, .. } => assert_eq!(reply, PacketKind::TcpRst),
+            Outcome::Completed { reply, .. } => assert_eq!(reply, PacketKind::TcpRst),
             o => panic!("{o:?}"),
         }
     }
@@ -747,7 +632,7 @@ mod tests {
         w.topo.node_mut(w.landmark).policy.filtered_tcp_ports = vec![80];
         assert_eq!(
             run_one(&w, PacketKind::TcpSyn { port: 80 }, w.client, w.landmark, None),
-            ProbeOutcome::TimedOut
+            Outcome::TimedOut
         );
     }
 
@@ -755,7 +640,7 @@ mod tests {
     fn ttl_expiry_yields_time_exceeded() {
         let w = world();
         match run_one(&w, PacketKind::TcpSyn { port: 80 }, w.client, w.landmark, Some(1)) {
-            ProbeOutcome::Completed { reply, .. } => {
+            Outcome::Completed { reply, .. } => {
                 assert_eq!(reply, PacketKind::TimeExceeded { router: w.mid });
             }
             o => panic!("{o:?}"),
@@ -768,7 +653,7 @@ mod tests {
         w.topo.node_mut(w.mid).policy.drop_time_exceeded = true;
         assert_eq!(
             run_one(&w, PacketKind::TcpSyn { port: 80 }, w.client, w.landmark, Some(1)),
-            ProbeOutcome::TimedOut
+            Outcome::TimedOut
         );
     }
 
@@ -787,7 +672,7 @@ mod tests {
             w.proxy,
             None,
         ) {
-            ProbeOutcome::Completed { at, reply } => {
+            Outcome::Completed { at, reply } => {
                 assert_eq!(reply, PacketKind::TunnelConnectDone { refused: false });
                 let ms = at.since(SimTime::ZERO).as_ms();
                 assert!(ms >= direct_cp + direct_pl, "{ms}");
@@ -802,7 +687,7 @@ mod tests {
         let w = world();
         let one_rtt = 2.0 * (0.5 + 4.0 + 0.5);
         match run_one(&w, PacketKind::TunnelSelfPing, w.client, w.proxy, None) {
-            ProbeOutcome::Completed { at, reply } => {
+            Outcome::Completed { at, reply } => {
                 assert_eq!(reply, PacketKind::TunnelSelfPingDone);
                 let ms = at.since(SimTime::ZERO).as_ms();
                 assert!(ms >= 2.0 * one_rtt, "{ms} < {}", 2.0 * one_rtt);
@@ -828,7 +713,7 @@ mod tests {
                 w2.proxy,
                 None,
             ) {
-                ProbeOutcome::Completed { at, .. } => at.since(SimTime::ZERO).as_ms(),
+                Outcome::Completed { at, .. } => at.since(SimTime::ZERO).as_ms(),
                 o => panic!("{o:?}"),
             }
         };
@@ -842,7 +727,7 @@ mod tests {
             w.proxy,
             None,
         ) {
-            ProbeOutcome::Completed { at, .. } => {
+            Outcome::Completed { at, .. } => {
                 let forged = at.since(SimTime::ZERO).as_ms();
                 assert!(
                     forged < honest,
@@ -859,7 +744,7 @@ mod tests {
         w.faults.set_drop_chance(1.0);
         assert_eq!(
             run_one(&w, PacketKind::EchoRequest, w.client, w.landmark, None),
-            ProbeOutcome::TimedOut
+            Outcome::TimedOut
         );
     }
 }

@@ -76,7 +76,7 @@ pub struct FaultPlan {
     /// Per-node reply rate limits.
     rate_limits: HashMap<NodeId, RateLimit>,
     /// Sliding-window state for rate limiting: recent reply times per
-    /// node. Interior-mutable because the engine holds the plan by
+    /// node. Interior-mutable because the walk holds the plan by
     /// shared reference; updates are driven purely by sim time, so
     /// determinism is unaffected (the simulator is single-threaded —
     /// the `Mutex` only exists to keep `FaultPlan: Sync`).
@@ -190,8 +190,9 @@ impl FaultPlan {
         !self.rate_limits.is_empty()
     }
 
-    /// Does this forwarding node drop the packet now?
-    pub fn drops_packet<R: Rng + ?Sized>(&self, _node: NodeId, rng: &mut R) -> bool {
+    /// Does the forwarding node drop the packet now? (Random loss is the
+    /// same at every node.)
+    pub fn drops_packet<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.drop_chance > 0.0 && sampling::coin(rng, self.drop_chance)
     }
 
@@ -277,7 +278,7 @@ mod tests {
     fn default_is_faultless() {
         let f = FaultPlan::default();
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(!f.drops_packet(0, &mut rng));
+        assert!(!f.drops_packet(&mut rng));
         assert_eq!(f.added_delay_ms(0, &mut rng), 0.0);
         assert!(!f.forges_synack(0));
         assert!(!f.drops_on_link(0, &mut rng));
@@ -291,7 +292,7 @@ mod tests {
         let mut f = FaultPlan::default();
         f.set_drop_chance(0.25);
         let mut rng = StdRng::seed_from_u64(2);
-        let drops = (0..10_000).filter(|_| f.drops_packet(0, &mut rng)).count();
+        let drops = (0..10_000).filter(|_| f.drops_packet(&mut rng)).count();
         assert!((2200..2800).contains(&drops), "drops {drops}");
     }
 
@@ -311,7 +312,7 @@ mod tests {
         let mut f = FaultPlan::default();
         f.set_drop_chance(7.0);
         let mut rng = StdRng::seed_from_u64(4);
-        assert!(f.drops_packet(0, &mut rng));
+        assert!(f.drops_packet(&mut rng));
     }
 
     #[test]

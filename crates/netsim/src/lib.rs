@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! # netsim — a deterministic discrete-event Internet simulator
+//! # netsim — a deterministic packet-level Internet simulator
 //!
 //! The paper measures the real Internet: TCP connections from a measurement
 //! client, through commercial VPN proxies, to RIPE Atlas landmarks. We
@@ -21,18 +21,23 @@
 //!   and rate-limit unusual ports (§4.2: ~90 % of VPN servers ignore
 //!   pings; a third break traceroute entirely).
 //!
-//! Two evaluation paths share one delay model:
+//! Two evaluation paths read the same routed hops and the same delay
+//! model:
 //!
-//! * [`engine`] — a packet-level discrete-event simulation with TTLs,
-//!   ICMP/TCP semantics, filtering, and VPN tunnel forwarding. This is the
-//!   ground truth for protocol behaviour (which measurement methods work
-//!   at all) and is used by the examples, the protocol tests, and the
-//!   tool-semantics figure.
-//! * [`network::Network::sample_rtt_ms`] and friends — closed-form sampling of the
-//!   same per-hop delay distributions along the same routed paths, used
-//!   for bulk experiments (two weeks of anchor-mesh calibration, the
-//!   2269-proxy study) where simulating every packet hop would add cost
-//!   but no fidelity. A test asserts the two paths agree in distribution.
+//! * [`engine`] — the probe walk: one packet in flight, hop by hop, with
+//!   TTLs, ICMP/TCP semantics, filtering, faults, and VPN tunnel
+//!   forwarding. Every protocol-faithful measurement runs here: all of
+//!   the audit's pings, self-pings and TCP connects, the examples, the
+//!   protocol tests, and the tool-semantics figure.
+//! * [`network::Network::sample_rtt_ms`] and friends — closed-form
+//!   sampling of the same per-hop delay distributions along the same
+//!   hops, used for bulk draws (two weeks of anchor-mesh calibration)
+//!   where walking a packet would add cost but no fidelity. A test
+//!   asserts the two paths agree in distribution.
+//!
+//! A route is resolved once into link-annotated hops ([`delay::Hop`]),
+//! and each measurement handle keeps a small memo of the routes it
+//! walked last (see [`routing`]).
 //!
 //! Everything is seeded and deterministic: same seed, same world, same
 //! measurements. There are no threads and no wall-clock reads (the guides'

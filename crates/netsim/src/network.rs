@@ -1,12 +1,13 @@
 //! The measurement facade: one object bundling topology, routing, delay
-//! model, fault plan, and a seeded RNG, with both packet-level (DES) and
+//! model, fault plan, and a seeded RNG, with both packet-level and
 //! closed-form measurement operations.
 //!
 //! Rule of use: protocol-faithful operations (`ping`, `tcp_connect_rtt`,
 //! `tcp_connect_via_proxy_rtt`, `self_ping_via_proxy_rtt`, `traceroute`)
-//! run the event engine; bulk statistics (`sample_rtt_ms` and friends)
-//! draw from the identical delay model along the identical routes. The
-//! `des_and_sampler_agree` test pins the equivalence.
+//! walk a packet hop by hop (see [`crate::engine`]); bulk statistics
+//! (`sample_rtt_ms` and friends) draw from the identical delay model over
+//! the identical hops in closed form. The `des_and_sampler_agree` test
+//! pins the equivalence.
 //!
 //! Telemetry: probes narrate through the attached [`Recorder`] —
 //! counters `net.probe.{sent,completed,timeout}` and `net.loss.*` (by
@@ -23,9 +24,9 @@
 
 use crate::adversary::{AdversaryPlan, AdversaryTally};
 use crate::delay::{DelayModel, PathDelays};
-use crate::engine::{Engine, LossTally, PacketKind, ProbeOutcome, TraceEvent};
+use crate::engine::{Engine, LossTally, Outcome, PacketKind, TraceEvent};
 use crate::fault::FaultPlan;
-use crate::routing::Router;
+use crate::routing::Routes;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::NodeId;
@@ -40,14 +41,16 @@ pub const DEFAULT_PROBE_TIMEOUT_MS: f64 = 2_000.0;
 
 /// A simulated network ready to be measured.
 ///
-/// Topology and routing are `Arc`-shared so [`fork`](Network::fork) can
+/// Topology and router are `Arc`-shared so [`fork`](Network::fork) can
 /// hand out independent measurement handles over the same world without
-/// copying the graph or the route cache.
+/// copying the graph or the router's per-source trees.
 pub struct Network {
     topo: Arc<Topology>,
-    /// Routes over `topo` as it is now: shared with the forks that share
-    /// `topo`, replaced whenever this handle edits the topology.
-    router: Arc<Router>,
+    /// Routes over `topo` as it is now: the router is shared with the
+    /// forks that share `topo`, the memo of recent routes is this
+    /// handle's own, and both are replaced whenever this handle edits
+    /// the topology.
+    routes: Routes,
     /// `Arc`-shared copy-on-write: [`fork`](Network::fork) shares the
     /// model, and mutation would clone it first (`Arc::make_mut`).
     model: Arc<DelayModel>,
@@ -84,7 +87,7 @@ impl Network {
     pub fn with_model(topo: Topology, model: DelayModel, seed: u64) -> Network {
         Network {
             topo: Arc::new(topo),
-            router: Arc::new(Router::new()),
+            routes: Routes::new(),
             model: Arc::new(model),
             faults: Arc::new(FaultPlan::default()),
             adversary: Arc::new(AdversaryPlan::default()),
@@ -97,18 +100,18 @@ impl Network {
 
     /// An independent measurement handle over the same world.
     ///
-    /// The fork shares the topology, the router's route cache, and
+    /// The fork shares the topology, the router's per-source trees, and
     /// the delay model (all `Arc`; all read-only during runs, so sharing
-    /// across threads cannot change any result), inherits the parent's
-    /// clock, and starts a **fresh RNG stream** from `seed`. Probing
-    /// through a fork never advances the parent's clock or RNG — the
-    /// basis of the audit's per-proxy parallelism: results depend only
-    /// on (shared world, per-proxy seed), not on which thread measures
-    /// which proxy first.
+    /// across threads cannot change any result), starts an empty memo of
+    /// recent routes, inherits the parent's clock, and starts a **fresh
+    /// RNG stream** from `seed`. Probing through a fork never advances
+    /// the parent's clock or RNG — the basis of the audit's per-proxy
+    /// parallelism: results depend only on (shared world, per-proxy
+    /// seed), not on which thread measures which proxy first.
     ///
     /// The fault plan is `Arc`-shared too **unless** it carries reply
     /// rate limits: their sliding-window state mutates through
-    /// `&FaultPlan` during engine runs, so sharing it would let one
+    /// `&FaultPlan` during probes, so sharing it would let one
     /// fork's probes consume another fork's rate-limit budget (and make
     /// results scheduling-dependent). Plans with rate limits are
     /// deep-copied per fork, exactly as every fork was before the
@@ -122,7 +125,7 @@ impl Network {
         };
         Network {
             topo: Arc::clone(&self.topo),
-            router: Arc::clone(&self.router),
+            routes: self.routes.fork(),
             model: Arc::clone(&self.model),
             faults,
             adversary: Arc::clone(&self.adversary),
@@ -172,9 +175,10 @@ impl Network {
     /// Mutable topology access. If forks of this network are alive the
     /// topology is copied-on-write — forks keep seeing the world as it was
     /// when they were taken, and keep the router that routes it. This
-    /// handle takes a fresh router for the edited world.
+    /// handle takes a fresh router and an empty route memo for the edited
+    /// world.
     pub fn topology_mut(&mut self) -> &mut Topology {
-        self.router = Arc::new(Router::new());
+        self.routes = Routes::new();
         Arc::make_mut(&mut self.topo)
     }
 
@@ -217,7 +221,7 @@ impl Network {
         self.faults.corrupt_rtt_ms(ms, &mut self.rng)
     }
 
-    // --- DES-based, protocol-faithful operations ------------------------
+    // --- Packet-level, protocol-faithful operations ---------------------
 
     fn run_probe(
         &mut self,
@@ -236,21 +240,15 @@ impl Network {
             PacketKind::TunnelConnect { target, .. } => Some(target),
             _ => None,
         };
-        let mut engine = Engine::new(&self.topo, &self.router, &self.model, &self.faults, &mut self.rng);
-        engine.set_adversary(&self.adversary);
-        let Some(probe) = engine.inject(start, src, dst, kind, ttl) else {
+        let Some((outcome, losses, adv_tally)) = self.walk(src, dst, kind, ttl, None) else {
             self.obs.count("net.probe.unroutable", 1);
             return None;
         };
-        let outcomes = engine.run();
-        let losses = engine.losses();
-        let adv_tally = engine.adversary_tally();
-        drop(engine);
         self.obs.count("net.probe.sent", 1);
         self.record_losses(&losses);
         self.record_adversary(&adv_tally);
-        match outcomes.into_iter().find(|(p, _)| *p == probe) {
-            Some((_, ProbeOutcome::Completed { at, reply })) => {
+        match outcome {
+            Outcome::Completed { at, reply } => {
                 self.now = at;
                 let mut rtt = at.since(start);
                 // Adversary tactic (d): a colluding landmark answers the
@@ -285,7 +283,7 @@ impl Network {
                 }
                 Some((rtt, reply))
             }
-            _ => {
+            Outcome::TimedOut => {
                 self.now = start + self.probe_timeout;
                 if self.obs.counters_enabled() {
                     self.obs.count("net.probe.timeout", 1);
@@ -308,7 +306,30 @@ impl Network {
         }
     }
 
-    /// Fold one engine run's adversary tally into the `net.adv.*`
+    /// Walk one probe from `src` to `dst`, starting now, recording its
+    /// packet arrivals into `trace` when given: how it ended and what it
+    /// lost on the way, or `None` if `dst` is unreachable from `src`.
+    fn walk(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        kind: PacketKind,
+        ttl: Option<u32>,
+        trace: Option<&mut Vec<TraceEvent>>,
+    ) -> Option<(Outcome, LossTally, AdversaryTally)> {
+        let mut engine = Engine::new(
+            &self.topo,
+            &self.model,
+            &self.faults,
+            &self.adversary,
+            &mut self.rng,
+            trace,
+        );
+        let outcome = engine.run(&mut self.routes, self.now, src, dst, kind, ttl)?;
+        Some((outcome, engine.losses, engine.adv_tally))
+    }
+
+    /// Fold one probe's adversary tally into the `net.adv.*`
     /// counters. These are deterministic-compartment counters: they are
     /// part of the determinism contract, and they stay at zero when no
     /// adversary is configured.
@@ -327,7 +348,7 @@ impl Network {
         }
     }
 
-    /// Fold one engine run's loss tally into the `net.loss.*` counters.
+    /// Fold one probe's loss tally into the `net.loss.*` counters.
     fn record_losses(&self, t: &LossTally) {
         if t.total() == 0 || !self.obs.counters_enabled() {
             return;
@@ -441,8 +462,8 @@ impl Network {
     }
 
     /// Run one TCP connect with full packet tracing: returns the ordered
-    /// list of per-node arrivals (the DES analogue of a packet dump) and
-    /// the measured RTT if the probe completed. Used by the Fig. 7
+    /// list of per-node arrivals (the walk's analogue of a packet dump)
+    /// and the measured RTT if the probe completed. Used by the Fig. 7
     /// harness and for debugging protocol behaviour.
     pub fn trace_tcp_connect(
         &mut self,
@@ -451,27 +472,15 @@ impl Network {
         port: u16,
     ) -> (Vec<TraceEvent>, Option<SimDuration>) {
         let start = self.now;
-        let mut engine = Engine::new(
-            &self.topo,
-            &self.router,
-            &self.model,
-            &self.faults,
-            &mut self.rng,
-        );
-        engine.set_adversary(&self.adversary);
-        engine.enable_trace();
-        let Some(probe) = engine.inject(start, client, target, PacketKind::TcpSyn { port }, None)
-        else {
+        let mut trace = Vec::new();
+        let syn = PacketKind::TcpSyn { port };
+        let Some((outcome, ..)) = self.walk(client, target, syn, None, Some(&mut trace)) else {
             return (Vec::new(), None);
         };
-        let outcomes = engine.run();
-        let trace = engine.take_trace();
-        let rtt = outcomes.into_iter().find(|(p, _)| *p == probe).and_then(
-            |(_, o)| match o {
-                ProbeOutcome::Completed { at, .. } => Some(at.since(start)),
-                ProbeOutcome::TimedOut => None,
-            },
-        );
+        let rtt = match outcome {
+            Outcome::Completed { at, .. } => Some(at.since(start)),
+            Outcome::TimedOut => None,
+        };
         self.now = match rtt {
             Some(d) => start + d,
             None => start + self.probe_timeout,
@@ -481,33 +490,32 @@ impl Network {
 
     // --- Closed-form sampling (bulk experiments) -------------------------
 
-    /// The routed path's delay facts, or `None` if unreachable.
+    /// The routed path's delay facts, or `None` if unreachable or if
+    /// `src` is `dst`.
     pub fn path_delays(&self, src: NodeId, dst: NodeId) -> Option<PathDelays> {
-        let path = self.router.path(&self.topo, src, dst)?;
-        if path.len() < 2 {
-            return None;
-        }
-        Some(PathDelays::from_node_path(&self.topo, &path))
+        self.routes
+            .resolve(&self.topo, src, dst)
+            .filter(|path| !path.hops.is_empty())
     }
 
     /// One stochastic RTT draw in ms (sum of two independent one-way
     /// draws over the same path).
     pub fn sample_rtt_ms(&mut self, src: NodeId, dst: NodeId) -> Option<f64> {
-        let path = self.path_delays(src, dst)?;
-        let fwd = self.model.one_way_ms(&self.topo, &path, &mut self.rng);
-        let rev = self.model.one_way_ms(&self.topo, &path, &mut self.rng);
-        Some(fwd + rev)
+        self.min_of_n_rtt_ms(src, dst, 1)
     }
 
     /// The minimum of `n` RTT draws, in ms — what repeated measurement
     /// converges to, and what CBG calibration consumes.
     pub fn min_of_n_rtt_ms(&mut self, src: NodeId, dst: NodeId, n: usize) -> Option<f64> {
         assert!(n > 0, "need at least one draw");
-        let path = self.path_delays(src, dst)?;
+        let path = self
+            .routes
+            .get(&self.topo, src, dst)
+            .filter(|path| !path.hops.is_empty())?;
         let mut best = f64::INFINITY;
         for _ in 0..n {
-            let fwd = self.model.one_way_ms(&self.topo, &path, &mut self.rng);
-            let rev = self.model.one_way_ms(&self.topo, &path, &mut self.rng);
+            let fwd = self.model.one_way_ms(path, &mut self.rng);
+            let rev = self.model.one_way_ms(path, &mut self.rng);
             best = best.min(fwd + rev);
         }
         Some(best)
@@ -565,7 +573,7 @@ mod tests {
 
     #[test]
     fn des_and_sampler_agree() {
-        // The DES and the closed-form sampler must produce statistically
+        // The walk and the closed-form sampler must produce statistically
         // indistinguishable RTT distributions for the same pair.
         let (mut net, client, _, lm) = net();
         let des: Vec<f64> = (0..400)
@@ -578,7 +586,7 @@ mod tests {
         let (md, ms) = (geokit::stats::median(&des).unwrap(), geokit::stats::median(&sam).unwrap());
         assert!(
             (md - ms).abs() < 0.35,
-            "median mismatch: DES {md} vs sampler {ms}"
+            "median mismatch: walk {md} vs sampler {ms}"
         );
         let (mind, mins) = (
             des.iter().copied().fold(f64::INFINITY, f64::min),

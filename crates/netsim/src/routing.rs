@@ -27,11 +27,17 @@
 //!
 //! A router serves one topology: a network that edits its topology takes
 //! a fresh router (see `Network::topology_mut`).
+//!
+//! Each measurement handle walks its routes through a `Routes` memo, which
+//! keeps the few link-annotated paths it walked last. A proxy's probes
+//! repeat the client↔proxy routes on every probe, and its retries repeat
+//! the proxy↔landmark ones.
 
+use crate::delay::PathDelays;
 use crate::topology::{NodeKind, Topology};
 use crate::NodeId;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// No node: the parent of a core node, the core index of a pendant, the
 /// predecessor of a tree's root or of an unreachable core node.
@@ -120,6 +126,59 @@ impl Router {
 impl Default for Router {
     fn default() -> Self {
         Router::new()
+    }
+}
+
+/// How many routes [`Routes`] keeps: a tunnelled probe walks four, two
+/// of which every probe of the same proxy walks again.
+const MEMO_ROUTES: usize = 8;
+
+/// A router shared with the handles over the same topology, and a memo
+/// of the routes this handle walked most recently, each resolved once
+/// into link-annotated hops. Hop facts are fixed when a route is built,
+/// so a handle that edits its topology takes a fresh `Routes`.
+pub(crate) struct Routes {
+    router: Arc<Router>,
+    /// Most recently used first.
+    memo: Vec<PathDelays>,
+}
+
+impl Routes {
+    /// A fresh router and an empty memo.
+    pub(crate) fn new() -> Routes {
+        Routes {
+            router: Arc::new(Router::new()),
+            memo: Vec::with_capacity(MEMO_ROUTES),
+        }
+    }
+
+    /// The same router with an empty memo, for a handle of its own.
+    pub(crate) fn fork(&self) -> Routes {
+        Routes {
+            router: Arc::clone(&self.router),
+            memo: Vec::with_capacity(MEMO_ROUTES),
+        }
+    }
+
+    /// The route from `src` to `dst`, built now and not memoised, or
+    /// `None` if unreachable.
+    pub(crate) fn resolve(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<PathDelays> {
+        let path = self.router.path(topo, src, dst)?;
+        Some(PathDelays::from_node_path(topo, &path))
+    }
+
+    /// The route from `src` to `dst` through the memo, or `None` if
+    /// unreachable.
+    pub(crate) fn get(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<&PathDelays> {
+        match self.memo.iter().position(|r| r.src == src && r.dst == dst) {
+            Some(i) => self.memo[..=i].rotate_right(1),
+            None => {
+                let route = self.resolve(topo, src, dst)?;
+                self.memo.truncate(MEMO_ROUTES - 1);
+                self.memo.insert(0, route);
+            }
+        }
+        self.memo.first()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Simulation time: nanosecond-resolution virtual clocks.
 //!
 //! Integer nanoseconds give exact ordering and exact arithmetic for the
-//! event queue; conversion to floating milliseconds happens only at the
+//! probe walk; conversion to floating milliseconds happens only at the
 //! measurement API boundary (round-trip times are reported in ms, as the
 //! paper plots them).
 
@@ -31,7 +31,7 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if `earlier` is later than `self` — a backwards interval in
-    /// the event engine is a logic bug, not a recoverable condition.
+    /// the probe walk is a logic bug, not a recoverable condition.
     pub fn since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,

@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`geokit`] | geodesy, global grid regions, statistics |
 //! | [`worldmap`] | countries, continents, land mask, data centers, VPN market |
-//! | [`netsim`] | deterministic discrete-event Internet simulator |
+//! | [`netsim`] | deterministic packet-level Internet simulator |
 //! | [`atlas`] | landmark constellation, calibration, measurement tools |
 //! | [`geoloc`] | CBG, Quasi-Octant, Spotter, Hybrid, CBG++, ICLab, two-phase engine, proxy adaptation |
 //! | [`vpnstudy`] | the end-to-end §6 audit of seven VPN providers |
