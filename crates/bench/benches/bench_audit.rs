@@ -3,8 +3,10 @@
 //!
 //! Two variants: the bare pipeline (comparable with the committed
 //! baseline in `bench_output/`), and the same pipeline with an
-//! `obs::Recorder` at the audit's default `Events` level installed —
-//! the observability layer's overhead budget is <2 % between them.
+//! `obs::Recorder` at the audit's default `Events` level installed. The
+//! gap between them is the recorder's price on one proxy; its budget is
+//! at most 10 % of the audit's time, and the end-to-end price is
+//! measured as perfbench's `paper_audit` minus `paper_audit_quiet`.
 
 use bench::{build_study_context, Scale};
 use bench::harness::Criterion;

@@ -8,8 +8,8 @@
 //! * the smoke suite is tiny and dominated by the hot kernels the paper
 //!   pipeline actually spends its time in (cap rasterization, disk
 //!   intersection, the cached subset search, the counting sweep,
-//!   disk-cache lookups, one tunnelled probe, and one full single-proxy
-//!   audit);
+//!   disk-cache lookups, one tunnelled probe bare and once more with
+//!   the audit's Events recorder, and one full single-proxy audit);
 //! * only **medians** are compared, with a generous relative tolerance —
 //!   the default is ±30 % ([`DEFAULT_TOLERANCE`]), overridable globally
 //!   via the `PV_PERF_GATE_TOL` environment variable and per entry via
@@ -216,16 +216,25 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
     // landmark every time, as a proxy's retries and repeated rounds
     // probe it.
     let landmark = ctx.study.constellation.anchors()[0].node;
+    let probe = |net: &mut netsim::Network| {
+        net.tcp_connect_via_proxy_rtt(client, black_box(proxy.node), black_box(landmark), 80)
+    };
     out.push(run_sampled("gate/tunnel_probe", samples, |b| {
-        b.iter(|| {
-            ctx.study.world.network_mut().tcp_connect_via_proxy_rtt(
-                client,
-                black_box(proxy.node),
-                black_box(landmark),
-                80,
-            )
-        })
+        b.iter(|| probe(ctx.study.world.network_mut()))
     }));
+
+    // The same probe recorded as the audit ships it: the difference
+    // from `gate/tunnel_probe` is the Events recorder's price per probe
+    // (span, counters, RTT sample and one event).
+    let quiet = ctx.study.world.network().recorder().clone();
+    ctx.study
+        .world
+        .network_mut()
+        .set_recorder(obs::Recorder::new(obs::Level::Events));
+    out.push(run_sampled("gate/tunnel_probe_events", samples, |b| {
+        b.iter(|| probe(ctx.study.world.network_mut()))
+    }));
+    ctx.study.world.network_mut().set_recorder(quiet);
 
     let atlas = std::sync::Arc::clone(ctx.study.world.atlas());
     let study_mask = ctx.study.mask.clone();
@@ -539,7 +548,7 @@ mod tests {
     }
 
     /// Every bench of the smoke suite, in order.
-    const GATE_BENCHES: [&str; 11] = [
+    const GATE_BENCHES: [&str; 12] = [
         "gate/cap_raster",
         "gate/disk_intersect",
         "gate/cached_subset",
@@ -548,6 +557,7 @@ mod tests {
         "gate/cache_hit",
         "gate/phase1_server_build",
         "gate/tunnel_probe",
+        "gate/tunnel_probe_events",
         "gate/audit_one_proxy",
         "gate/verdict_query",
         "gate/metrics_export",

@@ -124,7 +124,7 @@ impl CbgPlusPlusVariant {
                 rec.event(
                     "cbgpp",
                     "baseline",
-                    vec![
+                    [
                         ("disks", baseline.len().into()),
                         ("satisfied", base.satisfied.into()),
                         ("cells", search_mask.cell_count().into()),
@@ -137,7 +137,7 @@ impl CbgPlusPlusVariant {
                     rec.event(
                         "cbgpp",
                         "empty_region",
-                        vec![("stage", "baseline".into())],
+                        [("stage", "baseline".into())],
                     );
                 }
                 return Prediction {
@@ -175,7 +175,7 @@ impl CbgPlusPlusVariant {
             rec.event(
                 "cbgpp",
                 "bestline_filter",
-                vec![
+                [
                     ("input", observations.len().into()),
                     ("kept", bestline.len().into()),
                 ],
@@ -187,7 +187,7 @@ impl CbgPlusPlusVariant {
                 rec.event(
                     "cbgpp",
                     "baseline_fallback",
-                    vec![("cells", effective_mask.cell_count().into())],
+                    [("cells", effective_mask.cell_count().into())],
                 );
             }
             return Prediction {
@@ -203,7 +203,7 @@ impl CbgPlusPlusVariant {
             rec.event(
                 "cbgpp",
                 "subset",
-                vec![
+                [
                     ("satisfied", result.satisfied.into()),
                     ("total", result.total.into()),
                     ("cells", result.region.cell_count().into()),
@@ -213,7 +213,7 @@ impl CbgPlusPlusVariant {
                 rec.event(
                     "cbgpp",
                     "empty_region",
-                    vec![("stage", "bestline".into())],
+                    [("stage", "bestline".into())],
                 );
             }
         }

@@ -335,7 +335,7 @@ pub fn run_defense(
             rec.event(
                 "defense",
                 "report",
-                vec![
+                [
                     ("flagged", report.flagged.len().into()),
                     ("conflict_pairs", report.conflict_pairs.into()),
                     ("trimmed", report.trimmed.into()),
@@ -345,7 +345,7 @@ pub fn run_defense(
                 ],
             );
             for kind in &report.evidence {
-                rec.event("defense", "evidence", vec![("kind", (*kind).into())]);
+                rec.event("defense", "evidence", [("kind", (*kind).into())]);
             }
         }
     }

@@ -233,7 +233,7 @@ impl<P> ProbeScheduler<P> {
                         rec.event(
                             "reliability",
                             "retry",
-                            vec![
+                            [
                                 ("landmark", landmark.into()),
                                 ("attempt", attempt.into()),
                                 ("fallback", fallback.into()),
@@ -284,7 +284,7 @@ impl<P: RttProber> RttProber for ProbeScheduler<P> {
                         rec.event(
                             "reliability",
                             "fallback_used",
-                            vec![("landmark", landmark.into()), ("rtt_ms", ms.into())],
+                            [("landmark", landmark.into()), ("rtt_ms", ms.into())],
                         );
                     }
                     return Some(ms);
@@ -298,7 +298,7 @@ impl<P: RttProber> RttProber for ProbeScheduler<P> {
                 rec.event(
                     "reliability",
                     "landmark_dead",
-                    vec![("landmark", landmark.into())],
+                    [("landmark", landmark.into())],
                 );
             }
             None
@@ -493,8 +493,9 @@ mod tests {
         assert_eq!(depth.count, 1);
         assert_eq!(depth.sum, 4); // 3 primary + 1 fallback attempt
         rec.with_events(|evs| {
-            assert!(evs.iter().any(|e| e.name == "retry"));
-            assert!(evs.iter().any(|e| e.name == "fallback_used"));
+            let names: Vec<_> = evs.map(|e| e.name).collect();
+            assert!(names.contains(&"retry"));
+            assert!(names.contains(&"fallback_used"));
         });
     }
 

@@ -258,7 +258,7 @@ fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
         rec.event(
             "twophase",
             "phase1_start",
-            vec![("anchors", phase1_total.into())],
+            [("anchors", phase1_total.into())],
         );
     }
     let phase1_span = network.recorder().profile_span("twophase.phase1");
@@ -286,7 +286,7 @@ fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
             rec.event(
                 "twophase",
                 "phase1_done",
-                vec![
+                [
                     ("responsive", phase1_responsive.into()),
                     ("total", phase1_total.into()),
                     ("quorum_met", quorum_met.into()),
@@ -311,7 +311,7 @@ fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
             rec.event(
                 "twophase",
                 "phase2_start",
-                vec![("continent", continent.name().into())],
+                [("continent", continent.name().into())],
             );
         }
         let _phase2_span = network.recorder().profile_span("twophase.phase2");
@@ -365,7 +365,7 @@ fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
             rec.event(
                 "twophase",
                 "quorum_degraded",
-                vec![
+                [
                     ("responsive", phase1_responsive.into()),
                     ("quorum", cfg.phase1_quorum.into()),
                 ],

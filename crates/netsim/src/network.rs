@@ -268,17 +268,17 @@ impl Network {
                     self.obs.record("net.probe.rtt_us", rtt.as_nanos() / 1_000);
                     if self.obs.events_enabled() {
                         self.obs.set_now_ns(self.now.as_nanos());
-                        let mut fields = vec![
+                        let fields = [
                             ("src", src.into()),
                             ("dst", dst.into()),
                             ("kind", kind_label.into()),
                             ("reply", reply.label().into()),
                             ("rtt_ns", rtt.as_nanos().into()),
+                            ("target", tunnel_target.unwrap_or_default().into()),
                         ];
-                        if let Some(t) = tunnel_target {
-                            fields.push(("target", t.into()));
-                        }
-                        self.obs.event("netsim", "probe", fields);
+                        // `target` only for tunnelled probes.
+                        let n = fields.len() - usize::from(tunnel_target.is_none());
+                        self.obs.event("netsim", "probe", &fields[..n]);
                     }
                 }
                 Some((rtt, reply))
@@ -289,16 +289,15 @@ impl Network {
                     self.obs.count("net.probe.timeout", 1);
                     if self.obs.events_enabled() {
                         self.obs.set_now_ns(self.now.as_nanos());
-                        let mut fields = vec![
+                        let fields = [
                             ("src", src.into()),
                             ("dst", dst.into()),
                             ("kind", kind_label.into()),
                             ("cause", losses.dominant().unwrap_or("unanswered").into()),
+                            ("target", tunnel_target.unwrap_or_default().into()),
                         ];
-                        if let Some(t) = tunnel_target {
-                            fields.push(("target", t.into()));
-                        }
-                        self.obs.event("netsim", "probe_timeout", fields);
+                        let n = fields.len() - usize::from(tunnel_target.is_none());
+                        self.obs.event("netsim", "probe_timeout", &fields[..n]);
                     }
                 }
                 None
@@ -862,6 +861,7 @@ mod tests {
         assert_eq!(rec.counter("net.loss.filtered"), 1);
         assert_eq!(rec.events_len(), 2);
         rec.with_events(|evs| {
+            let evs: Vec<_> = evs.collect();
             assert_eq!(evs[0].name, "probe");
             assert!(evs[0].field_u64("rtt_ns").unwrap() > 0);
             assert_eq!(evs[1].name, "probe_timeout");

@@ -47,13 +47,36 @@
 //! in proxy order). Counters and histograms are commutative merges;
 //! events are concatenated in absorb order — which is why absorb order
 //! must be deterministic.
+//!
+//! ## Recording without heap work
+//!
+//! The audit records at [`Level::Events`] by default, so recording is
+//! built to stay on. Each recorder keeps its events in one compact log:
+//! per event a sim time and an interned schema id (the target, the name
+//! and each field's key and value kind), then one `u64` word per field.
+//! A span path is an interned id for `(parent id, name)`, and a recorder
+//! keeps its [`ProfileStat`]s in a vector indexed by that id. Once a
+//! thread has seen a name, recording it again only writes into buffers
+//! the recorder already holds. [`Recorder::absorb`] appends the smaller
+//! event log to the larger without decoding it, and
+//! [`Recorder::with_events`] decodes events one at a time.
+//!
+//! Interned ids are process-wide and handed out in first-seen order, so
+//! they depend on thread scheduling: no id ever reaches an output, an
+//! ordering or a comparison. Everything this crate returns or renders
+//! carries the text again, in text order.
 
 pub mod alert;
 pub mod export;
+mod intern;
 pub mod json;
+mod log;
 pub mod perfetto;
 pub mod registry;
 pub mod snapshot;
+
+pub use log::Events;
+use log::EventLog;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -199,19 +222,6 @@ impl Event {
             _ => None,
         }
     }
-
-    fn write_jsonl(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"t_ns\":{},\"ev\":\"{}.{}\"",
-            self.t_ns, self.target, self.name
-        );
-        for (k, v) in &self.fields {
-            let _ = write!(out, ",\"{k}\":");
-            v.write_json(out);
-        }
-        out.push_str("}\n");
-    }
 }
 
 /// A power-of-two histogram of `u64` samples: bucket `i` holds values
@@ -353,10 +363,22 @@ impl ProfileStat {
 #[derive(Debug, Default)]
 struct Buffers {
     now_ns: u64,
-    events: Vec<Event>,
+    events: EventLog,
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Hist>,
-    profile: BTreeMap<String, ProfileStat>,
+    /// Profile totals indexed by interned span path id; a zero count
+    /// means no span has closed at that path.
+    profile: Vec<ProfileStat>,
+}
+
+impl Buffers {
+    fn profile_at(&mut self, path: u32) -> &mut ProfileStat {
+        let i = path as usize;
+        if i >= self.profile.len() {
+            self.profile.resize(i + 1, ProfileStat::default());
+        }
+        &mut self.profile[i]
+    }
 }
 
 /// One open profile span on the current thread's stack. The frame keeps
@@ -366,7 +388,8 @@ struct Buffers {
 struct ProfFrame {
     token: u64,
     sink: Arc<Mutex<Buffers>>,
-    path: String,
+    /// Interned id of the span's path.
+    path: u32,
     start: Instant,
     /// Nanoseconds already attributed to completed child spans.
     child_ns: u128,
@@ -454,15 +477,17 @@ impl Recorder {
         // held at once.
         let taken = std::mem::take(&mut *child.lock());
         let mut inner = self.lock();
-        inner.events.extend(taken.events);
+        inner.events.append(taken.events);
         for (k, v) in taken.counters {
             *inner.counters.entry(k).or_insert(0) += v;
         }
         for (k, h) in taken.hists {
             inner.hists.entry(k).or_default().merge(&h);
         }
-        for (k, p) in taken.profile {
-            inner.profile.entry(k).or_default().merge(&p);
+        for (path, p) in taken.profile.iter().enumerate() {
+            if p.count > 0 {
+                inner.profile_at(path as u32).merge(p);
+            }
         }
         inner.now_ns = inner.now_ns.max(taken.now_ns);
     }
@@ -485,18 +510,22 @@ impl Recorder {
     }
 
     /// Emit a structured event timestamped with the last known sim time.
-    pub fn event(&self, target: &'static str, name: &'static str, fields: Vec<(&'static str, Value)>) {
+    /// `fields` may be an array, a slice or a `Vec`; the recorder copies
+    /// the values into its log and keeps nothing of the container.
+    pub fn event(
+        &self,
+        target: &'static str,
+        name: &'static str,
+        fields: impl AsRef<[(&'static str, Value)]>,
+    ) {
         if !self.events_enabled() {
             return;
         }
+        let fields = fields.as_ref();
+        let schema = intern::schema_id(target, name, fields);
         let mut inner = self.lock();
         let t_ns = inner.now_ns;
-        inner.events.push(Event {
-            t_ns,
-            target,
-            name,
-            fields,
-        });
+        inner.events.push(t_ns, schema, fields);
     }
 
     /// Emit a structured event at an explicit sim time, advancing the
@@ -506,19 +535,16 @@ impl Recorder {
         t_ns: u64,
         target: &'static str,
         name: &'static str,
-        fields: Vec<(&'static str, Value)>,
+        fields: impl AsRef<[(&'static str, Value)]>,
     ) {
         if !self.events_enabled() {
             return;
         }
+        let fields = fields.as_ref();
+        let schema = intern::schema_id(target, name, fields);
         let mut inner = self.lock();
         inner.now_ns = inner.now_ns.max(t_ns);
-        inner.events.push(Event {
-            t_ns,
-            target,
-            name,
-            fields,
-        });
+        inner.events.push(t_ns, schema, fields);
     }
 
     /// Add `n` to the deterministic counter `name`.
@@ -566,9 +592,10 @@ impl Recorder {
         self.lock().events.len()
     }
 
-    /// Run `f` over the buffered event stream without cloning it.
-    pub fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
-        f(&self.lock().events)
+    /// Run `f` over the buffered events, decoded oldest first. The
+    /// iterator knows its length and builds only the events it yields.
+    pub fn with_events<R>(&self, f: impl FnOnce(Events<'_>) -> R) -> R {
+        f(self.lock().events.iter())
     }
 
     /// The deterministic trace: one JSON object per event, in recorded
@@ -577,9 +604,7 @@ impl Recorder {
     pub fn events_jsonl(&self) -> String {
         let inner = self.lock();
         let mut out = String::with_capacity(inner.events.len() * 96);
-        for e in &inner.events {
-            e.write_jsonl(&mut out);
-        }
+        inner.events.write_jsonl(&mut out);
         out
     }
 
@@ -642,10 +667,8 @@ impl Recorder {
         let token = PROF_TOKEN.fetch_add(1, Ordering::Relaxed);
         PROF_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            let path = match stack.last() {
-                Some(top) if !root => format!("{}/{}", top.path, name),
-                _ => name.to_string(),
-            };
+            let parent = stack.last().filter(|_| !root).map(|top| top.path);
+            let path = intern::path_id(parent, name);
             stack.push(ProfFrame {
                 token,
                 sink: Arc::clone(&self.inner),
@@ -659,17 +682,23 @@ impl Recorder {
 
     /// Snapshot of the aggregated profile tree, sorted by path.
     pub fn profile(&self) -> Vec<(String, ProfileStat)> {
-        self.lock()
-            .profile
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
+        let stats = self.lock().profile.clone();
+        let mut by_path: BTreeMap<String, ProfileStat> = BTreeMap::new();
+        for (path, p) in stats.iter().enumerate().filter(|(_, p)| p.count > 0) {
+            by_path
+                .entry(intern::path_text(path as u32))
+                .or_default()
+                .merge(p);
+        }
+        by_path.into_iter().collect()
     }
 
     /// The aggregated [`ProfileStat`] at `path`, if any span completed
     /// there.
     pub fn profile_stat(&self, path: &str) -> Option<ProfileStat> {
-        self.lock().profile.get(path).copied()
+        self.profile()
+            .into_iter()
+            .find_map(|(p, stat)| (p == path).then_some(stat))
     }
 
     /// Render the profile tree as an indented flamegraph-style text
@@ -779,12 +808,13 @@ impl Drop for ProfileSpan {
                 let done = frame.token == token;
                 let cum = frame.start.elapsed().as_nanos();
                 let self_ns = cum.saturating_sub(frame.child_ns);
-                {
-                    let mut buf = frame.sink.lock().expect("recorder poisoned");
-                    let e = buf.profile.entry(frame.path).or_default();
-                    e.count += 1;
-                    e.cum_ns += cum;
-                    e.self_ns += self_ns;
+                // A poisoned sink loses this span; a drop must not panic.
+                if let Ok(mut buf) = frame.sink.lock() {
+                    buf.profile_at(frame.path).merge(&ProfileStat {
+                        count: 1,
+                        cum_ns: cum,
+                        self_ns,
+                    });
                 }
                 if let Some(parent) = stack.last_mut() {
                     parent.child_ns += cum;
@@ -872,7 +902,7 @@ mod tests {
         let h = root.hist("h").unwrap();
         assert_eq!((h.count, h.min, h.max, h.sum), (2, 2, 100, 102));
         root.with_events(|ev| {
-            let names: Vec<_> = ev.iter().map(|e| e.name).collect();
+            let names: Vec<_> = ev.map(|e| e.name).collect();
             assert_eq!(names, ["first", "second", "third"]);
         });
         // Children are drained by absorb.

@@ -16,7 +16,7 @@
 //!
 //! [Perfetto]: https://perfetto.dev
 
-use crate::{Event, ProfileStat, Recorder};
+use crate::{Events, ProfileStat, Recorder};
 use crate::json::json_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -137,8 +137,11 @@ fn profile_events(entries: &[(String, ProfileStat)], out: &mut Vec<String>) {
     }
 }
 
-fn instant_events(events: &[Event], cap: usize, out: &mut Vec<String>) {
-    for e in events.iter().take(cap) {
+/// Write the first `cap` events as instants, then a marker naming how
+/// many were left out; only the written events and the last are built.
+fn instant_events(mut events: Events<'_>, cap: usize, out: &mut Vec<String>) {
+    let total = events.len();
+    for e in events.by_ref().take(cap) {
         let mut line = format!(
             "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{TID_SIM},\"s\":\"t\",\"name\":{},\"ts\":{}",
             json_str(&format!("{}.{}", e.target, e.name)),
@@ -160,8 +163,8 @@ fn instant_events(events: &[Event], cap: usize, out: &mut Vec<String>) {
         line.push('}');
         out.push(line);
     }
-    if events.len() > cap {
-        let dropped = events.len() - cap;
+    if total > cap {
+        let dropped = total - cap;
         let last_ts = events.last().map(|e| e.t_ns).unwrap_or(0);
         out.push(format!(
             "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{TID_SIM},\"s\":\"t\",\"name\":\"trace truncated\",\"ts\":{},\"args\":{{\"dropped_events\":{dropped}}}}}",

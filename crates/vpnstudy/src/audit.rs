@@ -290,7 +290,7 @@ impl Study {
             recorder.event(
                 "audit",
                 "eta_estimated",
-                vec![
+                [
                     ("eta", eta.into()),
                     ("pingable", pingable.len().into()),
                 ],
@@ -741,7 +741,7 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
         rec.event(
             "audit",
             "proxy_start",
-            vec![
+            [
                 ("node", proxy.node.into()),
                 ("provider", proxy.provider.into()),
             ],
@@ -1024,7 +1024,7 @@ fn finish_proxy(
     // the snapshot stream reads it even when the event trace is off.
     rec.set_now_ns(net.now().as_nanos());
     if rec.events_enabled() {
-        rec.event("audit", "proxy_done", vec![("status", status.into())]);
+        rec.event("audit", "proxy_done", [("status", status.into())]);
     }
     ProxyOutcome { result, trace: rec }
 }
@@ -1369,6 +1369,7 @@ mod tests {
         let (study, res) = &*g;
         let n = study.providers.proxies.len();
         res.obs.with_events(|evs| {
+            let evs: Vec<_> = evs.collect();
             let starts: Vec<u64> = evs
                 .iter()
                 .filter(|e| e.name == "proxy_start")
