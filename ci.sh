@@ -51,6 +51,14 @@ cargo test -q --offline --test adversary_campaign
 # diff means a result depended on scheduling: a bug, not noise.
 cargo test -q --release --offline -p bench --test determinism
 
+# Benchmark smoke: perfbench/ is a package of its own, outside the
+# workspace, that calls the audit's public API by signature and checks
+# that its traced replay reproduces every proxy and the cache counters.
+# Build it and run its smoke tests (every workload, traced and untraced,
+# at small scale), so a workspace change cannot break the benchmark
+# unseen.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Verdict-store smoke: write a study epoch to disk, reopen the file
 # cold, and answer the lookup/trend/false-rate queries without
 # re-measurement (tests/verdict_store.rs).

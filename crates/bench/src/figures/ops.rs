@@ -2,13 +2,13 @@
 //! operator would scrape or load from a finished audit —
 //!
 //! * the ops dashboard (`report::render_ops`): progress, quantiles,
-//!   per-shard gauges, and the SLO verdict under the default ruleset;
+//!   and the SLO verdict under the default ruleset;
 //! * the full OpenMetrics exposition, round-tripped through the in-repo
 //!   parser before it leaves this function;
 //! * the Perfetto/Chrome trace-event JSON of the span profile and sim
 //!   clock, loadable at `ui.perfetto.dev`;
-//! * the full progress-snapshot JSONL (wall compartment included — use
-//!   `StudyResults::snapshots_jsonl` for determinism diffs, not this).
+//! * the progress-snapshot JSONL (`StudyResults::snapshots_jsonl`, the
+//!   same bytes the determinism matrix compares).
 //!
 //! The dashboard is what `figures ops` prints; with `--out` the other
 //! three land as sidecar files next to it.
@@ -26,8 +26,7 @@ pub struct OpsBundle {
     pub metrics: String,
     /// Perfetto trace-event JSON (`ops.trace.json`).
     pub trace: String,
-    /// Full snapshot JSONL, wall compartment included
-    /// (`ops.snapshots.jsonl`).
+    /// Progress-snapshot JSONL (`ops.snapshots.jsonl`).
     pub snapshots: String,
 }
 
@@ -52,6 +51,6 @@ pub fn ops_telemetry(ctx: &StudyContext) -> OpsBundle {
         dashboard,
         metrics,
         trace: obs::perfetto::render_trace(&results.obs),
-        snapshots: results.snapshots_full_jsonl(),
+        snapshots: results.snapshots_jsonl(),
     }
 }

@@ -266,14 +266,8 @@ impl DiskCache {
     }
 
     /// The sorted set of cached keys as raw `(lat_bits, lon_bits,
-    /// radius_cells)` triples.
-    ///
-    /// This is the merge primitive for *sharded* audits: each shard runs
-    /// its own cache, and the master reconstructs the counters a single
-    /// shared cache would have reported — `entries` is the size of the
-    /// union of shard key sets, `misses == entries` (fill-once), and
-    /// `hits` is total lookups minus entries. Sorted so the union is a
-    /// deterministic merge of deterministic sequences.
+    /// radius_cells)` triples. Sorted, so the set compares equal to any
+    /// sorted list of the same keys whatever order the cache filled in.
     pub fn export_keys(&self) -> Vec<(u64, u64, u32)> {
         let mut keys: Vec<(u64, u64, u32)> = self
             .shards

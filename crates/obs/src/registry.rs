@@ -17,9 +17,9 @@
 //! Every raw counter and histogram is deterministic: a pure function of
 //! the study seed, whatever the shard and thread split. Families whose
 //! label values are only known at export time ([`DYNAMIC`]) carry a
-//! [`Compartment`]: `Wall` ones (profile-span timings, run shape,
-//! per-shard gauges) legitimately vary run to run and stay out of every
-//! determinism check.
+//! [`Compartment`]: `Wall` ones (profile-span timings, run shape, the
+//! verdict store's state) legitimately vary run to run and stay out of
+//! every determinism check.
 
 use crate::export::{lint_metric_name, MetricKind};
 use std::collections::BTreeMap;
@@ -52,9 +52,9 @@ pub struct MetricDef {
 }
 
 /// A family whose label *values* are only known at export time (span
-/// paths, shard indexes, provider names). Cardinality stays bounded by
-/// construction: span paths by the static span inventory, shards by
-/// the caller's shard count, providers by the study's provider table.
+/// paths, provider names). Cardinality stays bounded by construction:
+/// span paths by the static span inventory, providers by the study's
+/// provider table.
 #[derive(Debug, Clone, Copy)]
 pub struct DynamicDef {
     /// The exported OpenMetrics family.
@@ -252,16 +252,6 @@ pub const DYNAMIC: &[DynamicDef] = &[
         "Cumulative profile span time by tree path."),
     dyn_def("pv_span_self_seconds_total", MetricKind::Gauge, &["path"], Compartment::Wall,
         "Self (non-child) profile span time by tree path."),
-    dyn_def("pv_shard_progress_ratio", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Fraction of a shard's proxies already audited."),
-    dyn_def("pv_shard_proxies_done", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Proxies a shard has finished auditing."),
-    dyn_def("pv_shard_probes_sent", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Probes a shard has sent so far."),
-    dyn_def("pv_shard_retries", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Probe retries a shard has scheduled so far."),
-    dyn_def("pv_shard_cache_hit_ratio", MetricKind::Gauge, &["shard"], Compartment::Wall,
-        "Hit ratio of a shard's disk-cache lookups."),
     dyn_def("pv_progress_proxies_done", MetricKind::Gauge, &[], Compartment::Deterministic,
         "Proxies audited, global deterministic order."),
     dyn_def("pv_progress_proxies_total", MetricKind::Gauge, &[], Compartment::Deterministic,
@@ -276,10 +266,6 @@ pub const DYNAMIC: &[DynamicDef] = &[
         "Urgent-priority verdicts overdue for revalidation in the store."),
     dyn_def("pv_store_epochs", MetricKind::Gauge, &[], Compartment::Wall,
         "Study epochs recorded in the verdict store."),
-    dyn_def("pv_audit_elapsed_ms", MetricKind::Gauge, &[], Compartment::Wall,
-        "Wall-clock milliseconds the audit run took."),
-    dyn_def("pv_eta_ms", MetricKind::Gauge, &[], Compartment::Wall,
-        "Estimated wall-clock milliseconds of audit work remaining."),
     dyn_def("pv_audit_threads", MetricKind::Gauge, &[], Compartment::Wall,
         "Worker threads the audit fanned out over."),
     dyn_def("pv_audit_shards", MetricKind::Gauge, &[], Compartment::Wall,

@@ -18,8 +18,7 @@ use geoloc::observation::Observation;
 use geoloc::twophase::{run_two_phase_reliable, MeasurementStatus, ProxyProber, RttProber};
 use netsim::{FilterPolicy, Network, NodeId, SimDuration, WorldNet, WorldNetConfig};
 use obs::snapshot::{
-    ProgressSink, ProgressSnapshot, ProxyOutcome as SnapshotOutcome, ProxyStat, SnapshotBuilder,
-    WallProgress,
+    ProgressSnapshot, ProxyOutcome as SnapshotOutcome, ProxyStat, SnapshotBuilder,
 };
 use obs::Recorder;
 use simrng::rngs::StdRng;
@@ -105,10 +104,6 @@ pub struct Study {
     pub client: NodeId,
     /// Plausibility mask for predictions.
     pub mask: Region,
-    /// Progress sinks the audit master drives at snapshot intervals
-    /// (registered via [`Study::add_progress_sink`], drained into the
-    /// next run).
-    progress_sinks: Vec<Box<dyn ProgressSink>>,
 }
 
 /// Results of a full audit run.
@@ -130,43 +125,19 @@ pub struct StudyResults {
     /// deterministic for any shard and thread split. Its profile tree
     /// is wall-clock telemetry and never enters a determinism check.
     pub obs: Recorder,
-    /// Worker count the audit actually ran with.
+    /// The worker budget the audit was given. The pool runs at most
+    /// `min(threads, proxies)` workers.
     pub threads: usize,
-    /// Shard count the audit master fanned out over (1 for the
-    /// monolithic path). Wall-side bookkeeping only: the deterministic
-    /// output is byte-identical for every value.
+    /// How many network lineages the fleet was split into (1 for
+    /// [`Study::run`]). Run shape only: the deterministic output is
+    /// byte-identical for every value.
     pub shards: usize,
-    /// Progress snapshots emitted during the run, one every
-    /// [`StudyConfig::snapshot_every`] proxies plus a final one. The
-    /// deterministic compartment of each snapshot is a pure function of
-    /// the study seed ([`StudyResults::snapshots_jsonl`] is what the
-    /// determinism matrix compares); the wall compartment is back-filled at
-    /// merge time and stays out of every diff.
+    /// Progress snapshots folded in fleet order, one every
+    /// [`StudyConfig::snapshot_every`] proxies plus a final one. Each is
+    /// a pure function of the study seed;
+    /// [`StudyResults::snapshots_jsonl`] is what the determinism matrix
+    /// compares.
     pub snapshots: Vec<ProgressSnapshot>,
-    /// Per-shard final gauges (wall-side: the split itself is invisible
-    /// to the deterministic output, so anything keyed by shard id is
-    /// operational telemetry only).
-    pub shard_progress: Vec<ShardProgress>,
-}
-
-/// Final per-shard progress gauges, captured at merge time. Everything
-/// here is wall-compartment telemetry: shard boundaries are a run-shape
-/// choice, so per-shard numbers must never enter a determinism diff.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardProgress {
-    /// The shard's index in the plan.
-    pub shard_id: usize,
-    /// Proxies the shard audited (records + failures).
-    pub proxies_done: u64,
-    /// Probes the shard's proxies sent.
-    pub probes_sent: u64,
-    /// Retries the shard's reliability layer scheduled.
-    pub retries: u64,
-    /// Hit ratio of the shard's private fill-once disk cache.
-    pub cache_hit_ratio: f64,
-    /// Fraction of the shard's range finished (1.0 after a completed
-    /// run; the field exists so a live sink sees the same shape).
-    pub progress_ratio: f64,
 }
 
 impl Study {
@@ -199,15 +170,7 @@ impl Study {
             survey,
             client,
             mask,
-            progress_sinks: Vec::new(),
         }
-    }
-
-    /// Register a progress sink for the next run. Sinks receive every
-    /// [`ProgressSnapshot`] in `seq` order (wall compartment filled) and
-    /// are drained by the run that consumes them.
-    pub fn add_progress_sink(&mut self, sink: Box<dyn ProgressSink>) {
-        self.progress_sinks.push(sink);
     }
 
     /// Run the audit over every deployed proxy on one shard and
@@ -218,46 +181,22 @@ impl Study {
         self.run_sharded(1, parallel::configured_threads())
     }
 
-    /// Run the audit as `shard_count` independent shards on `threads`
-    /// total workers, then merge.
+    /// Run the audit as one pass over the fleet, split into
+    /// `shard_count` network lineages, on a pool of `threads` workers.
     ///
-    /// **The determinism contract, lifted one level:** any shard count ×
-    /// any thread count is byte-identical to the monolithic
-    /// (1-shard, 1-thread) run. The master shards the proxy universe by
-    /// pure `(seed, shard_id, shard_count)` arithmetic
-    /// ([`plan_shards`]); each shard worker gets its own
-    /// [`Network::fork`] lineage, a [`Recorder`] forked from the
-    /// master's, its own disk cache, and measures its contiguous slice
-    /// of proxies; [`StudyResults::merge`] reassembles shard outputs in
-    /// shard order. The per-proxy argument is unchanged from the thread
-    /// pool's: every stochastic input derives from
-    /// `(config.seed, proxy.node)` alone, a fork-of-a-fork that probes
-    /// nothing in between is indistinguishable from a fork of the
-    /// parent, and the fill-once cache's counters are reconstructed
-    /// exactly from per-shard key sets (see
-    /// [`merge`](StudyResults::merge)).
+    /// **The determinism contract:** any shard count × any thread count
+    /// is byte-identical to the (1-shard, 1-thread) run. η is estimated
+    /// serially on the study network first. [`plan_shards`] then cuts
+    /// the fleet into contiguous ranges by pure arithmetic, and each
+    /// range gets a [`Network::fork`] lineage of its own. Every proxy
+    /// re-forks its lineage and seeds every stochastic input from
+    /// `(config.seed, proxy.node)` alone; a lineage never probes, so a
+    /// fork of it is indistinguishable from a fork of the study
+    /// network. All proxies share one landmark server and one fill-once
+    /// [`DiskCache`], whose counters are exact for any split. The
+    /// results are folded into the run recorder, the snapshot stream and
+    /// the record list in fleet order, never in completion order.
     pub fn run_sharded(&mut self, shard_count: usize, threads: usize) -> StudyResults {
-        let (master, shards) = self.run_shards(shard_count, threads);
-        StudyResults::merge(master, shards)
-    }
-
-    /// The master half of [`run_sharded`](Study::run_sharded): estimate
-    /// η serially, then fan the shard plan out and return the per-shard
-    /// results *unmerged*, along with the master state
-    /// ([`StudyResults::merge`] consumes both). Exposed so tests can
-    /// exercise merge semantics (ordering, neutrality of empty shards)
-    /// directly.
-    ///
-    /// `threads` is the total worker budget: up to
-    /// `min(shard_count, threads)` shards run concurrently, each fanning
-    /// its proxies out over an equal share of the remaining budget. Any
-    /// split produces the same bytes; the split only shapes wall-clock
-    /// time.
-    pub fn run_shards(
-        &mut self,
-        shard_count: usize,
-        threads: usize,
-    ) -> (ShardMaster, Vec<ShardResults>) {
         let shard_count = shard_count.max(1);
         let threads = threads.max(1);
         let atlas = Arc::clone(self.world.atlas());
@@ -265,9 +204,9 @@ impl Study {
         let run_span = recorder.profile_span("audit.run");
 
         // η estimation over the pingable subset (§5.3, Fig. 13). Runs
-        // serially on the master network before any shard forks, so its
+        // serially on the study network before any lineage forks, so its
         // events land at the head of the trace in a fixed order and
-        // every shard lineage forks from the same post-η clock.
+        // every lineage forks from the same post-η clock.
         self.world.network_mut().set_recorder(recorder.clone());
         let pingable: Vec<NodeId> = self
             .providers
@@ -297,13 +236,13 @@ impl Study {
             );
         }
 
-        // One landmark server for the whole fleet: the phase-1 anchor
-        // selection, per-landmark continent table, and calibration-anchor
-        // mapping are pure functions of the constellation, so every
-        // shard shares one read-only server instead of rebuilding it.
+        // One landmark server and one disk cache for the whole fleet:
+        // the server's tables are pure functions of the constellation,
+        // and a cached disk is bitwise the fresh rasterization.
         let server = LandmarkServer::new(&self.constellation, &self.calibration, &atlas);
-        let master = MasterCtx {
-            network: self.world.network(),
+        let mut cache = DiskCache::new(Arc::clone(self.mask.grid()));
+        cache.set_recorder(recorder.clone());
+        let ctx = AuditCtx {
             client: self.client,
             eta,
             config: &self.config,
@@ -311,26 +250,59 @@ impl Study {
             atlas: &atlas,
             mask: &self.mask,
             registry: &self.registry,
+            cache: &cache,
             obs: &recorder,
         };
 
-        let proxies = self.providers.proxies.clone();
+        let proxies = &self.providers.proxies;
         let plan = plan_shards(self.config.seed, proxies.len(), shard_count);
-        let inputs: Vec<(ShardSpec, Vec<DeployedProxy>)> = plan
-            .into_iter()
-            .map(|spec| {
-                let slice = proxies[spec.start..spec.end].to_vec();
-                (spec, slice)
+        let lineages: Vec<Network> = plan
+            .iter()
+            .map(|spec| self.world.network().fork(spec.net_seed))
+            .collect();
+        let inputs: Vec<(&Network, DeployedProxy)> = plan
+            .iter()
+            .zip(&lineages)
+            .flat_map(|(spec, lineage)| {
+                proxies[spec.start..spec.end]
+                    .iter()
+                    .map(move |proxy| (lineage, proxy.clone()))
             })
             .collect();
-        // Split the worker budget: outer workers run shards, each shard
-        // fans its proxies out over an equal share of what remains. Any
-        // split is byte-equivalent; this one keeps the budget busy.
-        let outer = shard_count.min(threads);
-        let inner = (threads / outer).max(1);
-        let shards = parallel::map_indexed(outer, inputs, |_, (spec, slice)| {
-            run_shard(spec, slice, inner, &master)
+        let outcomes = parallel::map_indexed(threads, inputs, |_, (lineage, proxy)| {
+            measure_one_proxy(proxy, lineage, &ctx)
         });
+
+        // Fold the worker-local buffers back in fleet order: the trace
+        // and the snapshot stream are byte-identical for any split.
+        let absorb_span = recorder.profile_span("audit.absorb");
+        let mut builder =
+            SnapshotBuilder::new(outcomes.len() as u64, self.config.snapshot_every as u64);
+        let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
+        let mut records: Vec<ProxyRecord> = Vec::with_capacity(outcomes.len());
+        let mut failures: Vec<UnmeasuredProxy> = Vec::new();
+        for outcome in outcomes {
+            // Read the proxy's delta off its still-private trace, before
+            // it folds into the run recorder.
+            snapshots.extend(builder.push(&proxy_stat(&outcome)));
+            recorder.absorb(&outcome.trace);
+            match outcome.result {
+                ProxyResult::Record(r) => records.push(*r),
+                ProxyResult::Failure(f) => failures.push(f),
+            }
+        }
+        drop(absorb_span);
+
+        // Co-location group disambiguation (Fig. 16): within a group, the
+        // true country must be common to every member's touched set.
+        apply_group_disambiguation(&mut records);
+
+        // Fill-once: every lookup is one hit or one miss, and exactly
+        // one worker misses per distinct key, whatever the split.
+        let stats = cache.stats();
+        recorder.count("cache.disk.hits", stats.hits);
+        recorder.count("cache.disk.misses", stats.misses);
+        recorder.count("cache.disk.entries", stats.entries as u64);
         drop(run_span);
 
         // The recorder belongs to this run: detach it from the shared
@@ -338,22 +310,23 @@ impl Study {
         // benches) don't keep appending to a finished run's trace.
         self.world.network_mut().set_recorder(Recorder::off());
 
-        (
-            ShardMaster {
-                eta: eta_est,
-                obs: recorder,
-                threads,
-                snapshot_every: self.config.snapshot_every.max(1) as u64,
-                sinks: std::mem::take(&mut self.progress_sinks),
-            },
-            shards,
-        )
+        let unmeasured = failures.len();
+        StudyResults {
+            records,
+            eta: eta_est,
+            failures,
+            unmeasured,
+            obs: recorder,
+            threads,
+            shards: shard_count,
+            snapshots,
+        }
     }
 }
 
-/// One shard's slice of the proxy universe, derived by pure
+/// One contiguous range of the fleet, derived by pure
 /// `(seed, shard_id, shard_count)` arithmetic — no RNG, no machine
-/// state, so every master computes the identical plan.
+/// state, so every run computes the identical plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// This shard's index in `0..shard_count`.
@@ -364,8 +337,8 @@ pub struct ShardSpec {
     pub start: usize,
     /// One past the last proxy index of the range.
     pub end: usize,
-    /// Seed for the shard's [`Network::fork`] lineage, pure in
-    /// `(seed, shard_id)`. The shard fork itself never probes — per-proxy
+    /// Seed for the range's [`Network::fork`] lineage, pure in
+    /// `(seed, shard_id)`. The lineage itself never probes — per-proxy
     /// forks re-seed from `(seed, proxy.node)` — so this value shapes no
     /// output byte; it exists so the lineage is still fully specified.
     pub net_seed: u64,
@@ -373,10 +346,8 @@ pub struct ShardSpec {
 
 /// Compute the shard plan: `shard_count` contiguous, balanced ranges
 /// covering `0..total` (sizes differ by at most one; empty ranges are
-/// legal when `shard_count > total`). Contiguity is what makes merging
-/// trivial — concatenating shard outputs in `start` order *is* proxy
-/// order, so the merged trace and record list match the monolithic run
-/// byte for byte.
+/// legal when `shard_count > total`). Concatenating the ranges in
+/// `start` order *is* fleet order.
 pub fn plan_shards(seed: u64, total: usize, shard_count: usize) -> Vec<ShardSpec> {
     let shard_count = shard_count.max(1);
     (0..shard_count)
@@ -392,156 +363,18 @@ pub fn plan_shards(seed: u64, total: usize, shard_count: usize) -> Vec<ShardSpec
         .collect()
 }
 
-/// What the master keeps for itself while shards run: the η estimate,
-/// the master recorder (η events + run-level spans), and the worker
-/// budget. [`StudyResults::merge`] folds shard outputs into this.
-pub struct ShardMaster {
-    /// The η estimate every shard measured with.
-    pub eta: Option<EtaEstimate>,
-    /// The master recorder; shard traces are absorbed into it in shard
-    /// order at merge time.
-    pub obs: Recorder,
-    /// Total worker budget the run was given.
-    pub threads: usize,
-    /// Snapshot interval (proxies per snapshot) from the study config.
-    pub snapshot_every: u64,
-    /// Progress sinks to drive while folding shard outputs.
-    pub sinks: Vec<Box<dyn ProgressSink>>,
-}
-
-/// One shard's complete, mergeable output: its records and failures in
-/// proxy order, its recorder (per-proxy traces already absorbed in
-/// proxy order), and enough cache accounting to reconstruct the shared
-/// cache's exact counters at merge time.
-pub struct ShardResults {
-    /// The plan entry this shard executed.
-    pub spec: ShardSpec,
-    /// Records for the shard's range, in proxy order.
-    pub records: Vec<ProxyRecord>,
-    /// Failures for the shard's range, in proxy order.
-    pub failures: Vec<UnmeasuredProxy>,
-    /// The shard recorder: deterministic events/counters for the range,
-    /// plus the shard's wall-clock profile subtree.
-    pub trace: Recorder,
-    /// Per-proxy deterministic deltas in proxy order, captured before
-    /// each proxy's trace folded into the shard recorder. Concatenated
-    /// in range order at merge time, these drive the snapshot stream.
-    pub proxy_stats: Vec<ProxyStat>,
-    /// Total disk-cache lookups (hits + misses) this shard issued.
-    pub cache_lookups: u64,
-    /// Sorted distinct cache keys this shard rasterized
-    /// ([`DiskCache::export_keys`]); the union across shards reconstructs
-    /// the monolithic cache's entry count.
-    pub cache_keys: Vec<(u64, u64, u32)>,
-}
-
-/// Read-only master state a shard worker measures against.
-struct MasterCtx<'a> {
-    network: &'a Network,
-    client: NodeId,
-    eta: f64,
-    config: &'a StudyConfig,
-    server: &'a LandmarkServer<'a>,
-    atlas: &'a Arc<WorldAtlas>,
-    mask: &'a Region,
-    registry: &'a DataCenterRegistry,
-    obs: &'a Recorder,
-}
-
-/// Execute one shard: fork the network lineage and recorder, measure the
-/// shard's proxies on `inner_threads` workers, absorb their traces in
-/// proxy order, and package the mergeable result.
-///
-/// The shard's [`Network::fork`] never probes, so per-proxy forks taken
-/// from it are bit-identical to forks taken from the master network
-/// (same clock, same shared topology, untouched fault state) — the heart
-/// of the shard-count-invariance argument.
-fn run_shard(
-    spec: ShardSpec,
-    proxies: Vec<DeployedProxy>,
-    inner_threads: usize,
-    master: &MasterCtx<'_>,
-) -> ShardResults {
-    let shard_rec = master.obs.fork();
-    // Rooted so the shard subtree has the same profile shape whether the
-    // shard ran inline on the coordinator or on an outer worker thread.
-    let shard_span = shard_rec.profile_span_root("audit.shard");
-    let shard_net = master.network.fork(spec.net_seed);
-    // Each shard fills its own cache: lookups profile into the shard
-    // recorder, and the exact counters a *shared* cache would have
-    // reported are reconstructed at merge time from the per-shard key
-    // sets (a cached region is bitwise the fresh rasterization, so the
-    // per-proxy lookup sequence is cache-state-independent).
-    let cache = {
-        let mut cache = DiskCache::new(Arc::clone(master.mask.grid()));
-        cache.set_recorder(shard_rec.clone());
-        Arc::new(cache)
-    };
-    let ctx = AuditCtx {
-        network: &shard_net,
-        client: master.client,
-        eta: master.eta,
-        config: master.config,
-        server: master.server,
-        atlas: master.atlas,
-        mask: master.mask,
-        registry: master.registry,
-        cache: &cache,
-        obs: &shard_rec,
-    };
-    let outcomes = parallel::map_indexed(inner_threads, proxies, |_, proxy| {
-        measure_one_proxy(proxy, &ctx)
-    });
-
-    // Merge the worker-local buffers back in proxy order: the shard
-    // trace is byte-identical for any inner thread count.
-    let absorb_span = shard_rec.profile_span("audit.absorb");
-    let mut records: Vec<ProxyRecord> = Vec::with_capacity(outcomes.len());
-    let mut failures: Vec<UnmeasuredProxy> = Vec::new();
-    let mut proxy_stats: Vec<ProxyStat> = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        // Capture the proxy's deterministic delta off its still-private
-        // trace *before* it folds into the shard recorder: the loop is
-        // single-threaded and proxy-ordered, so the stat stream is a
-        // pure function of the shard's range regardless of how many
-        // inner workers measured.
-        proxy_stats.push(proxy_stat(&outcome));
-        shard_rec.absorb(&outcome.trace);
-        match outcome.result {
-            ProxyResult::Record(r) => records.push(*r),
-            ProxyResult::Failure(f) => failures.push(f),
-        }
-    }
-    drop(absorb_span);
-    let stats = cache.stats();
-    drop(shard_span);
-    ShardResults {
-        spec,
-        records,
-        failures,
-        trace: shard_rec,
-        proxy_stats,
-        cache_lookups: stats.hits + stats.misses,
-        cache_keys: cache.export_keys(),
-    }
-}
-
 /// Read one finished proxy's deterministic delta off its worker-local
 /// trace: probe/retry counters, the final sim-clock stamp, and the
 /// outcome classification the `audit.*` ledger counters use.
 fn proxy_stat(outcome: &ProxyOutcome) -> ProxyStat {
-    let (node, kind) = match &outcome.result {
-        ProxyResult::Record(r) => (r.proxy.node, SnapshotOutcome::Measured),
-        ProxyResult::Failure(f) => (
-            f.proxy.node,
-            match f.failure {
-                MeasureFailure::InsufficientData => SnapshotOutcome::Insufficient,
-                MeasureFailure::Unmeasurable => SnapshotOutcome::Unmeasurable,
-            },
-        ),
+    let kind = match &outcome.result {
+        ProxyResult::Record(_) => SnapshotOutcome::Measured,
+        ProxyResult::Failure(f) => match f.failure {
+            MeasureFailure::InsufficientData => SnapshotOutcome::Insufficient,
+            MeasureFailure::Unmeasurable => SnapshotOutcome::Unmeasurable,
+        },
     };
     ProxyStat {
-        node,
         sim_now_ns: outcome.trace.now_ns(),
         probes_sent: outcome.trace.counter("net.probe.sent"),
         probes_timeout: outcome.trace.counter("net.probe.timeout"),
@@ -550,143 +383,11 @@ fn proxy_stat(outcome: &ProxyOutcome) -> ProxyStat {
     }
 }
 
-impl StudyResults {
-    /// Reassemble a full study from the master state and the per-shard
-    /// outputs of [`Study::run_shards`].
-    ///
-    /// Merge semantics, and why the result is byte-identical to the
-    /// monolithic run:
-    ///
-    /// * **Order-insensitive.** Shards are re-sorted by their plan range
-    ///   before anything is concatenated, so shards handed back in any
-    ///   order (a property the tests exercise directly) produce the same
-    ///   bytes. Because [`plan_shards`] ranges are contiguous, sorted
-    ///   concatenation *is* proxy order — the invariant every
-    ///   deterministic output hangs off.
-    /// * **Traces.** Each shard recorder already absorbed its per-proxy
-    ///   buffers in proxy order; absorbing the shard recorders into the
-    ///   master in range order concatenates events exactly as the
-    ///   monolithic collector would have, and merges counters and
-    ///   histograms additively (both are commutative over disjoint
-    ///   proxy sets, but the event stream is not — hence the sort).
-    /// * **Cache counters stay exact.** Each shard ran a private
-    ///   fill-once cache, so a key rasterized by two shards was counted
-    ///   as a miss twice — once per shard — where a shared cache would
-    ///   have counted one miss and one hit. The reconstruction uses the
-    ///   sorted per-shard key sets ([`DiskCache::export_keys`]): the
-    ///   union's size is what a shared cache's `entries` (and, fill-once,
-    ///   its `misses`) would have been, and every remaining lookup is a
-    ///   hit. Lookup *sequences* are cache-state-independent (a cached
-    ///   region is bitwise the fresh rasterization), so summed per-shard
-    ///   lookups equal the monolithic lookup count.
-    /// * **Empty shards are neutral.** An empty range contributes no
-    ///   records, no failures, no events, no keys — merging it in is a
-    ///   no-op, which is what makes `shard_count > proxies` legal.
-    ///
-    /// Co-location group disambiguation (Fig. 16) runs here, after the
-    /// merge, because groups span shard boundaries: a shard alone cannot
-    /// see a group's full membership.
-    pub fn merge(mut master: ShardMaster, mut shards: Vec<ShardResults>) -> StudyResults {
-        let recorder = master.obs;
-        let merge_span = recorder.profile_span("audit.merge");
-        shards.sort_by_key(|s| (s.spec.start, s.spec.shard_id));
-
-        let shard_count = shards.len().max(1);
-        let total: usize = shards.iter().map(|s| s.records.len() + s.failures.len()).sum();
-        let mut records: Vec<ProxyRecord> = Vec::with_capacity(total);
-        let mut failures: Vec<UnmeasuredProxy> = Vec::new();
-        let mut proxy_stats: Vec<ProxyStat> = Vec::with_capacity(total);
-        let mut shard_progress: Vec<ShardProgress> = Vec::with_capacity(shards.len());
-        let mut lookups = 0u64;
-        let mut keys: Vec<(u64, u64, u32)> = Vec::new();
-        for shard in shards {
-            recorder.absorb(&shard.trace);
-            shard_progress.push(ShardProgress {
-                shard_id: shard.spec.shard_id,
-                proxies_done: shard.proxy_stats.len() as u64,
-                probes_sent: shard.proxy_stats.iter().map(|s| s.probes_sent).sum(),
-                retries: shard.proxy_stats.iter().map(|s| s.retries).sum(),
-                cache_hit_ratio: if shard.cache_lookups == 0 {
-                    0.0
-                } else {
-                    shard.cache_lookups.saturating_sub(shard.cache_keys.len() as u64) as f64
-                        / shard.cache_lookups as f64
-                },
-                progress_ratio: 1.0,
-            });
-            records.extend(shard.records);
-            failures.extend(shard.failures);
-            proxy_stats.extend(shard.proxy_stats);
-            lookups += shard.cache_lookups;
-            keys.extend(shard.cache_keys);
-        }
-        keys.sort_unstable();
-        keys.dedup();
-
-        // Co-location group disambiguation (Fig. 16): within a group, the
-        // true country must be common to every member's touched set.
-        apply_group_disambiguation(&mut records);
-
-        // Reconstructed shared-cache counters: exact for any shard and
-        // thread count (misses == entries under fill-once).
-        let entries = keys.len() as u64;
-        recorder.count("cache.disk.hits", lookups.saturating_sub(entries));
-        recorder.count("cache.disk.misses", entries);
-        recorder.count("cache.disk.entries", entries);
-
-        // Drive the snapshot stream: the concatenated per-proxy stats
-        // are in global proxy order (contiguous ranges, sorted), so the
-        // deterministic compartment of every snapshot is a pure function
-        // of (seed, snapshot_every). Wall fields are back-filled from
-        // the run's own telemetry — total elapsed pro-rated over the
-        // stream, the reconstructed shared-cache hit ratio — and never
-        // rendered into a determinism diff.
-        let elapsed_ms = recorder
-            .profile_stat("audit.run")
-            .map_or(0, |s| (s.cum_ns / 1_000_000) as u64);
-        let hit_ratio = if lookups == 0 {
-            0.0
-        } else {
-            lookups.saturating_sub(entries) as f64 / lookups as f64
-        };
-        let mut builder = SnapshotBuilder::new(proxy_stats.len() as u64, master.snapshot_every);
-        let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
-        for stat in &proxy_stats {
-            if let Some(mut snap) = builder.push(stat) {
-                let done_ms = (elapsed_ms as f64 * snap.ratio()) as u64;
-                snap.wall = WallProgress {
-                    elapsed_ms: done_ms,
-                    eta_ms: elapsed_ms.saturating_sub(done_ms),
-                    cache_hit_ratio: hit_ratio,
-                };
-                for sink in &mut master.sinks {
-                    sink.emit(&snap);
-                }
-                snapshots.push(snap);
-            }
-        }
-        drop(merge_span);
-
-        let unmeasured = failures.len();
-        StudyResults {
-            records,
-            eta: master.eta,
-            failures,
-            unmeasured,
-            obs: recorder,
-            threads: master.threads.max(1),
-            shards: shard_count,
-            snapshots,
-            shard_progress,
-        }
-    }
-}
-
-/// Everything [`measure_one_proxy`] needs beyond the proxy itself:
-/// the shared read-only world, the study knobs, and the observability
-/// recorder workers fork their per-proxy buffers from.
+/// Everything [`measure_one_proxy`] needs beyond the proxy and its
+/// network lineage: the shared read-only world, the study knobs, and
+/// the observability recorder workers fork their per-proxy buffers
+/// from.
 struct AuditCtx<'a> {
-    network: &'a Network,
     client: NodeId,
     eta: f64,
     config: &'a StudyConfig,
@@ -696,7 +397,7 @@ struct AuditCtx<'a> {
     atlas: &'a Arc<WorldAtlas>,
     mask: &'a Region,
     registry: &'a DataCenterRegistry,
-    cache: &'a Arc<DiskCache>,
+    cache: &'a DiskCache,
     obs: &'a Recorder,
 }
 
@@ -713,13 +414,16 @@ enum ProxyResult {
     Failure(UnmeasuredProxy),
 }
 
-/// Measure, locate, and judge one proxy. Pure in the parallelism sense:
-/// every stochastic input is derived from `(config.seed, proxy.node)`
-/// and the shared read-only world, so the outcome is independent of
-/// which worker runs it and in what order.
-fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
+/// Measure, locate, and judge one proxy on a fork of `lineage`. Pure in
+/// the parallelism sense: every stochastic input is derived from
+/// `(config.seed, proxy.node)` and the shared read-only world, so the
+/// outcome is independent of which worker runs it and in what order.
+fn measure_one_proxy(
+    proxy: DeployedProxy,
+    lineage: &Network,
+    ctx: &AuditCtx<'_>,
+) -> ProxyOutcome {
     let AuditCtx {
-        network,
         client,
         eta,
         config,
@@ -748,7 +452,7 @@ fn measure_one_proxy(proxy: DeployedProxy, ctx: &AuditCtx<'_>) -> ProxyOutcome {
         );
     }
     let mix = u64::from(proxy.node).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut net = network.fork(config.seed ^ 0xf0bca ^ mix);
+    let mut net = lineage.fork(config.seed ^ 0xf0bca ^ mix);
     net.set_recorder(rec.clone());
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xaad17 ^ mix);
     // Establish the tunnel context with the same retry budget as a
@@ -1183,23 +887,13 @@ impl StudyResults {
         self.obs.events_jsonl()
     }
 
-    /// The deterministic compartment of every progress snapshot as
-    /// JSONL — byte-identical for any shard × thread split, so the
-    /// determinism matrix compares it alongside the event trace.
+    /// Every progress snapshot as JSONL — byte-identical for any
+    /// shard × thread split, so the determinism matrix compares it
+    /// alongside the event trace, and `figures ops` writes it to disk.
     pub fn snapshots_jsonl(&self) -> String {
         self.snapshots
             .iter()
             .map(ProgressSnapshot::deterministic_jsonl)
-            .collect()
-    }
-
-    /// Both compartments of every progress snapshot as JSONL (wall
-    /// fields under a `"wall"` key) — the operator-facing rendering
-    /// `figures ops` writes to disk. **Not** determinism-diff safe.
-    pub fn snapshots_full_jsonl(&self) -> String {
-        self.snapshots
-            .iter()
-            .map(ProgressSnapshot::full_jsonl)
             .collect()
     }
 
@@ -1417,7 +1111,7 @@ mod tests {
             "snapshot outcome tallies must partition the fleet"
         );
         // Per-proxy probe counters sum to at most the study total (the
-        // master's own η-estimation probes are outside any proxy).
+        // run's own η-estimation probes are outside any proxy).
         assert!(last.probes_sent > 0);
         assert!(last.probes_sent <= res.obs.counter("net.probe.sent"));
         assert!(last.sim_now_ns > 0, "sim clock never stamped");
@@ -1432,42 +1126,6 @@ mod tests {
             res.snapshots_jsonl().lines().count(),
             res.snapshots.len()
         );
-        // Wall split: the deterministic rendering never mentions wall
-        // fields; the full rendering carries them on every line.
-        assert!(!res.snapshots_jsonl().contains("wall"));
-        assert_eq!(
-            res.snapshots_full_jsonl().matches("\"wall\"").count(),
-            res.snapshots.len()
-        );
-        // Per-shard gauges exist for every shard in the plan.
-        assert_eq!(res.shard_progress.len(), res.shards);
-        let done: u64 = res.shard_progress.iter().map(|s| s.proxies_done).sum();
-        assert_eq!(done, n);
-    }
-
-    #[test]
-    fn progress_sinks_see_the_same_snapshots() {
-        use obs::snapshot::{JsonlSink, RingSink};
-        use std::sync::{Arc, Mutex};
-        let mut cfg = StudyConfig::small(41);
-        cfg.total_proxies = 12;
-        cfg.snapshot_every = 5;
-        let mut study = Study::build(cfg);
-        let jsonl = Arc::new(Mutex::new(JsonlSink::deterministic()));
-        let ring = Arc::new(Mutex::new(RingSink::new(2)));
-        study.add_progress_sink(Box::new(Arc::clone(&jsonl)));
-        study.add_progress_sink(Box::new(Arc::clone(&ring)));
-        let res = study.run_sharded(1, 2);
-        // 12 proxies, k=5 → snapshots at 5, 10, 12.
-        assert_eq!(res.snapshots.len(), 3);
-        assert_eq!(
-            jsonl.lock().unwrap().text(),
-            res.snapshots_jsonl(),
-            "sink saw different bytes than the stored stream"
-        );
-        let ring = ring.lock().unwrap();
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.latest().unwrap().proxies_done, 12);
     }
 
     #[test]
@@ -1475,15 +1133,12 @@ mod tests {
         let g = results().lock().unwrap();
         let (study, res) = &*g;
         let n = study.providers.proxies.len();
-        // Coordinator roots.
+        // Coordinator roots: η, then the one fold of every proxy's
+        // trace, both inside the run.
         assert_eq!(res.obs.profile_stat("audit.run").unwrap().count, 1);
-        assert_eq!(
-            res.obs
-                .profile_stat("audit.run/audit.eta_estimation")
-                .unwrap()
-                .count,
-            1
-        );
+        for stage in ["audit.run/audit.eta_estimation", "audit.run/audit.absorb"] {
+            assert_eq!(res.obs.profile_stat(stage).map(|s| s.count), Some(1), "{stage}");
+        }
         // Worker stages nest under audit.proxy; every measured proxy
         // ran phase 1 and located, and each probe bottoms out in the
         // simulator's net.probe span.
@@ -1665,7 +1320,6 @@ mod tests {
             threads: 1,
             shards: 1,
             snapshots: Vec::new(),
-            shard_progress: Vec::new(),
         }
     }
 

@@ -2,12 +2,13 @@
 //! exposition, the Perfetto trace, and the SLO alert evaluation that
 //! `report::render_ops` / `figures ops` surface and CI gates on.
 //!
-//! Everything here is *derived* — the recorder already holds the
+//! Everything here is *derived* — the results already hold the
 //! counters, histograms, spans, and snapshots; this module maps them
 //! into registered `pv_*` families ([`study_metrics`]), folds in the
 //! verdict store's staleness picture ([`store_metrics`]), and runs the
 //! default SLO ruleset ([`default_rules`], grammar in [`obs::alert`])
-//! over the result.
+//! over the result. Run time is the `audit.run` span's
+//! `pv_span_seconds_total`; no other gauge restates it.
 //!
 //! Compartments survive the mapping: a family registered as
 //! deterministic in [`obs::registry`] carries only seed-pure values, so
@@ -90,7 +91,7 @@ pub fn suspicious_rates(results: &StudyResults) -> Vec<(usize, f64)> {
 /// counter/histogram/span family via [`obs::export::recorder_metrics`],
 /// plus the derived gauges — probe loss rate, per-provider suspicious
 /// rates, progress totals (deterministic compartment), and the run
-/// shape, per-shard and timing gauges (wall compartment).
+/// shape (wall compartment).
 pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
     let mut set = recorder_metrics(&results.obs)?;
 
@@ -122,23 +123,9 @@ pub fn study_metrics(results: &StudyResults) -> Result<MetricSet, String> {
         results.snapshots.len() as u64,
     );
 
-    // Wall-compartment gauges: run shape, per-shard progress and run
-    // timing.
+    // Wall-compartment gauges: the run shape.
     gauge(&mut set, "pv_audit_threads", &[], results.threads as f64);
     gauge(&mut set, "pv_audit_shards", &[], results.shards as f64);
-    for sp in &results.shard_progress {
-        let label = sp.shard_id.to_string();
-        let shard = [("shard", label.as_str())];
-        gauge(&mut set, "pv_shard_progress_ratio", &shard, sp.progress_ratio);
-        gauge(&mut set, "pv_shard_proxies_done", &shard, sp.proxies_done as f64);
-        gauge(&mut set, "pv_shard_probes_sent", &shard, sp.probes_sent as f64);
-        gauge(&mut set, "pv_shard_retries", &shard, sp.retries as f64);
-        gauge(&mut set, "pv_shard_cache_hit_ratio", &shard, sp.cache_hit_ratio);
-    }
-    if let Some(last) = results.snapshots.last() {
-        gauge(&mut set, "pv_audit_elapsed_ms", &[], last.wall.elapsed_ms as f64);
-        gauge(&mut set, "pv_eta_ms", &[], last.wall.eta_ms as f64);
-    }
     Ok(set)
 }
 

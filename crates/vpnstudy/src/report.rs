@@ -350,11 +350,10 @@ pub fn render_confusion(matrix: &ConfusionMatrix, max_axis: usize) -> String {
 }
 
 /// The operations dashboard: run progress, latency/retry quantiles,
-/// per-shard gauges, and the SLO alert verdict. `metrics` is the study's
-/// exposition (see [`crate::ops::study_metrics`]) and `alerts` the
-/// result of evaluating the SLO ruleset over it. Quantiles come from
-/// the power-of-two histograms, so they are deterministic; the shard
-/// table is wall-clock telemetry and never enters determinism diffs.
+/// and the SLO alert verdict. `metrics` is the study's exposition (see
+/// [`crate::ops::study_metrics`]) and `alerts` the result of evaluating
+/// the SLO ruleset over it. Quantiles come from the power-of-two
+/// histograms, so they are deterministic.
 pub fn render_ops(
     results: &StudyResults,
     metrics: &obs::export::MetricSet,
@@ -387,25 +386,6 @@ pub fn render_ops(
             "  {family:<32} n={:<8} p50={p50} p90={p90} p99={p99}",
             hist.count
         );
-    }
-
-    if !results.shard_progress.is_empty() {
-        let _ = writeln!(
-            out,
-            "{:<8}{:>8}{:>10}{:>9}{:>11}",
-            "shard", "done", "probes", "retries", "cache-hit"
-        );
-        for sp in &results.shard_progress {
-            let _ = writeln!(
-                out,
-                "{:<8}{:>8}{:>10}{:>9}{:>10.1}%",
-                sp.shard_id,
-                sp.proxies_done,
-                sp.probes_sent,
-                sp.retries,
-                sp.cache_hit_ratio * 100.0
-            );
-        }
     }
 
     if alerts.is_empty() {
