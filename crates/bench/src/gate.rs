@@ -7,9 +7,11 @@
 //!
 //! * the smoke suite is tiny and dominated by the hot kernels the paper
 //!   pipeline actually spends its time in (cap rasterization, disk
-//!   intersection, the cached subset search, the counting sweep,
-//!   disk-cache lookups, one tunnelled probe bare and once more with
-//!   the audit's Events recorder, and one full single-proxy audit);
+//!   intersection, the cached subset search, the counting sweep over a
+//!   whole globe and over a baseline region, the defense's pairwise
+//!   flags, disk-cache lookups, one tunnelled probe bare and once more
+//!   with the audit's Events recorder, and one full single-proxy
+//!   audit);
 //! * only **medians** are compared, with a generous relative tolerance —
 //!   the default is ±30 % ([`DEFAULT_TOLERANCE`]), overridable globally
 //!   via the `PV_PERF_GATE_TOL` environment variable and per entry via
@@ -124,11 +126,48 @@ fn byzantine_disks() -> (Vec<RingConstraint>, Region) {
     (constraints, Region::full(GeoGrid::new(1.0)))
 }
 
+/// A bestline pass as the defense's quorum groups run it: 48 disks of
+/// continental size around a European target on the paper's 0.5° grid,
+/// over a baseline-region mask of about 300 cells. One underestimating
+/// disk misses the mask, so the full intersection is empty and the
+/// search runs the counting sweep over the mask's rows.
+fn banded_sweep_disks() -> (Vec<RingConstraint>, Region) {
+    let target = GeoPoint::new(48.0, 11.0);
+    let mut constraints: Vec<RingConstraint> = (0..48)
+        .map(|i| {
+            let km = 500.0 + 60.0 * f64::from(i);
+            let lm = target.destination(7.5 * f64::from(i), km);
+            RingConstraint::disk(lm, 1.2 * km + 200.0)
+        })
+        .collect();
+    constraints.push(RingConstraint::disk(
+        target.destination(90.0, 1_500.0),
+        600.0,
+    ));
+    let grid = GeoGrid::new(0.5);
+    let mask = Region::from_cap(&grid, &SphericalCap::new(target, 450.0));
+    (constraints, mask)
+}
+
+/// 164 baseline disks, one proxy's worth in the hostile audit, centred
+/// on the small study's landmarks: each reaches twice its landmark's
+/// distance from a European target plus the grid slack, so every pair
+/// overlaps and the cost is the pair decisions, as on honest readings.
+fn constellation_disks(landmarks: &[atlas::Landmark]) -> Vec<RingConstraint> {
+    let target = GeoPoint::new(48.0, 11.0);
+    landmarks
+        .iter()
+        .take(164)
+        .map(|lm| RingConstraint::disk(lm.location, 2.0 * lm.location.distance_km(&target) + 42.0))
+        .collect()
+}
+
 /// Measure the gate's smoke suite at `samples` samples per bench.
 /// Expensive setup (the small study world) happens once, outside the
 /// timed loops.
 pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
     let mut out = Vec::new();
+    let mut ctx = build_study_context(Scale::Small);
 
     let grid = GeoGrid::new(1.0);
     out.push(run_sampled("gate/cap_raster", samples, |b| {
@@ -178,6 +217,16 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
         })
     }));
 
+    let (bestline, baseline_mask) = banded_sweep_disks();
+    out.push(run_sampled("gate/banded_sweep", samples, |b| {
+        b.iter(|| max_consistent_subset(black_box(&bestline), black_box(&baseline_mask)))
+    }));
+
+    let baseline = constellation_disks(ctx.study.constellation.landmarks());
+    out.push(run_sampled("gate/pairwise_flags", samples, |b| {
+        b.iter(|| pairwise_infeasible_flags(black_box(&baseline)))
+    }));
+
     let cache = DiskCache::new(GeoGrid::new(1.0));
     out.push(run_sampled("gate/cache_hit", samples, |b| {
         let lm = GeoPoint::new(48.0, 11.0);
@@ -197,7 +246,6 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
     // mapping are precomputed here instead of per proxy. This entry
     // keeps that precompute honest — it must stay cheap enough that
     // "build once" is never worth undoing.
-    let mut ctx = build_study_context(Scale::Small);
     out.push(run_sampled("gate/phase1_server_build", samples, |b| {
         b.iter(|| {
             black_box(atlas::LandmarkServer::new(
@@ -548,12 +596,14 @@ mod tests {
     }
 
     /// Every bench of the smoke suite, in order.
-    const GATE_BENCHES: [&str; 12] = [
+    const GATE_BENCHES: [&str; 14] = [
         "gate/cap_raster",
         "gate/disk_intersect",
         "gate/cached_subset",
         "gate/counting_sweep",
         "gate/robust_subset",
+        "gate/banded_sweep",
+        "gate/pairwise_flags",
         "gate/cache_hit",
         "gate/phase1_server_build",
         "gate/tunnel_probe",
@@ -569,6 +619,28 @@ mod tests {
         let names: Vec<&str> = suite.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, GATE_BENCHES);
         assert!(suite.iter().all(|s| s.median_ns > 0.0));
+    }
+
+    #[test]
+    fn the_new_fixtures_exercise_what_they_name() {
+        let (bestline, mask) = banded_sweep_disks();
+        assert!(
+            (200..=400).contains(&mask.cell_count()),
+            "{} mask cells",
+            mask.cell_count()
+        );
+        let rec = obs::Recorder::new(obs::Level::Counters);
+        let result = max_consistent_subset_profiled(&bestline, &mask, None, &rec);
+        assert_eq!(
+            rec.profile_stat("subset.counting_sweep").map(|s| s.count),
+            Some(1)
+        );
+        assert!(result.satisfied < bestline.len() && !result.region.is_empty());
+
+        let ctx = build_study_context(Scale::Small);
+        let baseline = constellation_disks(ctx.study.constellation.landmarks());
+        assert_eq!(baseline.len(), 164);
+        assert!(pairwise_infeasible_flags(&baseline).is_clean());
     }
 
     #[test]

@@ -153,6 +153,9 @@ impl CbgPlusPlusVariant {
         // Covers the bestline build + overlap filter + subset search
         // (early returns drop it at scope exit).
         let _bestline_span = rec.profile_span("cbgpp.bestline");
+        // Every bestline disk is tested against the same baseline region,
+        // so its row band is found once.
+        let baseline_band = baseline_region.map(|region| (region, region.row_band()));
         let bestline: Vec<RingConstraint> = observations
             .iter()
             .map(|o| {
@@ -164,9 +167,10 @@ impl CbgPlusPlusVariant {
                 RingConstraint::disk(o.landmark, model.max_distance_km(o.one_way_ms))
                     .inflated(slack)
             })
-            .filter(|c| match baseline_region {
-                Some(region) => constraint_overlaps_region(c, region),
-                None => true,
+            .filter(|c| {
+                baseline_band
+                    .as_ref()
+                    .is_none_or(|(region, rows)| constraint_overlaps_region(c, region, rows))
             })
             .collect();
         let dropped = observations.len() - bestline.len();

@@ -203,7 +203,10 @@ fn canonical_key(o: &Observation) -> (u64, u64, u64) {
 /// Deterministic and order-invariant: the report depends only on the
 /// *set* of observations and the diagnostics, never on their order or
 /// on any RNG. `rec` receives `def.*` counters and (at event level)
-/// `defense` events in the per-proxy deterministic compartment.
+/// `defense` events in the per-proxy deterministic compartment, and
+/// times the run as `defense.run` with the pairwise check
+/// (`defense.pairwise`), the robust search's discard check
+/// (`defense.trim`) and the quorum (`defense.quorum`) as children.
 pub fn run_defense(
     observations: &[Observation],
     diagnostics: &MeasurementDiagnostics,
@@ -220,8 +223,10 @@ pub fn run_defense(
     };
 
     // 1. Pairwise speed-of-light conflicts over baseline disks.
+    let pairwise_span = rec.profile_span("defense.pairwise");
     let disks = baseline_disks(observations, mask);
     let pairwise = pairwise_infeasible_flags(&disks);
+    drop(pairwise_span);
     report.conflict_pairs = pairwise.conflicts.len();
     report.flagged = pairwise
         .flagged
@@ -240,6 +245,7 @@ pub fn run_defense(
     report.trimmed = robust.discarded.len();
 
     // 3. Disjoint-subset quorum over the unflagged observations.
+    let quorum_span = rec.profile_span("defense.quorum");
     let kept: Vec<&Observation> = observations
         .iter()
         .enumerate()
@@ -285,6 +291,7 @@ pub fn run_defense(
             report.evidence.push(evidence::QUORUM_DISAGREEMENT);
         }
     }
+    drop(quorum_span);
 
     // 4. Direct-ping cross-check (pingable proxies only): the η factor
     // is *defined* by `η·C ≈ D` over pingable tunnels (Fig. 13), so a

@@ -31,7 +31,7 @@ use crate::multilateration::subset::{
     constraint_overlaps_region, max_consistent_subset_profiled, SubsetResult,
 };
 use crate::multilateration::{DiskCache, RingConstraint};
-use geokit::Region;
+use geokit::{Region, EARTH_RADIUS_KM};
 
 /// The pairwise consistency verdict over one constraint set.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +70,65 @@ fn geometric_key(c: &RingConstraint) -> (u64, u64, u64, u64) {
     )
 }
 
+/// Where the screen's `vᵢ·vⱼ − cos(θᵢ+θⱼ)` lies within this of zero,
+/// [`Screen::disjoint`] asks
+/// [`GeoPoint::distance_km`](geokit::GeoPoint::distance_km) instead.
+/// Rounding moves that difference, and the haversine's own decision
+/// measured on the same cosine scale, by about 1e-14 at most, so outside
+/// the margin the sign cannot disagree with the haversine.
+const SCREEN_MARGIN: f64 = 1e-9;
+
+/// A disk prepared for pairwise tests: its centre's unit vector and the
+/// cosine and sine of its angular radius, computed once per disk rather
+/// than once per pair.
+struct Screen<'c> {
+    disk: &'c RingConstraint,
+    unit: [f64; 3],
+    cos_r: f64,
+    sin_r: f64,
+}
+
+impl<'c> Screen<'c> {
+    fn new(disk: &'c RingConstraint) -> Screen<'c> {
+        let (sin_r, cos_r) = (disk.max_km / EARTH_RADIUS_KM).sin_cos();
+        Screen {
+            disk,
+            unit: disk.center.to_unit_vector(),
+            cos_r,
+            sin_r,
+        }
+    }
+
+    /// Exactly whether `distance_km` between the two centres exceeds the
+    /// sum of the two `max_km`, mostly without the haversine.
+    ///
+    /// A radius sum at or past `half_circumference`, the most
+    /// `distance_km` can return, never conflicts. Otherwise the centres'
+    /// angle exceeds the angular radius sum `θ` (in `[0, π)`) exactly
+    /// when `vᵢ·vⱼ < cos θ`, with `cos θ` expanded as
+    /// `cos θᵢ cos θⱼ − sin θᵢ sin θⱼ`; the sign of the difference decides
+    /// every pair outside [`SCREEN_MARGIN`]. Pairs inside the margin, and
+    /// negative or non-finite sums, fall back to the haversine itself.
+    fn disjoint(&self, other: &Screen<'_>, half_circumference: f64) -> bool {
+        let sum = self.disk.max_km + other.disk.max_km;
+        if sum >= half_circumference {
+            return false;
+        }
+        if sum >= 0.0 {
+            let (u, v) = (&self.unit, &other.unit);
+            let dot = u[0] * v[0] + u[1] * v[1] + u[2] * v[2];
+            let gap = dot - (self.cos_r * other.cos_r - self.sin_r * other.sin_r);
+            if gap > SCREEN_MARGIN {
+                return false;
+            }
+            if gap < -SCREEN_MARGIN {
+                return true;
+            }
+        }
+        self.disk.center.distance_km(&other.disk.center) > sum
+    }
+}
+
 /// Flag constraints whose pairwise geometry is physically impossible.
 ///
 /// Two disk constraints conflict when their centers are farther apart
@@ -80,6 +139,11 @@ fn geometric_key(c: &RingConstraint) -> (u64, u64, u64, u64) {
 /// baseline disks, not calibrated bestline disks, which can honestly
 /// underestimate.
 ///
+/// Each pair is decided as the haversine `distance_km` decides it, by
+/// [`Screen::disjoint`]: a dot product of precomputed unit vectors
+/// against precomputed radius trig, with the haversine called only for
+/// the rare pair on the threshold.
+///
 /// Conflicts are cleared greedily: repeatedly flag the constraint
 /// involved in the most remaining conflicts, breaking ties by
 /// [`geometric_key`] (never by input index), until the remainder is
@@ -87,11 +151,13 @@ fn geometric_key(c: &RingConstraint) -> (u64, u64, u64, u64) {
 /// permutation of the input (the property test pins this).
 pub fn pairwise_infeasible_flags(constraints: &[RingConstraint]) -> PairwiseReport {
     let n = constraints.len();
+    // `distance_km` is the radius times 2·asin of a value clamped to 1.
+    let half_circumference = EARTH_RADIUS_KM * (2.0 * 1.0f64.asin());
+    let screens: Vec<Screen> = constraints.iter().map(Screen::new).collect();
     let mut conflicts: Vec<(usize, usize)> = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            let d = constraints[i].center.distance_km(&constraints[j].center);
-            if d > constraints[i].max_km + constraints[j].max_km {
+            if screens[i].disjoint(&screens[j], half_circumference) {
                 conflicts.push((i, j));
             }
         }
@@ -157,7 +223,8 @@ pub struct RobustSubsetResult {
 /// (typically [`pairwise_infeasible_flags`]`.flagged`). With no flags
 /// this reduces to
 /// [`max_consistent_subset_profiled`] exactly — same region, same
-/// counts.
+/// counts. `rec` times the search's own spans and, as `defense.trim`,
+/// the check that names the discarded constraints.
 pub fn robust_max_consistent_subset(
     constraints: &[RingConstraint],
     flagged: &[bool],
@@ -171,11 +238,19 @@ pub fn robust_max_consistent_subset(
     let SubsetResult {
         region, satisfied, ..
     } = max_consistent_subset_profiled(&kept, mask, cache, rec);
-    let discarded: Vec<usize> = kept_idx
-        .iter()
-        .copied()
-        .filter(|&i| !region.is_empty() && !constraint_overlaps_region(&constraints[i], &region))
-        .collect();
+    let discarded: Vec<usize> = {
+        let _span = rec.profile_span("defense.trim");
+        if region.is_empty() {
+            Vec::new()
+        } else {
+            let rows = region.row_band();
+            kept_idx
+                .iter()
+                .copied()
+                .filter(|&i| !constraint_overlaps_region(&constraints[i], &region, &rows))
+                .collect()
+        }
+    };
     RobustSubsetResult {
         region,
         satisfied,

@@ -80,29 +80,66 @@ pub fn max_consistent_subset_profiled(
     counting_sweep(constraints, mask)
 }
 
-/// The inconsistent-set path: find the cells satisfying the most
+/// The inconsistent-set path: find the mask cells satisfying the most
 /// constraints.
+///
+/// Only the mask's cells can win, so only the rows of its row band are
+/// counted, and among them only rows that hold a mask cell. Each
+/// constraint's runs on such a row come from its exact
+/// [`ConstraintRaster`] (one `acos` per cap per row), never from the
+/// disk cache, whose radius-quantized disks would change the counts.
+/// A run adds +1 at its first column and −1 just past its last; one
+/// prefix sum per row then turns those marks into the number of
+/// constraints covering each cell — the same integers as adding one to
+/// every covered cell, at a cost per run instead of per cell. The
+/// winning count, the winning region and `satisfied` are therefore
+/// those of a whole-globe per-cell count.
 fn counting_sweep(constraints: &[RingConstraint], mask: &Region) -> SubsetResult {
     let total = constraints.len();
-    // Counting sweep: for every mask cell, how many constraints hold?
-    // Instead of testing every (cell, constraint) pair by distance, each
-    // constraint rasterizes once into per-row column runs and bumps a
-    // flat per-cell counter over its runs — the sweep is memory adds,
-    // with one `acos` per constraint per touched row as the only trig.
     let grid = mask.grid();
     let cols = grid.cols();
-    let mut counts = vec![0u32; grid.num_cells() as usize];
+    let band = mask.row_band();
+    // `counts` holds the band's rows back to back: cell `id` sits at
+    // `id - offset`, so the mask's id runs slice it directly.
+    let offset = (band.start * cols) as usize;
+    let live: Vec<bool> = band
+        .clone()
+        .map(|row| mask.intersects_run(row, 0..cols))
+        .collect();
+    // Rows no run touched stay zero and need no prefix sum.
+    let mut marked = vec![false; band.len()];
+    let mut counts = vec![0i32; band.len() * cols as usize];
+    let mut runs: Vec<(u32, u32)> = Vec::new();
     for c in constraints {
         let raster = ConstraintRaster::new(grid, c);
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        for row in raster.rows() {
+        let rows = raster.rows();
+        for row in rows.start.max(band.start)..rows.end.min(band.end) {
+            let r = (row - band.start) as usize;
+            if !live[r] {
+                continue;
+            }
             raster.row_runs_into(row, &mut runs);
-            let base = (row * cols) as usize;
+            marked[r] |= !runs.is_empty();
+            let base = r * cols as usize;
             for &(lo, hi) in &runs {
-                for v in &mut counts[base + lo as usize..base + hi as usize] {
-                    *v += 1;
+                counts[base + lo as usize] += 1;
+                // A run that reaches the row's end has nothing to close:
+                // the prefix sum stops there.
+                if hi < cols {
+                    counts[base + hi as usize] -= 1;
                 }
             }
+        }
+    }
+    for (marks, _) in counts
+        .chunks_exact_mut(cols as usize)
+        .zip(&marked)
+        .filter(|(_, &marked)| marked)
+    {
+        let mut acc = 0i32;
+        for v in marks {
+            acc += *v;
+            *v = acc;
         }
     }
     // Max-scan and region build walk the mask's word-runs instead of
@@ -110,9 +147,9 @@ fn counting_sweep(constraints: &[RingConstraint], mask: &Region) -> SubsetResult
     // `counts` slice, so both passes are straight-line slice sweeps with
     // no per-cell branch on membership. Pure integer comparisons — the
     // result is identical to the per-cell loop in any iteration order.
-    let mut best_count = 0u32;
+    let mut best_count = 0i32;
     for run in mask.runs() {
-        for &c in &counts[run.start as usize..run.end as usize] {
+        for &c in &counts[run.start as usize - offset..run.end as usize - offset] {
             best_count = best_count.max(c);
         }
     }
@@ -122,7 +159,7 @@ fn counting_sweep(constraints: &[RingConstraint], mask: &Region) -> SubsetResult
             // Within a run, insert each maximal sub-run of cells whose
             // count equals the winner as one word-masked splice.
             let base = run.start as usize;
-            let slice = &counts[base..run.end as usize];
+            let slice = &counts[base - offset..run.end as usize - offset];
             let mut i = 0;
             while i < slice.len() {
                 if slice[i] == best_count {
@@ -147,17 +184,26 @@ fn counting_sweep(constraints: &[RingConstraint], mask: &Region) -> SubsetResult
 
 /// True if the constraint is consistent with (overlaps) a region: some
 /// region cell lies inside the constraint. Used by CBG++ to discard
-/// bestline disks that contradict the baseline region (§5.1).
+/// bestline disks that contradict the baseline region (§5.1), and by
+/// the robust subset search to name the constraints it discarded.
 ///
-/// Evaluated as a run/bitset intersection test per touched row — no
-/// per-cell distances. A row where the region has no cells cannot hold a
-/// shared cell, so it is passed over on a word scan of the region,
-/// without solving for the constraint's runs there.
-pub fn constraint_overlaps_region(constraint: &RingConstraint, region: &Region) -> bool {
+/// `rows` must cover every row that holds a region cell; pass
+/// [`Region::row_band`], computed once per region, since one region is
+/// tested against many constraints. Only the constraint's rows inside
+/// that band are visited, and a band row where the region has no cells
+/// is passed over on a word scan of the region, without solving for the
+/// constraint's runs there. Each visited row is a run/bitset
+/// intersection test — no per-cell distances.
+pub fn constraint_overlaps_region(
+    constraint: &RingConstraint,
+    region: &Region,
+    rows: &std::ops::Range<u32>,
+) -> bool {
     let grid = region.grid();
     let raster = ConstraintRaster::new(grid, constraint);
+    let disk_rows = raster.rows();
     let mut runs: Vec<(u32, u32)> = Vec::new();
-    for row in raster.rows() {
+    for row in disk_rows.start.max(rows.start)..disk_rows.end.min(rows.end) {
         if !region.intersects_run(row, 0..grid.cols()) {
             continue;
         }
@@ -243,8 +289,9 @@ mod tests {
         );
         let near = RingConstraint::disk(GeoPoint::new(50.0, 6.0), 300.0);
         let far = RingConstraint::disk(GeoPoint::new(0.0, 100.0), 300.0);
-        assert!(constraint_overlaps_region(&near, &region));
-        assert!(!constraint_overlaps_region(&far, &region));
+        let band = region.row_band();
+        assert!(constraint_overlaps_region(&near, &region, &band));
+        assert!(!constraint_overlaps_region(&far, &region, &band));
     }
 
     #[test]

@@ -356,6 +356,25 @@ impl Region {
         self.count += added;
     }
 
+    /// The rows from the first that holds a member cell to the last,
+    /// as a half-open range; `0..0` for the empty region.
+    ///
+    /// Found by scanning words in from both ends, so it costs the words
+    /// outside the band, not the region's cells. A per-row query over a
+    /// small region (a constraint tested against a baseline region, a
+    /// counting sweep over a baseline mask) visits only these rows:
+    /// every other row is empty by construction.
+    pub fn row_band(&self) -> std::ops::Range<u32> {
+        let Some(first) = self.bits.iter().position(|&w| w != 0) else {
+            return 0..0;
+        };
+        let last = self.bits.iter().rposition(|&w| w != 0).expect("a nonzero word");
+        let first_cell = first as u32 * 64 + self.bits[first].trailing_zeros();
+        let last_cell = last as u32 * 64 + 63 - self.bits[last].leading_zeros();
+        let cols = self.grid.cols();
+        first_cell / cols..last_cell / cols + 1
+    }
+
     /// Iterate the region as maximal runs of consecutive member cells,
     /// each a half-open `lo..hi` id range, in ascending order.
     ///
@@ -701,6 +720,52 @@ mod tests {
         assert_eq!(from_runs, cap.cells().collect::<Vec<_>>());
         for w in cap.runs().collect::<Vec<_>>().windows(2) {
             assert!(w[0].end < w[1].start, "runs must be maximal and ordered");
+        }
+    }
+
+    /// The band by definition: the least and greatest row of any cell.
+    fn band_by_cells(r: &Region) -> std::ops::Range<u32> {
+        let cols = r.grid().cols();
+        match (r.cells().next(), r.cells().last()) {
+            (Some(a), Some(b)) => a / cols..b / cols + 1,
+            _ => 0..0,
+        }
+    }
+
+    #[test]
+    fn row_band_of_empty_and_full() {
+        let g = grid();
+        assert_eq!(Region::empty(Arc::clone(&g)).row_band(), 0..0);
+        assert_eq!(Region::full(Arc::clone(&g)).row_band(), 0..g.rows());
+    }
+
+    #[test]
+    fn row_band_of_single_cells_at_the_grid_edges() {
+        let g = grid();
+        let last = g.num_cells() - 1;
+        // First cell, last cell, both ends of a middle row, and cells
+        // on either side of a word boundary.
+        for cell in [0, g.cols() - 1, g.cols(), 63, 64, 5 * g.cols() + 17, last - 1, last] {
+            let mut r = Region::empty(Arc::clone(&g));
+            r.insert(cell);
+            let row = cell / g.cols();
+            assert_eq!(r.row_band(), row..row + 1, "cell {cell}");
+        }
+    }
+
+    #[test]
+    fn row_band_spans_gaps_and_matches_the_cells() {
+        let g = grid();
+        let mut r = Region::empty(Arc::clone(&g));
+        r.insert_run(3, 170..180);
+        r.insert_run(60, 0..1);
+        assert_eq!(r.row_band(), 3..61, "rows between two runs are inside");
+        for (centre, km) in [((48.0, 11.0), 900.0), ((-89.0, 0.0), 400.0), ((10.0, 179.5), 2500.0)] {
+            let cap = Region::from_cap(
+                &g,
+                &SphericalCap::new(GeoPoint::new(centre.0, centre.1), km),
+            );
+            assert_eq!(cap.row_band(), band_by_cells(&cap), "cap at {centre:?}");
         }
     }
 

@@ -257,7 +257,7 @@ pub const DYNAMIC: &[DynamicDef] = &[
     dyn_def("pv_progress_proxies_total", MetricKind::Gauge, &[], Compartment::Deterministic,
         "Proxies the study set out to audit."),
     dyn_def("pv_progress_snapshots_total", MetricKind::Counter, &[], Compartment::Deterministic,
-        "Progress snapshots emitted by the audit master."),
+        "Progress snapshots the audit folded in fleet order."),
     dyn_def("pv_probe_loss_rate", MetricKind::Gauge, &[], Compartment::Deterministic,
         "Fraction of sent probes that never completed."),
     dyn_def("pv_suspicious_rate", MetricKind::Gauge, &["provider"], Compartment::Deterministic,
@@ -269,7 +269,7 @@ pub const DYNAMIC: &[DynamicDef] = &[
     dyn_def("pv_audit_threads", MetricKind::Gauge, &[], Compartment::Wall,
         "Worker threads the audit fanned out over."),
     dyn_def("pv_audit_shards", MetricKind::Gauge, &[], Compartment::Wall,
-        "Shards the audit master split the proxy list into."),
+        "Network lineages the audit split the fleet into."),
 ];
 
 const PROBE_HELP: &str = "Probes by terminal outcome.";

@@ -1187,6 +1187,24 @@ mod tests {
     }
 
     #[test]
+    fn defense_run_attributes_its_stages_to_child_spans() {
+        let mut cfg = StudyConfig::small(43);
+        cfg.total_proxies = 6;
+        cfg.defense = geoloc::DefenseConfig::enabled();
+        let res = Study::build(cfg).run_sharded(1, 1);
+        let defended = res.records.iter().filter(|r| r.defense.is_some()).count() as u64;
+        assert!(defended > 0, "no proxy reached the defense");
+        for child in ["defense.pairwise", "defense.quorum", "defense.trim"] {
+            let path = format!("audit.proxy/audit.assess/audit.defense/defense.run/{child}");
+            assert_eq!(
+                res.obs.profile_stat(&path).map(|s| s.count),
+                Some(defended),
+                "{path}"
+            );
+        }
+    }
+
+    #[test]
     fn obs_level_off_records_nothing_but_results_match() {
         let mut cfg = StudyConfig::small(41);
         cfg.total_proxies = 8;

@@ -3,12 +3,18 @@
 //! plain bitset formulation below, and must look up exactly the same disk
 //! keys in the same order, so the cache's hits, misses, entries and
 //! exported keys cannot move either. `constraint_overlaps_region`, which
-//! passes over the rows where the region has no cells, is pinned against a
-//! test over every row of the grid.
+//! visits only the rows of the region's row band and passes over the band
+//! rows where the region has no cells, is pinned against a test over every
+//! row of the grid. The subset search's counting sweep, which counts only
+//! the mask's rows with +1/−1 marks and one prefix sum per row, is pinned
+//! against a per-cell count over the whole globe.
 
 use geokit::{GeoGrid, GeoPoint, Region, SphericalCap};
 use geoloc::multilateration::subset::constraint_overlaps_region;
-use geoloc::multilateration::{intersect_constraints_cached, DiskCache, RingConstraint};
+use geoloc::multilateration::{
+    intersect_constraints_cached, max_consistent_subset_profiled, DiskCache, RingConstraint,
+};
+use obs::{Level, Recorder};
 use simrng::prop::prelude::*;
 use simrng::rngs::StdRng;
 use simrng::{RngExt, SeedableRng};
@@ -194,6 +200,65 @@ fn random_region(rng: &mut StdRng, grid: &Arc<GeoGrid>) -> Region {
     region
 }
 
+/// The counting sweep as it was: add one to every cell of every
+/// constraint's exact rasterization over the whole globe, then keep the
+/// mask cells with the highest count. Returns the winning region and
+/// count.
+fn sweep_over_the_globe(constraints: &[RingConstraint], mask: &Region) -> (Region, usize) {
+    let grid = mask.grid();
+    let mut counts = vec![0u32; grid.num_cells() as usize];
+    for c in constraints {
+        for run in Region::from_ring(grid, c.center, c.min_km, c.max_km).runs() {
+            for v in &mut counts[run.start as usize..run.end as usize] {
+                *v += 1;
+            }
+        }
+    }
+    let best = mask
+        .cells()
+        .map(|cell| counts[cell as usize])
+        .max()
+        .unwrap_or(0);
+    let mut region = Region::empty(Arc::clone(grid));
+    if best > 0 {
+        for cell in mask.cells().filter(|&cell| counts[cell as usize] == best) {
+            region.insert(cell);
+        }
+    }
+    (region, best as usize)
+}
+
+/// The masks the sweep's row band must get right: empty, one cell, one
+/// row, the first row, the last row, runs that wrap the antimeridian,
+/// the full grid, and a cap (a baseline region).
+fn sweep_mask(rng: &mut StdRng, grid: &Arc<GeoGrid>) -> Region {
+    let mut mask = Region::empty(Arc::clone(grid));
+    let (rows, cols) = (grid.rows(), grid.cols());
+    match rng.random_range(0..8u32) {
+        0 => {}
+        1 => mask.insert(rng.random_range(0..grid.num_cells())),
+        2 => mask.insert_run(rng.random_range(0..rows), 0..cols),
+        3 => mask.insert_run(0, 0..cols),
+        4 => mask.insert_run(rows - 1, 0..cols),
+        5 => {
+            let first = rng.random_range(0..rows);
+            for row in first..(first + rng.random_range(1..4u32)).min(rows) {
+                let k = rng.random_range(1..cols / 4);
+                mask.insert_run(row, cols - k..cols);
+                mask.insert_run(row, 0..k);
+            }
+        }
+        6 => mask = Region::full(Arc::clone(grid)),
+        _ => {
+            mask = Region::from_cap(
+                grid,
+                &SphericalCap::new(random_centre(rng), rng.random_range(100.0..3_000.0)),
+            )
+        }
+    }
+    mask
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -233,14 +298,43 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let grid = GeoGrid::new(*rng.choose(&RESOLUTIONS).expect("resolutions"));
         let region = random_region(&mut rng, &grid);
+        let rows = region.row_band();
         for c in random_constraints(&mut rng) {
             prop_assert_eq!(
-                constraint_overlaps_region(&c, &region),
+                constraint_overlaps_region(&c, &region, &rows),
                 overlaps_by_full_scan(&c, &region),
                 "constraint {:?}, region of {} cells",
                 c,
                 region.cell_count()
             );
+        }
+    }
+
+    // With a ring of zero width added (it holds no cell centre), no set
+    // is consistent, so the search must take the counting sweep; without
+    // it, the fast path may answer instead. Either way the region and
+    // the count are the whole-globe per-cell sweep's.
+    #[test]
+    fn counting_sweep_matches_the_whole_globe_count(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grid = GeoGrid::new(*rng.choose(&RESOLUTIONS).expect("resolutions"));
+        let mask = sweep_mask(&mut rng, &grid);
+        let mut constraints = random_constraints(&mut rng);
+        for forced in [false, true] {
+            if forced {
+                let c = constraints[0];
+                constraints.push(RingConstraint::ring(c.center, c.max_km, c.max_km));
+            }
+            let rec = Recorder::new(Level::Counters);
+            let got = max_consistent_subset_profiled(&constraints, &mask, None, &rec);
+            let (want, best) = sweep_over_the_globe(&constraints, &mask);
+            if forced {
+                let swept = rec.profile_stat("subset.counting_sweep").map(|s| s.count);
+                prop_assert_eq!(swept, Some(1));
+            }
+            prop_assert_eq!(&got.region, &want);
+            prop_assert_eq!(got.region.cell_count(), want.cell_count());
+            prop_assert_eq!(got.satisfied, best);
         }
     }
 }

@@ -2,7 +2,10 @@
 //! the pairwise speed-of-light flags and the trimmed subset search must
 //! be pure functions of the constraint *set* — invariant under input
 //! permutation — and the robust region must never lean on a flagged
-//! (provably lying) constraint.
+//! (provably lying) constraint. The flags screen most pairs with a dot
+//! product instead of the haversine; the plain haversine double loop
+//! is kept below as their reference, on disks laid out to sit on the
+//! screen's edges.
 
 use geokit::{GeoGrid, GeoPoint, Region};
 use geoloc::multilateration::{
@@ -10,6 +13,8 @@ use geoloc::multilateration::{
 };
 use obs::Recorder;
 use simrng::prop::prelude::*;
+use simrng::rngs::StdRng;
+use simrng::{RngExt, SeedableRng};
 
 fn arb_point() -> impl Strategy<Value = GeoPoint> {
     (-70.0f64..70.0, -170.0f64..170.0).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
@@ -136,5 +141,98 @@ proptest! {
         prop_assert_eq!(a.discarded.len(), b.discarded.len());
         prop_assert_eq!(a.region.cell_count(), b.region.cell_count());
         prop_assert!(a.region.is_subset_of(&b.region) && b.region.is_subset_of(&a.region));
+    }
+}
+
+/// The reference for the screened flags: every pair decided by the
+/// haversine, as `pairwise_infeasible_flags` decided them before the
+/// screen.
+fn conflicts_by_haversine(disks: &[RingConstraint]) -> Vec<(usize, usize)> {
+    let mut conflicts = Vec::new();
+    for i in 0..disks.len() {
+        for j in (i + 1)..disks.len() {
+            let d = disks[i].center.distance_km(&disks[j].center);
+            if d > disks[i].max_km + disks[j].max_km {
+                conflicts.push((i, j));
+            }
+        }
+    }
+    conflicts
+}
+
+/// Half the circumference, the farthest two centres can be apart.
+const HALF_CIRCUMFERENCE_KM: f64 = std::f64::consts::PI * geokit::EARTH_RADIUS_KM;
+
+/// A centre anywhere, on a pole, or on the antimeridian.
+fn random_centre(rng: &mut StdRng) -> GeoPoint {
+    let lat = match rng.random_range(0..6u32) {
+        0 => 90.0,
+        1 => -90.0,
+        _ => rng.random_range(-90.0..90.0),
+    };
+    let lon = match rng.random_range(0..6u32) {
+        0 => -180.0,
+        1 => 180.0 - 1e-9,
+        _ => rng.random_range(-180.0..180.0),
+    };
+    GeoPoint::new(lat, lon)
+}
+
+/// A radius from a tenth of a kilometre to past the half circumference,
+/// log-uniform so every scale is drawn.
+fn random_radius(rng: &mut StdRng) -> f64 {
+    rng.random_range(0.1f64.ln()..21_000.0f64.ln()).exp()
+}
+
+/// Disks laid out to sit on the screen's edges: pairs whose centres are
+/// `rᵢ + rⱼ` apart to within a micrometre up to a kilometre, either
+/// side, built with `destination`; antipodal and polar centres; and
+/// radius sums on both sides of half the circumference.
+fn edge_disks(rng: &mut StdRng) -> Vec<RingConstraint> {
+    let mut disks = Vec::new();
+    for _ in 0..rng.random_range(0..6usize) {
+        disks.push(RingConstraint::disk(random_centre(rng), random_radius(rng)));
+    }
+    for _ in 0..rng.random_range(1..6usize) {
+        let a = random_centre(rng);
+        let (ri, rj) = (random_radius(rng) / 2.0, random_radius(rng) / 2.0);
+        let offset = *rng
+            .choose(&[-1.0, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 1.0])
+            .expect("offsets");
+        let b = a.destination(rng.random_range(0.0..360.0), ri + rj + offset);
+        disks.push(RingConstraint::disk(a, ri));
+        disks.push(RingConstraint::disk(b, rj));
+    }
+    for _ in 0..rng.random_range(0..3usize) {
+        let a = random_centre(rng);
+        let antipode = GeoPoint::new(-a.lat(), a.lon() + 180.0);
+        let ri = rng.random_range(0.0..HALF_CIRCUMFERENCE_KM);
+        let delta = *rng.choose(&[-5.0, -1e-6, 0.0, 1e-6, 5.0]).expect("deltas");
+        disks.push(RingConstraint::disk(a, ri));
+        disks.push(RingConstraint::disk(
+            antipode,
+            HALF_CIRCUMFERENCE_KM - ri + delta,
+        ));
+    }
+    disks
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // The screened flags find exactly the haversine's conflicts, in the
+    // same order, so the greedy resolution flags the same disks.
+    #[test]
+    fn screened_flags_match_the_haversine_double_loop(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let disks = edge_disks(&mut rng);
+        let report = pairwise_infeasible_flags(&disks);
+        prop_assert_eq!(report.conflicts, conflicts_by_haversine(&disks));
+    }
+
+    #[test]
+    fn screened_flags_match_on_mixed_constellations(pair in arb_mixed_disks()) {
+        let (_, disks) = pair;
+        prop_assert_eq!(pairwise_infeasible_flags(&disks).conflicts, conflicts_by_haversine(&disks));
     }
 }
