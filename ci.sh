@@ -51,6 +51,20 @@ cargo test -q --offline --test adversary_campaign
 # diff means a result depended on scheduling: a bug, not noise.
 cargo test -q --release --offline -p bench --test determinism
 
+# Figure determinism, in release (about 5 s): two processes must render
+# every small-scale figure to the same bytes. Each process draws its own
+# hash keys, so a renderer that ranks ties in `HashMap` order fails here.
+# Only the outputs that carry wall-clock time are left out: the span
+# profile and the OpenMetrics and Perfetto sidecars of `ops`.
+figs=$(mktemp -d)
+trap 'rm -rf "$figs"' EXIT
+for run in a b; do
+    cargo run -q --release --offline -p bench --bin figures -- \
+        --all --scale small --out "$figs/$run" 2> "$figs/$run.log" \
+        || { cat "$figs/$run.log" >&2; exit 1; }
+done
+diff -r -x profile.txt -x ops.metrics.om -x ops.trace.json "$figs/a" "$figs/b"
+
 # Benchmark smoke: perfbench/ is a package of its own, outside the
 # workspace, that calls the audit's public API by signature and checks
 # that its traced replay reproduces every proxy and the cache counters.
@@ -78,14 +92,20 @@ cargo run -q --release --offline -p bench --bin metrics_export -- --slo
 #  1. the profiler must render a span tree for a full (small) audit;
 #  2. the perf gate's comparator must catch a synthetic 2x regression
 #     (machine-independent self-test);
-#  3. the smoke suite must pass against the committed baseline. The
-#     baseline was recorded on the reference machine; on other hardware
-#     a miss here means "refresh with perf_gate --update", not "CI is
-#     broken", so this step warns instead of failing.
+#  3. the smoke suite against the committed baseline. On the 2-vCPU VM
+#     that recorded it, plain runs of one unchanged build read from
+#     about -46 % to +44 % of the baseline's medians (per entry:
+#     EXPERIMENTS.md, "What the plain gate resolves"), wider than the
+#     default +-30 % band. Only a ratio outside that swing is evidence
+#     of a regression; inside it, or on other hardware, a miss means
+#     "refresh with perf_gate --update". So this step warns instead of
+#     failing, and the self-test above is the check with teeth.
 cargo run -q --release --offline -p bench --bin figures -- profile --scale small \
     > /dev/null
 PV_BENCH_SAMPLES=5 cargo run -q --release --offline -p bench --bin perf_gate -- --self-test
 PV_BENCH_SAMPLES=10 cargo run -q --release --offline -p bench --bin perf_gate || {
-    echo "WARN: perf gate exceeded tolerance vs the committed baseline" >&2
-    echo "      (real regression, or a different machine: see perf_gate --update)" >&2
+    echo "WARN: perf gate exceeded tolerance vs the committed baseline." >&2
+    echo "      One unchanged build reads -46 % to +44 % of it on the reference VM;" >&2
+    echo "      only a ratio outside that swing is evidence of a regression" >&2
+    echo "      (EXPERIMENTS.md, Perf lab). Otherwise: perf_gate --update." >&2
 }

@@ -2,11 +2,12 @@
 //! (`Study::run_sharded` on one shard) at 1/2/4/8/16 workers, plus the
 //! byte-identity check that makes the parallel path trustworthy at all.
 //!
-//! Unlike the Criterion-style benches, one measurement here is one full
-//! audit, so this harness runs each configuration a fixed small number
-//! of times and reports the best run (build cost excluded). Besides the
-//! human-readable `bench_parallel.txt` it emits a machine-readable
-//! `BENCH_scale.json` so future PRs can track the throughput curve.
+//! Unlike the perf gate's microbenchmarks (`bench::gate`), one
+//! measurement here is one full audit, so this harness runs each
+//! configuration a fixed small number of times and reports the best run
+//! (build cost excluded). Besides the human-readable
+//! `bench_parallel.txt` it emits a machine-readable `BENCH_scale.json`
+//! so the throughput curve can be tracked from commit to commit.
 //!
 //! The JSON records two parallelism numbers, because they disagree under
 //! containers: `cores_available` is what `available_parallelism()`

@@ -10,15 +10,13 @@
 //! perf_gate --baseline p   # compare against an explicit artifact path
 //! ```
 //!
-//! Exit status is nonzero when any bench regressed past its tolerance or
-//! has no baseline entry (run `--update` to record one). Sample counts
-//! honor `PV_BENCH_SAMPLES`; the global tolerance honors
-//! `PV_PERF_GATE_TOL`.
+//! Exit status is nonzero when any bench regressed past its tolerance
+//! (`bench::gate::suite_tolerance`) or has no baseline entry (run
+//! `--update` to record one). Sample counts honor `PV_BENCH_SAMPLES`.
 
 use bench::artifact::BenchArtifact;
 use bench::gate::{
-    baseline_from, compare, default_tolerance, doctored_baseline, measure_baseline,
-    render_comparisons, smoke_suite, Verdict, GATE_GROUP,
+    compare, doctored_baseline, measure_baseline, render_comparisons, smoke_suite, Verdict,
 };
 use bench::harness::env_sample_override;
 use std::process::ExitCode;
@@ -27,24 +25,23 @@ use std::process::ExitCode;
 /// stable median, small enough to keep the gate under a minute.
 const DEFAULT_SAMPLES: usize = 15;
 
-fn default_baseline_path() -> std::path::PathBuf {
-    let dir = std::env::var("BENCH_OUTPUT_DIR").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench_output").into()
-    });
-    std::path::Path::new(&dir).join(BenchArtifact::file_name(GATE_GROUP))
-}
+/// The committed baseline, at the workspace root whatever the cwd.
+const DEFAULT_BASELINE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../bench_output/BENCH_gate.json"
+);
 
 fn main() -> ExitCode {
     let mut update = false;
     let mut self_test = false;
-    let mut baseline_path: Option<std::path::PathBuf> = None;
+    let mut baseline_path = std::path::PathBuf::from(DEFAULT_BASELINE);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--update" => update = true,
             "--self-test" => self_test = true,
             "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(p.into()),
+                Some(p) => baseline_path = p.into(),
                 None => {
                     eprintln!("--baseline needs a path");
                     return ExitCode::FAILURE;
@@ -56,7 +53,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    let baseline_path = baseline_path.unwrap_or_else(default_baseline_path);
     let samples = env_sample_override().unwrap_or(DEFAULT_SAMPLES);
 
     if update {
@@ -65,9 +61,11 @@ fn main() -> ExitCode {
         // baseline caught at an extreme makes every later gate run
         // misread honest noise as regression (or absorb a real one).
         println!("perf gate: measuring baseline (3 passes x {samples} samples per bench)...");
-        let centred = measure_baseline(samples, 3);
-        let threads = parallel::configured_threads() as u64;
-        let art = baseline_from(&centred, threads, git_describe());
+        let art = BenchArtifact {
+            threads: parallel::configured_threads() as u64,
+            git: git_describe(),
+            results: measure_baseline(samples, 3),
+        };
         if let Some(dir) = baseline_path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -86,7 +84,7 @@ fn main() -> ExitCode {
         // Machine-independent teeth check: against a baseline doctored to
         // half the just-measured medians, every entry must regress.
         let doctored = doctored_baseline(&measured);
-        let rows = compare(&doctored, &measured, default_tolerance());
+        let rows = compare(&doctored, &measured);
         print!("{}", render_comparisons(&rows));
         let missed: Vec<&str> = rows
             .iter()
@@ -118,7 +116,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let rows = compare(&baseline, &measured, default_tolerance());
+    let rows = compare(&baseline, &measured);
     print!("{}", render_comparisons(&rows));
     let regressed: Vec<&str> = rows
         .iter()

@@ -8,6 +8,7 @@ use crate::render::render_scatter;
 use crate::scale::StudyContext;
 use geokit::regress::{r_squared, theil_sen};
 use geoloc::assess::Assessment;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use vpnstudy::confusion::{continent_confusion, country_confusion};
 use vpnstudy::report;
@@ -59,27 +60,28 @@ pub fn fig13_eta(ctx: &mut StudyContext) -> String {
     out
 }
 
+/// Measured records grouped by their provider + AS + /24 key, in key
+/// order, each group's record indices ascending.
+fn colocation_groups(ctx: &StudyContext) -> BTreeMap<(usize, usize, usize), Vec<usize>> {
+    let mut groups: BTreeMap<(usize, usize, usize), Vec<usize>> = BTreeMap::new();
+    for (i, r) in ctx.results.records.iter().enumerate() {
+        groups.entry(r.proxy.group_key).or_default().push(i);
+    }
+    groups
+}
+
 /// Fig. 16: the largest co-location group — per-member prediction
 /// summaries and the group-level resolution, the AS63128-style case.
 pub fn fig16_colocation_group(ctx: &StudyContext) -> String {
     let mut out = String::new();
     let atlas = ctx.study.world.atlas();
-    // Largest group among measured records.
-    use std::collections::HashMap;
-    let mut groups: HashMap<(usize, usize, usize), Vec<usize>> = HashMap::new();
-    for (i, r) in ctx.results.records.iter().enumerate() {
-        let key = (
-            r.proxy.group_key.0,
-            r.proxy.group_key.1,
-            r.proxy.group_key.2,
-        );
-        groups.entry(key).or_default().push(i);
-    }
-    let Some((key, members)) = groups
+    // Largest group among measured records, the lowest key on a tie.
+    let Some((key, members)) = colocation_groups(ctx)
         .into_iter()
-        .max_by_key(|(_, v)| v.len()) else {
-            return "# Fig.16: no groups\n".into();
-        };
+        .min_by_key(|(key, v)| (std::cmp::Reverse(v.len()), *key))
+    else {
+        return "# Fig.16: no groups\n".into();
+    };
     let provider = ctx.study.providers.profiles[key.0].name;
     let _ = writeln!(
         out,
@@ -128,8 +130,8 @@ pub fn fig17_overall(ctx: &StudyContext) -> String {
     let mut out = report::render_overall(&ctx.study, &ctx.results);
     // Alleged vs probable country bars (Fig. 17 bottom).
     let atlas = ctx.study.world.atlas();
-    let mut alleged: std::collections::HashMap<usize, usize> = Default::default();
-    let mut probable: std::collections::HashMap<usize, usize> = Default::default();
+    let mut alleged: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut probable: BTreeMap<usize, usize> = BTreeMap::new();
     for r in &ctx.results.records {
         *alleged.entry(r.proxy.claimed).or_default() += 1;
         let probable_country = match r.refined.assessment {
@@ -142,6 +144,7 @@ pub fn fig17_overall(ctx: &StudyContext) -> String {
         *probable.entry(probable_country).or_default() += 1;
     }
     for (name, map) in [("alleged", &alleged), ("probable", &probable)] {
+        // Country ids ascending, then a stable sort: ties keep id order.
         let mut rows: Vec<(usize, usize)> = map.iter().map(|(&c, &n)| (c, n)).collect();
         rows.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
         let line: Vec<String> = rows
@@ -168,19 +171,14 @@ pub fn fig19_provider_maps(ctx: &StudyContext) -> String {
 /// Fig. 20: for the largest co-location group, prediction-region size vs
 /// distance to the nearest landmark — the paper finds no correlation.
 pub fn fig20_region_size_vs_landmark(ctx: &StudyContext) -> String {
-    use std::collections::HashMap;
-    let mut groups: HashMap<(usize, usize, usize), Vec<usize>> = HashMap::new();
-    for (i, r) in ctx.results.records.iter().enumerate() {
-        groups
-            .entry((r.proxy.group_key.0, r.proxy.group_key.1, r.proxy.group_key.2))
-            .or_default()
-            .push(i);
-    }
     // Prefer the largest group whose members drew *different* phase-2
     // landmark sets (groups on small continents exhaust the pool and
     // measure identically, collapsing the x-axis — the paper's AS63128
-    // group was in North America, where the pool is deep).
-    let mut candidates: Vec<(usize, Vec<usize>)> = groups.into_values().map(|v| (v.len(), v))
+    // group was in North America, where the pool is deep). The stable
+    // sort keeps equal sizes in key order.
+    let mut candidates: Vec<(usize, Vec<usize>)> = colocation_groups(ctx)
+        .into_values()
+        .map(|v| (v.len(), v))
         .filter(|(n, _)| *n >= 3)
         .collect();
     candidates.sort_by_key(|&(n, _)| std::cmp::Reverse(n));
@@ -314,10 +312,11 @@ pub fn headline_numbers(ctx: &StudyContext) -> String {
         100.0 * fr as f64 / total.max(1) as f64
     );
     // Top-10 claimed countries' share of credible and false claims.
-    let mut by_claim: std::collections::HashMap<usize, usize> = Default::default();
+    let mut by_claim: BTreeMap<usize, usize> = BTreeMap::new();
     for r in &res.records {
         *by_claim.entry(r.proxy.claimed).or_default() += 1;
     }
+    // Country ids ascending, then a stable sort: ties keep id order.
     let mut order: Vec<usize> = by_claim.keys().copied().collect();
     order.sort_by_key(|c| std::cmp::Reverse(by_claim[c]));
     let top10: Vec<usize> = order.into_iter().take(10).collect();
@@ -353,4 +352,33 @@ pub fn headline_numbers(ctx: &StudyContext) -> String {
         res.coverage_of_truth() * 100.0
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{build_study_context, Scale};
+
+    /// Every renderer that ranks countries or groups must break ties by
+    /// id, not by hash order: each `HashMap` draws fresh hash keys, so a
+    /// renderer that iterated one in its ordering would print different
+    /// bytes from one call to the next.
+    #[test]
+    fn study_figures_render_the_same_bytes_every_time() {
+        let ctx = build_study_context(Scale::Small);
+        let render = |ctx: &StudyContext| {
+            [
+                fig16_colocation_group(ctx),
+                fig17_overall(ctx),
+                fig18_provider_country(ctx),
+                fig19_provider_maps(ctx),
+                fig20_region_size_vs_landmark(ctx),
+                headline_numbers(ctx),
+            ]
+        };
+        let first = render(&ctx);
+        for _ in 0..8 {
+            assert_eq!(render(&ctx), first);
+        }
+    }
 }

@@ -1,5 +1,6 @@
-//! The CI perf-regression gate: a fast smoke subset of the benches,
-//! re-measured and compared against a committed baseline artifact.
+//! The workspace's microbenchmark suite and CI perf-regression gate:
+//! fourteen smoke benches of the audit's layers, re-measured and
+//! compared against a committed baseline artifact.
 //!
 //! The gate's job is to catch *large accidental regressions* (an
 //! algorithmic slip that doubles the cost of disk intersection, a cache
@@ -13,9 +14,8 @@
 //!   with the audit's Events recorder, and one full single-proxy
 //!   audit);
 //! * only **medians** are compared, with a generous relative tolerance —
-//!   the default is ±30 % ([`DEFAULT_TOLERANCE`]), overridable globally
-//!   via the `PV_PERF_GATE_TOL` environment variable and per entry via
-//!   the `tolerance` field in the baseline JSON;
+//!   ±30 % by default ([`DEFAULT_TOLERANCE`]), looser for the few entries
+//!   [`suite_tolerance`] names;
 //! * sample counts honor `PV_BENCH_SAMPLES`
 //!   ([`crate::harness::env_sample_override`]), so CI can run the gate
 //!   in a couple of seconds.
@@ -26,7 +26,7 @@
 //! the freshly measured medians down 2× and checking that every entry
 //! trips the gate — machine-independent, so it runs in CI.
 
-use crate::artifact::{BenchArtifact, BenchRecord};
+use crate::artifact::BenchArtifact;
 use crate::harness::{run_sampled, Sampled};
 use crate::{build_study_context, Scale};
 use geokit::{GeoGrid, GeoPoint, Region, SphericalCap};
@@ -44,38 +44,25 @@ use simrng::SeedableRng;
 use std::hint::black_box;
 
 /// Relative median growth allowed before an entry counts as regressed,
-/// when neither the baseline entry nor `PV_PERF_GATE_TOL` says otherwise.
+/// unless [`suite_tolerance`] names a looser budget for it.
 pub const DEFAULT_TOLERANCE: f64 = 0.30;
 
-/// The group name the gate's benches and baseline artifact live under.
-pub const GATE_GROUP: &str = "gate";
-
-/// The effective global tolerance: `PV_PERF_GATE_TOL` when parseable and
-/// positive, [`DEFAULT_TOLERANCE`] otherwise.
-pub fn default_tolerance() -> f64 {
-    std::env::var("PV_PERF_GATE_TOL")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| *t > 0.0)
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
-
-/// Per-entry tolerances written by `perf_gate --update`. The audit entry
-/// runs a whole simulated measurement pipeline whose cost moves with the
-/// study RNG and allocator behaviour, and the cache-hit entry measures
-/// tens of nanoseconds where scheduling jitter alone is a double-digit
+/// Each entry's tolerance. The audit entry runs a whole simulated
+/// measurement pipeline whose cost moves with the study RNG and
+/// allocator behaviour, and the cache-hit entry measures tens of
+/// nanoseconds where scheduling jitter alone is a double-digit
 /// percentage — both get looser budgets than the default.
-pub fn suite_tolerance(name: &str) -> Option<f64> {
+pub fn suite_tolerance(name: &str) -> f64 {
     match name {
-        "gate/audit_one_proxy" => Some(0.60),
-        "gate/cache_hit" => Some(0.50),
+        "gate/audit_one_proxy" => 0.60,
+        "gate/cache_hit" => 0.50,
         // Like cache_hit: a hash-map lookup measured in tens of
         // nanoseconds, where scheduling jitter is a large fraction.
-        "gate/verdict_query" => Some(0.50),
+        "gate/verdict_query" => 0.50,
         // Dominated by string formatting and allocation, which moves
         // with allocator state more than with the code under test.
-        "gate/metrics_export" => Some(0.50),
-        _ => None,
+        "gate/metrics_export" => 0.50,
+        _ => DEFAULT_TOLERANCE,
     }
 }
 
@@ -408,23 +395,17 @@ impl Comparison {
     }
 }
 
-/// Compare measured medians against the baseline artifact. Every
-/// measured bench yields exactly one [`Comparison`]; baseline entries
-/// that were not re-measured are ignored (the smoke suite may be a
-/// subset of what `--update` recorded).
-pub fn compare(
-    baseline: &BenchArtifact,
-    measured: &[Sampled],
-    global_tolerance: f64,
-) -> Vec<Comparison> {
+/// Compare measured medians against the baseline artifact, each at its
+/// [`suite_tolerance`]. Every measured bench yields exactly one
+/// [`Comparison`]; baseline entries that were not re-measured are
+/// ignored (the smoke suite may be a subset of what `--update`
+/// recorded).
+pub fn compare(baseline: &BenchArtifact, measured: &[Sampled]) -> Vec<Comparison> {
     measured
         .iter()
         .map(|s| {
-            let entry = baseline.results.iter().find(|r| r.name == s.name);
-            let tolerance = entry
-                .and_then(|r| r.tolerance)
-                .unwrap_or(global_tolerance);
-            let (baseline_ns, verdict) = match entry {
+            let tolerance = suite_tolerance(&s.name);
+            let (baseline_ns, verdict) = match baseline.results.iter().find(|r| r.name == s.name) {
                 None => (None, Verdict::MissingBaseline),
                 Some(r) if r.median_ns <= 0.0 => (Some(r.median_ns), Verdict::MissingBaseline),
                 Some(r) => {
@@ -477,40 +458,21 @@ pub fn render_comparisons(rows: &[Comparison]) -> String {
     out
 }
 
-/// Build the baseline artifact `--update` writes: the measured suite
-/// with the per-entry tolerances from [`suite_tolerance`] attached.
-pub fn baseline_from(measured: &[Sampled], threads: u64, git: Option<String>) -> BenchArtifact {
-    BenchArtifact {
-        group: GATE_GROUP.to_string(),
-        generated_by: "perf_gate".to_string(),
-        threads,
-        git,
-        counters: Vec::new(),
-        results: measured
-            .iter()
-            .map(|s| {
-                let mut rec = BenchRecord::from(s);
-                rec.tolerance = suite_tolerance(&s.name);
-                rec
-            })
-            .collect(),
-    }
-}
-
 /// A copy of the measured suite with every median halved: a synthetic
 /// "the past was 2× faster" baseline. Comparing the real measurements
-/// against it must flag **every** entry as regressed — that is the
-/// gate's self-test, and it holds on any machine because both sides of
-/// the comparison come from the same run.
+/// against it must flag **every** entry as regressed (every
+/// [`suite_tolerance`] is below 100 %) — that is the gate's self-test,
+/// and it holds on any machine because both sides of the comparison
+/// come from the same run.
 pub fn doctored_baseline(measured: &[Sampled]) -> BenchArtifact {
-    let mut art = baseline_from(measured, 0, None);
-    for rec in &mut art.results {
+    let mut results = measured.to_vec();
+    for rec in &mut results {
         rec.median_ns /= 2.0;
-        // Halving is a 2× ratio; keep budgets below 100 % so even the
-        // loose audit entry must trip.
-        rec.tolerance = rec.tolerance.filter(|t| *t < 1.0);
     }
-    art
+    BenchArtifact {
+        results,
+        ..BenchArtifact::default()
+    }
 }
 
 #[cfg(test)]
@@ -528,20 +490,11 @@ mod tests {
         }
     }
 
-    fn baseline(entries: &[(&str, f64, Option<f64>)]) -> BenchArtifact {
+    fn baseline(entries: &[(&str, f64)]) -> BenchArtifact {
         BenchArtifact {
-            group: GATE_GROUP.into(),
             results: entries
                 .iter()
-                .map(|(name, median, tol)| BenchRecord {
-                    name: (*name).into(),
-                    median_ns: *median,
-                    p10_ns: *median,
-                    p90_ns: *median,
-                    iters_per_sample: 1,
-                    samples: 3,
-                    tolerance: *tol,
-                })
+                .map(|&(name, median)| sampled(name, median))
                 .collect(),
             ..BenchArtifact::default()
         }
@@ -549,9 +502,9 @@ mod tests {
 
     #[test]
     fn within_tolerance_passes_and_2x_regression_is_caught() {
-        let base = baseline(&[("gate/a", 1000.0, None), ("gate/b", 1000.0, None)]);
+        let base = baseline(&[("gate/a", 1000.0), ("gate/b", 1000.0)]);
         let measured = [sampled("gate/a", 1100.0), sampled("gate/b", 2000.0)];
-        let rows = compare(&base, &measured, 0.30);
+        let rows = compare(&base, &measured);
         assert_eq!(rows[0].verdict, Verdict::Pass);
         assert_eq!(rows[1].verdict, Verdict::Regressed);
         assert!((rows[1].ratio().unwrap() - 2.0).abs() < 1e-12);
@@ -559,19 +512,37 @@ mod tests {
 
     #[test]
     fn per_entry_tolerance_overrides_the_global_default() {
-        // +50 % fails at the global 30 % but passes a per-entry 60 %.
-        let strict = baseline(&[("gate/a", 1000.0, None)]);
-        let loose = baseline(&[("gate/a", 1000.0, Some(0.60))]);
-        let measured = [sampled("gate/a", 1500.0)];
-        assert_eq!(compare(&strict, &measured, 0.30)[0].verdict, Verdict::Regressed);
-        assert_eq!(compare(&loose, &measured, 0.30)[0].verdict, Verdict::Pass);
+        // +50 % fails at the default 30 % but passes the audit's 60 %.
+        let base = baseline(&[("gate/a", 1000.0), ("gate/audit_one_proxy", 1000.0)]);
+        let measured = [
+            sampled("gate/a", 1500.0),
+            sampled("gate/audit_one_proxy", 1500.0),
+        ];
+        let rows = compare(&base, &measured);
+        assert_eq!(rows[0].verdict, Verdict::Regressed);
+        assert_eq!(rows[1].verdict, Verdict::Pass);
+        let budgets: Vec<(&str, f64)> = GATE_BENCHES
+            .iter()
+            .map(|&name| (name, suite_tolerance(name)))
+            .filter(|&(_, tol)| tol != DEFAULT_TOLERANCE)
+            .collect();
+        assert_eq!(
+            budgets,
+            [
+                ("gate/cache_hit", 0.50),
+                ("gate/audit_one_proxy", 0.60),
+                ("gate/verdict_query", 0.50),
+                ("gate/metrics_export", 0.50),
+            ]
+        );
+        assert_eq!(DEFAULT_TOLERANCE, 0.30);
     }
 
     #[test]
     fn missing_and_nonpositive_baselines_are_flagged() {
-        let base = baseline(&[("gate/zero", 0.0, None)]);
+        let base = baseline(&[("gate/zero", 0.0)]);
         let measured = [sampled("gate/zero", 10.0), sampled("gate/new", 10.0)];
-        let rows = compare(&base, &measured, 0.30);
+        let rows = compare(&base, &measured);
         assert_eq!(rows[0].verdict, Verdict::MissingBaseline);
         assert_eq!(rows[1].verdict, Verdict::MissingBaseline);
         assert!(rows[1].ratio().is_none());
@@ -579,19 +550,19 @@ mod tests {
 
     #[test]
     fn large_improvements_are_reported_not_failed() {
-        let base = baseline(&[("gate/a", 1000.0, None)]);
-        let rows = compare(&base, &[sampled("gate/a", 500.0)], 0.30);
+        let base = baseline(&[("gate/a", 1000.0)]);
+        let rows = compare(&base, &[sampled("gate/a", 500.0)]);
         assert_eq!(rows[0].verdict, Verdict::Improved);
     }
 
     #[test]
     fn doctored_baseline_trips_every_entry() {
-        let measured = [
-            sampled("gate/a", 1000.0),
-            sampled("gate/audit_one_proxy", 5000.0),
-        ];
+        let measured: Vec<Sampled> = GATE_BENCHES
+            .iter()
+            .map(|&name| sampled(name, 1000.0))
+            .collect();
         let doctored = doctored_baseline(&measured);
-        let rows = compare(&doctored, &measured, default_tolerance());
+        let rows = compare(&doctored, &measured);
         assert!(rows.iter().all(|c| c.verdict == Verdict::Regressed));
     }
 
@@ -689,8 +660,8 @@ mod tests {
 
     #[test]
     fn render_names_each_row() {
-        let base = baseline(&[("gate/a", 1000.0, None)]);
-        let rows = compare(&base, &[sampled("gate/a", 2000.0)], 0.30);
+        let base = baseline(&[("gate/a", 1000.0)]);
+        let rows = compare(&base, &[sampled("gate/a", 2000.0)]);
         let text = render_comparisons(&rows);
         assert!(text.contains("gate/a"));
         assert!(text.contains("Regressed"));

@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 
-//! Shared harness for the figure-regeneration binary and the Criterion
-//! benches: study/crowd context builders at three scales, plus small
-//! text-rendering helpers (ASCII CDFs, aligned tables).
+//! Shared harness for the figure-regeneration binary, the perf gate and
+//! the determinism matrix: study/crowd context builders at three
+//! scales, plus small text-rendering helpers (ASCII CDFs, aligned
+//! tables).
 
 pub mod artifact;
 pub mod determinism;

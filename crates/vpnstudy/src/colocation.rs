@@ -46,7 +46,8 @@ pub type ColocationGroup = Vec<usize>;
 
 /// Detect same-data-center groups among the proxies by all-pairs
 /// corrected RTT under `threshold_ms`. Returns groups of size ≥ 2,
-/// largest first.
+/// largest first, equal sizes by their lowest member; each group's
+/// members ascending.
 ///
 /// `self_pings[i]` must hold each proxy's minimum tunnel self-ping (the
 /// audit already measures these). Cost is O(n²) tunnel measurements, so
@@ -94,6 +95,8 @@ pub fn detect_same_lan_groups(
             }
         }
     }
+    // Members are pushed in index order, so each group is ascending and
+    // its first member is its lowest.
     let mut groups: std::collections::HashMap<usize, Vec<usize>> = Default::default();
     for i in 0..n {
         let root = find(&mut parent, i);
@@ -101,10 +104,7 @@ pub fn detect_same_lan_groups(
     }
     let mut out: Vec<ColocationGroup> =
         groups.into_values().filter(|g| g.len() >= 2).collect();
-    out.sort_by_key(|g| std::cmp::Reverse(g.len()));
-    for g in &mut out {
-        g.sort_unstable();
-    }
+    out.sort_unstable_by_key(|g| (std::cmp::Reverse(g.len()), g[0]));
     out
 }
 
@@ -115,18 +115,14 @@ mod tests {
     use crate::config::StudyConfig;
     use geoloc::proxy::ProxyContext;
 
-    /// A fresh study per test: both tests establish tunnels and probe
-    /// through the network, which changes its state.
-    fn study() -> Study {
-        Study::build(StudyConfig {
+    /// A fresh study per call, its proxies and their detected same-LAN
+    /// groups: detection establishes tunnels and probes through the
+    /// network, which changes its state.
+    fn detect() -> (Vec<DeployedProxy>, Vec<ColocationGroup>) {
+        let mut s = Study::build(StudyConfig {
             total_proxies: 40,
             ..StudyConfig::small(321)
-        })
-    }
-
-    #[test]
-    fn detects_true_datacenter_groups() {
-        let mut s = study();
+        });
         let client = s.client;
         let proxies = s.providers.proxies.clone();
         let mut self_pings = Vec::with_capacity(proxies.len());
@@ -144,6 +140,12 @@ mod tests {
             3,
             SAME_LAN_RTT_MS,
         );
+        (proxies, groups)
+    }
+
+    #[test]
+    fn detects_true_datacenter_groups() {
+        let (proxies, groups) = detect();
         assert!(!groups.is_empty(), "no co-located groups found");
 
         // Every detected pair must actually be near each other (the
@@ -187,24 +189,7 @@ mod tests {
         // Different providers renting space in the same hub city end up
         // in the same detected group — "including proxies claimed to be
         // in separate countries" (§8.1).
-        let mut s = study();
-        let client = s.client;
-        let proxies = s.providers.proxies.clone();
-        let mut self_pings = Vec::with_capacity(proxies.len());
-        for p in &proxies {
-            let ctx = ProxyContext::establish(s.world.network_mut(), client, p.node, 0.5, 6)
-                .expect("tunnel up");
-            self_pings.push(ctx.self_ping_ms);
-        }
-        let groups = detect_same_lan_groups(
-            s.world.network_mut(),
-            client,
-            &proxies,
-            &self_pings,
-            0.5,
-            3,
-            SAME_LAN_RTT_MS,
-        );
+        let (proxies, groups) = detect();
         let mixed_provider = groups.iter().any(|g| {
             let first = proxies[g[0]].provider;
             g.iter().any(|&i| proxies[i].provider != first)
@@ -217,5 +202,32 @@ mod tests {
             mixed_provider || mixed_claims,
             "expected at least one group mixing providers or claims"
         );
+    }
+
+    #[test]
+    fn equal_size_groups_come_out_by_lowest_member() {
+        // The study's racks include several groups of each size, so an
+        // order left to hashing would differ from one detection to the
+        // next.
+        let (_, groups) = detect();
+        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
+        assert!(
+            sizes.windows(2).any(|w| w[0] == w[1]),
+            "no two groups of equal size: {sizes:?}"
+        );
+        for g in &groups {
+            assert!(
+                g.windows(2).all(|w| w[0] < w[1]),
+                "members out of order: {g:?}"
+            );
+        }
+        let keys: Vec<(std::cmp::Reverse<usize>, usize)> = groups
+            .iter()
+            .map(|g| (std::cmp::Reverse(g.len()), g[0]))
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{groups:?}");
+        for _ in 0..3 {
+            assert_eq!(detect().1, groups);
+        }
     }
 }

@@ -285,18 +285,14 @@ pub fn render_provider_country_honesty(
     max_countries: usize,
 ) -> String {
     let atlas = study.world.atlas();
-    // Most-claimed countries first (by server count across providers).
-    let mut by_country: std::collections::HashMap<usize, (usize, usize)> =
-        std::collections::HashMap::new();
+    // Most-claimed countries first (by server count across providers),
+    // ties by country id.
+    let mut claims: std::collections::BTreeMap<usize, usize> = Default::default();
     for r in &results.records {
-        let e = by_country.entry(r.proxy.claimed).or_default();
-        e.1 += 1;
-        if r.refined.assessment != Assessment::False {
-            e.0 += 1;
-        }
+        *claims.entry(r.proxy.claimed).or_default() += 1;
     }
-    let mut order: Vec<usize> = by_country.keys().copied().collect();
-    order.sort_by_key(|c| std::cmp::Reverse(by_country[c].1));
+    let mut order: Vec<usize> = claims.keys().copied().collect();
+    order.sort_by_key(|c| std::cmp::Reverse(claims[c]));
     order.truncate(max_countries);
 
     let mut out = String::new();
