@@ -24,8 +24,10 @@ cargo test -q --release --offline --test routing_exactness -- --ignored
 
 # Probe exactness at paper scale: the audit's probe kinds over a slice of
 # the paper fleet, clean and hostile, must match the discrete-event
-# engine the probe walk replaced, probe by probe (tests/probe_exactness.rs;
-# tier-1 runs the random-world property). Release, like the step above.
+# engine the probe walk replaced, probe by probe, and the paper's anchor
+# mesh must match the plain minimum-of-n loop bit for bit
+# (tests/probe_exactness.rs; tier-1 runs the random-world properties).
+# Release, like the step above.
 cargo test -q --release --offline --test probe_exactness -- --ignored
 
 # Lint gate: the workspace must be clippy-clean, warnings as errors.

@@ -90,9 +90,12 @@ impl CalibrationDb {
     /// `pings_per_pair` RTT draws (the "two weeks of pings" summary),
     /// halved to a one-way time.
     ///
-    /// Cost is `O(anchors² · pings_per_pair)` draws; with the default
-    /// 250-anchor constellation and 40 draws this is a few seconds in a
-    /// release build, so bulk callers cache the result.
+    /// Cost is `O(anchors² · pings_per_pair)` uniform draws, but
+    /// `Network::min_of_n_rtt_ms` transforms only the round trips that
+    /// can still lower a pair's minimum, about one in nine at 40 draws.
+    /// The default 250-anchor constellation at 40 draws takes about half
+    /// a second single-threaded in a release build on a 2-vCPU VM, so
+    /// bulk callers still cache the result.
     pub fn collect(
         network: &mut Network,
         constellation: &Constellation,

@@ -28,13 +28,15 @@ pub struct AlgorithmScores {
 }
 
 impl AlgorithmScores {
-    /// Fraction of hosts whose true location was inside the region.
+    /// Fraction of hosts whose true location was inside the region. A
+    /// host with an empty prediction counts as a miss.
     pub fn coverage(&self) -> f64 {
-        if self.miss_km.is_empty() {
+        let hosts = self.miss_km.len() + self.empty;
+        if hosts == 0 {
             return 0.0;
         }
         let hit = self.miss_km.iter().filter(|&&m| m == 0.0).count();
-        hit as f64 / self.miss_km.len() as f64
+        hit as f64 / hosts as f64
     }
 }
 
@@ -212,4 +214,24 @@ pub fn fig11_effectiveness(ctx: &mut CrowdContext) -> String {
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::AlgorithmScores;
+
+    #[test]
+    fn coverage_counts_empty_predictions_as_misses() {
+        let scores = |miss_km: Vec<f64>, empty| AlgorithmScores {
+            name: "test",
+            miss_km,
+            centroid_km: Vec::new(),
+            area_fraction: Vec::new(),
+            empty,
+        };
+        assert_eq!(scores(vec![0.0, 0.0, 120.0], 1).coverage(), 0.5);
+        assert_eq!(scores(vec![0.0; 189], 1).coverage(), 189.0 / 190.0);
+        assert_eq!(scores(Vec::new(), 3).coverage(), 0.0);
+        assert_eq!(scores(Vec::new(), 0).coverage(), 0.0);
+    }
 }

@@ -1,6 +1,6 @@
 //! The workspace's microbenchmark suite and CI perf-regression gate:
-//! fourteen smoke benches of the audit's layers, re-measured and
-//! compared against a committed baseline artifact.
+//! fifteen smoke benches of set-up's and the audit's layers, re-measured
+//! and compared against a committed baseline artifact.
 //!
 //! The gate's job is to catch *large accidental regressions* (an
 //! algorithmic slip that doubles the cost of disk intersection, a cache
@@ -10,9 +10,9 @@
 //!   pipeline actually spends its time in (cap rasterization, disk
 //!   intersection, the cached subset search, the counting sweep over a
 //!   whole globe and over a baseline region, the defense's pairwise
-//!   flags, disk-cache lookups, one tunnelled probe bare and once more
-//!   with the audit's Events recorder, and one full single-proxy
-//!   audit);
+//!   flags, disk-cache lookups, one row of the calibration mesh, one
+//!   tunnelled probe bare and once more with the audit's Events
+//!   recorder, and one full single-proxy audit);
 //! * only **medians** are compared, with a generous relative tolerance —
 //!   ±30 % by default ([`DEFAULT_TOLERANCE`]), looser for the few entries
 //!   [`suite_tolerance`] names;
@@ -240,6 +240,28 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
                 black_box(&ctx.study.calibration),
                 ctx.study.world.atlas(),
             ))
+        })
+    }));
+
+    // Set-up's kernel: one row of the anchor mesh, the minimum of 40
+    // round trips from one anchor to every other anchor, as
+    // `CalibrationDb::collect` measures each row. On a fork, so the
+    // benches below draw from the study network as before.
+    let anchors: Vec<netsim::NodeId> = ctx
+        .study
+        .constellation
+        .anchors()
+        .iter()
+        .map(|a| a.node)
+        .collect();
+    let (&from, others) = anchors.split_first().expect("the small world has anchors");
+    let mut mesh = ctx.study.world.network().fork(0xca11b);
+    out.push(run_sampled("gate/calibration_row", samples, |b| {
+        b.iter(|| {
+            others
+                .iter()
+                .filter_map(|&to| mesh.min_of_n_rtt_ms(from, black_box(to), 40))
+                .sum::<f64>()
         })
     }));
 
@@ -567,7 +589,7 @@ mod tests {
     }
 
     /// Every bench of the smoke suite, in order.
-    const GATE_BENCHES: [&str; 14] = [
+    const GATE_BENCHES: [&str; 15] = [
         "gate/cap_raster",
         "gate/disk_intersect",
         "gate/cached_subset",
@@ -577,6 +599,7 @@ mod tests {
         "gate/pairwise_flags",
         "gate/cache_hit",
         "gate/phase1_server_build",
+        "gate/calibration_row",
         "gate/tunnel_probe",
         "gate/tunnel_probe_events",
         "gate/audit_one_proxy",

@@ -23,7 +23,7 @@
 //! runs reach (`net.adv.*` included).
 
 use crate::adversary::{AdversaryPlan, AdversaryTally};
-use crate::delay::{DelayModel, PathDelays};
+use crate::delay::{DelayModel, Hop, PathDelays, QueueBounds};
 use crate::engine::{Engine, LossTally, Outcome, PacketKind, TraceEvent};
 use crate::fault::FaultPlan;
 use crate::routing::Routes;
@@ -54,6 +54,11 @@ pub struct Network {
     /// `Arc`-shared copy-on-write: [`fork`](Network::fork) shares the
     /// model, and mutation would clone it first (`Arc::make_mut`).
     model: Arc<DelayModel>,
+    /// The queueing bounds of [`min_of_n_rtt_ms`](Network::min_of_n_rtt_ms),
+    /// built on first use and shared with forks. They are rebuilt
+    /// whenever they no longer fit `model`, so an edited model never
+    /// reads stale ones.
+    bounds: Option<Arc<QueueBounds>>,
     /// `Arc`-shared copy-on-write like `model`, **except** when the plan
     /// carries sliding-window rate-limit state, which mutates through
     /// `&FaultPlan` during runs — then forks deep-copy (see
@@ -89,6 +94,7 @@ impl Network {
             topo: Arc::new(topo),
             routes: Routes::new(),
             model: Arc::new(model),
+            bounds: None,
             faults: Arc::new(FaultPlan::default()),
             adversary: Arc::new(AdversaryPlan::default()),
             rng: StdRng::seed_from_u64(seed),
@@ -127,6 +133,7 @@ impl Network {
             topo: Arc::clone(&self.topo),
             routes: self.routes.fork(),
             model: Arc::clone(&self.model),
+            bounds: self.bounds.clone(),
             faults,
             adversary: Arc::clone(&self.adversary),
             rng: StdRng::seed_from_u64(seed),
@@ -505,18 +512,39 @@ impl Network {
 
     /// The minimum of `n` RTT draws, in ms — what repeated measurement
     /// converges to, and what CBG calibration consumes.
+    ///
+    /// Bit for bit the minimum of `n` [`sample_rtt_ms`](Self::sample_rtt_ms)
+    /// draws, and it leaves the RNG where they would, but it transforms
+    /// only the round trips that can still set the minimum. The first is
+    /// drawn outright. Each later one is settled from its uniforms when
+    /// a certified lower bound shows it cannot lower the minimum (see
+    /// `RoundTrips` below); otherwise it is drawn outright again, from a
+    /// copy of the RNG taken before it, which replays the same draws.
     pub fn min_of_n_rtt_ms(&mut self, src: NodeId, dst: NodeId, n: usize) -> Option<f64> {
         assert!(n > 0, "need at least one draw");
         let path = self
             .routes
             .get(&self.topo, src, dst)
             .filter(|path| !path.hops.is_empty())?;
-        let mut best = f64::INFINITY;
-        for _ in 0..n {
-            let fwd = self.model.one_way_ms(path, &mut self.rng);
-            let rev = self.model.one_way_ms(path, &mut self.rng);
-            best = best.min(fwd + rev);
+        let model = &*self.model;
+        // A local copy of the RNG stays in registers through the loop.
+        let mut rng = self.rng.clone();
+        let round_trip =
+            |rng: &mut StdRng| model.one_way_ms(path, rng) + model.one_way_ms(path, rng);
+        let mut best = f64::INFINITY.min(round_trip(&mut rng));
+        if n > 1 {
+            if !self.bounds.as_ref().is_some_and(|b| b.fits(model)) {
+                self.bounds = Some(Arc::new(QueueBounds::new(model)));
+            }
+            let trips = RoundTrips::new(model, self.bounds.as_deref().expect("built above"), path);
+            for _ in 1..n {
+                let mut replay = rng.clone();
+                if !trips.settles(best, &mut rng) {
+                    best = best.min(round_trip(&mut replay));
+                }
+            }
         }
+        self.rng = rng;
         Some(best)
     }
 
@@ -535,12 +563,96 @@ impl Network {
     }
 }
 
+/// The later round trips of [`Network::min_of_n_rtt_ms`] over one path,
+/// settled from their uniforms where a certified bound allows.
+///
+/// Each round trip's uniforms are drawn in order, and a lower bound on
+/// each hop's queueing ([`QueueBounds::hop_ms`]) is added in the exact
+/// sum's order: `floor + q₁ + …` each way, then `fwd + rev`. Queueing is
+/// never negative and floating-point addition is monotone, so the
+/// partial bound, plus the least the other leg can add, never exceeds
+/// the round trip. Once it reaches the running minimum the round trip
+/// cannot lower it, and its remaining hops only advance the RNG.
+struct RoundTrips<'a> {
+    model: &'a DelayModel,
+    bounds: &'a QueueBounds,
+    /// The hops that queue: every hop but the source's.
+    queued: &'a [Hop],
+    /// Each leg's floor: propagation and fixed costs, no queueing.
+    floor: f64,
+    /// Where each leg's bound starts: the floor, or NaN, which never
+    /// reaches the minimum, when a congestion factor is not finite and
+    /// ≥ 0 (its queueing could be negative and lower the sum).
+    start: f64,
+}
+
+impl<'a> RoundTrips<'a> {
+    fn new(model: &'a DelayModel, bounds: &'a QueueBounds, path: &'a PathDelays) -> Self {
+        let queued = &path.hops[1..];
+        let floor = model.floor_one_way_ms(path);
+        let start = if queued
+            .iter()
+            .all(|hop| hop.congestion.is_finite() && hop.congestion >= 0.0)
+        {
+            floor
+        } else {
+            f64::NAN
+        };
+        RoundTrips {
+            model,
+            bounds,
+            queued,
+            floor,
+            start,
+        }
+    }
+
+    /// Draw one round trip's uniforms from `rng` and tell whether its
+    /// bound reached `best`, so that it cannot lower the minimum.
+    #[inline]
+    fn settles(&self, best: f64, rng: &mut StdRng) -> bool {
+        match self.leg_bound(self.floor, best, rng) {
+            None => {
+                self.advance(self.queued, rng);
+                true
+            }
+            Some(forward) => self.leg_bound(forward, best, rng).is_none(),
+        }
+    }
+
+    /// Draw one leg's uniforms and bound its one-way delay from below:
+    /// `None` as soon as that bound plus `other`, a lower bound on the
+    /// other leg, reaches `best`.
+    #[inline]
+    fn leg_bound(&self, other: f64, best: f64, rng: &mut StdRng) -> Option<f64> {
+        let mut bound = self.start;
+        for (i, hop) in self.queued.iter().enumerate() {
+            let u = self.model.queue_uniforms(hop.congestion, rng);
+            bound += self.bounds.hop_ms(hop.congestion, &u);
+            if bound + other >= best {
+                self.advance(&self.queued[i + 1..], rng);
+                return None;
+            }
+        }
+        Some(bound)
+    }
+
+    /// Advance `rng` past the queueing draws of `hops`.
+    #[inline]
+    fn advance(&self, hops: &[Hop], rng: &mut StdRng) {
+        for hop in hops {
+            self.model.queue_uniforms(hop.congestion, rng);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::FilterPolicy;
     use crate::topology::{plain_node, NodeKind};
     use geokit::GeoPoint;
+    use simrng::Rng;
 
     /// A little Europe: Frankfurt and Paris IXPs, hosts on each.
     fn net() -> (Network, NodeId, NodeId, NodeId) {
@@ -660,6 +772,26 @@ mod tests {
         assert!(many <= one);
         let floor = net.floor_rtt_ms(client, lm).unwrap();
         assert!(many >= floor);
+    }
+
+    #[test]
+    fn min_of_n_matches_the_plain_loop_for_any_congestion() {
+        for congestion in [0.0, 0.5, 5.0, -1.0, -0.0, f64::NAN, f64::INFINITY] {
+            let (mut net, client, _, lm) = net();
+            net.topology_mut().node_mut(0).congestion = congestion;
+            let path = net.path_delays(client, lm).unwrap();
+            let (mut plain, mut bounded) = (net.fork(7), net.fork(7));
+            let model = DelayModel::default();
+            let mut best = f64::INFINITY;
+            for _ in 0..64 {
+                let fwd = model.one_way_ms(&path, &mut plain.rng);
+                let rev = model.one_way_ms(&path, &mut plain.rng);
+                best = best.min(fwd + rev);
+            }
+            let got = bounded.min_of_n_rtt_ms(client, lm, 64).unwrap();
+            assert_eq!(got.to_bits(), best.to_bits(), "congestion {congestion}");
+            assert_eq!(bounded.rng.next_u64(), plain.rng.next_u64(), "{congestion}");
+        }
     }
 
     #[test]

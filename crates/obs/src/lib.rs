@@ -375,6 +375,10 @@ impl Buffers {
     fn profile_at(&mut self, path: u32) -> &mut ProfileStat {
         let i = path as usize;
         if i >= self.profile.len() {
+            // Exactly as many slots as paths: the audit keeps one
+            // recorder per proxy, and doubling's slack would be most of
+            // each one's profile.
+            self.profile.reserve_exact(i + 1 - self.profile.len());
             self.profile.resize(i + 1, ProfileStat::default());
         }
         &mut self.profile[i]

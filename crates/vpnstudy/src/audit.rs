@@ -104,6 +104,10 @@ pub struct Study {
     pub client: NodeId,
     /// Plausibility mask for predictions.
     pub mask: Region,
+    /// Wall-clock profile of [`Study::build`]: one `build.*` span per
+    /// stage (atlas, world, constellation, calibration, deploy), at the
+    /// config's obs level. It holds no events or counters.
+    pub build_profile: Recorder,
 }
 
 /// Results of a full audit run.
@@ -143,10 +147,14 @@ pub struct StudyResults {
 impl Study {
     /// Build the world, constellation, calibration, and provider fleet.
     pub fn build(config: StudyConfig) -> Study {
+        let build_profile = Recorder::new(config.obs_level);
+        let span = build_profile.profile_span("build.atlas");
         let grid = GeoGrid::new(config.grid_resolution_deg);
         let atlas = Arc::new(WorldAtlas::new(grid));
         let registry = DataCenterRegistry::from_atlas(&atlas);
         let survey = MarketSurvey::generate(&atlas, config.seed ^ 0x5a1e5);
+        drop(span);
+        let span = build_profile.profile_span("build.world");
         let mut world = WorldNet::build(
             Arc::clone(&atlas),
             WorldNetConfig {
@@ -154,12 +162,19 @@ impl Study {
                 ..WorldNetConfig::default()
             },
         );
+        drop(span);
+        let span = build_profile.profile_span("build.constellation");
         let constellation = Constellation::place(&mut world, &config.constellation);
+        drop(span);
+        let span = build_profile.profile_span("build.calibration");
         let calibration =
             CalibrationDb::collect(world.network_mut(), &constellation, config.calibration_pings);
+        drop(span);
+        let span = build_profile.profile_span("build.deploy");
         let providers = ProviderSet::deploy(&mut world, &survey, &config);
         let client = world.attach_host(config.client_location, FilterPolicy::default());
         let mask = atlas.plausibility_mask().clone();
+        drop(span);
         Study {
             config,
             world,
@@ -170,6 +185,7 @@ impl Study {
             survey,
             client,
             mask,
+            build_profile,
         }
     }
 
@@ -1184,6 +1200,32 @@ mod tests {
         let tree = res.obs.render_profile();
         assert!(tree.contains("audit.proxy"));
         assert!(tree.contains("  audit.locate"), "no indented child:\n{tree}");
+    }
+
+    #[test]
+    fn build_profile_times_every_setup_stage() {
+        let g = results().lock().unwrap();
+        let (study, _) = &*g;
+        let stages: Vec<(String, u64)> = study
+            .build_profile
+            .profile()
+            .into_iter()
+            .map(|(path, stat)| (path, stat.count))
+            .collect();
+        let want: Vec<(String, u64)> = [
+            "build.atlas",
+            "build.calibration",
+            "build.constellation",
+            "build.deploy",
+            "build.world",
+        ]
+        .iter()
+        .map(|&path| (path.to_string(), 1))
+        .collect();
+        assert_eq!(stages, want);
+        // Wall-clock only: nothing deterministic is recorded.
+        assert!(study.build_profile.counters().is_empty());
+        assert_eq!(study.build_profile.events_len(), 0);
     }
 
     #[test]

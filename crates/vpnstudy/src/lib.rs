@@ -40,3 +40,32 @@ pub use store::{
     EpochId, EpochMeta, Freshness, LookupAnswer, RevalidationPriority, StoredFailure,
     StoredVerdict, VerdictStore,
 };
+
+/// A test's scratch directory under the temp dir, fresh and empty. The
+/// guard removes it, with everything in it, when it drops, so test runs
+/// leave nothing behind.
+#[cfg(test)]
+pub(crate) struct ScratchDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl ScratchDir {
+    /// The directory `pv-<name>-<process id>`.
+    pub(crate) fn new(name: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("pv-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        ScratchDir(dir)
+    }
+
+    /// The path of `file` inside the directory.
+    pub(crate) fn join(&self, file: &str) -> std::path::PathBuf {
+        self.0.join(file)
+    }
+}
+
+#[cfg(test)]
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

@@ -187,6 +187,7 @@ mod tests {
     use super::*;
     use crate::audit::Study;
     use crate::config::StudyConfig;
+    use crate::ScratchDir;
     use obs::export::parse_exposition;
     use std::sync::OnceLock;
 
@@ -240,9 +241,7 @@ mod tests {
     #[test]
     fn store_metrics_count_urgent_staleness() {
         let (results, _) = metrics();
-        let dir = std::env::temp_dir().join(format!("pv-ops-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("ops");
         let mut store = VerdictStore::open(dir.join("v.jsonl")).unwrap();
         store.append_epoch(results, 1_000).unwrap();
         let mut set = MetricSet::new();
@@ -297,9 +296,7 @@ mod tests {
     #[test]
     fn epoch_suspicious_metrics_read_back_the_store() {
         let (results, _) = metrics();
-        let dir = std::env::temp_dir().join(format!("pv-ops-epoch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("ops-epoch");
         let mut store = VerdictStore::open(dir.join("v.jsonl")).unwrap();
         store.append_epoch(results, 1_000).unwrap();
         let prior = epoch_suspicious_metrics(&store, 0).unwrap();

@@ -191,19 +191,22 @@ pub fn render_perf_telemetry(results: &StudyResults) -> String {
     out
 }
 
-/// The hierarchical span profile of the run: an indented tree of every
-/// profiled stage (phase-1/phase-2 probing, retries, disk intersection,
-/// cache lookups, report rendering) with per-path call counts and
-/// self/cumulative wall time. The timings are **wall-clock telemetry**
-/// — never part of determinism diffs.
-pub fn render_profile(results: &StudyResults) -> String {
+/// The hierarchical span profile of the study: set-up's `build.*` spans
+/// beside the run's tree of every profiled stage (phase-1/phase-2
+/// probing, retries, disk intersection, cache lookups, report
+/// rendering), with per-path call counts and self/cumulative wall time.
+/// The timings are **wall-clock telemetry** — never part of determinism
+/// diffs.
+pub fn render_profile(study: &Study, results: &StudyResults) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "# span profile ({} threads): self = cum - time in child spans; wall-clock, machine-dependent",
         results.threads
     );
-    let tree = results.obs.render_profile();
+    let mut spans = study.build_profile.profile();
+    spans.extend(results.obs.profile());
+    let tree = obs::render_profile_from(&spans);
     if tree.is_empty() {
         let _ = writeln!(out, "(no profile spans recorded — obs level Off?)");
     } else {

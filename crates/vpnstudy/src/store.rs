@@ -546,15 +546,14 @@ fn bad_data(msg: String) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScratchDir;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "pv-store-{}-{name}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("verdicts.jsonl")
+    /// A store file in a scratch directory of its own, which goes away
+    /// with the guard.
+    fn scratch(name: &str) -> (ScratchDir, PathBuf) {
+        let dir = ScratchDir::new(&format!("store-{name}"));
+        let path = dir.join("verdicts.jsonl");
+        (dir, path)
     }
 
     fn verdict(epoch: EpochId, node: NodeId, provider: usize, refined: Assessment) -> StoredVerdict {
@@ -583,7 +582,7 @@ mod tests {
 
     #[test]
     fn rows_survive_a_reopen_bit_exact() {
-        let path = scratch("reopen");
+        let (_dir, path) = scratch("reopen");
         let mut store = VerdictStore::open(&path).unwrap();
         let rows = vec![
             verdict(0, 10, 1, Assessment::Credible),
@@ -611,7 +610,7 @@ mod tests {
 
     #[test]
     fn lookup_prefers_the_latest_epoch_and_grades_staleness() {
-        let path = scratch("lookup");
+        let (_dir, path) = scratch("lookup");
         let mut store = VerdictStore::open(&path).unwrap();
         store
             .append_rows(&meta(0, 1_000, 1), &[verdict(0, 7, 0, Assessment::False)], &[])
@@ -637,7 +636,7 @@ mod tests {
 
     #[test]
     fn revalidation_queue_ranks_liars_first() {
-        let path = scratch("queue");
+        let (_dir, path) = scratch("queue");
         let mut store = VerdictStore::open(&path).unwrap();
         let rows = vec![
             verdict(0, 1, 0, Assessment::Credible),
@@ -661,7 +660,7 @@ mod tests {
 
     #[test]
     fn revalidation_queue_is_empty_for_an_empty_store() {
-        let path = scratch("queue-empty");
+        let (_dir, path) = scratch("queue-empty");
         let store = VerdictStore::open(&path).unwrap();
         assert!(store.revalidation_queue(u64::MAX, 0).is_empty());
         // An epoch with zero verdicts is still an empty queue.
@@ -672,7 +671,7 @@ mod tests {
 
     #[test]
     fn revalidation_queue_ignores_an_all_fresh_store() {
-        let path = scratch("queue-fresh");
+        let (_dir, path) = scratch("queue-fresh");
         let mut store = VerdictStore::open(&path).unwrap();
         let rows = vec![
             verdict(0, 1, 0, Assessment::False),
@@ -688,7 +687,7 @@ mod tests {
 
     #[test]
     fn revalidation_queue_breaks_equal_staleness_by_priority_then_node() {
-        let path = scratch("queue-ties");
+        let (_dir, path) = scratch("queue-ties");
         let mut store = VerdictStore::open(&path).unwrap();
         // All four verdicts in one epoch: identical age (maximal
         // staleness tie). Order must come from priority alone, node id
@@ -733,7 +732,7 @@ mod tests {
 
     #[test]
     fn provider_trend_allots_every_epoch() {
-        let path = scratch("trend");
+        let (_dir, path) = scratch("trend");
         let mut store = VerdictStore::open(&path).unwrap();
         store
             .append_rows(&meta(0, 0, 1), &[verdict(0, 1, 5, Assessment::False)], &[])
@@ -753,7 +752,7 @@ mod tests {
 
     #[test]
     fn country_false_rates_sort_by_rate() {
-        let path = scratch("rates");
+        let (_dir, path) = scratch("rates");
         let mut store = VerdictStore::open(&path).unwrap();
         let mut rows = vec![
             verdict(0, 1, 0, Assessment::False),
@@ -773,8 +772,8 @@ mod tests {
 
     #[test]
     fn merge_renumbers_epochs_and_preserves_rows() {
-        let a_path = scratch("merge-a");
-        let b_path = scratch("merge-b");
+        let (_a, a_path) = scratch("merge-a");
+        let (_b, b_path) = scratch("merge-b");
         let mut a = VerdictStore::open(&a_path).unwrap();
         let mut b = VerdictStore::open(&b_path).unwrap();
         a.append_rows(&meta(0, 0, 1), &[verdict(0, 1, 0, Assessment::Credible)], &[])
@@ -794,7 +793,7 @@ mod tests {
 
     #[test]
     fn corrupt_lines_are_reported_with_position() {
-        let path = scratch("corrupt");
+        let (_dir, path) = scratch("corrupt");
         std::fs::write(&path, "{\"t\":\"epoch\",\"epoch\":0}\n").unwrap();
         let err = VerdictStore::open(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -3,17 +3,24 @@
 //! stood before the walk (an event heap, sequence numbers, probe ids, a
 //! route rebuilt per leg, a link found by scanning neighbours), together
 //! with the `Network` facade code that drove it. Only three lines differ:
-//! `FaultPlan::drops_packet` and `DelayModel::queue_draw_ms` lost their
-//! node arguments, and `PacketKind` became `Copy`.
+//! `FaultPlan::drops_packet` and the queueing draw lost their node
+//! arguments, and `PacketKind` became `Copy`. The queueing draw is the
+//! plain body `DelayModel::queue_draw_ms` had before it was split into
+//! uniforms and their transform (`geokit::sampling`'s draws in turn),
+//! and the closed form is the plain loop `min_of_n_rtt_ms` had before
+//! it bounded round trips.
 //!
 //! For every probe both sides must agree on the result and its RTT bits,
 //! the clock, the `net.probe.*`/`net.loss.*`/`net.adv.*` counters, and
 //! the packet trace; closed-form `sample_rtt_ms` draws between probes
 //! check that both consumed the same RNG draws. A property covers random
-//! topologies with every fault and adversary tactic; an ignored test,
-//! which `ci.sh` runs in release, replays the audit's probe kinds over a
-//! slice of the paper world's fleet, clean and hostile.
+//! topologies with every fault and adversary tactic, and another the
+//! minimum of up to 64 round trips; ignored tests, which `ci.sh` runs in
+//! release, replay the audit's probe kinds over a slice of the paper
+//! world's fleet, clean and hostile, and collect the paper's anchor mesh.
 
+use atlas::CalibrationDb;
+use geokit::sampling;
 use netsim::delay::DelayModel;
 use netsim::engine::{LossTally, PacketKind, TraceEvent};
 use netsim::network::DEFAULT_PROBE_TIMEOUT_MS;
@@ -302,7 +309,7 @@ impl<'a, R: Rng> Engine<'a, R> {
         let queue_ms = if is_endpoint_origin {
             0.0
         } else {
-            self.model.queue_draw_ms(self.topo.node(here).congestion, self.rng)
+            queue_draw_ms(self.model, self.topo.node(here).congestion, self.rng)
         };
         let next = packet.route[packet.pos + 1];
         let link = self
@@ -523,6 +530,19 @@ impl<'a, R: Rng> Engine<'a, R> {
 
 
 // --- The reference facade ----------------------------------------------
+
+/// One queueing draw, in ms, as `DelayModel::queue_draw_ms` drew it
+/// before its split: a lognormal base, the spike coin, and a Pareto
+/// spike when it lands, scaled by the congestion factor.
+fn queue_draw_ms<R: Rng + ?Sized>(model: &DelayModel, congestion: f64, rng: &mut R) -> f64 {
+    let base = sampling::lognormal(rng, model.queue_mu_log, model.queue_sigma_log);
+    let spike = if sampling::coin(rng, model.spike_probability * congestion.min(3.0)) {
+        sampling::pareto(rng, model.spike_scale_ms, model.spike_shape)
+    } else {
+        0.0
+    };
+    (base + spike) * congestion
+}
 
 /// The `Network` facade as it drove the reference engine: one engine per
 /// probe, telemetry folded in afterwards.
@@ -791,9 +811,15 @@ impl Reference {
         (trace, rtt)
     }
 
-    /// The closed form as it was: the node path, its links found by
-    /// scanning neighbours, queueing drawn at each intermediate node.
     fn sample_rtt_ms(&mut self, src: NodeId, dst: NodeId) -> Option<f64> {
+        self.min_of_n_rtt_ms(src, dst, 1)
+    }
+
+    /// The closed form as it was: the node path, its links found by
+    /// scanning neighbours, queueing drawn at each intermediate node,
+    /// and every one of the `n` round trips summed in full.
+    fn min_of_n_rtt_ms(&mut self, src: NodeId, dst: NodeId, n: usize) -> Option<f64> {
+        assert!(n > 0, "need at least one draw");
         let path = self.router.path(&self.topo, src, dst)?;
         if path.len() < 2 {
             return None;
@@ -814,15 +840,17 @@ impl Reference {
                 + self.model.per_hop_fixed_ms * (path.len() - 1) as f64
                 + 2.0 * self.model.endpoint_ms;
             for &node in &path[1..path.len() - 1] {
-                total += self
-                    .model
-                    .queue_draw_ms(self.topo.node(node).congestion, &mut self.rng);
+                total += queue_draw_ms(&self.model, self.topo.node(node).congestion, &mut self.rng);
             }
             total
         };
-        let fwd = one_way();
-        let rev = one_way();
-        Some(fwd + rev)
+        let mut best = f64::INFINITY;
+        for _ in 0..n {
+            let fwd = one_way();
+            let rev = one_way();
+            best = best.min(fwd + rev);
+        }
+        Some(best)
     }
 }
 
@@ -1100,6 +1128,60 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_bounded_minimum_matches_the_plain_loop_on_random_worlds(
+        seed in 0u64..u64::MAX,
+        core in 1usize..8,
+        hosts in 2usize..9,
+        long in 0u8..2,
+        spiky in 0u8..2,
+        calls in prop::collection::vec((0usize..1024, 0usize..1024, 1usize..65), 1..10),
+    ) {
+        // Congestion 0.5 to 5 and zero-delay links come with the world;
+        // the spiky model lands a spike on a third of its draws.
+        let (topo, host_ids) = random_world(seed, core, hosts, long == 1);
+        let nodes = topo.num_nodes();
+        let model = if spiky == 1 {
+            DelayModel {
+                spike_probability: 0.3,
+                ..DelayModel::default()
+            }
+        } else {
+            DelayModel::default()
+        };
+        let mut net = Network::with_model(topo, model, seed ^ 0x5eed);
+        let mut reference = Reference::twin(&net, seed ^ 0x5eed, Recorder::off());
+        // Mostly hosts, now and then any node: a router, the unreachable
+        // host, or a node and itself.
+        let pick = |k: usize| {
+            if k.is_multiple_of(4) {
+                (k / 4 % nodes) as NodeId
+            } else {
+                host_ids[k % host_ids.len()]
+            }
+        };
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        for (i, &(a, b, n)) in calls.iter().enumerate() {
+            let (a, b) = (pick(a), pick(b));
+            prop_assert_eq!(
+                bits(net.min_of_n_rtt_ms(a, b, n)),
+                bits(reference.min_of_n_rtt_ms(a, b, n)),
+                "call {} ({} -> {}, n = {})", i, a, b, n
+            );
+            // The RNG's next draws.
+            let (c, d) = (host_ids[0], host_ids[1]);
+            prop_assert_eq!(
+                bits(net.sample_rtt_ms(c, d)),
+                bits(reference.sample_rtt_ms(c, d)),
+                "RNG streams diverged after call {}", i
+            );
+        }
+    }
+}
+
 /// The audit's probe kinds for `proxy`: the tunnel's establishment
 /// (direct pings and self-pings), tunnelled connects to `landmarks` on
 /// both ports, and direct connects and pings to them.
@@ -1166,4 +1248,45 @@ fn the_walk_matches_the_event_engine_on_the_paper_fleet() {
         clean > hostile && hostile > 0,
         "clean {clean}, hostile {hostile}"
     );
+}
+
+#[test]
+#[ignore = "builds the paper world: run in release with --ignored, as ci.sh does"]
+fn the_bounded_mesh_matches_the_plain_loop_at_paper_scale() {
+    let study = Study::build(StudyConfig::paper());
+    let seed = 0xca11b;
+    let mut net = study.world.network().fork(seed);
+    let mut reference = Reference::twin(&net, seed, Recorder::off());
+    let mesh = CalibrationDb::collect(&mut net, &study.constellation, 40);
+    let anchors = study.constellation.anchors();
+    let bits = |(d, t): (f64, f64)| (d.to_bits(), t.to_bits());
+    let mut points = 0;
+    for (i, a) in anchors.iter().enumerate() {
+        let want: Vec<(u64, u64)> = anchors
+            .iter()
+            .filter(|b| b.node != a.node)
+            .filter_map(|b| {
+                let rtt = reference.min_of_n_rtt_ms(a.node, b.node, 40)?;
+                Some(bits((a.location.distance_km(&b.location), rtt / 2.0)))
+            })
+            .collect();
+        let got: Vec<(u64, u64)> = mesh
+            .for_anchor(i)
+            .points()
+            .iter()
+            .copied()
+            .map(bits)
+            .collect();
+        assert_eq!(got, want, "anchor {i}");
+        points += got.len();
+    }
+    assert_eq!(points, 250 * 249);
+    // The RNG's next draws.
+    let (a, b) = (anchors[0].node, anchors[1].node);
+    for _ in 0..4 {
+        assert_eq!(
+            net.sample_rtt_ms(a, b).map(f64::to_bits),
+            reference.sample_rtt_ms(a, b).map(f64::to_bits)
+        );
+    }
 }

@@ -11,12 +11,23 @@ use proxy_verifier::vpnstudy::{
 const DAY_MS: u64 = 86_400_000;
 const T0_MS: u64 = 1_700_000_000_000;
 
-fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("pv-store-it-{}", std::process::id()));
+/// A test's scratch directory, removed with everything in it when the
+/// guard drops.
+struct ScratchDir(std::path::PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A store file in a fresh scratch directory of its own.
+fn scratch(name: &str) -> (ScratchDir, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("pv-store-it-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = dir.join(format!("{name}.jsonl"));
-    let _ = std::fs::remove_file(&path);
-    path
+    (ScratchDir(dir), path)
 }
 
 #[test]
@@ -27,7 +38,7 @@ fn study_round_trips_through_disk_and_answers_all_queries() {
     let results = study.run();
     assert!(!results.records.is_empty(), "study produced no verdicts");
 
-    let path = scratch("roundtrip");
+    let (_dir, path) = scratch("roundtrip");
     {
         let mut store = VerdictStore::open(&path).expect("open for writing");
         assert_eq!(store.append_epoch(&results, T0_MS).expect("epoch 0"), 0);
@@ -125,8 +136,8 @@ fn merged_stores_answer_like_a_single_writer() {
 
     // Site A and site B each persist the same run; a coordinator merges
     // B into A and the combined store serves queries over both epochs.
-    let a_path = scratch("site-a");
-    let b_path = scratch("site-b");
+    let (_a, a_path) = scratch("site-a");
+    let (_b, b_path) = scratch("site-b");
     let mut a = VerdictStore::open(&a_path).expect("open a");
     let mut b = VerdictStore::open(&b_path).expect("open b");
     a.append_epoch(&results, T0_MS).expect("epoch at a");
