@@ -109,8 +109,7 @@ impl CalibrationDb {
                 if a.node == b.node {
                     continue;
                 }
-                let Some(min_rtt) = network.min_of_n_rtt_ms(a.node, b.node, pings_per_pair)
-                else {
+                let Some(min_rtt) = network.min_of_n_rtt_ms(a.node, b.node, pings_per_pair) else {
                     continue;
                 };
                 let dist = a.location.distance_km(&b.location);

@@ -119,10 +119,8 @@ impl Constellation {
                     let location = world
                         .atlas()
                         .sample_point_in_country(country, jitter_km, &mut rng);
-                    let port_80_open =
-                        geokit::sampling::coin(&mut rng, config.port_80_fraction);
-                    let node =
-                        world.attach_host(location, FilterPolicy::landmark(port_80_open));
+                    let port_80_open = geokit::sampling::coin(&mut rng, config.port_80_fraction);
+                    let node = world.attach_host(location, FilterPolicy::landmark(port_80_open));
                     landmarks.push(Landmark {
                         node,
                         location,
@@ -235,9 +233,8 @@ mod tests {
             if painted == Some(lm.country) {
                 continue;
             }
-            let painted = painted.unwrap_or_else(|| {
-                panic!("landmark at {} painted as ocean", lm.location)
-            });
+            let painted =
+                painted.unwrap_or_else(|| panic!("landmark at {} painted as ocean", lm.location));
             let gap = atlas
                 .country(painted)
                 .capital()

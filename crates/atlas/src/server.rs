@@ -147,7 +147,8 @@ impl<'a> LandmarkServer<'a> {
     /// that as "nearest calibrated anchor's model", resolved once at
     /// construction so the per-observation path is a table lookup.
     pub fn calibration_for(&self, landmark: LandmarkId) -> &crate::CalibrationSet {
-        self.calibration.for_anchor(self.calibration_anchor[landmark])
+        self.calibration
+            .for_anchor(self.calibration_anchor[landmark])
     }
 }
 
@@ -216,8 +217,7 @@ mod tests {
         S.get_or_init(|| {
             let atlas = Arc::new(worldmap::WorldAtlas::new(GeoGrid::new(1.0)));
             let mut world = WorldNet::build(atlas, WorldNetConfig::default());
-            let constellation =
-                Constellation::place(&mut world, &ConstellationConfig::small(11));
+            let constellation = Constellation::place(&mut world, &ConstellationConfig::small(11));
             let calibration = CalibrationDb::collect(world.network_mut(), &constellation, 8);
             Fixture {
                 world,

@@ -212,5 +212,9 @@ fn main() {
     let _ = writeln!(json, "}}");
     let json_path = std::path::Path::new(&dir).join("BENCH_scale.json");
     std::fs::write(&json_path, &json).expect("write BENCH_scale.json");
-    println!("report written to {} and {}", txt.display(), json_path.display());
+    println!(
+        "report written to {} and {}",
+        txt.display(),
+        json_path.display()
+    );
 }

@@ -76,7 +76,9 @@ fn main() {
             }
         }
         other => {
-            eprintln!("usage: metrics_export [--deterministic|--full|--check|--slo] (got {other:?})");
+            eprintln!(
+                "usage: metrics_export [--deterministic|--full|--check|--slo] (got {other:?})"
+            );
             std::process::exit(2);
         }
     }

@@ -48,7 +48,9 @@ fn main() -> ExitCode {
                 }
             },
             other => {
-                eprintln!("unknown argument {other:?} (try --update, --self-test, --baseline <path>)");
+                eprintln!(
+                    "unknown argument {other:?} (try --update, --self-test, --baseline <path>)"
+                );
                 return ExitCode::FAILURE;
             }
         }
@@ -128,7 +130,10 @@ fn main() -> ExitCode {
         .filter(|c| c.verdict == Verdict::MissingBaseline)
         .map(|c| c.name.as_str())
         .collect();
-    let improved = rows.iter().filter(|c| c.verdict == Verdict::Improved).count();
+    let improved = rows
+        .iter()
+        .filter(|c| c.verdict == Verdict::Improved)
+        .count();
     if improved > 0 {
         println!(
             "note: {improved} bench(es) improved past tolerance — consider refreshing the baseline with --update"
@@ -141,7 +146,10 @@ fn main() -> ExitCode {
         );
     }
     if !regressed.is_empty() {
-        eprintln!("perf gate FAILED: regressed past tolerance: {}", regressed.join(", "));
+        eprintln!(
+            "perf gate FAILED: regressed past tolerance: {}",
+            regressed.join(", ")
+        );
     }
     if regressed.is_empty() && missing.is_empty() {
         println!("perf gate OK: all {} benches within tolerance", rows.len());

@@ -22,12 +22,27 @@ pub fn ablation_cbgpp(ctx: &CrowdContext) -> String {
     );
 
     let variants = [
-        CbgPlusPlusVariant { use_slowline: true, use_baseline_filter: true },
-        CbgPlusPlusVariant { use_slowline: true, use_baseline_filter: false },
-        CbgPlusPlusVariant { use_slowline: false, use_baseline_filter: true },
-        CbgPlusPlusVariant { use_slowline: false, use_baseline_filter: false },
+        CbgPlusPlusVariant {
+            use_slowline: true,
+            use_baseline_filter: true,
+        },
+        CbgPlusPlusVariant {
+            use_slowline: true,
+            use_baseline_filter: false,
+        },
+        CbgPlusPlusVariant {
+            use_slowline: false,
+            use_baseline_filter: true,
+        },
+        CbgPlusPlusVariant {
+            use_slowline: false,
+            use_baseline_filter: false,
+        },
     ];
-    let _ = writeln!(out, "# variant,coverage,empty,median_area_km2,median_miss_km");
+    let _ = writeln!(
+        out,
+        "# variant,coverage,empty,median_area_km2,median_miss_km"
+    );
     for v in variants {
         let (coverage, empty, med_area, med_miss) = score(ctx, &mask, &v, usize::MAX);
         let _ = writeln!(
@@ -75,7 +90,10 @@ pub fn ablation_cbgpp(ctx: &CrowdContext) -> String {
         .collect();
     let scenario_a: Vec<Box<dyn Geolocator>> = vec![
         Box::new(geoloc::algorithms::Cbg),
-        Box::new(CbgPlusPlusVariant { use_slowline: false, use_baseline_filter: true }),
+        Box::new(CbgPlusPlusVariant {
+            use_slowline: false,
+            use_baseline_filter: true,
+        }),
         Box::new(CbgPlusPlusVariant::default()),
     ];
     for algo in &scenario_a {
@@ -125,7 +143,10 @@ pub fn ablation_cbgpp(ctx: &CrowdContext) -> String {
         "# expected: plain CBG often returns nothing; CBG++ never does"
     );
 
-    let _ = writeln!(out, "# landmark budget (full CBG++): k,coverage,median_area_km2");
+    let _ = writeln!(
+        out,
+        "# landmark budget (full CBG++): k,coverage,median_area_km2"
+    );
     for k in [3usize, 5, 10, 15, 20, 25, 100] {
         let v = CbgPlusPlusVariant::default();
         let (coverage, _, med_area, _) = score(ctx, &mask, &v, k);
@@ -207,11 +228,20 @@ pub fn fig3_fig8_maps(ctx: &CrowdContext) -> String {
     let _ = writeln!(out, "# Fig.3: landmark locations (kind,lat,lon)");
     for lm in ctx.constellation.landmarks() {
         let kind = if lm.is_anchor { "anchor" } else { "probe" };
-        let _ = writeln!(out, "{kind},{:.3},{:.3}", lm.location.lat(), lm.location.lon());
+        let _ = writeln!(
+            out,
+            "{kind},{:.3},{:.3}",
+            lm.location.lat(),
+            lm.location.lon()
+        );
     }
     let _ = writeln!(out, "# Fig.8: crowd host locations (cohort,lat,lon,os)");
     for h in &ctx.hosts {
-        let cohort = if h.is_volunteer { "volunteer" } else { "worker" };
+        let cohort = if h.is_volunteer {
+            "volunteer"
+        } else {
+            "worker"
+        };
         let _ = writeln!(
             out,
             "{cohort},{:.3},{:.3},{:?}",

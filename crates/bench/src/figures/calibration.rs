@@ -36,7 +36,10 @@ pub fn fig2_calibration(ctx: &CrowdContext) -> String {
         cbg.speed_km_per_ms(),
         cbg.speed_km_per_ms()
     );
-    let _ = writeln!(out, "# baseline speed: 200 km/ms; slowline speed: 84.5 km/ms");
+    let _ = writeln!(
+        out,
+        "# baseline speed: 200 km/ms; slowline speed: 84.5 km/ms"
+    );
     let _ = writeln!(
         out,
         "# CBG++ (slowline-clamped) speed: {:.1} km/ms",
@@ -110,7 +113,19 @@ pub fn fig10_estimate_ratios(ctx: &CrowdContext) -> String {
         100.0 * best_under as f64 / n as f64,
         100.0 * base_under as f64 / n as f64
     );
-    out.push_str(&render_histogram("bestline ratio", &best_ratios, 0.0, 5.0, 25));
-    out.push_str(&render_histogram("baseline ratio", &base_ratios, 0.0, 5.0, 25));
+    out.push_str(&render_histogram(
+        "bestline ratio",
+        &best_ratios,
+        0.0,
+        5.0,
+        25,
+    ));
+    out.push_str(&render_histogram(
+        "baseline ratio",
+        &base_ratios,
+        0.0,
+        5.0,
+        25,
+    ));
     out
 }

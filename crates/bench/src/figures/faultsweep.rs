@@ -15,12 +15,7 @@ use std::fmt::Write as _;
 use vpnstudy::audit::Study;
 
 /// (per-hop loss, fraction of landmarks down) per sweep step.
-const STEPS: &[(f64, f64)] = &[
-    (0.0, 0.0),
-    (0.01, 0.05),
-    (0.025, 0.10),
-    (0.05, 0.20),
-];
+const STEPS: &[(f64, f64)] = &[(0.0, 0.0), (0.01, 0.05), (0.025, 0.10), (0.05, 0.20)];
 
 /// Run the audit once per fault step and tabulate the outcome.
 pub fn fault_sweep(scale: Scale) -> String {

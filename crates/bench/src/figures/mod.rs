@@ -20,16 +20,16 @@ pub mod validation;
 
 pub use ablation::{ablation_cbgpp, fig3_fig8_maps};
 pub use adversary::adversary_campaign;
-pub use faultsweep::fault_sweep;
 pub use calibration::{fig10_estimate_ratios, fig2_calibration};
+pub use faultsweep::fault_sweep;
 pub use market::fig14_market;
 pub use ops::{ops_telemetry, OpsBundle};
 pub use profile::profile_spans;
 pub use store::verdict_store;
 pub use study::{
-    fig13_eta, fig16_colocation_group, fig17_overall, fig18_provider_country,
-    fig19_provider_maps, fig20_region_size_vs_landmark, fig21_method_comparison,
-    fig22_continent_confusion, fig23_country_confusion, headline_numbers,
+    fig13_eta, fig16_colocation_group, fig17_overall, fig18_provider_country, fig19_provider_maps,
+    fig20_region_size_vs_landmark, fig21_method_comparison, fig22_continent_confusion,
+    fig23_country_confusion, headline_numbers,
 };
 pub use tools::{fig4_tools_linux, fig5_fig6_tools_windows, fig7_tool_semantics};
 pub use trace::trace_observability;

@@ -38,8 +38,7 @@ pub fn ops_telemetry(ctx: &StudyContext) -> OpsBundle {
     let metrics = set.render();
     // Self-check: the exposition must survive the in-repo parser
     // byte-for-byte before anything scrapes it.
-    let parsed = obs::export::parse_exposition(&metrics)
-        .expect("rendered exposition must parse");
+    let parsed = obs::export::parse_exposition(&metrics).expect("rendered exposition must parse");
     assert_eq!(parsed.render(), metrics, "exposition round-trip drifted");
 
     let alerts = ops::evaluate_slos(&set, None);

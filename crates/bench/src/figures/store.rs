@@ -22,10 +22,7 @@ pub fn verdict_store(ctx: &StudyContext) -> String {
     let mut out = String::new();
 
     // Three epochs of the same run, a day apart, in a scratch file.
-    let path = std::env::temp_dir().join(format!(
-        "pv-figures-store-{}.jsonl",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("pv-figures-store-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut writer = VerdictStore::open(&path).expect("open scratch store");
     for epoch in 0..3u64 {

@@ -47,7 +47,11 @@ pub fn fig13_eta(ctx: &mut StudyContext) -> String {
             pairs.push((indirect, direct));
         }
     }
-    let _ = writeln!(out, "# Fig.13: direct vs indirect RTT, {} proxies", pairs.len());
+    let _ = writeln!(
+        out,
+        "# Fig.13: direct vs indirect RTT, {} proxies",
+        pairs.len()
+    );
     out.push_str(&render_scatter("eta", "indirect_ms,direct_ms", &pairs));
     if let Some(line) = theil_sen(&pairs) {
         let r2 = r_squared(&pairs, |x| line.eval(x));
@@ -300,8 +304,14 @@ pub fn headline_numbers(ctx: &StudyContext) -> String {
     let total = res.records.len();
     let (c, u, f) = res.counts(false);
     let (cr, ur, fr) = res.counts(true);
-    let _ = writeln!(out, "# Headline (paper: 2269 proxies; 989 credible / 642 uncertain / 638 false;");
-    let _ = writeln!(out, "#  353 uncertain reclassified by metadata; ≥1/3 definitely false)");
+    let _ = writeln!(
+        out,
+        "# Headline (paper: 2269 proxies; 989 credible / 642 uncertain / 638 false;"
+    );
+    let _ = writeln!(
+        out,
+        "#  353 uncertain reclassified by metadata; ≥1/3 definitely false)"
+    );
     let _ = writeln!(out, "proxies measured: {total}");
     let _ = writeln!(out, "raw:     credible {c} uncertain {u} false {f}");
     let _ = writeln!(out, "refined: credible {cr} uncertain {ur} false {fr}");

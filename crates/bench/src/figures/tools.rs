@@ -151,11 +151,9 @@ pub fn fig5_fig6_tools_windows(ctx: &mut CrowdContext) -> String {
         };
         let (one_clean, one_out) = split(&run.one_rt);
         let (two_clean, two_out) = split(&run.two_rt);
-        let outliers: Vec<(f64, f64)> =
-            one_out.into_iter().chain(two_out).collect();
+        let outliers: Vec<(f64, f64)> = one_out.into_iter().chain(two_out).collect();
         if !outliers.is_empty() {
-            let mean: f64 =
-                outliers.iter().map(|p| p.1).sum::<f64>() / outliers.len() as f64;
+            let mean: f64 = outliers.iter().map(|p| p.1).sum::<f64>() / outliers.len() as f64;
             let _ = writeln!(
                 out,
                 "# {}: {} high outliers, mean {:.0} ms (browser-dependent, Fig. 6)",
@@ -183,10 +181,9 @@ pub fn fig5_fig6_tools_windows(ctx: &mut CrowdContext) -> String {
 /// landmark, two to an open one, demonstrated end to end on the DES.
 pub fn fig7_tool_semantics(ctx: &mut CrowdContext) -> String {
     let mut out = String::new();
-    let client = ctx.world.attach_host(
-        geokit::GeoPoint::new(50.06, 8.6),
-        FilterPolicy::default(),
-    );
+    let client = ctx
+        .world
+        .attach_host(geokit::GeoPoint::new(50.06, 8.6), FilterPolicy::default());
     let open = ctx
         .constellation
         .landmarks()
@@ -238,7 +235,11 @@ pub fn fig7_tool_semantics(ctx: &mut CrowdContext) -> String {
             e.at.since(t0).as_ms(),
             e.node,
             format!("{:?}", e.kind),
-            if e.delivered { "(delivered)" } else { "(forwarded)" }
+            if e.delivered {
+                "(delivered)"
+            } else {
+                "(forwarded)"
+            }
         );
     }
     if let Some(rtt) = rtt {

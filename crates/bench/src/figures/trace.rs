@@ -64,14 +64,22 @@ pub fn trace_observability(ctx: &StudyContext) -> String {
             }
         }
     });
-    let _ = writeln!(out, "## probe outcomes per landmark ({} probed)", per_dst.len());
+    let _ = writeln!(
+        out,
+        "## probe outcomes per landmark ({} probed)",
+        per_dst.len()
+    );
     let _ = writeln!(out, "# node,kind,completed,timeout");
     let mut silent = 0usize;
     for (&node, &(ok, to)) in &per_dst {
         if ok == 0 && to > 0 {
             silent += 1;
         }
-        let kind = if anchors.contains(&node) { "anchor" } else { "probe" };
+        let kind = if anchors.contains(&node) {
+            "anchor"
+        } else {
+            "probe"
+        };
         let _ = writeln!(out, "{node},{kind},{ok},{to}");
     }
     let _ = writeln!(out, "# {} landmarks answered nothing at all", silent);

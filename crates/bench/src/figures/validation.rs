@@ -80,7 +80,9 @@ pub fn score_algorithms(ctx: &CrowdContext) -> Vec<AlgorithmScores> {
                             .centroid_km
                             .push(c.distance_km(&record.host.true_location));
                     }
-                    scores.area_fraction.push(p.area_km2() / EARTH_LAND_AREA_KM2);
+                    scores
+                        .area_fraction
+                        .push(p.area_km2() / EARTH_LAND_AREA_KM2);
                 }
                 None => scores.empty += 1,
             }
@@ -156,7 +158,10 @@ pub fn fig11_effectiveness(ctx: &mut CrowdContext) -> String {
     for (node, truth) in hosts {
         let mut observations: Vec<Observation> = Vec::new();
         for (i, anchor) in ctx.constellation.anchors().iter().enumerate() {
-            let Some(rtt) = ctx.world.network_mut().tcp_connect_rtt(node, anchor.node, 80)
+            let Some(rtt) = ctx
+                .world
+                .network_mut()
+                .tcp_connect_rtt(node, anchor.node, 80)
             else {
                 continue;
             };
@@ -187,7 +192,10 @@ pub fn fig11_effectiveness(ctx: &mut CrowdContext) -> String {
     }
 
     let mut out = String::new();
-    let _ = writeln!(out, "# Fig.11: effective vs ineffective measurements by distance");
+    let _ = writeln!(
+        out,
+        "# Fig.11: effective vs ineffective measurements by distance"
+    );
     let _ = writeln!(out, "# bin_km,effective,total,fraction");
     for (i, &(e, t)) in by_bin.iter().enumerate() {
         if t == 0 {
@@ -201,7 +209,10 @@ pub fn fig11_effectiveness(ctx: &mut CrowdContext) -> String {
             e as f64 / t as f64
         );
     }
-    let _ = writeln!(out, "# effective measurements: distance_km,area_reduction_Mm2");
+    let _ = writeln!(
+        out,
+        "# effective measurements: distance_km,area_reduction_Mm2"
+    );
     for (d, r) in &reductions {
         let _ = writeln!(out, "{d:.0},{r:.4}");
     }

@@ -39,7 +39,11 @@ pub fn render_histogram(name: &str, values: &[f64], lo: f64, hi: f64, bins: usiz
     }
     let max = counts.iter().copied().max().unwrap_or(1).max(1);
     let mut out = String::new();
-    let _ = writeln!(out, "# histogram {name} (n = {}, clipped = {clipped})", values.len());
+    let _ = writeln!(
+        out,
+        "# histogram {name} (n = {}, clipped = {clipped})",
+        values.len()
+    );
     for (i, &c) in counts.iter().enumerate() {
         let bar = "#".repeat(c * 50 / max);
         let _ = writeln!(

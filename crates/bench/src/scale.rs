@@ -108,8 +108,11 @@ pub fn build_crowd_context(scale: Scale) -> CrowdContext {
         },
     );
     let constellation = Constellation::place(&mut world, &config.constellation);
-    let calibration =
-        CalibrationDb::collect(world.network_mut(), &constellation, config.calibration_pings);
+    let calibration = CalibrationDb::collect(
+        world.network_mut(),
+        &constellation,
+        config.calibration_pings,
+    );
     let hosts = synthesize_hosts(&mut world, &config);
     let records = {
         let atlas = Arc::clone(world.atlas());

@@ -88,10 +88,7 @@ mod tests {
             obs(20.0, -60.0, &truth, 100.0),
             obs(0.0, 100.0, &truth, 100.0),
         ];
-        let near = vec![
-            obs(51.0, 7.0, &truth, 100.0),
-            obs(49.0, 9.0, &truth, 100.0),
-        ];
+        let near = vec![obs(51.0, 7.0, &truth, 100.0), obs(49.0, 9.0, &truth, 100.0)];
         let p_far = Cbg.locate(&far, &mask);
         let p_near = Cbg.locate(&near, &mask);
         assert!(p_near.area_km2() < p_far.area_km2());

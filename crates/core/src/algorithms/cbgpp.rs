@@ -109,11 +109,8 @@ impl CbgPlusPlusVariant {
             let baseline: Vec<RingConstraint> = observations
                 .iter()
                 .map(|o| {
-                    RingConstraint::disk(
-                        o.landmark,
-                        CbgModel::baseline_distance_km(o.one_way_ms),
-                    )
-                    .inflated(slack)
+                    RingConstraint::disk(o.landmark, CbgModel::baseline_distance_km(o.one_way_ms))
+                        .inflated(slack)
                 })
                 .collect();
             let base = subset(&baseline, mask);
@@ -134,11 +131,7 @@ impl CbgPlusPlusVariant {
             if search_mask.is_empty() {
                 rec.count("alg.empty_region", 1);
                 if rec.events_enabled() {
-                    rec.event(
-                        "cbgpp",
-                        "empty_region",
-                        [("stage", "baseline".into())],
-                    );
+                    rec.event("cbgpp", "empty_region", [("stage", "baseline".into())]);
                 }
                 return Prediction {
                     region: search_mask,
@@ -214,11 +207,7 @@ impl CbgPlusPlusVariant {
                 ],
             );
             if result.region.is_empty() {
-                rec.event(
-                    "cbgpp",
-                    "empty_region",
-                    [("stage", "bestline".into())],
-                );
+                rec.event("cbgpp", "empty_region", [("stage", "bestline".into())]);
             }
         }
         Prediction {

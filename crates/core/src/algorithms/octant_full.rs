@@ -46,7 +46,11 @@ impl Geolocator for OctantWithHeight {
             .iter()
             .map(|o| {
                 let h = self.height_for(&o.landmark) + self.target_height_ms;
-                Observation::new(o.landmark, (o.one_way_ms - h).max(0.0), o.calibration.clone())
+                Observation::new(
+                    o.landmark,
+                    (o.one_way_ms - h).max(0.0),
+                    o.calibration.clone(),
+                )
             })
             .collect();
         QuasiOctant.locate(&corrected, mask)

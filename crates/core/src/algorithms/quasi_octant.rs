@@ -64,19 +64,15 @@ mod tests {
         // Truth sits exactly on a 1° cell centre so ring containment is
         // not at the mercy of grid quantization.
         let truth = GeoPoint::new(50.5, 8.5);
-        let observations: Vec<Observation> = [
-            (53.0, 3.0),
-            (46.0, 13.0),
-            (54.0, 13.0),
-        ]
-        .iter()
-        .map(|&(lat, lon)| {
-            let lm = GeoPoint::new(lat, lon);
-            // Delay inside the calibrated envelope (speeds 98.75–100
-            // km/ms) so both ring edges bracket the truth.
-            Observation::new(lm, lm.distance_km(&truth) / 100.0 * 1.005, tight_calib())
-        })
-        .collect();
+        let observations: Vec<Observation> = [(53.0, 3.0), (46.0, 13.0), (54.0, 13.0)]
+            .iter()
+            .map(|&(lat, lon)| {
+                let lm = GeoPoint::new(lat, lon);
+                // Delay inside the calibrated envelope (speeds 98.75–100
+                // km/ms) so both ring edges bracket the truth.
+                Observation::new(lm, lm.distance_km(&truth) / 100.0 * 1.005, tight_calib())
+            })
+            .collect();
         let p = QuasiOctant.locate(&observations, &mask);
         assert!(!p.region.is_empty());
         assert!(p.region.contains_point(&truth));

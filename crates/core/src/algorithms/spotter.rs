@@ -79,11 +79,7 @@ mod tests {
             .iter()
             .map(|&(lat, lon)| {
                 let lm = GeoPoint::new(lat, lon);
-                Observation::new(
-                    lm,
-                    lm.distance_km(&truth) / 95.0,
-                    CalibrationSet::default(),
-                )
+                Observation::new(lm, lm.distance_km(&truth) / 95.0, CalibrationSet::default())
             })
             .collect();
         let spotter = Spotter::new(global_model());

@@ -105,11 +105,7 @@ pub struct ClaimVerdict {
 /// the algorithm affirmatively failed to place the target anywhere, so
 /// it cannot support the claim. (CBG++ by construction never returns an
 /// empty region, §5.1.)
-pub fn assess_claim(
-    atlas: &WorldAtlas,
-    prediction: &Region,
-    claimed: CountryId,
-) -> ClaimVerdict {
+pub fn assess_claim(atlas: &WorldAtlas, prediction: &Region, claimed: CountryId) -> ClaimVerdict {
     let touched = atlas.countries_touched(prediction);
     let claimed_continent = atlas.country(claimed).continent();
 
@@ -215,7 +211,10 @@ mod tests {
         let region = region_around(45.0, -75.0, 600.0);
         let ca = a.country_by_iso2("ca").unwrap();
         let kp = a.country_by_iso2("kp").unwrap();
-        assert_eq!(assess_claim(a, &region, ca).assessment, Assessment::Uncertain);
+        assert_eq!(
+            assess_claim(a, &region, ca).assessment,
+            Assessment::Uncertain
+        );
         assert_eq!(assess_claim(a, &region, kp).assessment, Assessment::False);
     }
 

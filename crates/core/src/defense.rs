@@ -303,7 +303,10 @@ pub fn run_defense(
     // honest tunnels routinely see `B < C` when a landmark sits closer
     // to the proxy than the client does.)
     if let Some(direct) = pings.direct_ping_ms {
-        if direct > 0.0 && pings.self_ping_ms.is_finite() && pings.self_ping_ms > 0.0 && pings.eta > 0.0
+        if direct > 0.0
+            && pings.self_ping_ms.is_finite()
+            && pings.self_ping_ms > 0.0
+            && pings.eta > 0.0
         {
             let implied_leg = pings.eta * pings.self_ping_ms;
             if implied_leg > cfg.self_ping_tolerance * direct + 2.0 {
@@ -409,7 +412,11 @@ mod tests {
         let report = run_defense(
             &obs,
             &diag,
-            TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 },
+            TunnelPings {
+                self_ping_ms: 8.0,
+                direct_ping_ms: None,
+                eta: 0.5,
+            },
             &mask,
             None,
             &obs::Recorder::off(),
@@ -437,7 +444,11 @@ mod tests {
         let report = run_defense(
             &obs,
             &diag,
-            TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 },
+            TunnelPings {
+                self_ping_ms: 8.0,
+                direct_ping_ms: None,
+                eta: 0.5,
+            },
             &mask,
             None,
             &obs::Recorder::off(),
@@ -461,7 +472,11 @@ mod tests {
         let report = run_defense(
             &obs,
             &diag,
-            TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 },
+            TunnelPings {
+                self_ping_ms: 8.0,
+                direct_ping_ms: None,
+                eta: 0.5,
+            },
             &mask,
             None,
             &obs::Recorder::off(),
@@ -482,21 +497,40 @@ mod tests {
         };
         let cfg = DefenseConfig::enabled();
         let rec = obs::Recorder::off();
-        let forward = run_defense(&obs, &diag, TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 }, &mask, None, &rec, &cfg);
+        let forward = run_defense(
+            &obs,
+            &diag,
+            TunnelPings {
+                self_ping_ms: 8.0,
+                direct_ping_ms: None,
+                eta: 0.5,
+            },
+            &mask,
+            None,
+            &rec,
+            &cfg,
+        );
         let mut rev = obs.clone();
         rev.reverse();
-        let backward = run_defense(&rev, &diag, TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 }, &mask, None, &rec, &cfg);
+        let backward = run_defense(
+            &rev,
+            &diag,
+            TunnelPings {
+                self_ping_ms: 8.0,
+                direct_ping_ms: None,
+                eta: 0.5,
+            },
+            &mask,
+            None,
+            &rec,
+            &cfg,
+        );
         // Flags are indices into different orders; compare by identity.
         let pick = |r: &DefenseReport, o: &[Observation]| -> Vec<(u64, u64)> {
             let mut v: Vec<(u64, u64)> = r
                 .flagged
                 .iter()
-                .map(|&i| {
-                    (
-                        o[i].landmark.lat().to_bits(),
-                        o[i].landmark.lon().to_bits(),
-                    )
-                })
+                .map(|&i| (o[i].landmark.lat().to_bits(), o[i].landmark.lon().to_bits()))
                 .collect();
             v.sort_unstable();
             v
@@ -521,7 +555,11 @@ mod tests {
         let honest = run_defense(
             &obs,
             &diag,
-            TunnelPings { self_ping_ms: 8.0, direct_ping_ms: Some(4.0), eta: 0.5 },
+            TunnelPings {
+                self_ping_ms: 8.0,
+                direct_ping_ms: Some(4.0),
+                eta: 0.5,
+            },
             &mask,
             None,
             &obs::Recorder::off(),
@@ -531,7 +569,11 @@ mod tests {
         let inflated = run_defense(
             &obs,
             &diag,
-            TunnelPings { self_ping_ms: 40.0, direct_ping_ms: Some(4.0), eta: 0.5 },
+            TunnelPings {
+                self_ping_ms: 40.0,
+                direct_ping_ms: Some(4.0),
+                eta: 0.5,
+            },
             &mask,
             None,
             &obs::Recorder::off(),
@@ -543,7 +585,11 @@ mod tests {
         let blind = run_defense(
             &obs,
             &diag,
-            TunnelPings { self_ping_ms: 40.0, direct_ping_ms: None, eta: 0.5 },
+            TunnelPings {
+                self_ping_ms: 40.0,
+                direct_ping_ms: None,
+                eta: 0.5,
+            },
             &mask,
             None,
             &obs::Recorder::off(),
@@ -560,7 +606,11 @@ mod tests {
         let report = run_defense(
             &obs,
             &diag,
-            TunnelPings { self_ping_ms: 8.0, direct_ping_ms: None, eta: 0.5 },
+            TunnelPings {
+                self_ping_ms: 8.0,
+                direct_ping_ms: None,
+                eta: 0.5,
+            },
             &mask,
             None,
             &obs::Recorder::off(),

@@ -140,10 +140,12 @@ mod tests {
         // All calibration points extremely slow (heavy congestion):
         // an unconstrained bestline would estimate a very slow speed and
         // tiny disks; the slowline clamps it.
-        let slow = set((1..=30).map(|i| {
-            let d = f64::from(i) * 100.0;
-            (d, d / 20.0) // 20 km/ms — slower than the slowline
-        }).collect());
+        let slow = set((1..=30)
+            .map(|i| {
+                let d = f64::from(i) * 100.0;
+                (d, d / 20.0) // 20 km/ms — slower than the slowline
+            })
+            .collect());
         let plain = CbgModel::calibrate(&slow);
         assert!(plain.speed_km_per_ms() < SLOWLINE_SPEED_KM_PER_MS);
         let clamped = CbgModel::calibrate_with_slowline(&slow);
@@ -199,8 +201,7 @@ mod tests {
         let hull = lower_hull(s.points());
         let mut best_cost = f64::INFINITY;
         for w in hull.windows(2) {
-            let slope =
-                ((w[1].1 - w[0].1) / (w[1].0 - w[0].0)).max(BASELINE_SLOPE_MS_PER_KM);
+            let slope = ((w[1].1 - w[0].1) / (w[1].0 - w[0].0)).max(BASELINE_SLOPE_MS_PER_KM);
             let intercept = s
                 .points()
                 .iter()

@@ -68,8 +68,8 @@ impl SpotterModel {
             sigma_pts.push((t_mid, std_dev(&ds).max(1.0)));
         }
 
-        let mu = fit_monotone_polynomial(&mu_pts, 3, t_min, t_max)
-            .expect("nonempty bin statistics");
+        let mu =
+            fit_monotone_polynomial(&mu_pts, 3, t_min, t_max).expect("nonempty bin statistics");
         let sigma = fit_polynomial(&sigma_pts, 3)
             .or_else(|| fit_polynomial(&sigma_pts, 1))
             .unwrap_or(Polynomial {

@@ -26,10 +26,7 @@ pub enum Disambiguation {
 
 /// Try to resolve a prediction region to one country via data centers:
 /// succeeds iff exactly one country has a data center inside the region.
-pub fn by_data_centers(
-    registry: &DataCenterRegistry,
-    region: &Region,
-) -> Disambiguation {
+pub fn by_data_centers(registry: &DataCenterRegistry, region: &Region) -> Disambiguation {
     let countries = registry.countries_in_region(region);
     match countries.as_slice() {
         [only] => Disambiguation::Resolved(*only),
@@ -40,10 +37,7 @@ pub fn by_data_centers(
 /// Try to resolve a *group* of co-located proxies (same provider + AS +
 /// /24) via the intersection of their touched-country sets: succeeds iff
 /// exactly one country is covered by every member's region.
-pub fn by_colocation_group(
-    atlas: &WorldAtlas,
-    regions: &[&Region],
-) -> Disambiguation {
+pub fn by_colocation_group(atlas: &WorldAtlas, regions: &[&Region]) -> Disambiguation {
     let sets: Vec<Vec<CountryId>> = regions
         .iter()
         .map(|region| {

@@ -28,10 +28,7 @@ pub struct Effectiveness {
 }
 
 /// Analyze every constraint's contribution to the final intersection.
-pub fn analyze_effectiveness(
-    constraints: &[RingConstraint],
-    mask: &Region,
-) -> Vec<Effectiveness> {
+pub fn analyze_effectiveness(constraints: &[RingConstraint], mask: &Region) -> Vec<Effectiveness> {
     let n = constraints.len();
     if n == 0 {
         return Vec::new();

@@ -100,8 +100,8 @@ mod tests {
     fn impossible_claim_rejected() {
         let a = atlas();
         let kp = a.country_by_iso2("kp").unwrap(); // North Korea
-        // A Frankfurt landmark with a 5 ms one-way time: North Korea is
-        // ~8000 km away — would need 1600 km/ms.
+                                                   // A Frankfurt landmark with a 5 ms one-way time: North Korea is
+                                                   // ~8000 km away — would need 1600 km/ms.
         let v = IclabChecker::default().check(a, kp, &[obs(50.11, 8.68, 5.0)]);
         assert_eq!(v, IclabVerdict::Rejected);
     }
@@ -119,8 +119,8 @@ mod tests {
         let a = atlas();
         let kp = a.country_by_iso2("kp").unwrap();
         let observations = vec![
-            obs(39.0, 125.8, 2.0),  // Pyongyang-ish landmark: consistent
-            obs(50.11, 8.68, 5.0),  // Frankfurt: impossible
+            obs(39.0, 125.8, 2.0), // Pyongyang-ish landmark: consistent
+            obs(50.11, 8.68, 5.0), // Frankfurt: impossible
         ];
         let v = IclabChecker::default().check(a, kp, &observations);
         assert_eq!(v, IclabVerdict::Rejected);

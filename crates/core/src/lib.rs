@@ -50,7 +50,5 @@ pub use algorithms::{Geolocator, Prediction};
 pub use assess::Assessment;
 pub use defense::{run_defense, DefenseConfig, DefenseReport, TunnelPings};
 pub use observation::Observation;
-pub use reliability::{
-    MeasurementDiagnostics, ProbeScheduler, ReliabilityConfig, RetryPolicy,
-};
+pub use reliability::{MeasurementDiagnostics, ProbeScheduler, ReliabilityConfig, RetryPolicy};
 pub use twophase::{MeasurementStatus, ReliableTwoPhase};

@@ -32,7 +32,10 @@ pub fn bayes_region(
     mask: &Region,
     mass: f64,
 ) -> BayesOutput {
-    assert!(mass > 0.0 && mass <= 1.0, "credible mass {mass} out of range");
+    assert!(
+        mass > 0.0 && mass <= 1.0,
+        "credible mass {mass} out of range"
+    );
     let grid = mask.grid();
     let cells: Vec<geokit::CellId> = mask.cells().collect();
     if cells.is_empty() {

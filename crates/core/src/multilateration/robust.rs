@@ -180,9 +180,9 @@ pub fn pairwise_infeasible_flags(constraints: &[RingConstraint]) -> PairwiseRepo
         let victim = (0..n)
             .filter(|&i| !flagged[i] && degree[i] > 0)
             .min_by(|&a, &b| {
-                degree[b]
-                    .cmp(&degree[a])
-                    .then_with(|| geometric_key(&constraints[a]).cmp(&geometric_key(&constraints[b])))
+                degree[b].cmp(&degree[a]).then_with(|| {
+                    geometric_key(&constraints[a]).cmp(&geometric_key(&constraints[b]))
+                })
             })
             .expect("remaining conflicts imply an unflagged endpoint");
         flagged[victim] = true;
@@ -369,7 +369,8 @@ mod tests {
         ];
         let report = pairwise_infeasible_flags(&cs);
         assert!(report.flagged[2]);
-        let robust = robust_max_consistent_subset(&cs, &report.flagged, &mask, None, &Recorder::off());
+        let robust =
+            robust_max_consistent_subset(&cs, &report.flagged, &mask, None, &Recorder::off());
         assert_eq!(robust.excluded, 1);
         assert!(robust.region.contains_point(&GeoPoint::new(48.0, 11.0)));
         assert!(!robust.region.contains_point(&GeoPoint::new(-30.0, -20.0)));

@@ -173,8 +173,7 @@ impl ProxyContext {
         attempts: usize,
     ) -> Option<(f64, bool)> {
         let raw = min_of(attempts, || {
-            let d = network
-                .tcp_connect_via_proxy_rtt(self.client, self.proxy, landmark, port)?;
+            let d = network.tcp_connect_via_proxy_rtt(self.client, self.proxy, landmark, port)?;
             Some(network.corrupt_rtt_ms(d.as_ms()))
         })?;
         Some(correct_indirect_rtt_checked(

@@ -195,9 +195,8 @@ impl<P> ProbeScheduler<P> {
 
     /// Backoff before retry number `retry` (0-based), with jitter.
     fn backoff_ms(&mut self, retry: usize) -> f64 {
-        let raw = (self.policy.base_backoff_ms
-            * self.policy.backoff_factor.powi(retry as i32))
-        .min(self.policy.max_backoff_ms);
+        let raw = (self.policy.base_backoff_ms * self.policy.backoff_factor.powi(retry as i32))
+            .min(self.policy.max_backoff_ms);
         if self.policy.jitter_frac > 0.0 {
             let j = self
                 .rng
@@ -209,12 +208,7 @@ impl<P> ProbeScheduler<P> {
     }
 
     /// One method's retry loop. Returns the first sane reading.
-    fn try_method(
-        &mut self,
-        network: &mut Network,
-        landmark: NodeId,
-        fallback: bool,
-    ) -> Option<f64>
+    fn try_method(&mut self, network: &mut Network, landmark: NodeId, fallback: bool) -> Option<f64>
     where
         P: RttProber,
     {
@@ -250,9 +244,7 @@ impl<P> ProbeScheduler<P> {
                 self.inner.probe(network, landmark)
             };
             match reading {
-                Some(ms) if ms.is_finite() && ms <= self.policy.timeout_ms => {
-                    return Some(ms)
-                }
+                Some(ms) if ms.is_finite() && ms <= self.policy.timeout_ms => return Some(ms),
                 Some(_) => {
                     self.diagnostics.corrupt_readings += 1;
                     network.recorder().count("rel.corrupt_reading", 1);
@@ -489,7 +481,9 @@ mod tests {
         assert_eq!(rec.counter("rel.retry"), 2); // primary budget: 3 attempts
         assert_eq!(rec.counter("rel.fallback"), 1);
         assert_eq!(rec.counter("rel.dead_landmark"), 0);
-        let depth = rec.hist("rel.attempts_per_landmark").expect("hist recorded");
+        let depth = rec
+            .hist("rel.attempts_per_landmark")
+            .expect("hist recorded");
         assert_eq!(depth.count, 1);
         assert_eq!(depth.sum, 4); // 3 primary + 1 fallback attempt
         rec.with_events(|evs| {

@@ -114,7 +114,9 @@ impl RttProber for WebProber {
     fn probe(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
         let mut best: Option<RttSample> = None;
         for _ in 0..self.attempts {
-            if let Some(s) = self.tool.measure(network, self.client, landmark, &mut self.rng)
+            if let Some(s) = self
+                .tool
+                .measure(network, self.client, landmark, &mut self.rng)
             {
                 best = Some(match best {
                     None => s,
@@ -290,10 +292,7 @@ fn two_phase_inner<P: RttProber, R: Rng + ?Sized>(
                     ("responsive", phase1_responsive.into()),
                     ("total", phase1_total.into()),
                     ("quorum_met", quorum_met.into()),
-                    (
-                        "continent",
-                        best.map_or("none", |(_, c)| c.name()).into(),
-                    ),
+                    ("continent", best.map_or("none", |(_, c)| c.name()).into()),
                 ],
             );
         }
@@ -469,7 +468,11 @@ pub fn run_two_phase_reliable<P: RttProber, R: Rng + ?Sized>(
 
 fn make_observation(server: &LandmarkServer<'_>, id: usize, rtt_ms: f64) -> Observation {
     let lm = &server.constellation().landmarks()[id];
-    Observation::new(lm.location, rtt_ms / 2.0, server.calibration_for(id).clone())
+    Observation::new(
+        lm.location,
+        rtt_ms / 2.0,
+        server.calibration_for(id).clone(),
+    )
 }
 
 /// Iterative refinement (§8.1): after the initial two-phase run, keep
@@ -638,8 +641,7 @@ mod tests {
             attempts: 3,
         };
         let mut rng = StdRng::seed_from_u64(1);
-        let result =
-            run_two_phase(world.network_mut(), &server, &mut prober, &mut rng).unwrap();
+        let result = run_two_phase(world.network_mut(), &server, &mut prober, &mut rng).unwrap();
         assert_eq!(result.continent, Continent::Europe);
         assert!(
             result.observations.len() >= 15,
@@ -666,8 +668,7 @@ mod tests {
             attempts: 3,
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let result =
-            run_two_phase(world.network_mut(), &server, &mut prober, &mut rng).unwrap();
+        let result = run_two_phase(world.network_mut(), &server, &mut prober, &mut rng).unwrap();
         assert_eq!(result.continent, Continent::NorthAmerica);
     }
 
@@ -686,8 +687,7 @@ mod tests {
             attempts: 2,
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let result =
-            run_two_phase(world.network_mut(), &server, &mut prober, &mut rng).unwrap();
+        let result = run_two_phase(world.network_mut(), &server, &mut prober, &mut rng).unwrap();
         // Observations share their anchor's scatter; none holds a copy.
         let anchor_scatters: Vec<*const (f64, f64)> = (0..calibration.len())
             .map(|i| calibration.for_anchor(i).points().as_ptr())
@@ -809,9 +809,7 @@ mod tests {
         let keep = phase1
             .iter()
             .copied()
-            .find(|&id| {
-                atlas.country(lms[id].country).continent() == Continent::Europe
-            })
+            .find(|&id| atlas.country(lms[id].country).continent() == Continent::Europe)
             .expect("a European anchor in phase 1");
         let down: Vec<_> = phase1
             .iter()
@@ -821,7 +819,10 @@ mod tests {
             .collect();
         let t0 = world.network_mut().now();
         for node in down {
-            world.network_mut().faults_mut().add_permanent_outage(node, t0);
+            world
+                .network_mut()
+                .faults_mut()
+                .add_permanent_outage(node, t0);
         }
         let prober = CliProber {
             client: host,
@@ -877,7 +878,10 @@ mod tests {
             .collect();
         let t0 = world.network_mut().now();
         for node in down {
-            world.network_mut().faults_mut().add_permanent_outage(node, t0);
+            world
+                .network_mut()
+                .faults_mut()
+                .add_permanent_outage(node, t0);
         }
         let prober = CliProber {
             client: host,
@@ -889,8 +893,7 @@ mod tests {
             phase2_min_landmarks: 5,
             ..Default::default()
         };
-        let out =
-            run_two_phase_reliable(world.network_mut(), &server, &mut sched, &mut rng, &cfg);
+        let out = run_two_phase_reliable(world.network_mut(), &server, &mut sched, &mut rng, &cfg);
         assert_eq!(out.status, MeasurementStatus::InsufficientData);
         let result = out.result.expect("partial evidence is still reported");
         assert!(
@@ -911,13 +914,10 @@ mod tests {
         let build = || {
             let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(1.0)));
             let mut world = WorldNet::build(Arc::clone(&atlas), WorldNetConfig::default());
-            let constellation =
-                Constellation::place(&mut world, &ConstellationConfig::small(33));
+            let constellation = Constellation::place(&mut world, &ConstellationConfig::small(33));
             let calibration = CalibrationDb::collect(world.network_mut(), &constellation, 4);
-            let host = world.attach_host(
-                geokit::GeoPoint::new(48.2, 11.5),
-                FilterPolicy::default(),
-            );
+            let host =
+                world.attach_host(geokit::GeoPoint::new(48.2, 11.5), FilterPolicy::default());
             (world, constellation, calibration, host)
         };
 
@@ -929,8 +929,7 @@ mod tests {
             attempts: 2,
         };
         let mut rng = StdRng::seed_from_u64(11);
-        let legacy =
-            run_two_phase(wa.network_mut(), &server_a, &mut prober, &mut rng).unwrap();
+        let legacy = run_two_phase(wa.network_mut(), &server_a, &mut prober, &mut rng).unwrap();
 
         let (mut wb, cb, db, host_b) = build();
         let atlas_b = Arc::clone(wb.atlas());

@@ -106,7 +106,11 @@ mod tests {
             for j in 0..4 {
                 a[i * 4 + j] = x.powi(j as i32);
             }
-            b[i] = coef.iter().enumerate().map(|(j, c)| c * x.powi(j as i32)).sum();
+            b[i] = coef
+                .iter()
+                .enumerate()
+                .map(|(j, c)| c * x.powi(j as i32))
+                .sum();
         }
         let sol = solve(&a, &b, 4).unwrap();
         for (got, want) in sol.iter().zip(&coef) {

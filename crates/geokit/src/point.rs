@@ -57,8 +57,7 @@ impl GeoPoint {
         let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
         let dlat = lat2 - lat1;
         let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2)
-            + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
         // Clamp guards against a = 1 + ulp for antipodal points.
         let c = 2.0 * a.sqrt().min(1.0).asin();
         EARTH_RADIUS_KM * c
@@ -82,11 +81,9 @@ impl GeoPoint {
         let theta = bearing_deg.to_radians();
         let lat1 = self.lat.to_radians();
         let lon1 = self.lon.to_radians();
-        let lat2 =
-            (lat1.sin() * delta.cos() + lat1.cos() * delta.sin() * theta.cos()).asin();
+        let lat2 = (lat1.sin() * delta.cos() + lat1.cos() * delta.sin() * theta.cos()).asin();
         let lon2 = lon1
-            + (theta.sin() * delta.sin() * lat1.cos())
-                .atan2(delta.cos() - lat1.sin() * lat2.sin());
+            + (theta.sin() * delta.sin() * lat1.cos()).atan2(delta.cos() - lat1.sin() * lat2.sin());
         GeoPoint::new(lat2.to_degrees(), lon2.to_degrees())
     }
 

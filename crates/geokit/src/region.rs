@@ -87,12 +87,7 @@ impl Region {
     /// boundary between the subtracted inner cap and the ring; they are
     /// treated as inside the inner cap (a measure-zero set for measured
     /// radii).
-    pub fn from_ring(
-        grid: &Arc<GeoGrid>,
-        center: GeoPoint,
-        min_km: f64,
-        max_km: f64,
-    ) -> Region {
+    pub fn from_ring(grid: &Arc<GeoGrid>, center: GeoPoint, min_km: f64, max_km: f64) -> Region {
         assert!(
             min_km <= max_km,
             "ring min {min_km} km exceeds max {max_km} km"
@@ -108,10 +103,7 @@ impl Region {
     }
 
     /// Region of all cells whose centre satisfies `pred`.
-    pub fn from_predicate<F: FnMut(&GeoPoint) -> bool>(
-        grid: &Arc<GeoGrid>,
-        mut pred: F,
-    ) -> Region {
+    pub fn from_predicate<F: FnMut(&GeoPoint) -> bool>(grid: &Arc<GeoGrid>, mut pred: F) -> Region {
         let mut r = Region::empty(Arc::clone(grid));
         for cell in grid.all_cells() {
             if pred(&grid.center(cell)) {
@@ -165,7 +157,10 @@ impl Region {
         }
         let (w0, w1) = (lo / 64, (hi - 1) / 64);
         if w0 == w1 {
-            f(&mut self.bits[w0], Self::word_mask(lo % 64, (hi - 1) % 64 + 1));
+            f(
+                &mut self.bits[w0],
+                Self::word_mask(lo % 64, (hi - 1) % 64 + 1),
+            );
             return;
         }
         f(&mut self.bits[w0], Self::word_mask(lo % 64, 64));
@@ -326,19 +321,13 @@ impl Region {
     /// materializing the intersection).
     pub fn intersects(&self, other: &Region) -> bool {
         self.assert_same_grid(other);
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .any(|(a, b)| a & b != 0)
+        self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
     }
 
     /// True if every cell of `self` is in `other`.
     pub fn is_subset_of(&self, other: &Region) -> bool {
         self.assert_same_grid(other);
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .all(|(a, b)| a & !b == 0)
+        self.bits.iter().zip(&other.bits).all(|(a, b)| a & !b == 0)
     }
 
     /// Insert every cell of the half-open **raw id** range, with
@@ -368,7 +357,11 @@ impl Region {
         let Some(first) = self.bits.iter().position(|&w| w != 0) else {
             return 0..0;
         };
-        let last = self.bits.iter().rposition(|&w| w != 0).expect("a nonzero word");
+        let last = self
+            .bits
+            .iter()
+            .rposition(|&w| w != 0)
+            .expect("a nonzero word");
         let first_cell = first as u32 * 64 + self.bits[first].trailing_zeros();
         let last_cell = last as u32 * 64 + 63 - self.bits[last].leading_zeros();
         let cols = self.grid.cols();
@@ -527,9 +520,7 @@ mod tests {
         assert!(e.centroid().is_none());
         let f = Region::full(Arc::clone(&g));
         assert_eq!(f.cell_count(), g.num_cells());
-        let sphere = 4.0 * std::f64::consts::PI
-            * crate::EARTH_RADIUS_KM
-            * crate::EARTH_RADIUS_KM;
+        let sphere = 4.0 * std::f64::consts::PI * crate::EARTH_RADIUS_KM * crate::EARTH_RADIUS_KM;
         assert!((f.area_km2() - sphere).abs() / sphere < 1e-9);
     }
 
@@ -745,7 +736,16 @@ mod tests {
         let last = g.num_cells() - 1;
         // First cell, last cell, both ends of a middle row, and cells
         // on either side of a word boundary.
-        for cell in [0, g.cols() - 1, g.cols(), 63, 64, 5 * g.cols() + 17, last - 1, last] {
+        for cell in [
+            0,
+            g.cols() - 1,
+            g.cols(),
+            63,
+            64,
+            5 * g.cols() + 17,
+            last - 1,
+            last,
+        ] {
             let mut r = Region::empty(Arc::clone(&g));
             r.insert(cell);
             let row = cell / g.cols();
@@ -760,7 +760,11 @@ mod tests {
         r.insert_run(3, 170..180);
         r.insert_run(60, 0..1);
         assert_eq!(r.row_band(), 3..61, "rows between two runs are inside");
-        for (centre, km) in [((48.0, 11.0), 900.0), ((-89.0, 0.0), 400.0), ((10.0, 179.5), 2500.0)] {
+        for (centre, km) in [
+            ((48.0, 11.0), 900.0),
+            ((-89.0, 0.0), 400.0),
+            ((10.0, 179.5), 2500.0),
+        ] {
             let cap = Region::from_cap(
                 &g,
                 &SphericalCap::new(GeoPoint::new(centre.0, centre.1), km),

@@ -230,7 +230,9 @@ mod tests {
 
     #[test]
     fn ols_exact_line() {
-        let pts: Vec<(f64, f64)> = (0..10).map(|i| (f64::from(i), 3.0 + 2.0 * f64::from(i))).collect();
+        let pts: Vec<(f64, f64)> = (0..10)
+            .map(|i| (f64::from(i), 3.0 + 2.0 * f64::from(i)))
+            .collect();
         let l = ols_line(&pts).unwrap();
         assert!((l.slope - 2.0).abs() < 1e-12);
         assert!((l.intercept - 3.0).abs() < 1e-12);
@@ -247,8 +249,9 @@ mod tests {
     #[test]
     fn theil_sen_resists_outliers() {
         // True line y = 10 + 0.5x with 20% wild outliers.
-        let mut pts: Vec<(f64, f64)> =
-            (0..40).map(|i| (f64::from(i), 10.0 + 0.5 * f64::from(i))).collect();
+        let mut pts: Vec<(f64, f64)> = (0..40)
+            .map(|i| (f64::from(i), 10.0 + 0.5 * f64::from(i)))
+            .collect();
         for i in 0..8 {
             pts[i * 5].1 += 500.0;
         }
@@ -263,7 +266,9 @@ mod tests {
 
     #[test]
     fn theil_sen_matches_ols_on_clean_line() {
-        let pts: Vec<(f64, f64)> = (0..20).map(|i| (f64::from(i), 1.0 + 0.49 * f64::from(i))).collect();
+        let pts: Vec<(f64, f64)> = (0..20)
+            .map(|i| (f64::from(i), 1.0 + 0.49 * f64::from(i)))
+            .collect();
         let l = theil_sen(&pts).unwrap();
         assert!((l.slope - 0.49).abs() < 1e-9);
         assert!((l.intercept - 1.0).abs() < 1e-9);

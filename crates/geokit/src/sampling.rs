@@ -32,7 +32,10 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// # Panics
 /// Panics if `sigma` is negative.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    assert!(sigma >= 0.0, "normal sigma must be non-negative, got {sigma}");
+    assert!(
+        sigma >= 0.0,
+        "normal sigma must be non-negative, got {sigma}"
+    );
     mu + sigma * standard_normal(rng)
 }
 
@@ -72,7 +75,10 @@ pub fn pareto<R: Rng + ?Sized>(rng: &mut R, scale: f64, shape: f64) -> f64 {
 /// Panics if `weights` is empty, contains a negative or non-finite value,
 /// or sums to zero.
 pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
-    assert!(!weights.is_empty(), "weighted_index needs at least one weight");
+    assert!(
+        !weights.is_empty(),
+        "weighted_index needs at least one weight"
+    );
     let total: f64 = weights
         .iter()
         .map(|&w| {
@@ -117,7 +123,11 @@ mod tests {
         let mut r = rng();
         let sample: Vec<f64> = (0..20_000).map(|_| normal(&mut r, 10.0, 3.0)).collect();
         assert!((mean(&sample) - 10.0).abs() < 0.1, "mean {}", mean(&sample));
-        assert!((std_dev(&sample) - 3.0).abs() < 0.1, "sd {}", std_dev(&sample));
+        assert!(
+            (std_dev(&sample) - 3.0).abs() < 0.1,
+            "sd {}",
+            std_dev(&sample)
+        );
     }
 
     #[test]

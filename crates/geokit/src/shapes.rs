@@ -44,8 +44,7 @@ impl SphericalCap {
     /// Exact spherical area of the cap in km²: `2πR²(1 − cos(r/R))`.
     pub fn area_km2(&self) -> f64 {
         let angular = self.radius_km / EARTH_RADIUS_KM;
-        2.0 * std::f64::consts::PI * EARTH_RADIUS_KM * EARTH_RADIUS_KM
-            * (1.0 - angular.cos())
+        2.0 * std::f64::consts::PI * EARTH_RADIUS_KM * EARTH_RADIUS_KM * (1.0 - angular.cos())
     }
 
     /// A latitude/longitude bounding box that fully contains the cap.
@@ -331,7 +330,11 @@ mod tests {
     fn box_area_equator_band() {
         // A 1°×1° box at the equator is ~ (111.19 km)² ≈ 12 364 km².
         let b = GeoBox::new(-0.5, 0.5, 0.0, 1.0);
-        assert!((b.area_km2() - 12364.0).abs() < 15.0, "got {}", b.area_km2());
+        assert!(
+            (b.area_km2() - 12364.0).abs() < 15.0,
+            "got {}",
+            b.area_km2()
+        );
     }
 
     #[test]

@@ -16,10 +16,7 @@ impl Ecdf {
     /// # Panics
     /// Panics if any value is NaN.
     pub fn new(mut values: Vec<f64>) -> Ecdf {
-        assert!(
-            values.iter().all(|v| !v.is_nan()),
-            "NaN in ECDF input"
-        );
+        assert!(values.iter().all(|v| !v.is_nan()), "NaN in ECDF input");
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         Ecdf { sorted: values }
     }
@@ -88,8 +85,7 @@ pub fn std_dev(values: &[f64]) -> f64 {
         return 0.0;
     }
     let m = mean(values);
-    let var = values.iter().map(|v| (v - m).powi(2)).sum::<f64>()
-        / (values.len() - 1) as f64;
+    let var = values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64;
     var.sqrt()
 }
 
@@ -217,7 +213,9 @@ mod tests {
 
     #[test]
     fn pearson_perfect_correlation() {
-        let pts: Vec<(f64, f64)> = (0..10).map(|i| (f64::from(i), 2.0 * f64::from(i))).collect();
+        let pts: Vec<(f64, f64)> = (0..10)
+            .map(|i| (f64::from(i), 2.0 * f64::from(i)))
+            .collect();
         assert!((pearson(&pts).unwrap() - 1.0).abs() < 1e-12);
         let anti: Vec<(f64, f64)> = (0..10).map(|i| (f64::from(i), -f64::from(i))).collect();
         assert!((pearson(&anti).unwrap() + 1.0).abs() < 1e-12);
@@ -231,7 +229,9 @@ mod tests {
 
     #[test]
     fn spearman_monotone_nonlinear_is_one() {
-        let pts: Vec<(f64, f64)> = (1..20).map(|i| (f64::from(i), f64::from(i).exp())).collect();
+        let pts: Vec<(f64, f64)> = (1..20)
+            .map(|i| (f64::from(i), f64::from(i).exp()))
+            .collect();
         assert!((spearman(&pts).unwrap() - 1.0).abs() < 1e-12);
     }
 

@@ -260,7 +260,9 @@ mod tests {
     fn tactics_are_per_proxy_and_per_landmark() {
         let mut plan = AdversaryPlan::new();
         plan.tactic_mut(7).hold_reply(3, 25.0).timeout_landmark(4);
-        plan.tactic_mut(9).inflate_self_ping(12.0).add_colluder(3, 0.4);
+        plan.tactic_mut(9)
+            .inflate_self_ping(12.0)
+            .add_colluder(3, 0.4);
         assert!(plan.is_active());
         assert_eq!(plan.adversarial_proxies(), 2);
         assert_eq!(plan.hold_ms(7, 3), 25.0);

@@ -163,12 +163,7 @@ impl WorldNet {
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| ixp_meta[j].0 != ixp_meta[i].0)
-                .map(|(_, &b)| {
-                    (
-                        topo.node(a).location.distance_km(&topo.node(b).location),
-                        b,
-                    )
-                })
+                .map(|(_, &b)| (topo.node(a).location.distance_km(&topo.node(b).location), b))
                 .collect();
             dists.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite").then(x.1.cmp(&y.1)));
             for &(_, b) in dists.iter().take(config.knn_links) {
@@ -192,7 +187,11 @@ impl WorldNet {
                     .map(|i| ixps[i])
             })
             .collect();
-        assert_eq!(majors.len(), MAJOR_HUBS.len(), "major hub missing from atlas");
+        assert_eq!(
+            majors.len(),
+            MAJOR_HUBS.len(),
+            "major hub missing from atlas"
+        );
         for (i, &a) in majors.iter().enumerate() {
             for &b in &majors[i + 1..] {
                 link(&mut topo, &mut rng, a, b);
@@ -256,8 +255,18 @@ impl WorldNet {
             .iter()
             .copied()
             .min_by(|&a, &b| {
-                let da = self.network.topology().node(a).location.distance_km(location);
-                let db = self.network.topology().node(b).location.distance_km(location);
+                let da = self
+                    .network
+                    .topology()
+                    .node(a)
+                    .location
+                    .distance_km(location);
+                let db = self
+                    .network
+                    .topology()
+                    .node(b)
+                    .location
+                    .distance_km(location);
                 da.partial_cmp(&db).expect("finite").then(a.cmp(&b))
             })
             .expect("world has IXPs")
@@ -374,13 +383,7 @@ mod tests {
         // but not absurdly slow.
         let w = world();
         let net = w.network();
-        let pairs = [
-            (0usize, 60usize),
-            (10, 120),
-            (5, 200),
-            (30, 250),
-            (70, 150),
-        ];
+        let pairs = [(0usize, 60usize), (10, 120), (5, 200), (30, 250), (70, 150)];
         for (i, j) in pairs {
             let (a, b) = (w.ixps()[i], w.ixps()[j]);
             let gc = net.gc_distance_km(a, b);

@@ -616,11 +616,23 @@ mod tests {
     #[test]
     fn tcp_connect_open_and_closed() {
         let w = world();
-        match run_one(&w, PacketKind::TcpSyn { port: 80 }, w.client, w.landmark, None) {
+        match run_one(
+            &w,
+            PacketKind::TcpSyn { port: 80 },
+            w.client,
+            w.landmark,
+            None,
+        ) {
             Outcome::Completed { reply, .. } => assert_eq!(reply, PacketKind::TcpSynAck),
             o => panic!("{o:?}"),
         }
-        match run_one(&w, PacketKind::TcpSyn { port: 9999 }, w.client, w.landmark, None) {
+        match run_one(
+            &w,
+            PacketKind::TcpSyn { port: 9999 },
+            w.client,
+            w.landmark,
+            None,
+        ) {
             Outcome::Completed { reply, .. } => assert_eq!(reply, PacketKind::TcpRst),
             o => panic!("{o:?}"),
         }
@@ -631,7 +643,13 @@ mod tests {
         let mut w = world();
         w.topo.node_mut(w.landmark).policy.filtered_tcp_ports = vec![80];
         assert_eq!(
-            run_one(&w, PacketKind::TcpSyn { port: 80 }, w.client, w.landmark, None),
+            run_one(
+                &w,
+                PacketKind::TcpSyn { port: 80 },
+                w.client,
+                w.landmark,
+                None
+            ),
             Outcome::TimedOut
         );
     }
@@ -639,7 +657,13 @@ mod tests {
     #[test]
     fn ttl_expiry_yields_time_exceeded() {
         let w = world();
-        match run_one(&w, PacketKind::TcpSyn { port: 80 }, w.client, w.landmark, Some(1)) {
+        match run_one(
+            &w,
+            PacketKind::TcpSyn { port: 80 },
+            w.client,
+            w.landmark,
+            Some(1),
+        ) {
             Outcome::Completed { reply, .. } => {
                 assert_eq!(reply, PacketKind::TimeExceeded { router: w.mid });
             }
@@ -652,7 +676,13 @@ mod tests {
         let mut w = world();
         w.topo.node_mut(w.mid).policy.drop_time_exceeded = true;
         assert_eq!(
-            run_one(&w, PacketKind::TcpSyn { port: 80 }, w.client, w.landmark, Some(1)),
+            run_one(
+                &w,
+                PacketKind::TcpSyn { port: 80 },
+                w.client,
+                w.landmark,
+                Some(1)
+            ),
             Outcome::TimedOut
         );
     }

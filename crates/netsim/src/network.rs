@@ -263,8 +263,7 @@ impl Network {
                 // replies), modelled as deterministic deflation of the
                 // completed reading. The clock keeps the true arrival.
                 if let Some(target) = tunnel_target {
-                    let (deflated, colluded) =
-                        self.adversary.collude_reading(dst, target, rtt);
+                    let (deflated, colluded) = self.adversary.collude_reading(dst, target, rtt);
                     if colluded {
                         rtt = deflated;
                         self.obs.count("net.adv.collude", 1);
@@ -456,11 +455,7 @@ impl Network {
     /// probe answered by time-exceeded), or `None` if the first hop
     /// suppresses time-exceeded. This is the quantity the original Octant
     /// uses to compute its "height" correction.
-    pub fn first_hop_rtt(
-        &mut self,
-        client: NodeId,
-        target: NodeId,
-    ) -> Option<SimDuration> {
+    pub fn first_hop_rtt(&mut self, client: NodeId, target: NodeId) -> Option<SimDuration> {
         match self.run_probe(client, target, PacketKind::TcpSyn { port: 80 }, Some(1))? {
             (rtt, PacketKind::TimeExceeded { .. }) => Some(rtt),
             _ => None,
@@ -694,7 +689,10 @@ mod tests {
         let sam: Vec<f64> = (0..400)
             .filter_map(|_| net.sample_rtt_ms(client, lm))
             .collect();
-        let (md, ms) = (geokit::stats::median(&des).unwrap(), geokit::stats::median(&sam).unwrap());
+        let (md, ms) = (
+            geokit::stats::median(&des).unwrap(),
+            geokit::stats::median(&sam).unwrap(),
+        );
         assert!(
             (md - ms).abs() < 0.35,
             "median mismatch: walk {md} vs sampler {ms}"
@@ -799,7 +797,9 @@ mod tests {
         let (mut net, client, _, lm) = net();
         // First hop from the client is the Frankfurt IXP: RTT ≈ 2×0.3 ms
         // propagation plus overheads.
-        let rtt = net.first_hop_rtt(client, lm).expect("cooperative first hop");
+        let rtt = net
+            .first_hop_rtt(client, lm)
+            .expect("cooperative first hop");
         assert!(rtt.as_ms() < 3.0, "{rtt}");
         // Suppressing time-exceeded at the IXP hides the hop.
         net.topology_mut().node_mut(0).policy.drop_time_exceeded = true;
@@ -827,10 +827,7 @@ mod tests {
         }
         // Exactly one delivery at the landmark.
         assert_eq!(
-            trace
-                .iter()
-                .filter(|e| e.delivered && e.node == lm)
-                .count(),
+            trace.iter().filter(|e| e.delivered && e.node == lm).count(),
             1
         );
     }
@@ -845,10 +842,7 @@ mod tests {
         net.topology_mut().node_mut(lm).policy.filtered_tcp_ports = vec![80];
         let before = net.now();
         assert!(net.tcp_connect_rtt(client, lm, 80).is_none());
-        assert_eq!(
-            net.now().since(before).as_ms(),
-            DEFAULT_PROBE_TIMEOUT_MS
-        );
+        assert_eq!(net.now().since(before).as_ms(), DEFAULT_PROBE_TIMEOUT_MS);
         // Manual advance (a retry backoff).
         let before = net.now();
         net.advance(SimDuration::from_ms(123.0));

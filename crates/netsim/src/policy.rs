@@ -69,7 +69,11 @@ impl FilterPolicy {
         FilterPolicy {
             drop_icmp_echo: false,
             drop_time_exceeded: false,
-            open_tcp_ports: if port_80_open { vec![80, 443] } else { vec![443] },
+            open_tcp_ports: if port_80_open {
+                vec![80, 443]
+            } else {
+                vec![443]
+            },
             filtered_tcp_ports: Vec::new(),
         }
     }

@@ -96,9 +96,7 @@ impl Selector {
             .into_iter()
             .filter(|(labels, _)| {
                 self.matchers.iter().all(|m| match m {
-                    Matcher::Exact(k, v) => {
-                        labels.iter().any(|(lk, lv)| lk == k && lv == v)
-                    }
+                    Matcher::Exact(k, v) => labels.iter().any(|(lk, lv)| lk == k && lv == v),
                     Matcher::Wildcard(k) => labels.iter().any(|(lk, _)| lk == k),
                 })
             })
@@ -239,7 +237,9 @@ fn parse_selector(s: &str) -> Result<(Selector, &str), String> {
                         .strip_prefix('"')
                         .and_then(|v| v.strip_suffix('"'))
                         .ok_or_else(|| {
-                            format!("selector {family}: label value must be double-quoted, got {v:?}")
+                            format!(
+                                "selector {family}: label value must be double-quoted, got {v:?}"
+                            )
                         })?;
                     matchers.push(Matcher::Exact(k.trim().to_string(), v.to_string()));
                 }
@@ -324,9 +324,7 @@ pub fn evaluate(rules: &[Rule], current: &MetricSet, prior: Option<&MetricSet>) 
                     // Sample absent from the prior epoch (e.g. a newly
                     // appeared provider): treat the baseline as zero,
                     // so any positive current value fires.
-                    let prior_value = prior
-                        .value(&selector.family, &label_refs)
-                        .unwrap_or(0.0);
+                    let prior_value = prior.value(&selector.family, &label_refs).unwrap_or(0.0);
                     let fires = if prior_value <= 0.0 {
                         observed > 0.0
                     } else {
@@ -381,7 +379,11 @@ mod tests {
         );
         let r = Rule::parse("x: pv_thing{outcome=\"timeout\"} >= 10").unwrap();
         match r.expr {
-            RuleExpr::Threshold { selector, cmp, value } => {
+            RuleExpr::Threshold {
+                selector,
+                cmp,
+                value,
+            } => {
                 assert_eq!(
                     selector.matchers,
                     vec![Matcher::Exact("outcome".into(), "timeout".into())]

@@ -120,7 +120,8 @@ impl MetricSet {
         match f.kind {
             None => f.kind = Some(kind),
             Some(k) => assert_eq!(
-                k, kind,
+                k,
+                kind,
                 "metric family {name:?} registered as {} and {}",
                 k.as_str(),
                 kind.as_str()
@@ -357,9 +358,7 @@ pub fn lint_metric_name(name: &str) -> Result<(), String> {
         return Err(format!("metric {name:?} must be lowercase snake_case"));
     }
     if name.contains("__") || name.ends_with('_') {
-        return Err(format!(
-            "metric {name:?} has empty snake_case segments"
-        ));
+        return Err(format!("metric {name:?} has empty snake_case segments"));
     }
     Ok(())
 }
@@ -505,9 +504,7 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
             .families
             .iter_mut()
             .find(|f| sample_belongs(&f.name, f.kind, &sample.name))
-            .ok_or_else(|| {
-                format!("line {ln}: sample {:?} has no declared family", sample.name)
-            })?;
+            .ok_or_else(|| format!("line {ln}: sample {:?} has no declared family", sample.name))?;
         owner.samples.push(sample);
     }
     if !saw_eof {
@@ -519,11 +516,9 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
 fn sample_belongs(family: &str, kind: MetricKind, sample: &str) -> bool {
     match kind {
         MetricKind::Counter | MetricKind::Gauge => sample == family,
-        MetricKind::Histogram => {
-            sample
-                .strip_prefix(family)
-                .is_some_and(|rest| matches!(rest, "_bucket" | "_sum" | "_count"))
-        }
+        MetricKind::Histogram => sample
+            .strip_prefix(family)
+            .is_some_and(|rest| matches!(rest, "_bucket" | "_sum" | "_count")),
     }
 }
 
@@ -726,7 +721,9 @@ mod tests {
         let txt = sample_set().render();
         assert!(txt.ends_with("# EOF\n"), "{txt}");
         let probe = txt.find("# TYPE pv_probe_total counter").unwrap();
-        let rtt = txt.find("# TYPE pv_probe_rtt_microseconds histogram").unwrap();
+        let rtt = txt
+            .find("# TYPE pv_probe_rtt_microseconds histogram")
+            .unwrap();
         let ratio = txt.find("# TYPE pv_progress_ratio gauge").unwrap();
         assert!(rtt < probe && probe < ratio, "families must sort:\n{txt}");
         assert!(txt.contains("pv_probe_total{outcome=\"sent\"} 41"));
@@ -754,12 +751,21 @@ mod tests {
         for (doc, why) in [
             ("pv_x 1\n# EOF\n", "sample without TYPE"),
             ("# TYPE pv_x counter\npv_x 1\n", "missing EOF"),
-            ("# TYPE pv_x counter\n# TYPE pv_x counter\n# EOF\n", "dup TYPE"),
+            (
+                "# TYPE pv_x counter\n# TYPE pv_x counter\n# EOF\n",
+                "dup TYPE",
+            ),
             ("# TYPE pv_x wibble\n# EOF\n", "bad kind"),
-            ("# TYPE pv_x counter\npv_x{o=\"a} 1\n# EOF\n", "unterminated label"),
+            (
+                "# TYPE pv_x counter\npv_x{o=\"a} 1\n# EOF\n",
+                "unterminated label",
+            ),
             ("# TYPE pv_x counter\npv_x one\n# EOF\n", "bad value"),
             ("# EOF\nleftover\n", "content after EOF"),
-            ("# TYPE pv_x gauge\npv_x_bucket{le=\"1\"} 1\n# EOF\n", "bucket under gauge"),
+            (
+                "# TYPE pv_x gauge\npv_x_bucket{le=\"1\"} 1\n# EOF\n",
+                "bucket under gauge",
+            ),
         ] {
             assert!(parse_exposition(doc).is_err(), "should reject: {why}");
         }
@@ -768,12 +774,7 @@ mod tests {
     #[test]
     fn label_escapes_round_trip() {
         let mut set = MetricSet::new();
-        set.set_gauge(
-            "pv_test_gauge",
-            "",
-            &[("name", "we\"ird\\path\nend")],
-            1.0,
-        );
+        set.set_gauge("pv_test_gauge", "", &[("name", "we\"ird\\path\nend")], 1.0);
         let txt = set.render();
         let parsed = parse_exposition(&txt).unwrap();
         assert_eq!(
@@ -788,7 +789,10 @@ mod tests {
         let mut set = MetricSet::new();
         set.add_counter("pv_x_total", "", &[("b", "2"), ("a", "1")], 3);
         set.add_counter("pv_x_total", "", &[("a", "1"), ("b", "2")], 4);
-        assert_eq!(set.value("pv_x_total", &[("b", "2"), ("a", "1")]), Some(7.0));
+        assert_eq!(
+            set.value("pv_x_total", &[("b", "2"), ("a", "1")]),
+            Some(7.0)
+        );
         assert!(set.render().contains("pv_x_total{a=\"1\",b=\"2\"} 7"));
     }
 
@@ -797,11 +801,11 @@ mod tests {
         assert!(lint_metric_name("pv_probe_total").is_ok());
         assert!(lint_metric_name("pv_probe_rtt_microseconds").is_ok());
         for bad in [
-            "probe_total",      // no prefix
-            "pv_Probe_total",   // uppercase
-            "pv_probe-total",   // dash
-            "pv__probe",        // empty segment
-            "pv_probe_",        // trailing underscore
+            "probe_total",    // no prefix
+            "pv_Probe_total", // uppercase
+            "pv_probe-total", // dash
+            "pv__probe",      // empty segment
+            "pv_probe_",      // trailing underscore
         ] {
             assert!(lint_metric_name(bad).is_err(), "should reject {bad:?}");
         }
@@ -816,7 +820,10 @@ mod tests {
         rec.count("cache.disk.hits", 3);
         rec.count("cache.disk.entries", 2);
         let set = recorder_metrics(&rec).expect("all names registered");
-        assert_eq!(set.value("pv_probe_total", &[("outcome", "sent")]), Some(7.0));
+        assert_eq!(
+            set.value("pv_probe_total", &[("outcome", "sent")]),
+            Some(7.0)
+        );
         assert_eq!(
             set.value("pv_probe_total", &[("outcome", "timeout")]),
             Some(2.0)
@@ -852,7 +859,10 @@ mod tests {
         assert!(set.value("pv_span_calls_total", &[("path", "w")]).is_some());
         let det = set.render_filtered(deterministic_family);
         assert!(det.contains("pv_probe_total"));
-        assert!(det.contains("pv_cache_lookup_total"), "cache counters are exact:\n{det}");
+        assert!(
+            det.contains("pv_cache_lookup_total"),
+            "cache counters are exact:\n{det}"
+        );
         assert!(!det.contains("pv_span_"), "span family leaked:\n{det}");
         assert!(parse_exposition(&det).is_ok(), "subset must still parse");
     }

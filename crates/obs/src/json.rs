@@ -196,8 +196,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             {
                 *pos += 1;
             }
-            let text = std::str::from_utf8(&b[start..*pos])
-                .map_err(|_| "invalid utf8 in number")?;
+            let text =
+                std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid utf8 in number")?;
             text.parse::<f64>()
                 .map(Json::Num)
                 .map_err(|_| format!("bad number {text:?} at byte {start}"))
@@ -259,15 +259,16 @@ mod tests {
 
     #[test]
     fn parses_the_value_kinds() {
-        let v = Json::parse(
-            r#"{ "s": "x", "n": 1.5, "b": true, "nil": null, "a": [1, 2] }"#,
-        )
-        .unwrap();
+        let v =
+            Json::parse(r#"{ "s": "x", "n": 1.5, "b": true, "nil": null, "a": [1, 2] }"#).unwrap();
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("n").and_then(Json::as_f64), Some(1.5));
         assert_eq!(v.get("b"), Some(&Json::Bool(true)));
         assert_eq!(v.get("nil"), Some(&Json::Null));
-        assert_eq!(v.get("a").and_then(Json::as_array).map(<[Json]>::len), Some(2));
+        assert_eq!(
+            v.get("a").and_then(Json::as_array).map(<[Json]>::len),
+            Some(2)
+        );
         assert_eq!(v.get("missing"), None);
     }
 
@@ -283,7 +284,14 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        for s in ["plain", "with \"quotes\"", "tab\there", "back\\slash", "µs", "line\nbreak"] {
+        for s in [
+            "plain",
+            "with \"quotes\"",
+            "tab\there",
+            "back\\slash",
+            "µs",
+            "line\nbreak",
+        ] {
             let parsed = Json::parse(&json_str(s)).unwrap();
             assert_eq!(parsed.as_str(), Some(s));
         }

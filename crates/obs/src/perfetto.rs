@@ -16,8 +16,8 @@
 //!
 //! [Perfetto]: https://perfetto.dev
 
-use crate::{Events, ProfileStat, Recorder};
 use crate::json::json_str;
+use crate::{Events, ProfileStat, Recorder};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -234,7 +234,10 @@ mod tests {
         assert_eq!(ts(run), ts(locate));
         assert!(dur(locate) <= dur(run));
         assert!(
-            run.get("args").and_then(|a| a.get("count")).and_then(Json::as_f64) == Some(1.0)
+            run.get("args")
+                .and_then(|a| a.get("count"))
+                .and_then(Json::as_f64)
+                == Some(1.0)
         );
     }
 
@@ -248,10 +251,16 @@ mod tests {
             .iter()
             .find(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
             .expect("one instant");
-        assert_eq!(instant.get("name").and_then(Json::as_str), Some("net.probe"));
+        assert_eq!(
+            instant.get("name").and_then(Json::as_str),
+            Some("net.probe")
+        );
         assert_eq!(instant.get("ts").and_then(Json::as_f64), Some(2.5));
         assert_eq!(
-            instant.get("args").and_then(|a| a.get("dst")).and_then(Json::as_f64),
+            instant
+                .get("args")
+                .and_then(|a| a.get("dst"))
+                .and_then(Json::as_f64),
             Some(7.0)
         );
     }

@@ -74,30 +74,90 @@ pub struct DynamicDef {
 /// rather than a running total (the cache's entry count) exports as a
 /// gauge.
 pub const COUNTERS: &[MetricDef] = &[
-    def("net.probe.sent", "pv_probe_total", &[("outcome", "sent")], PROBE_HELP),
-    def("net.probe.completed", "pv_probe_total", &[("outcome", "completed")], PROBE_HELP),
-    def("net.probe.timeout", "pv_probe_total", &[("outcome", "timeout")], PROBE_HELP),
-    def("net.probe.unroutable", "pv_probe_total", &[("outcome", "unroutable")], PROBE_HELP),
-    def("net.loss.outage", "pv_probe_loss_total", &[("cause", "outage")], LOSS_HELP),
-    def("net.loss.drop", "pv_probe_loss_total", &[("cause", "drop")], LOSS_HELP),
-    def("net.loss.link", "pv_probe_loss_total", &[("cause", "link")], LOSS_HELP),
-    def("net.loss.rate_limit", "pv_probe_loss_total", &[("cause", "rate_limit")], LOSS_HELP),
-    def("net.loss.filtered", "pv_probe_loss_total", &[("cause", "filtered")], LOSS_HELP),
+    def(
+        "net.probe.sent",
+        "pv_probe_total",
+        &[("outcome", "sent")],
+        PROBE_HELP,
+    ),
+    def(
+        "net.probe.completed",
+        "pv_probe_total",
+        &[("outcome", "completed")],
+        PROBE_HELP,
+    ),
+    def(
+        "net.probe.timeout",
+        "pv_probe_total",
+        &[("outcome", "timeout")],
+        PROBE_HELP,
+    ),
+    def(
+        "net.probe.unroutable",
+        "pv_probe_total",
+        &[("outcome", "unroutable")],
+        PROBE_HELP,
+    ),
+    def(
+        "net.loss.outage",
+        "pv_probe_loss_total",
+        &[("cause", "outage")],
+        LOSS_HELP,
+    ),
+    def(
+        "net.loss.drop",
+        "pv_probe_loss_total",
+        &[("cause", "drop")],
+        LOSS_HELP,
+    ),
+    def(
+        "net.loss.link",
+        "pv_probe_loss_total",
+        &[("cause", "link")],
+        LOSS_HELP,
+    ),
+    def(
+        "net.loss.rate_limit",
+        "pv_probe_loss_total",
+        &[("cause", "rate_limit")],
+        LOSS_HELP,
+    ),
+    def(
+        "net.loss.filtered",
+        "pv_probe_loss_total",
+        &[("cause", "filtered")],
+        LOSS_HELP,
+    ),
     def(
         "net.adv.collude",
         "pv_adversary_collusion_total",
         &[],
         "Probe answers shaped by colluding adversary nodes.",
     ),
-    def("net.adv.hold", "pv_adversary_actions_total", &[("action", "hold")], ADVERSARY_HELP),
-    def("net.adv.timeout", "pv_adversary_actions_total", &[("action", "timeout")], ADVERSARY_HELP),
+    def(
+        "net.adv.hold",
+        "pv_adversary_actions_total",
+        &[("action", "hold")],
+        ADVERSARY_HELP,
+    ),
+    def(
+        "net.adv.timeout",
+        "pv_adversary_actions_total",
+        &[("action", "timeout")],
+        ADVERSARY_HELP,
+    ),
     def(
         "net.adv.self_ping_pad",
         "pv_adversary_actions_total",
         &[("action", "self_ping_pad")],
         ADVERSARY_HELP,
     ),
-    def("rel.retry", "pv_retry_total", &[], "Probe retries scheduled by the reliability layer."),
+    def(
+        "rel.retry",
+        "pv_retry_total",
+        &[],
+        "Probe retries scheduled by the reliability layer.",
+    ),
     def(
         "rel.corrupt_reading",
         "pv_reading_rejected_total",
@@ -146,15 +206,30 @@ pub const COUNTERS: &[MetricDef] = &[
         &[],
         "Measurements that proceeded below the landmark quorum.",
     ),
-    def("def.runs", "pv_defense_events_total", &[("kind", "run")], DEFENSE_HELP),
-    def("def.flagged", "pv_defense_events_total", &[("kind", "flagged")], DEFENSE_HELP),
+    def(
+        "def.runs",
+        "pv_defense_events_total",
+        &[("kind", "run")],
+        DEFENSE_HELP,
+    ),
+    def(
+        "def.flagged",
+        "pv_defense_events_total",
+        &[("kind", "flagged")],
+        DEFENSE_HELP,
+    ),
     def(
         "def.conflict_pairs",
         "pv_defense_events_total",
         &[("kind", "conflict_pair")],
         DEFENSE_HELP,
     ),
-    def("def.trimmed", "pv_defense_events_total", &[("kind", "trimmed")], DEFENSE_HELP),
+    def(
+        "def.trimmed",
+        "pv_defense_events_total",
+        &[("kind", "trimmed")],
+        DEFENSE_HELP,
+    ),
     def(
         "def.quorum_fail",
         "pv_defense_events_total",
@@ -203,8 +278,18 @@ pub const COUNTERS: &[MetricDef] = &[
         &[("outcome", "unmeasurable")],
         AUDIT_HELP,
     ),
-    def("cache.disk.hits", "pv_cache_lookup_total", &[("result", "hit")], CACHE_HELP),
-    def("cache.disk.misses", "pv_cache_lookup_total", &[("result", "miss")], CACHE_HELP),
+    def(
+        "cache.disk.hits",
+        "pv_cache_lookup_total",
+        &[("result", "hit")],
+        CACHE_HELP,
+    ),
+    def(
+        "cache.disk.misses",
+        "pv_cache_lookup_total",
+        &[("result", "miss")],
+        CACHE_HELP,
+    ),
     MetricDef {
         raw: "cache.disk.entries",
         family: "pv_cache_entries",
@@ -246,30 +331,90 @@ pub const HISTS: &[MetricDef] = &[
 
 /// Families whose label values are only known at export time.
 pub const DYNAMIC: &[DynamicDef] = &[
-    dyn_def("pv_span_calls_total", MetricKind::Counter, &["path"], Compartment::Wall,
-        "Completed profile spans by tree path."),
-    dyn_def("pv_span_seconds_total", MetricKind::Gauge, &["path"], Compartment::Wall,
-        "Cumulative profile span time by tree path."),
-    dyn_def("pv_span_self_seconds_total", MetricKind::Gauge, &["path"], Compartment::Wall,
-        "Self (non-child) profile span time by tree path."),
-    dyn_def("pv_progress_proxies_done", MetricKind::Gauge, &[], Compartment::Deterministic,
-        "Proxies audited, global deterministic order."),
-    dyn_def("pv_progress_proxies_total", MetricKind::Gauge, &[], Compartment::Deterministic,
-        "Proxies the study set out to audit."),
-    dyn_def("pv_progress_snapshots_total", MetricKind::Counter, &[], Compartment::Deterministic,
-        "Progress snapshots the audit folded in fleet order."),
-    dyn_def("pv_probe_loss_rate", MetricKind::Gauge, &[], Compartment::Deterministic,
-        "Fraction of sent probes that never completed."),
-    dyn_def("pv_suspicious_rate", MetricKind::Gauge, &["provider"], Compartment::Deterministic,
-        "Fraction of a provider's audited proxies judged False or Suspicious."),
-    dyn_def("pv_stale_urgent_verdicts", MetricKind::Gauge, &[], Compartment::Wall,
-        "Urgent-priority verdicts overdue for revalidation in the store."),
-    dyn_def("pv_store_epochs", MetricKind::Gauge, &[], Compartment::Wall,
-        "Study epochs recorded in the verdict store."),
-    dyn_def("pv_audit_threads", MetricKind::Gauge, &[], Compartment::Wall,
-        "Worker threads the audit fanned out over."),
-    dyn_def("pv_audit_shards", MetricKind::Gauge, &[], Compartment::Wall,
-        "Network lineages the audit split the fleet into."),
+    dyn_def(
+        "pv_span_calls_total",
+        MetricKind::Counter,
+        &["path"],
+        Compartment::Wall,
+        "Completed profile spans by tree path.",
+    ),
+    dyn_def(
+        "pv_span_seconds_total",
+        MetricKind::Gauge,
+        &["path"],
+        Compartment::Wall,
+        "Cumulative profile span time by tree path.",
+    ),
+    dyn_def(
+        "pv_span_self_seconds_total",
+        MetricKind::Gauge,
+        &["path"],
+        Compartment::Wall,
+        "Self (non-child) profile span time by tree path.",
+    ),
+    dyn_def(
+        "pv_progress_proxies_done",
+        MetricKind::Gauge,
+        &[],
+        Compartment::Deterministic,
+        "Proxies audited, global deterministic order.",
+    ),
+    dyn_def(
+        "pv_progress_proxies_total",
+        MetricKind::Gauge,
+        &[],
+        Compartment::Deterministic,
+        "Proxies the study set out to audit.",
+    ),
+    dyn_def(
+        "pv_progress_snapshots_total",
+        MetricKind::Counter,
+        &[],
+        Compartment::Deterministic,
+        "Progress snapshots the audit folded in fleet order.",
+    ),
+    dyn_def(
+        "pv_probe_loss_rate",
+        MetricKind::Gauge,
+        &[],
+        Compartment::Deterministic,
+        "Fraction of sent probes that never completed.",
+    ),
+    dyn_def(
+        "pv_suspicious_rate",
+        MetricKind::Gauge,
+        &["provider"],
+        Compartment::Deterministic,
+        "Fraction of a provider's audited proxies judged False or Suspicious.",
+    ),
+    dyn_def(
+        "pv_stale_urgent_verdicts",
+        MetricKind::Gauge,
+        &[],
+        Compartment::Wall,
+        "Urgent-priority verdicts overdue for revalidation in the store.",
+    ),
+    dyn_def(
+        "pv_store_epochs",
+        MetricKind::Gauge,
+        &[],
+        Compartment::Wall,
+        "Study epochs recorded in the verdict store.",
+    ),
+    dyn_def(
+        "pv_audit_threads",
+        MetricKind::Gauge,
+        &[],
+        Compartment::Wall,
+        "Worker threads the audit fanned out over.",
+    ),
+    dyn_def(
+        "pv_audit_shards",
+        MetricKind::Gauge,
+        &[],
+        Compartment::Wall,
+        "Network lineages the audit split the fleet into.",
+    ),
 ];
 
 const PROBE_HELP: &str = "Probes by terminal outcome.";
@@ -437,10 +582,7 @@ pub fn lint() -> Vec<String> {
                 shapes.insert(d.family, shape);
             }
             Some(prev) if *prev != shape => {
-                problems.push(format!(
-                    "family {:?} mixes kinds or label keys",
-                    d.family
-                ));
+                problems.push(format!("family {:?} mixes kinds or label keys", d.family));
             }
             Some(_) => {}
         }
@@ -469,10 +611,7 @@ pub fn lint() -> Vec<String> {
             problems.push(format!("dynamic family {:?} registered twice", d.family));
         }
         if shapes.contains_key(d.family) {
-            problems.push(format!(
-                "family {:?} is both static and dynamic",
-                d.family
-            ));
+            problems.push(format!("family {:?} is both static and dynamic", d.family));
         }
         if d.label_keys.len() > 1 {
             problems.push(format!(
@@ -502,7 +641,11 @@ mod tests {
     #[test]
     fn registry_is_lint_clean() {
         let problems = lint();
-        assert!(problems.is_empty(), "registry lint failures:\n{}", problems.join("\n"));
+        assert!(
+            problems.is_empty(),
+            "registry lint failures:\n{}",
+            problems.join("\n")
+        );
     }
 
     #[test]

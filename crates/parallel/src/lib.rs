@@ -265,7 +265,11 @@ mod tests {
     fn thread_setting_accepts_positive_integers() {
         assert_eq!(resolve_thread_setting(Some("1")), Ok(Some(1)));
         assert_eq!(resolve_thread_setting(Some("16")), Ok(Some(16)));
-        assert_eq!(resolve_thread_setting(Some(" 8 ")), Ok(Some(8)), "whitespace trims");
+        assert_eq!(
+            resolve_thread_setting(Some(" 8 ")),
+            Ok(Some(8)),
+            "whitespace trims"
+        );
         assert_eq!(resolve_thread_setting(None), Ok(None));
     }
 

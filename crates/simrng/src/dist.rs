@@ -32,7 +32,10 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// # Panics
 /// Panics if `sigma` is negative.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    assert!(sigma >= 0.0, "normal sigma must be non-negative, got {sigma}");
+    assert!(
+        sigma >= 0.0,
+        "normal sigma must be non-negative, got {sigma}"
+    );
     mu + sigma * standard_normal(rng)
 }
 

@@ -64,13 +64,21 @@ pub struct ProptestConfig {
 impl ProptestConfig {
     /// The default configuration with `cases` accepted cases.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases, ..Self::default() }
+        ProptestConfig {
+            cases,
+            ..Self::default()
+        }
     }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 64, seed: 0x51e3_ca5e, max_rejects: 1024, max_shrink_steps: 512 }
+        ProptestConfig {
+            cases: 64,
+            seed: 0x51e3_ca5e,
+            max_rejects: 1024,
+            max_shrink_steps: 512,
+        }
     }
 }
 
@@ -514,7 +522,10 @@ mod tests {
 
     #[test]
     fn runner_finds_and_shrinks_failures() {
-        let config = ProptestConfig { cases: 256, ..ProptestConfig::default() };
+        let config = ProptestConfig {
+            cases: 256,
+            ..ProptestConfig::default()
+        };
         let caught = std::panic::catch_unwind(|| {
             run("demo_overflowing_property", &config, &(0i64..10_000), |v| {
                 if v >= 100 {
@@ -523,7 +534,10 @@ mod tests {
                 Ok(())
             });
         });
-        let message = *caught.expect_err("property must fail").downcast::<String>().unwrap();
+        let message = *caught
+            .expect_err("property must fail")
+            .downcast::<String>()
+            .unwrap();
         assert!(message.contains("minimal failing input"), "{message}");
         // Bisection halves toward zero and stops at the first passing
         // midpoint, so it lands within 2× of the 100 boundary (e.g.

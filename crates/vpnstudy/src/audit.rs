@@ -12,9 +12,9 @@ use geoloc::defense::{run_defense, DefenseReport, TunnelPings};
 use geoloc::disambiguate::{by_data_centers, by_touched_sets, Disambiguation};
 use geoloc::iclab::{IclabChecker, IclabVerdict};
 use geoloc::multilateration::{DiskCache, DiskCacheStats};
+use geoloc::observation::Observation;
 use geoloc::proxy::{estimate_eta, EtaEstimate, ProxyContext, DEFAULT_ETA};
 use geoloc::reliability::{MeasurementDiagnostics, ProbeScheduler};
-use geoloc::observation::Observation;
 use geoloc::twophase::{run_two_phase_reliable, MeasurementStatus, ProxyProber, RttProber};
 use netsim::{FilterPolicy, Network, NodeId, SimDuration, WorldNet, WorldNetConfig};
 use obs::snapshot::{
@@ -167,8 +167,11 @@ impl Study {
         let constellation = Constellation::place(&mut world, &config.constellation);
         drop(span);
         let span = build_profile.profile_span("build.calibration");
-        let calibration =
-            CalibrationDb::collect(world.network_mut(), &constellation, config.calibration_pings);
+        let calibration = CalibrationDb::collect(
+            world.network_mut(),
+            &constellation,
+            config.calibration_pings,
+        );
         drop(span);
         let span = build_profile.profile_span("build.deploy");
         let providers = ProviderSet::deploy(&mut world, &survey, &config);
@@ -245,10 +248,7 @@ impl Study {
             recorder.event(
                 "audit",
                 "eta_estimated",
-                [
-                    ("eta", eta.into()),
-                    ("pingable", pingable.len().into()),
-                ],
+                [("eta", eta.into()), ("pingable", pingable.len().into())],
             );
         }
 
@@ -372,9 +372,7 @@ pub fn plan_shards(seed: u64, total: usize, shard_count: usize) -> Vec<ShardSpec
             shard_count,
             start: shard_id * total / shard_count,
             end: (shard_id + 1) * total / shard_count,
-            net_seed: seed
-                ^ 0x5aa2d
-                ^ (shard_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            net_seed: seed ^ 0x5aa2d ^ (shard_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         })
         .collect()
 }
@@ -434,11 +432,7 @@ enum ProxyResult {
 /// the parallelism sense: every stochastic input is derived from
 /// `(config.seed, proxy.node)` and the shared read-only world, so the
 /// outcome is independent of which worker runs it and in what order.
-fn measure_one_proxy(
-    proxy: DeployedProxy,
-    lineage: &Network,
-    ctx: &AuditCtx<'_>,
-) -> ProxyOutcome {
+fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>) -> ProxyOutcome {
     let AuditCtx {
         client,
         eta,
@@ -486,13 +480,8 @@ fn measure_one_proxy(
             net.advance(SimDuration::from_ms(wait));
         }
         establish_attempts += 1;
-        ctx_established = ProxyContext::establish(
-            &mut net,
-            client,
-            proxy.node,
-            eta,
-            config.self_ping_attempts,
-        );
+        ctx_established =
+            ProxyContext::establish(&mut net, client, proxy.node, eta, config.self_ping_attempts);
         if ctx_established.is_some() {
             break;
         }
@@ -562,8 +551,7 @@ fn measure_one_proxy(
     };
 
     let locate_span = rec.profile_span("audit.locate");
-    let prediction =
-        CbgPlusPlus.locate_traced(&two_phase.observations, mask, Some(cache), &rec);
+    let prediction = CbgPlusPlus.locate_traced(&two_phase.observations, mask, Some(cache), &rec);
     drop(locate_span);
     let assess_span = rec.profile_span("audit.assess");
     let verdict = assess_claim(atlas, &prediction.region, proxy.claimed);
@@ -983,9 +971,7 @@ mod tests {
     fn nearly_all_proxies_are_measured() {
         let g = results().lock().unwrap();
         let (study, res) = &*g;
-        assert!(
-            res.records.len() + res.unmeasured == study.providers.proxies.len()
-        );
+        assert!(res.records.len() + res.unmeasured == study.providers.proxies.len());
         assert!(
             res.records.len() * 10 >= study.providers.proxies.len() * 9,
             "only {} of {} measured",
@@ -1068,8 +1054,7 @@ mod tests {
         assert!(res.obs.counter("net.probe.sent") > 0);
         assert!(
             res.obs.counter("net.probe.sent")
-                >= res.obs.counter("net.probe.completed")
-                    + res.obs.counter("net.probe.timeout")
+                >= res.obs.counter("net.probe.completed") + res.obs.counter("net.probe.timeout")
         );
     }
 
@@ -1093,10 +1078,7 @@ mod tests {
                 .map(|p| u64::from(p.node))
                 .collect();
             assert_eq!(starts, expected, "trace not merged in proxy order");
-            assert_eq!(
-                evs.iter().filter(|e| e.name == "proxy_done").count(),
-                n
-            );
+            assert_eq!(evs.iter().filter(|e| e.name == "proxy_done").count(), n);
         });
         assert_eq!(res.trace_jsonl().lines().count(), res.obs.events_len());
         // Wall compartment: one audit.proxy profile root per proxy,
@@ -1138,10 +1120,7 @@ mod tests {
                 assert!(s.proxies_done > res.snapshots[i - 1].proxies_done);
             }
         }
-        assert_eq!(
-            res.snapshots_jsonl().lines().count(),
-            res.snapshots.len()
-        );
+        assert_eq!(res.snapshots_jsonl().lines().count(), res.snapshots.len());
     }
 
     #[test]
@@ -1153,7 +1132,11 @@ mod tests {
         // trace, both inside the run.
         assert_eq!(res.obs.profile_stat("audit.run").unwrap().count, 1);
         for stage in ["audit.run/audit.eta_estimation", "audit.run/audit.absorb"] {
-            assert_eq!(res.obs.profile_stat(stage).map(|s| s.count), Some(1), "{stage}");
+            assert_eq!(
+                res.obs.profile_stat(stage).map(|s| s.count),
+                Some(1),
+                "{stage}"
+            );
         }
         // Worker stages nest under audit.proxy; every measured proxy
         // ran phase 1 and located, and each probe bottoms out in the
@@ -1187,9 +1170,7 @@ mod tests {
         assert!(intersect.count >= measured);
         let lookup = res
             .obs
-            .profile_stat(
-                "audit.proxy/audit.locate/cbgpp.baseline/subset.intersect/cache.lookup",
-            )
+            .profile_stat("audit.proxy/audit.locate/cbgpp.baseline/subset.intersect/cache.lookup")
             .expect("disk cache lookup span");
         assert!(lookup.count > 0);
         // Self time never exceeds cumulative anywhere in the tree.
@@ -1199,7 +1180,10 @@ mod tests {
         // The rendered tree indents children under their parents.
         let tree = res.obs.render_profile();
         assert!(tree.contains("audit.proxy"));
-        assert!(tree.contains("  audit.locate"), "no indented child:\n{tree}");
+        assert!(
+            tree.contains("  audit.locate"),
+            "no indented child:\n{tree}"
+        );
     }
 
     #[test]
@@ -1405,7 +1389,10 @@ mod tests {
         assert_eq!(res.counts(false), (0, 0, 0));
         assert_eq!(res.counts(true), (0, 0, 0));
         assert_eq!(res.fig17_categories(), [0; 6]);
-        assert_eq!(res.cache_stats(), geoloc::multilateration::DiskCacheStats::default());
+        assert_eq!(
+            res.cache_stats(),
+            geoloc::multilateration::DiskCacheStats::default()
+        );
         // Rendering must cope: no division by zero, no panic.
         let rendered = crate::report::render_reliability(&res);
         assert!(rendered.contains("0 total"));

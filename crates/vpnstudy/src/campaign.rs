@@ -214,9 +214,8 @@ pub fn shaping_plan(
             .iter()
             .filter_map(|lm| {
                 let a_floor = net.floor_rtt_ms(proxy.node, lm.node)?;
-                let desired =
-                    (2.0 * lm.location.distance_km(&fake) / SHAPE_SPEED_KM_PER_MS)
-                        .max(MIN_DESIRED_A_MS);
+                let desired = (2.0 * lm.location.distance_km(&fake) / SHAPE_SPEED_KM_PER_MS)
+                    .max(MIN_DESIRED_A_MS);
                 Some((lm.node, a_floor, desired))
             })
             .collect();

@@ -102,8 +102,7 @@ pub fn detect_same_lan_groups(
         let root = find(&mut parent, i);
         groups.entry(root).or_default().push(i);
     }
-    let mut out: Vec<ColocationGroup> =
-        groups.into_values().filter(|g| g.len() >= 2).collect();
+    let mut out: Vec<ColocationGroup> = groups.into_values().filter(|g| g.len() >= 2).collect();
     out.sort_unstable_by_key(|g| (std::cmp::Reverse(g.len()), g[0]));
     out
 }

@@ -50,7 +50,10 @@ impl ConfusionMatrix {
 
 /// Continent confusion matrix (Fig. 22): 8×8 in [`Continent::ALL`] order.
 pub fn continent_confusion(atlas: &WorldAtlas, results: &StudyResults) -> ConfusionMatrix {
-    let labels: Vec<String> = Continent::ALL.iter().map(|c| c.name().to_string()).collect();
+    let labels: Vec<String> = Continent::ALL
+        .iter()
+        .map(|c| c.name().to_string())
+        .collect();
     let mut counts = vec![0u64; 64];
     for r in &results.records {
         let mut continents: Vec<usize> = r

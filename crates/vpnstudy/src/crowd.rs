@@ -118,8 +118,7 @@ pub fn measure_crowd(
             attempts: config.attempts_per_landmark,
             rng: StdRng::seed_from_u64(rng.random()),
         };
-        let Some(result) = run_two_phase(world.network_mut(), server, &mut prober, &mut rng)
-        else {
+        let Some(result) = run_two_phase(world.network_mut(), server, &mut prober, &mut rng) else {
             continue;
         };
         records.push(CrowdRecord {
@@ -130,7 +129,6 @@ pub fn measure_crowd(
     }
     records
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -153,9 +151,7 @@ mod tests {
         static S: OnceLock<Mutex<Fixture>> = OnceLock::new();
         S.get_or_init(|| {
             let config = StudyConfig::small(7);
-            let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(
-                config.grid_resolution_deg,
-            )));
+            let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(config.grid_resolution_deg)));
             let mut world = WorldNet::build(
                 atlas,
                 WorldNetConfig {
@@ -216,7 +212,11 @@ mod tests {
             .iter()
             .filter(|h| h.os == MeasurementOs::Windows)
             .count();
-        assert!(windows * 2 > workers.len(), "windows {windows}/{}", workers.len());
+        assert!(
+            windows * 2 > workers.len(),
+            "windows {windows}/{}",
+            workers.len()
+        );
     }
 
     #[test]

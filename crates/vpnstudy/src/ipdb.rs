@@ -32,11 +32,26 @@ pub struct IpDatabase {
 /// providers far more often than active geolocation does).
 pub fn paper_databases() -> Vec<IpDatabase> {
     vec![
-        IpDatabase { name: "DB-IP", influence: 0.93 },
-        IpDatabase { name: "Eureka", influence: 0.97 },
-        IpDatabase { name: "IP2Location", influence: 0.82 },
-        IpDatabase { name: "IPInfo", influence: 0.88 },
-        IpDatabase { name: "MaxMind", influence: 0.98 },
+        IpDatabase {
+            name: "DB-IP",
+            influence: 0.93,
+        },
+        IpDatabase {
+            name: "Eureka",
+            influence: 0.97,
+        },
+        IpDatabase {
+            name: "IP2Location",
+            influence: 0.82,
+        },
+        IpDatabase {
+            name: "IPInfo",
+            influence: 0.88,
+        },
+        IpDatabase {
+            name: "MaxMind",
+            influence: 0.98,
+        },
     ]
 }
 

@@ -57,18 +57,9 @@ pub struct EpochReport {
 
 /// Run `epochs` audits with churn in between. Returns one report per
 /// epoch, including the initial state.
-pub fn run_longitudinal(
-    study: &mut Study,
-    epochs: usize,
-    churn: &ChurnConfig,
-) -> Vec<EpochReport> {
+pub fn run_longitudinal(study: &mut Study, epochs: usize, churn: &ChurnConfig) -> Vec<EpochReport> {
     let mut rng = StdRng::seed_from_u64(study.config.seed ^ 0x10e6);
-    let mut honesty: Vec<f64> = study
-        .providers
-        .profiles
-        .iter()
-        .map(|p| p.honesty)
-        .collect();
+    let mut honesty: Vec<f64> = study.providers.profiles.iter().map(|p| p.honesty).collect();
     let mut reports = Vec::with_capacity(epochs + 1);
 
     for epoch in 0..=epochs {
@@ -143,13 +134,9 @@ fn churn_fleet(study: &mut Study, honesty: &[f64], turnover: f64, rng: &mut StdR
             let same_continent: Vec<(usize, f64)> = havens
                 .iter()
                 .copied()
-                .filter(|&(id, _)| {
-                    atlas.country(id).continent() == claimed_country.continent()
-                })
+                .filter(|&(id, _)| atlas.country(id).continent() == claimed_country.continent())
                 .collect();
-            if !same_continent.is_empty()
-                && sampling::coin(rng, profile.same_continent_bias)
-            {
+            if !same_continent.is_empty() && sampling::coin(rng, profile.same_continent_bias) {
                 let w: Vec<f64> = same_continent.iter().map(|&(_, x)| x).collect();
                 same_continent[sampling::weighted_index(rng, &w)].0
             } else {

@@ -265,10 +265,7 @@ mod tests {
             .count();
         assert_eq!(urgent as usize, refuted);
         let alerts = evaluate_slos(&set, None);
-        assert_eq!(
-            alerts.iter().any(|a| a.rule == "stale_urgent"),
-            refuted > 0
-        );
+        assert_eq!(alerts.iter().any(|a| a.rule == "stale_urgent"), refuted > 0);
     }
 
     #[test]

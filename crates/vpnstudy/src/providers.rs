@@ -48,13 +48,55 @@ pub struct ProviderProfile {
 /// say they are"); F and G are modest.
 pub fn paper_providers() -> Vec<ProviderProfile> {
     vec![
-        ProviderProfile { name: 'A', market_rank: 0, share: 0.22, honesty: 0.35, same_continent_bias: 0.35 },
-        ProviderProfile { name: 'B', market_rank: 3, share: 0.18, honesty: 0.42, same_continent_bias: 0.40 },
-        ProviderProfile { name: 'C', market_rank: 7, share: 0.16, honesty: 0.66, same_continent_bias: 0.65 },
-        ProviderProfile { name: 'D', market_rank: 10, share: 0.14, honesty: 0.72, same_continent_bias: 0.60 },
-        ProviderProfile { name: 'E', market_rank: 15, share: 0.12, honesty: 0.56, same_continent_bias: 0.70 },
-        ProviderProfile { name: 'F', market_rank: 45, share: 0.10, honesty: 0.80, same_continent_bias: 0.70 },
-        ProviderProfile { name: 'G', market_rank: 70, share: 0.08, honesty: 0.86, same_continent_bias: 0.75 },
+        ProviderProfile {
+            name: 'A',
+            market_rank: 0,
+            share: 0.22,
+            honesty: 0.35,
+            same_continent_bias: 0.35,
+        },
+        ProviderProfile {
+            name: 'B',
+            market_rank: 3,
+            share: 0.18,
+            honesty: 0.42,
+            same_continent_bias: 0.40,
+        },
+        ProviderProfile {
+            name: 'C',
+            market_rank: 7,
+            share: 0.16,
+            honesty: 0.66,
+            same_continent_bias: 0.65,
+        },
+        ProviderProfile {
+            name: 'D',
+            market_rank: 10,
+            share: 0.14,
+            honesty: 0.72,
+            same_continent_bias: 0.60,
+        },
+        ProviderProfile {
+            name: 'E',
+            market_rank: 15,
+            share: 0.12,
+            honesty: 0.56,
+            same_continent_bias: 0.70,
+        },
+        ProviderProfile {
+            name: 'F',
+            market_rank: 45,
+            share: 0.10,
+            honesty: 0.80,
+            same_continent_bias: 0.70,
+        },
+        ProviderProfile {
+            name: 'G',
+            market_rank: 70,
+            share: 0.08,
+            honesty: 0.86,
+            same_continent_bias: 0.75,
+        },
     ]
 }
 
@@ -98,7 +140,11 @@ pub struct ProviderSet {
 impl ProviderSet {
     /// Generate claims, choose true placements, and attach every server
     /// to the network.
-    pub fn deploy(world: &mut WorldNet, survey: &MarketSurvey, config: &StudyConfig) -> ProviderSet {
+    pub fn deploy(
+        world: &mut WorldNet,
+        survey: &MarketSurvey,
+        config: &StudyConfig,
+    ) -> ProviderSet {
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0xdeb107);
         let profiles = paper_providers();
         let atlas = std::sync::Arc::clone(world.atlas());
@@ -120,8 +166,9 @@ impl ProviderSet {
 
         for (pidx, profile) in profiles.iter().enumerate() {
             let claimed_set = survey.providers()[profile.market_rank].claimed.clone();
-            let n_servers =
-                ((config.total_proxies as f64) * profile.share).round().max(1.0) as usize;
+            let n_servers = ((config.total_proxies as f64) * profile.share)
+                .round()
+                .max(1.0) as usize;
 
             // Allocate servers to claimed countries: popular countries get
             // multiple servers, the long tail one each (cycled).
@@ -243,9 +290,7 @@ impl ProviderSet {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for idx in sorted {
             match groups.last_mut() {
-                Some(g)
-                    if self.proxies[g[0]].group_key == self.proxies[idx].group_key =>
-                {
+                Some(g) if self.proxies[g[0]].group_key == self.proxies[idx].group_key => {
                     g.push(idx)
                 }
                 _ => groups.push(vec![idx]),
@@ -344,7 +389,8 @@ mod tests {
         for p in &f.set.proxies {
             if atlas.country(p.claimed).hosting() < HOSTING_FEASIBILITY_THRESHOLD {
                 assert_ne!(
-                    p.claimed, p.true_country,
+                    p.claimed,
+                    p.true_country,
                     "server honestly placed in hosting-hostile {}",
                     atlas.country(p.claimed).iso2()
                 );
@@ -412,8 +458,7 @@ mod tests {
         for p in &f.set.proxies {
             if p.claimed != p.true_country {
                 total += 1;
-                if atlas.country(p.claimed).continent()
-                    == atlas.country(p.true_country).continent()
+                if atlas.country(p.claimed).continent() == atlas.country(p.true_country).continent()
                 {
                     same += 1;
                 }

@@ -94,7 +94,11 @@ pub fn render_overall(study: &Study, results: &StudyResults) -> String {
     let (c0, u0, f0) = results.counts(false);
     let (c1, u1, f1) = results.counts(true);
     let total = results.records.len();
-    let _ = writeln!(out, "proxies measured: {total} (unmeasured: {})", results.unmeasured);
+    let _ = writeln!(
+        out,
+        "proxies measured: {total} (unmeasured: {})",
+        results.unmeasured
+    );
     if let Some(eta) = &results.eta {
         let _ = writeln!(
             out,
@@ -104,8 +108,14 @@ pub fn render_overall(study: &Study, results: &StudyResults) -> String {
             eta.samples
         );
     }
-    let _ = writeln!(out, "assessment (no DCs): credible {c0}  uncertain {u0}  false {f0}");
-    let _ = writeln!(out, "assessment (final) : credible {c1}  uncertain {u1}  false {f1}");
+    let _ = writeln!(
+        out,
+        "assessment (no DCs): credible {c0}  uncertain {u0}  false {f0}"
+    );
+    let _ = writeln!(
+        out,
+        "assessment (final) : credible {c1}  uncertain {u1}  false {f1}"
+    );
     let suspicious = results.suspicious(true);
     if suspicious > 0 {
         let _ = writeln!(

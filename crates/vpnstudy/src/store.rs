@@ -195,9 +195,9 @@ impl VerdictStore {
             if line.trim().is_empty() {
                 continue;
             }
-            store
-                .ingest_line(line)
-                .map_err(|msg| bad_data(format!("{}:{}: {msg}", store.path.display(), lineno + 1)))?;
+            store.ingest_line(line).map_err(|msg| {
+                bad_data(format!("{}:{}: {msg}", store.path.display(), lineno + 1))
+            })?;
         }
         Ok(store)
     }
@@ -274,7 +274,10 @@ impl VerdictStore {
         let merged = other.epochs.len();
         for src in &other.epochs {
             let epoch = self.epochs.len() as EpochId;
-            let meta = EpochMeta { epoch, ..src.clone() };
+            let meta = EpochMeta {
+                epoch,
+                ..src.clone()
+            };
             let rows: Vec<StoredVerdict> = other
                 .verdicts
                 .iter()
@@ -556,7 +559,12 @@ mod tests {
         (dir, path)
     }
 
-    fn verdict(epoch: EpochId, node: NodeId, provider: usize, refined: Assessment) -> StoredVerdict {
+    fn verdict(
+        epoch: EpochId,
+        node: NodeId,
+        provider: usize,
+        refined: Assessment,
+    ) -> StoredVerdict {
         StoredVerdict {
             epoch,
             node,
@@ -595,7 +603,9 @@ mod tests {
             claimed: 3,
             failure: "TooFewLandmarks { usable: 2 }".into(),
         }];
-        store.append_rows(&meta(0, 1_000, 2), &rows, &fails).unwrap();
+        store
+            .append_rows(&meta(0, 1_000, 2), &rows, &fails)
+            .unwrap();
         drop(store);
 
         let reopened = VerdictStore::open(&path).unwrap();
@@ -613,10 +623,18 @@ mod tests {
         let (_dir, path) = scratch("lookup");
         let mut store = VerdictStore::open(&path).unwrap();
         store
-            .append_rows(&meta(0, 1_000, 1), &[verdict(0, 7, 0, Assessment::False)], &[])
+            .append_rows(
+                &meta(0, 1_000, 1),
+                &[verdict(0, 7, 0, Assessment::False)],
+                &[],
+            )
             .unwrap();
         store
-            .append_rows(&meta(1, 5_000, 1), &[verdict(1, 7, 0, Assessment::Credible)], &[])
+            .append_rows(
+                &meta(1, 5_000, 1),
+                &[verdict(1, 7, 0, Assessment::Credible)],
+                &[],
+            )
             .unwrap();
 
         // Fresh: latest epoch wins and nothing needs revalidation.
@@ -739,7 +757,11 @@ mod tests {
             .unwrap();
         store.append_rows(&meta(1, 10, 0), &[], &[]).unwrap();
         store
-            .append_rows(&meta(2, 20, 1), &[verdict(2, 1, 5, Assessment::Credible)], &[])
+            .append_rows(
+                &meta(2, 20, 1),
+                &[verdict(2, 1, 5, Assessment::Credible)],
+                &[],
+            )
             .unwrap();
         let trend = store.provider_trend(5);
         assert_eq!(trend.len(), 3);
@@ -776,8 +798,12 @@ mod tests {
         let (_b, b_path) = scratch("merge-b");
         let mut a = VerdictStore::open(&a_path).unwrap();
         let mut b = VerdictStore::open(&b_path).unwrap();
-        a.append_rows(&meta(0, 0, 1), &[verdict(0, 1, 0, Assessment::Credible)], &[])
-            .unwrap();
+        a.append_rows(
+            &meta(0, 0, 1),
+            &[verdict(0, 1, 0, Assessment::Credible)],
+            &[],
+        )
+        .unwrap();
         b.append_rows(&meta(0, 99, 1), &[verdict(0, 2, 1, Assessment::False)], &[])
             .unwrap();
         assert_eq!(a.merge_from(&b).unwrap(), 1);

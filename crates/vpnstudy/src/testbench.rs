@@ -139,10 +139,10 @@ mod tests {
         );
         let client = world.attach_host(config.client_location, FilterPolicy::default());
         let locations = [
-            GeoPoint::new(52.37, 4.90),   // Amsterdam
-            GeoPoint::new(40.71, -74.01), // New York
-            GeoPoint::new(1.35, 103.82),  // Singapore
-            GeoPoint::new(-33.87, 151.21),// Sydney
+            GeoPoint::new(52.37, 4.90),    // Amsterdam
+            GeoPoint::new(40.71, -74.01),  // New York
+            GeoPoint::new(1.35, 103.82),   // Singapore
+            GeoPoint::new(-33.87, 151.21), // Sydney
         ];
         let comparisons = {
             let server = LandmarkServer::new(&constellation, &calibration, &atlas);
@@ -173,10 +173,7 @@ mod tests {
                 "tunnel correction degraded {}: direct {direct_miss:.0} km, indirect {indirect_miss:.0} km",
                 c.location
             );
-            let (d, i) = (
-                c.direct_err_km().unwrap(),
-                c.indirect_err_km().unwrap(),
-            );
+            let (d, i) = (c.direct_err_km().unwrap(), c.indirect_err_km().unwrap());
             assert!(
                 i < d * 4.0 + 500.0,
                 "indirect centroid error {i:.0} km vs direct {d:.0} km at {}",

@@ -286,14 +286,14 @@ mod tests {
     fn known_city_lookups() {
         let a = atlas();
         let cases = [
-            (50.11, 8.68, "de"),   // Frankfurt
-            (38.0, -97.0, "us"),   // Kansas
-            (51.51, -0.13, "gb"),  // London
-            (35.68, 139.69, "jp"), // Tokyo
-            (-33.87, 151.21, "au"),// Sydney
-            (55.76, 37.62, "ru"),  // Moscow
-            (1.35, 103.82, "sg"),  // Singapore
-            (-23.55, -46.63, "br"),// São Paulo
+            (50.11, 8.68, "de"),    // Frankfurt
+            (38.0, -97.0, "us"),    // Kansas
+            (51.51, -0.13, "gb"),   // London
+            (35.68, 139.69, "jp"),  // Tokyo
+            (-33.87, 151.21, "au"), // Sydney
+            (55.76, 37.62, "ru"),   // Moscow
+            (1.35, 103.82, "sg"),   // Singapore
+            (-23.55, -46.63, "br"), // São Paulo
         ];
         for (lat, lon, iso) in cases {
             let got = a
@@ -307,10 +307,10 @@ mod tests {
     fn oceans_are_not_countries() {
         let a = atlas();
         for (lat, lon) in [
-            (0.0, -30.0),   // mid-Atlantic
-            (-30.0, -110.0),// South Pacific
-            (10.0, 65.0),   // Indian Ocean
-            (55.0, -35.0),  // North Atlantic
+            (0.0, -30.0),    // mid-Atlantic
+            (-30.0, -110.0), // South Pacific
+            (10.0, 65.0),    // Indian Ocean
+            (55.0, -35.0),   // North Atlantic
         ] {
             assert_eq!(
                 a.country_of_point(&GeoPoint::new(lat, lon)),
@@ -342,7 +342,9 @@ mod tests {
             assert!(p.lat() <= MAX_PLAUSIBLE_LAT && p.lat() >= MIN_PLAUSIBLE_LAT);
         }
         // Ocean cells are excluded.
-        assert!(!a.plausibility_mask().contains_point(&GeoPoint::new(0.0, -30.0)));
+        assert!(!a
+            .plausibility_mask()
+            .contains_point(&GeoPoint::new(0.0, -30.0)));
     }
 
     #[test]

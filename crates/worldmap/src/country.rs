@@ -92,11 +92,7 @@ impl Country {
             "country {} has no hub cities",
             def.iso2
         );
-        assert!(
-            !def.shapes.is_empty(),
-            "country {} has no shapes",
-            def.iso2
-        );
+        assert!(!def.shapes.is_empty(), "country {} has no shapes", def.iso2);
         let shapes: Vec<Shape> = def.shapes.iter().map(|s| s.to_shape()).collect();
         let approx_area_km2 = shapes.iter().map(Shape::area_km2).sum();
         Country {

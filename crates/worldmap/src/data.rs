@@ -84,10 +84,7 @@ mod tests {
     #[test]
     fn roughly_two_hundred_countries() {
         let n = all_countries().len();
-        assert!(
-            (190..=230).contains(&n),
-            "expected ~200 countries, got {n}"
-        );
+        assert!((190..=230).contains(&n), "expected ~200 countries, got {n}");
     }
 
     #[test]
@@ -135,8 +132,8 @@ mod tests {
     fn key_countries_present() {
         let codes: Vec<&str> = all_countries().iter().map(|c| c.iso2).collect();
         for key in [
-            "us", "gb", "de", "nl", "cz", "fr", "ca", "au", "jp", "sg", "hk", "br",
-            "ru", "cn", "kp", "va", "pn", "za", "in", "se", "ch", "es", "it",
+            "us", "gb", "de", "nl", "cz", "fr", "ca", "au", "jp", "sg", "hk", "br", "ru", "cn",
+            "kp", "va", "pn", "za", "in", "se", "ch", "es", "it",
         ] {
             assert!(codes.contains(&key), "missing {key}");
         }

@@ -160,7 +160,10 @@ mod tests {
             .iter()
             .map(|&(c, _)| atlas.country(c).iso2())
             .collect();
-        assert!(touched.contains(&"cl") && touched.contains(&"ar"), "{touched:?}");
+        assert!(
+            touched.contains(&"cl") && touched.contains(&"ar"),
+            "{touched:?}"
+        );
         let dc_countries: Vec<&str> = reg
             .countries_in_region(&region)
             .iter()

@@ -57,7 +57,8 @@ impl MarketSurvey {
             let swaps = (count / 10).min(n_countries - count);
             for s in 0..swaps {
                 let victim = rng.random_range(count / 2..count);
-                let replacement = count + ((s * 31 + rng.random_range(0..7usize)) % (n_countries - count));
+                let replacement =
+                    count + ((s * 31 + rng.random_range(0..7usize)) % (n_countries - count));
                 claimed[victim] = popularity[replacement];
             }
             claimed.sort_unstable();
@@ -96,12 +97,36 @@ impl MarketSurvey {
 /// PL, IE, AU, …).
 pub fn claim_popularity_order(atlas: &WorldAtlas) -> Vec<CountryId> {
     const DEMAND_BONUS: &[(&str, f64)] = &[
-        ("us", 0.60), ("gb", 0.50), ("nl", 0.42), ("de", 0.40), ("ca", 0.38),
-        ("fr", 0.34), ("au", 0.34), ("se", 0.30), ("sg", 0.30), ("ch", 0.26),
-        ("hk", 0.26), ("jp", 0.24), ("es", 0.22), ("it", 0.22), ("ru", 0.30),
-        ("ro", 0.26), ("br", 0.22), ("in", 0.24), ("pl", 0.18), ("ie", 0.16),
-        ("cz", 0.14), ("no", 0.12), ("dk", 0.12), ("fi", 0.10), ("at", 0.10),
-        ("be", 0.10), ("mx", 0.10), ("za", 0.10), ("kr", 0.10), ("tr", 0.10),
+        ("us", 0.60),
+        ("gb", 0.50),
+        ("nl", 0.42),
+        ("de", 0.40),
+        ("ca", 0.38),
+        ("fr", 0.34),
+        ("au", 0.34),
+        ("se", 0.30),
+        ("sg", 0.30),
+        ("ch", 0.26),
+        ("hk", 0.26),
+        ("jp", 0.24),
+        ("es", 0.22),
+        ("it", 0.22),
+        ("ru", 0.30),
+        ("ro", 0.26),
+        ("br", 0.22),
+        ("in", 0.24),
+        ("pl", 0.18),
+        ("ie", 0.16),
+        ("cz", 0.14),
+        ("no", 0.12),
+        ("dk", 0.12),
+        ("fi", 0.10),
+        ("at", 0.10),
+        ("be", 0.10),
+        ("mx", 0.10),
+        ("za", 0.10),
+        ("kr", 0.10),
+        ("tr", 0.10),
     ];
     let mut scored: Vec<(CountryId, f64)> = atlas
         .countries()
@@ -126,11 +151,7 @@ pub fn claim_popularity_order(atlas: &WorldAtlas) -> Vec<CountryId> {
 /// Claim count for a provider at `rank` (0-based, 0 = broadest):
 /// a heavy-tailed decay from nearly-everything down to a couple of
 /// countries, with small multiplicative noise.
-fn claim_count_for_rank<R: Rng + ?Sized>(
-    rank: usize,
-    n_countries: usize,
-    rng: &mut R,
-) -> usize {
+fn claim_count_for_rank<R: Rng + ?Sized>(rank: usize, n_countries: usize, rng: &mut R) -> usize {
     let frac = match rank {
         0 => 0.97,
         _ => {

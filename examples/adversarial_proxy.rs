@@ -54,27 +54,57 @@ fn main() {
     let client = world.attach_host(GeoPoint::new(50.11, 8.68), FilterPolicy::default());
 
     println!("honest proxy (really in Amsterdam):");
-    let (area, countries) =
-        locate(&mut world, &constellation, &calibration, &atlas, client, proxy)
-            .expect("measurable");
-    println!("  region {area:.0} km², countries: {}", countries.join(", "));
+    let (area, countries) = locate(
+        &mut world,
+        &constellation,
+        &calibration,
+        &atlas,
+        client,
+        proxy,
+    )
+    .expect("measurable");
+    println!(
+        "  region {area:.0} km², countries: {}",
+        countries.join(", ")
+    );
 
     println!("\nproxy adds ~40 ms of selective delay to everything it forwards:");
-    world.network_mut().faults_mut().set_added_delay(proxy, 40.0, 5.0);
-    let (area, countries) =
-        locate(&mut world, &constellation, &calibration, &atlas, client, proxy)
-            .expect("measurable");
+    world
+        .network_mut()
+        .faults_mut()
+        .set_added_delay(proxy, 40.0, 5.0);
+    let (area, countries) = locate(
+        &mut world,
+        &constellation,
+        &calibration,
+        &atlas,
+        client,
+        proxy,
+    )
+    .expect("measurable");
     println!(
         "  region {area:.0} km², countries: {} (delay inflates distance bounds — the region balloons)",
         countries.join(", ")
     );
-    world.network_mut().faults_mut().set_added_delay(proxy, 0.0, 0.0);
+    world
+        .network_mut()
+        .faults_mut()
+        .set_added_delay(proxy, 0.0, 0.0);
 
     println!("\nproxy forges immediate SYN-ACKs for tunnelled connections:");
-    world.network_mut().faults_mut().set_forge_synack(proxy, true);
-    let (area, countries) =
-        locate(&mut world, &constellation, &calibration, &atlas, client, proxy)
-            .expect("measurable");
+    world
+        .network_mut()
+        .faults_mut()
+        .set_forge_synack(proxy, true);
+    let (area, countries) = locate(
+        &mut world,
+        &constellation,
+        &calibration,
+        &atlas,
+        client,
+        proxy,
+    )
+    .expect("measurable");
     println!(
         "  region {area:.0} km², countries: {} (every landmark looks adjacent to the proxy!)",
         countries.join(", ")

@@ -30,8 +30,11 @@ fn main() {
         },
     );
     let constellation = Constellation::place(&mut world, &config.constellation);
-    let calibration =
-        CalibrationDb::collect(world.network_mut(), &constellation, config.calibration_pings);
+    let calibration = CalibrationDb::collect(
+        world.network_mut(),
+        &constellation,
+        config.calibration_pings,
+    );
     let hosts = synthesize_hosts(&mut world, &config);
     println!("measuring {} crowd hosts with the Web tool…", hosts.len());
     let records = {
@@ -72,8 +75,8 @@ fn main() {
                 None => empty += 1,
             }
         }
-        let coverage = misses.iter().filter(|&&m| m == 0.0).count() as f64
-            / misses.len().max(1) as f64;
+        let coverage =
+            misses.iter().filter(|&&m| m == 0.0).count() as f64 / misses.len().max(1) as f64;
         println!(
             "{:<14} {:>8.0}% {:>9.0} km {:>11.0} km² {:>8}",
             algo.name(),

@@ -28,7 +28,10 @@ fn main() {
         total_proxies: 30,
         ..StudyConfig::small(2718)
     };
-    println!("building the world and deploying {} proxies…", config.total_proxies);
+    println!(
+        "building the world and deploying {} proxies…",
+        config.total_proxies
+    );
     let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(config.grid_resolution_deg)));
     let survey = MarketSurvey::generate(&atlas, config.seed);
     let mut world = proxy_verifier::netsim::WorldNet::build(
@@ -39,8 +42,11 @@ fn main() {
         },
     );
     let constellation = Constellation::place(&mut world, &config.constellation);
-    let calibration =
-        CalibrationDb::collect(world.network_mut(), &constellation, config.calibration_pings);
+    let calibration = CalibrationDb::collect(
+        world.network_mut(),
+        &constellation,
+        config.calibration_pings,
+    );
     let providers = ProviderSet::deploy(&mut world, &survey, &config);
     let client = world.attach_host(config.client_location, FilterPolicy::default());
     let mask = atlas.plausibility_mask().clone();
@@ -76,7 +82,9 @@ fn main() {
     );
 
     // --- proxy-to-proxy co-location --------------------------------------
-    println!("\nmeasuring all proxy pairs through their tunnels (< {SAME_LAN_RTT_MS} ms ⇒ same LAN):");
+    println!(
+        "\nmeasuring all proxy pairs through their tunnels (< {SAME_LAN_RTT_MS} ms ⇒ same LAN):"
+    );
     let mut self_pings = Vec::new();
     for p in &providers.proxies {
         let ctx = ProxyContext::establish(world.network_mut(), client, p.node, 0.5, 6)
@@ -101,7 +109,11 @@ fn main() {
                 providers.profiles[p.provider].name,
                 atlas.country(p.claimed).iso2(),
                 atlas.country(p.true_country).iso2(),
-                if p.claimed == p.true_country { "honest" } else { "lying" },
+                if p.claimed == p.true_country {
+                    "honest"
+                } else {
+                    "lying"
+                },
             );
         }
     }

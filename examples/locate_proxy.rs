@@ -74,7 +74,5 @@ fn main() {
         verdict.continent
     );
     let covers_truth = prediction.region.contains_point(&truth);
-    println!(
-        "ground truth (Frankfurt) inside the prediction: {covers_truth}"
-    );
+    println!("ground truth (Frankfurt) inside the prediction: {covers_truth}");
 }

@@ -137,11 +137,7 @@ fn cli_tool_matches_the_one_round_trip_group() {
     );
 }
 
-fn locate_proxy_region(
-    f: &mut Fixture,
-    proxy: u32,
-    client: u32,
-) -> Option<proxy_verifier::Region> {
+fn locate_proxy_region(f: &mut Fixture, proxy: u32, client: u32) -> Option<proxy_verifier::Region> {
     let atlas = Arc::clone(f.world.atlas());
     let server = LandmarkServer::new(&f.constellation, &f.calibration, &atlas);
     let ctx = ProxyContext::establish(f.world.network_mut(), client, proxy, 0.5, 8)?;

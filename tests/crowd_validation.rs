@@ -42,8 +42,7 @@ fn fixture() -> &'static Fixture {
             let server = LandmarkServer::new(&constellation, &calibration, &atlas);
             measure_crowd(&mut world, &server, &hosts, &config)
         };
-        let pool: Vec<&proxy_verifier::atlas::CalibrationSet> = (0..constellation
-            .num_anchors())
+        let pool: Vec<&proxy_verifier::atlas::CalibrationSet> = (0..constellation.num_anchors())
             .map(|i| calibration.for_anchor(i))
             .collect();
         let spotter_model = SpotterModel::calibrate(&pool);
@@ -165,8 +164,5 @@ fn centroids_are_comparably_placed() {
     }
     let max = medians.iter().copied().fold(0.0f64, f64::max);
     let min = medians.iter().copied().fold(f64::INFINITY, f64::min);
-    assert!(
-        max < min * 12.0,
-        "centroid medians too spread: {medians:?}"
-    );
+    assert!(max < min * 12.0, "centroid medians too spread: {medians:?}");
 }

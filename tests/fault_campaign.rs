@@ -140,7 +140,11 @@ fn faulted_campaign_trips_the_default_slo_rules() {
         "outages exhausted no retry budgets: {alerts:?}"
     );
     for a in &alerts {
-        assert!(a.render_line().starts_with("ALERT "), "{:?}", a.render_line());
+        assert!(
+            a.render_line().starts_with("ALERT "),
+            "{:?}",
+            a.render_line()
+        );
     }
 
     let (_, clean) = run_with_faults(0.0, 0.0);

@@ -62,10 +62,17 @@ fn perfetto_trace_is_loadable_json() {
         .get("traceEvents")
         .and_then(Json::as_array)
         .expect("traceEvents array");
-    assert!(events.len() > 10, "suspiciously small trace: {}", events.len());
+    assert!(
+        events.len() > 10,
+        "suspiciously small trace: {}",
+        events.len()
+    );
     let mut complete = 0usize;
     for e in events {
-        let ph = e.get("ph").and_then(Json::as_str).expect("every event has ph");
+        let ph = e
+            .get("ph")
+            .and_then(Json::as_str)
+            .expect("every event has ph");
         if ph == "X" {
             complete += 1;
             assert!(e.get("dur").is_some(), "X event without dur");

@@ -326,10 +326,7 @@ impl<'a, R: Rng> Engine<'a, R> {
         }
         let extra = self.faults.added_delay_ms(here, self.rng);
         let hop = SimDuration::from_ms(
-            self.topo.link(link).propagation_ms
-                + self.model.per_hop_fixed_ms
-                + queue_ms
-                + extra,
+            self.topo.link(link).propagation_ms + self.model.per_hop_fixed_ms + queue_ms + extra,
         );
         packet.pos += 1;
         self.schedule(at + hop, packet);
@@ -524,10 +521,10 @@ impl<'a, R: Rng> Engine<'a, R> {
         if self.outcomes.iter().any(|(p, _)| *p == probe) {
             return;
         }
-        self.outcomes.push((probe, ProbeOutcome::Completed { at, reply }));
+        self.outcomes
+            .push((probe, ProbeOutcome::Completed { at, reply }));
     }
 }
-
 
 // --- The reference facade ----------------------------------------------
 

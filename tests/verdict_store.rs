@@ -43,7 +43,9 @@ fn study_round_trips_through_disk_and_answers_all_queries() {
         let mut store = VerdictStore::open(&path).expect("open for writing");
         assert_eq!(store.append_epoch(&results, T0_MS).expect("epoch 0"), 0);
         assert_eq!(
-            store.append_epoch(&results, T0_MS + DAY_MS).expect("epoch 1"),
+            store
+                .append_epoch(&results, T0_MS + DAY_MS)
+                .expect("epoch 1"),
             1
         );
     } // dropped: everything below is served by a cold reopen
@@ -60,7 +62,10 @@ fn study_round_trips_through_disk_and_answers_all_queries() {
         let answer = store
             .lookup(r.proxy.node, now_ms, DAY_MS)
             .unwrap_or_else(|| panic!("no stored verdict for node {}", r.proxy.node));
-        assert_eq!(answer.verdict.epoch, 1, "lookup must serve the latest epoch");
+        assert_eq!(
+            answer.verdict.epoch, 1,
+            "lookup must serve the latest epoch"
+        );
         assert_eq!(answer.recorded_at_ms, T0_MS + DAY_MS);
         assert_eq!(answer.freshness, Freshness::Fresh);
         assert_eq!(answer.revalidate, RevalidationPriority::NotNeeded);
@@ -118,7 +123,10 @@ fn study_round_trips_through_disk_and_answers_all_queries() {
     let queue = store.revalidation_queue(stale_ms, DAY_MS);
     assert_eq!(queue.len(), results.records.len());
     for pair in queue.windows(2) {
-        assert!(pair[0].1 >= pair[1].1, "queue must be sorted most-urgent first");
+        assert!(
+            pair[0].1 >= pair[1].1,
+            "queue must be sorted most-urgent first"
+        );
     }
     let urgent = queue
         .iter()
@@ -141,7 +149,8 @@ fn merged_stores_answer_like_a_single_writer() {
     let mut a = VerdictStore::open(&a_path).expect("open a");
     let mut b = VerdictStore::open(&b_path).expect("open b");
     a.append_epoch(&results, T0_MS).expect("epoch at a");
-    b.append_epoch(&results, T0_MS + DAY_MS).expect("epoch at b");
+    b.append_epoch(&results, T0_MS + DAY_MS)
+        .expect("epoch at b");
     assert_eq!(a.merge_from(&b).expect("merge"), 1);
 
     let merged = VerdictStore::open(&a_path).expect("reopen merged");
