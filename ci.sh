@@ -32,6 +32,10 @@ cargo test -q --release --offline --test probe_exactness -- --ignored
 
 # Lint gate: the workspace must be clippy-clean, warnings as errors.
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Format gate: the workspace (the root package and crates/) must be
+# rustfmt-clean, so a `cargo fmt` run rewrites no code a change does not
+# touch. perfbench/ is a package of its own, outside the workspace.
+cargo fmt --all -- --check
 
 # Every example must at least build; quickstart must actually run.
 cargo build --release --examples --offline

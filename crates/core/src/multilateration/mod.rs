@@ -9,7 +9,7 @@ pub mod subset;
 
 pub use bayes::{bayes_region, BayesOutput};
 pub use constraint::{intersect_constraints, intersect_constraints_cached, RingConstraint};
-pub use diskcache::{DiskCache, DiskCacheStats, DiskRuns};
+pub use diskcache::{DiskCache, DiskCacheStats};
 pub use robust::{
     pairwise_infeasible_flags, robust_max_consistent_subset, PairwiseReport, RobustSubsetResult,
 };
