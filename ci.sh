@@ -36,6 +36,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # rustfmt-clean, so a `cargo fmt` run rewrites no code a change does not
 # touch. perfbench/ is a package of its own, outside the workspace.
 cargo fmt --all -- --check
+# Doc gate: every intra-doc link must resolve, and no public doc may link
+# a private item, so deleting or renaming an item cannot leave a
+# dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Every example must at least build; quickstart must actually run.
 cargo build --release --examples --offline

@@ -148,11 +148,6 @@ impl Constellation {
         &self.landmarks[..self.n_anchors]
     }
 
-    /// Probe slice.
-    pub fn probes(&self) -> &[Landmark] {
-        &self.landmarks[self.n_anchors..]
-    }
-
     /// Number of anchors.
     pub fn num_anchors(&self) -> usize {
         self.n_anchors

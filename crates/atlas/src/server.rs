@@ -32,7 +32,6 @@ pub const PHASE2_LANDMARKS: usize = 25;
 pub struct LandmarkServer<'a> {
     constellation: &'a Constellation,
     calibration: &'a CalibrationDb,
-    atlas: &'a WorldAtlas,
     /// continent index → landmark ids on that continent.
     by_continent: Vec<Vec<LandmarkId>>,
     /// The fixed phase-1 anchor set (up to three per continent).
@@ -87,7 +86,6 @@ impl<'a> LandmarkServer<'a> {
         LandmarkServer {
             constellation,
             calibration,
-            atlas,
             by_continent,
             phase1,
             continents,
@@ -98,16 +96,6 @@ impl<'a> LandmarkServer<'a> {
     /// The constellation being served.
     pub fn constellation(&self) -> &Constellation {
         self.constellation
-    }
-
-    /// The calibration database.
-    pub fn calibration(&self) -> &CalibrationDb {
-        self.calibration
-    }
-
-    /// The world atlas in use.
-    pub fn atlas(&self) -> &WorldAtlas {
-        self.atlas
     }
 
     /// Phase-1 landmark set: up to three anchors per continent (fewer on

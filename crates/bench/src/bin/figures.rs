@@ -23,7 +23,7 @@ const FIGURES: &[(&str, &str)] = &[
     ("fig9", "algorithm comparison CDFs on crowd hosts"),
     ("fig10", "bestline/baseline estimate-to-truth ratios"),
     ("fig11", "measurement effectiveness vs landmark distance"),
-    ("fig13", "direct vs indirect RTT (eta)"),
+    ("fig13", "direct vs indirect RTT (eta) + the §4.2 feasibility survey"),
     ("fig14", "VPN market claim survey"),
     ("fig16", "co-location group case study"),
     ("fig17", "overall claim assessment"),

@@ -1,8 +1,8 @@
-//! The §6 study figures: η (Fig. 13), disambiguation case studies
-//! (Figs. 15–16), the overall assessment (Fig. 17), provider honesty
-//! (Figs. 18–19), region-size analysis (Fig. 20), the method comparison
-//! (Fig. 21), the confusion matrices (Figs. 22–23), and the headline
-//! numbers.
+//! The §6 study figures: η (Fig. 13) with the §4.2 feasibility survey,
+//! disambiguation case studies (Figs. 15–16), the overall assessment
+//! (Fig. 17), provider honesty (Figs. 18–19), region-size analysis
+//! (Fig. 20), the method comparison (Fig. 21), the confusion matrices
+//! (Figs. 22–23), and the headline numbers.
 
 use crate::render::render_scatter;
 use crate::scale::StudyContext;
@@ -11,10 +11,13 @@ use geoloc::assess::Assessment;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use vpnstudy::confusion::{continent_confusion, country_confusion};
+use vpnstudy::feasibility::survey_feasibility;
 use vpnstudy::report;
 
 /// Fig. 13: direct vs tunnel-self-ping RTTs for the pingable proxies.
-/// The robust slope η should land almost exactly at ½.
+/// The robust slope η should land almost exactly at ½. The §4.2 survey
+/// of what the whole fleet answers follows it: the pingable share is the
+/// population Fig. 13 can use.
 pub fn fig13_eta(ctx: &mut StudyContext) -> String {
     let mut out = String::new();
     let client = ctx.study.client;
@@ -61,6 +64,19 @@ pub fn fig13_eta(ctx: &mut StudyContext) -> String {
             line.slope, line.intercept, r2
         );
     }
+    // The survey probes a fork, so the study network's random stream,
+    // and with it every later figure, is the same with or without it.
+    let mut network = ctx.study.world.network().fork(ctx.study.config.seed ^ 0x42);
+    let survey = survey_feasibility(&mut network, client, &ctx.study.providers.proxies);
+    let _ = writeln!(
+        out,
+        "# §4.2 feasibility over {} proxies: ping answered {:.1} % (paper: ~10 %), \
+         gateway in traceroute {:.1} % (paper: ~10 %), TCP connect {:.1} % (paper: always)",
+        survey.total,
+        100.0 * survey.ping_rate(),
+        100.0 * survey.gateway_rate(),
+        100.0 * survey.tcp_rate()
+    );
     out
 }
 

@@ -677,7 +677,7 @@ mod tests {
         let ctx = build_study_context(Scale::Small);
         let baseline = constellation_disks(ctx.study.constellation.landmarks());
         assert_eq!(baseline.len(), 164);
-        assert!(pairwise_infeasible_flags(&baseline).is_clean());
+        assert!(pairwise_infeasible_flags(&baseline).conflicts.is_empty());
 
         let atlas = std::sync::Arc::clone(ctx.study.world.atlas());
         let server =

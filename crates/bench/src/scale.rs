@@ -83,11 +83,6 @@ pub struct CrowdContext {
 }
 
 impl CrowdContext {
-    /// A landmark server over this context (borrows the context).
-    pub fn server(&self) -> LandmarkServer<'_> {
-        LandmarkServer::new(&self.constellation, &self.calibration, self.world.atlas())
-    }
-
     /// The plausibility mask for predictions.
     pub fn mask(&self) -> geokit::Region {
         self.world.atlas().plausibility_mask().clone()

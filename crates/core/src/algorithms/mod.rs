@@ -3,7 +3,6 @@
 mod cbg;
 mod cbgpp;
 mod hybrid;
-mod octant_full;
 mod quasi_octant;
 mod shortest_ping;
 mod spotter;
@@ -11,7 +10,6 @@ mod spotter;
 pub use cbg::Cbg;
 pub use cbgpp::{CbgPlusPlus, CbgPlusPlusVariant};
 pub use hybrid::Hybrid;
-pub use octant_full::OctantWithHeight;
 pub use quasi_octant::QuasiOctant;
 pub use shortest_ping::ShortestPing;
 pub use spotter::Spotter;

@@ -7,34 +7,20 @@ use crate::observation::Observation;
 use geokit::Region;
 
 /// The credible mass of the reported region.
-pub const DEFAULT_CREDIBLE_MASS: f64 = 0.95;
+const CREDIBLE_MASS: f64 = 0.95;
 
 /// The Spotter algorithm. Holds the single global delay model ("a single
 /// fit is used for all landmarks").
 #[derive(Debug, Clone)]
 pub struct Spotter {
     model: SpotterModel,
-    mass: f64,
 }
 
 impl Spotter {
-    /// Build with the global model and the default 95 % credible mass.
+    /// Build with the global model; the region holds 95 % of the
+    /// posterior mass.
     pub fn new(model: SpotterModel) -> Spotter {
-        Spotter {
-            model,
-            mass: DEFAULT_CREDIBLE_MASS,
-        }
-    }
-
-    /// Build with an explicit credible mass (ablation knob).
-    pub fn with_mass(model: SpotterModel, mass: f64) -> Spotter {
-        assert!(mass > 0.0 && mass <= 1.0, "credible mass {mass}");
-        Spotter { model, mass }
-    }
-
-    /// Access the underlying model (shared with [`crate::algorithms::Hybrid`]).
-    pub fn model(&self) -> &SpotterModel {
-        &self.model
+        Spotter { model }
     }
 }
 
@@ -48,7 +34,7 @@ impl Geolocator for Spotter {
             .iter()
             .map(|o| (o.landmark, o.one_way_ms))
             .collect();
-        let out = bayes_region(&obs, &self.model, mask, self.mass);
+        let out = bayes_region(&obs, &self.model, mask, CREDIBLE_MASS);
         Prediction { region: out.region }
     }
 }
@@ -115,13 +101,9 @@ mod tests {
     fn credible_mass_scales_region() {
         let grid = GeoGrid::new(2.0);
         let mask = Region::full(grid);
-        let obs = vec![Observation::new(
-            GeoPoint::new(50.0, 10.0),
-            12.0,
-            CalibrationSet::default(),
-        )];
-        let narrow = Spotter::with_mass(global_model(), 0.5).locate(&obs, &mask);
-        let wide = Spotter::with_mass(global_model(), 0.99).locate(&obs, &mask);
+        let obs = [(GeoPoint::new(50.0, 10.0), 12.0)];
+        let narrow = bayes_region(&obs, &global_model(), &mask, 0.5);
+        let wide = bayes_region(&obs, &global_model(), &mask, 0.99);
         assert!(wide.region.cell_count() > narrow.region.cell_count());
     }
 }

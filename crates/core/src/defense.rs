@@ -23,7 +23,7 @@
 //!    agrees from any subset of landmarks; shaped data that leans on a
 //!    few poisoned readings does not survive their separation.
 //! 4. **Side-channel evidence** from
-//!    [`MeasurementDiagnostics`](crate::reliability::MeasurementDiagnostics):
+//!    [`MeasurementDiagnostics`]:
 //!    physically impossible corrected RTTs (negative tunnel-leg
 //!    subtraction — the self-ping-inflation signature) and an
 //!    implausible excess of dead landmarks (the selective-timeout

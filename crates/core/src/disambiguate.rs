@@ -11,9 +11,9 @@
 //!   covered by *every* member's prediction region — the intersection of
 //!   their touched-country sets.
 
-use crate::assess::{assess_claim, Assessment, ClaimVerdict};
+use crate::assess::Assessment;
 use geokit::Region;
-use worldmap::{CountryId, DataCenterRegistry, WorldAtlas};
+use worldmap::{CountryId, DataCenterRegistry};
 
 /// Result of a disambiguation attempt on an uncertain claim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +22,31 @@ pub enum Disambiguation {
     Resolved(CountryId),
     /// Still ambiguous.
     Unresolved,
+}
+
+impl Disambiguation {
+    /// The country the metadata resolved to, if any.
+    pub fn country(self) -> Option<CountryId> {
+        match self {
+            Disambiguation::Resolved(country) => Some(country),
+            Disambiguation::Unresolved => None,
+        }
+    }
+
+    /// The paper's reclassification rule: an uncertain claim on
+    /// `claimed` becomes credible when the metadata resolves to that
+    /// country and false when it resolves to another. Every other
+    /// assessment, and any assessment when the metadata is unresolved,
+    /// passes through.
+    pub fn refine(self, assessment: Assessment, claimed: CountryId) -> Assessment {
+        match (assessment, self) {
+            (Assessment::Uncertain, Disambiguation::Resolved(country)) if country == claimed => {
+                Assessment::Credible
+            }
+            (Assessment::Uncertain, Disambiguation::Resolved(_)) => Assessment::False,
+            _ => assessment,
+        }
+    }
 }
 
 /// Try to resolve a prediction region to one country via data centers:
@@ -35,25 +60,10 @@ pub fn by_data_centers(registry: &DataCenterRegistry, region: &Region) -> Disamb
 }
 
 /// Try to resolve a *group* of co-located proxies (same provider + AS +
-/// /24) via the intersection of their touched-country sets: succeeds iff
-/// exactly one country is covered by every member's region.
-pub fn by_colocation_group(atlas: &WorldAtlas, regions: &[&Region]) -> Disambiguation {
-    let sets: Vec<Vec<CountryId>> = regions
-        .iter()
-        .map(|region| {
-            atlas
-                .countries_touched(region)
-                .into_iter()
-                .map(|(c, _)| c)
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[CountryId]> = sets.iter().map(Vec::as_slice).collect();
-    by_touched_sets(&refs)
-}
-
-/// Same resolution rule over precomputed touched-country sets — the form
-/// the bulk study uses so it need not keep every region in memory.
+/// /24) from each member's touched-country set: succeeds iff exactly one
+/// country is in every set. The study passes each record's
+/// [`ClaimVerdict::touched`](crate::assess::ClaimVerdict::touched)
+/// countries, so it need not keep every region in memory.
 pub fn by_touched_sets(sets: &[&[CountryId]]) -> Disambiguation {
     let mut common: Option<Vec<CountryId>> = None;
     for set in sets {
@@ -73,39 +83,13 @@ pub fn by_touched_sets(sets: &[&[CountryId]]) -> Disambiguation {
     }
 }
 
-/// Apply data-center disambiguation to an uncertain verdict: when the
-/// region resolves to a single data-center country, the claim becomes
-/// credible (if it names that country) or false (otherwise). Verdicts
-/// that are already credible/false pass through untouched.
-pub fn refine_verdict(
-    atlas: &WorldAtlas,
-    registry: &DataCenterRegistry,
-    region: &Region,
-    claimed: CountryId,
-    verdict: ClaimVerdict,
-) -> ClaimVerdict {
-    if verdict.assessment != Assessment::Uncertain {
-        return verdict;
-    }
-    match by_data_centers(registry, region) {
-        Disambiguation::Resolved(country) => {
-            let mut refined = assess_claim(atlas, region, claimed);
-            refined.assessment = if country == claimed {
-                Assessment::Credible
-            } else {
-                Assessment::False
-            };
-            refined
-        }
-        Disambiguation::Unresolved => verdict,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assess::assess_claim;
     use geokit::{GeoGrid, GeoPoint, SphericalCap};
     use std::sync::OnceLock;
+    use worldmap::WorldAtlas;
 
     fn setup() -> &'static (WorldAtlas, DataCenterRegistry) {
         static S: OnceLock<(WorldAtlas, DataCenterRegistry)> = OnceLock::new();
@@ -119,6 +103,41 @@ mod tests {
     fn land_region(atlas: &WorldAtlas, lat: f64, lon: f64, r: f64) -> Region {
         Region::from_cap(atlas.grid(), &SphericalCap::new(GeoPoint::new(lat, lon), r))
             .intersection(atlas.land())
+    }
+
+    /// The group rule over the regions' touched-country sets, as the
+    /// study feeds it.
+    fn by_group(atlas: &WorldAtlas, regions: &[&Region]) -> Disambiguation {
+        let sets: Vec<Vec<CountryId>> = regions
+            .iter()
+            .map(|region| {
+                let touched = atlas.countries_touched(region);
+                touched.into_iter().map(|(c, _)| c).collect()
+            })
+            .collect();
+        let refs: Vec<&[CountryId]> = sets.iter().map(Vec::as_slice).collect();
+        by_touched_sets(&refs)
+    }
+
+    #[test]
+    fn refine_reclassifies_only_uncertain_resolved_claims() {
+        use Assessment::{Credible, False, Suspicious, Uncertain};
+        let (claimed, other) = (3, 7);
+        let cases = [
+            (Credible, [Credible, Credible, Credible]),
+            (Uncertain, [Credible, False, Uncertain]),
+            (False, [False, False, False]),
+            (Suspicious, [Suspicious, Suspicious, Suspicious]),
+        ];
+        for (assessment, expected) in cases {
+            let got = [
+                Disambiguation::Resolved(claimed),
+                Disambiguation::Resolved(other),
+                Disambiguation::Unresolved,
+            ]
+            .map(|d| d.refine(assessment, claimed));
+            assert_eq!(got, expected, "{assessment:?}");
+        }
     }
 
     #[test]
@@ -154,9 +173,8 @@ mod tests {
         let toronto = land_region(atlas, 44.5, -79.0, 260.0); // Canada + a US sliver
         let ottawa = land_region(atlas, 46.8, -76.0, 220.0); // Canada only
         let ca = atlas.country_by_iso2("ca").unwrap();
-        let regions: Vec<&Region> = vec![&toronto, &ottawa];
         assert_eq!(
-            by_colocation_group(atlas, &regions),
+            by_group(atlas, &[&toronto, &ottawa]),
             Disambiguation::Resolved(ca)
         );
     }
@@ -166,11 +184,7 @@ mod tests {
         let (atlas, _) = setup();
         let a = land_region(atlas, 45.0, -75.0, 600.0);
         let b = land_region(atlas, 44.0, -77.0, 600.0);
-        let regions: Vec<&Region> = vec![&a, &b];
-        assert_eq!(
-            by_colocation_group(atlas, &regions),
-            Disambiguation::Unresolved
-        );
+        assert_eq!(by_group(atlas, &[&a, &b]), Disambiguation::Unresolved);
     }
 
     #[test]
@@ -180,8 +194,8 @@ mod tests {
         let ar = atlas.country_by_iso2("ar").unwrap();
         let verdict = assess_claim(atlas, &region, ar);
         assert_eq!(verdict.assessment, Assessment::Uncertain);
-        let refined = refine_verdict(atlas, reg, &region, ar, verdict);
-        assert_eq!(refined.assessment, Assessment::False);
+        let refined = by_data_centers(reg, &region).refine(verdict.assessment, ar);
+        assert_eq!(refined, Assessment::False);
     }
 
     #[test]
@@ -191,8 +205,8 @@ mod tests {
         let cl = atlas.country_by_iso2("cl").unwrap();
         let verdict = assess_claim(atlas, &region, cl);
         assert_eq!(verdict.assessment, Assessment::Uncertain);
-        let refined = refine_verdict(atlas, reg, &region, cl, verdict);
-        assert_eq!(refined.assessment, Assessment::Credible);
+        let refined = by_data_centers(reg, &region).refine(verdict.assessment, cl);
+        assert_eq!(refined, Assessment::Credible);
     }
 
     #[test]
@@ -202,7 +216,7 @@ mod tests {
         let de = atlas.country_by_iso2("de").unwrap();
         let verdict = assess_claim(atlas, &region, de);
         assert_eq!(verdict.assessment, Assessment::Credible);
-        let refined = refine_verdict(atlas, reg, &region, de, verdict);
-        assert_eq!(refined.assessment, Assessment::Credible);
+        let refined = by_data_centers(reg, &region).refine(verdict.assessment, de);
+        assert_eq!(refined, Assessment::Credible);
     }
 }

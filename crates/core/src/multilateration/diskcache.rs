@@ -21,26 +21,17 @@
 //! bounded by one grid cell of radius, below the rasterization slack the
 //! constraint engine already applies ([`grid_slack_km`]).
 //!
-//! ## Fill-once concurrency protocol
-//!
-//! The cache is safe to share across worker threads (`Arc<DiskCache>`)
-//! and fills **once per key**: the map is sharded across striped locks,
-//! and each entry is a reservation cell ([`OnceLock`]). The first worker
-//! to ask for a key inserts an empty reservation under the shard lock,
-//! counts the one miss, and sets the disk up *outside* the lock; every
-//! other worker finds the reservation, counts a hit, and blocks on
-//! [`OnceLock::wait`] until the disk is ready. No disk is ever set up
-//! twice, and the traffic counters are exact — for a fixed workload,
-//! `hits`, `misses`, and `entries` are identical for every thread count
-//! (`misses == entries` always), so they can participate in determinism
-//! diffs rather than being quarantined as telemetry.
+//! The cache is safe to share across worker threads (`Arc<DiskCache>`).
+//! Its map is sharded across striped locks, and a miss sets its disk up
+//! (three trig calls) while it holds the shard lock, so every key is set
+//! up once and the traffic counters are exact (see [`DiskCacheStats`]).
 //!
 //! [`grid_slack_km`]: crate::multilateration::constraint::grid_slack_km
 
 use geokit::{CapRaster, GeoGrid, GeoPoint, SphericalCap};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Cache key: exact landmark coordinates (bit patterns — landmarks are
 /// shared constellation points, so equal positions have equal bits) plus
@@ -66,27 +57,22 @@ impl DiskKey {
     }
 }
 
-/// Number of striped locks over the key space. Contention on a shard
-/// lock is held only for a map probe or a reservation insert — never a
-/// disk's set-up — so a modest stripe count suffices.
+/// Number of striped locks over the key space. A shard lock is held for
+/// a map probe and, on a miss, a disk's three-trig set-up, so a modest
+/// stripe count suffices.
 const SHARD_COUNT: usize = 16;
 
-/// One reservation cell: empty while the reserving worker sets the disk
-/// up, filled exactly once.
-type DiskSlot = Arc<OnceLock<CapRaster>>;
-
-/// Running totals of cache traffic. Exact under any thread count: the
-/// fill-once protocol guarantees every lookup counts exactly one hit or
-/// one miss, and exactly one worker misses per distinct key, so for a
+/// Running totals of cache traffic. Exact under any thread count: every
+/// lookup counts one hit or one miss under its shard's lock, and only
+/// the first lookup of a key to take that lock finds it absent, so for a
 /// fixed workload `hits`, `misses`, and `entries` are thread-count
-/// invariant (with `misses == entries`).
+/// invariant (with `misses == entries`). They can therefore take part in
+/// determinism diffs rather than being quarantined as telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskCacheStats {
-    /// Lookups answered from the memo (including lookups that waited on
-    /// another worker's in-flight set-up).
+    /// Lookups answered from the memo.
     pub hits: u64,
-    /// Lookups that reserved the key and set the disk up (one per
-    /// entry).
+    /// Lookups that set the disk up and stored it (one per entry).
     pub misses: u64,
     /// Distinct disks stored.
     pub entries: usize,
@@ -104,18 +90,16 @@ impl DiskCacheStats {
     }
 }
 
-/// An `Arc`-shared, fill-once memo of landmark disks on one grid, each
-/// in closed form.
+/// An `Arc`-shared memo of landmark disks on one grid, each in closed
+/// form.
 #[derive(Debug)]
 pub struct DiskCache {
     grid: Arc<GeoGrid>,
     /// Kilometres per whole-cell radius step (one equatorial cell
     /// height).
     cell_km: f64,
-    /// Striped reservation maps: `key.shard()` picks the stripe. The
-    /// lock guards only map probes and reservation inserts; the disk's
-    /// set-up happens outside, on the reserving worker.
-    shards: Vec<Mutex<HashMap<DiskKey, DiskSlot>>>,
+    /// Striped maps: `key.shard()` picks the stripe.
+    shards: Vec<Mutex<HashMap<DiskKey, CapRaster>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Wall-clock profiling sink (off by default). Lookup spans land
@@ -181,22 +165,6 @@ impl DiskCache {
         (cells > 0).then(|| self.disk_of_cells(center, cells))
     }
 
-    /// Probe-or-reserve: returns the key's slot and whether *this* call
-    /// created it (making the caller responsible for filling it).
-    fn reserve(&self, key: DiskKey) -> (DiskSlot, bool) {
-        let mut shard = self.shards[key.shard()]
-            .lock()
-            .expect("disk cache poisoned");
-        match shard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let slot: DiskSlot = Arc::new(OnceLock::new());
-                v.insert(Arc::clone(&slot));
-                (slot, true)
-            }
-        }
-    }
-
     fn disk_of_cells(&self, center: &GeoPoint, cells: u32) -> CapRaster {
         let _lookup_span = self.obs.profile_span("cache.lookup");
         let key = DiskKey {
@@ -204,19 +172,19 @@ impl DiskCache {
             lon_bits: center.lon().to_bits(),
             radius_cells: cells,
         };
-        let (slot, reserved) = self.reserve(key);
-        if reserved {
-            // This call owns the key: the one miss, the one set-up.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let cap = SphericalCap::new(*center, f64::from(cells) * self.cell_km);
-            let disk = CapRaster::new(&self.grid, &cap);
-            slot.set(disk).expect("reserved slot filled twice");
-            disk
-        } else {
-            // Someone else owns the key; wait for their fill if it is
-            // still in flight. A hit either way — the work is not ours.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            *slot.wait()
+        let mut shard = self.shards[key.shard()]
+            .lock()
+            .expect("disk cache poisoned");
+        match shard.entry(key) {
+            Entry::Occupied(hit) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                *hit.get()
+            }
+            Entry::Vacant(miss) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let cap = SphericalCap::new(*center, f64::from(cells) * self.cell_km);
+                *miss.insert(CapRaster::new(&self.grid, &cap))
+            }
         }
     }
 

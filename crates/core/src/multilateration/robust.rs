@@ -44,18 +44,6 @@ pub struct PairwiseReport {
     pub conflicts: Vec<(usize, usize)>,
 }
 
-impl PairwiseReport {
-    /// Number of flagged constraints.
-    pub fn flagged_count(&self) -> usize {
-        self.flagged.iter().filter(|&&f| f).count()
-    }
-
-    /// True if no pair conflicted at all.
-    pub fn is_clean(&self) -> bool {
-        self.conflicts.is_empty()
-    }
-}
-
 /// A geometric sort key: identifies a constraint by what it *is*, not
 /// where it sits in the input, so greedy tie-breaks are permutation
 /// invariant. Smaller disks sort first — a deflated (colluding) reading
@@ -140,13 +128,13 @@ impl<'c> Screen<'c> {
 /// underestimate.
 ///
 /// Each pair is decided as the haversine `distance_km` decides it, by
-/// [`Screen::disjoint`]: a dot product of precomputed unit vectors
+/// `Screen::disjoint`: a dot product of precomputed unit vectors
 /// against precomputed radius trig, with the haversine called only for
 /// the rare pair on the threshold.
 ///
 /// Conflicts are cleared greedily: repeatedly flag the constraint
 /// involved in the most remaining conflicts, breaking ties by
-/// [`geometric_key`] (never by input index), until the remainder is
+/// `geometric_key` (never by input index), until the remainder is
 /// pairwise consistent. The flagged *set* is therefore invariant under
 /// permutation of the input (the property test pins this).
 pub fn pairwise_infeasible_flags(constraints: &[RingConstraint]) -> PairwiseReport {
@@ -283,8 +271,8 @@ mod tests {
             })
             .collect();
         let report = pairwise_infeasible_flags(&cs);
-        assert!(report.is_clean());
-        assert_eq!(report.flagged_count(), 0);
+        assert!(report.conflicts.is_empty());
+        assert!(!report.flagged.contains(&true));
     }
 
     #[test]

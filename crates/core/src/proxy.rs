@@ -136,35 +136,13 @@ impl ProxyContext {
         })
     }
 
-    /// Measure one landmark through the tunnel (minimum of `attempts`),
-    /// returning the corrected proxy↔landmark RTT estimate in ms.
-    pub fn measure_landmark(
-        &self,
-        network: &mut Network,
-        landmark: NodeId,
-        attempts: usize,
-    ) -> Option<f64> {
-        self.measure_landmark_port(network, landmark, 80, attempts)
-    }
-
-    /// [`measure_landmark`](ProxyContext::measure_landmark) on an
-    /// explicit port — the reliability layer's fallback uses 443 when a
-    /// landmark rate-limits or filters port 80.
-    pub fn measure_landmark_port(
-        &self,
-        network: &mut Network,
-        landmark: NodeId,
-        port: u16,
-        attempts: usize,
-    ) -> Option<f64> {
-        self.measure_landmark_port_checked(network, landmark, port, attempts)
-            .map(|(ms, _)| ms)
-    }
-
-    /// [`measure_landmark_port`](ProxyContext::measure_landmark_port)
-    /// plus the infeasibility flag from
+    /// Measure one landmark through the tunnel on `port` (minimum of
+    /// `attempts`), returning the corrected proxy↔landmark RTT estimate
+    /// in ms and the infeasibility flag from
     /// [`correct_indirect_rtt_checked`] — true when the tunnel-leg
     /// subtraction went negative and the reading was clamped to zero.
+    /// The reliability layer's fallback uses port 443 when a landmark
+    /// rate-limits or filters port 80.
     pub fn measure_landmark_port_checked(
         &self,
         network: &mut Network,
@@ -241,7 +219,10 @@ mod tests {
         let (mut network, client, proxies, lm) = net(3);
         let proxy = proxies[0];
         let ctx = ProxyContext::establish(&mut network, client, proxy, 0.5, 20).unwrap();
-        let corrected = ctx.measure_landmark(&mut network, lm, 20).unwrap();
+        let (corrected, infeasible) = ctx
+            .measure_landmark_port_checked(&mut network, lm, 80, 20)
+            .unwrap();
+        assert!(!infeasible);
         let direct_floor = network.floor_rtt_ms(proxy, lm).unwrap();
         assert!(
             (corrected - direct_floor).abs() < 2.0,

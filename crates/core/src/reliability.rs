@@ -66,18 +66,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries and never falls back — the bare
-    /// prober's behaviour, used for byte-identical comparisons.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            method_fallback: false,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
 /// Everything that went wrong (and how hard we tried) during a
 /// measurement run. Attached to every audit verdict so "credible" can be
 /// distinguished from "credible, but half the landmarks were down".

@@ -16,8 +16,8 @@ use simrng::Rng;
 use worldmap::Continent;
 
 /// Something that can measure an RTT to a landmark on behalf of the
-/// geolocation engine. Implementations: a direct CLI client, a Web-tool
-/// client, a through-proxy client.
+/// geolocation engine. Implementations: a Web-tool client and a
+/// through-proxy client.
 pub trait RttProber {
     /// One corrected RTT measurement to `landmark`, ms, or `None` if the
     /// landmark was unreachable/filtered.
@@ -29,71 +29,6 @@ pub trait RttProber {
     /// measures the round trip). Default: no fallback available.
     fn probe_fallback(&mut self, _network: &mut Network, _landmark: NodeId) -> Option<f64> {
         None
-    }
-}
-
-/// Direct measurement with the CLI tool: min of `attempts` TCP connects.
-#[derive(Debug, Clone, Copy)]
-pub struct CliProber {
-    /// Measuring host.
-    pub client: NodeId,
-    /// Connect attempts per landmark (minimum taken).
-    pub attempts: usize,
-}
-
-impl CliProber {
-    fn min_connect(&self, network: &mut Network, landmark: NodeId, port: u16) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for _ in 0..self.attempts {
-            if let Some(d) = network.tcp_connect_rtt(self.client, landmark, port) {
-                let ms = network.corrupt_rtt_ms(d.as_ms());
-                best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-            }
-        }
-        best
-    }
-}
-
-impl RttProber for CliProber {
-    fn probe(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
-        self.min_connect(network, landmark, 80)
-    }
-
-    fn probe_fallback(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
-        self.min_connect(network, landmark, 443)
-    }
-}
-
-/// ICMP-echo measurement with a TCP fallback: the classic research-tool
-/// configuration (§4.2 — ping is cheapest, but ~90 % of VPN servers and
-/// many landmarks filter it, so TCP connect is the method of last
-/// resort that "always works").
-#[derive(Debug, Clone, Copy)]
-pub struct PingProber {
-    /// Measuring host.
-    pub client: NodeId,
-    /// Echo attempts per landmark (minimum taken).
-    pub attempts: usize,
-}
-
-impl RttProber for PingProber {
-    fn probe(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for _ in 0..self.attempts {
-            if let Some(d) = network.ping(self.client, landmark) {
-                let ms = network.corrupt_rtt_ms(d.as_ms());
-                best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-            }
-        }
-        best
-    }
-
-    fn probe_fallback(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
-        CliProber {
-            client: self.client,
-            attempts: self.attempts,
-        }
-        .probe(network, landmark)
     }
 }
 
@@ -602,6 +537,38 @@ mod tests {
     use simrng::SeedableRng;
     use std::sync::Arc;
     use worldmap::WorldAtlas;
+
+    /// Direct measurement with the CLI tool: min of `attempts` TCP connects.
+    #[derive(Debug, Clone, Copy)]
+    struct CliProber {
+        /// Measuring host.
+        client: NodeId,
+        /// Connect attempts per landmark (minimum taken).
+        attempts: usize,
+    }
+
+    impl CliProber {
+        fn min_connect(&self, network: &mut Network, landmark: NodeId, port: u16) -> Option<f64> {
+            let mut best: Option<f64> = None;
+            for _ in 0..self.attempts {
+                if let Some(d) = network.tcp_connect_rtt(self.client, landmark, port) {
+                    let ms = network.corrupt_rtt_ms(d.as_ms());
+                    best = Some(best.map_or(ms, |b: f64| b.min(ms)));
+                }
+            }
+            best
+        }
+    }
+
+    impl RttProber for CliProber {
+        fn probe(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
+            self.min_connect(network, landmark, 80)
+        }
+
+        fn probe_fallback(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
+            self.min_connect(network, landmark, 443)
+        }
+    }
 
     struct Fixture {
         world: WorldNet,

@@ -367,6 +367,12 @@ impl CapRaster {
         if row < self.row_lo || row >= self.row_hi {
             return RowSpan::Empty;
         }
+        if self.cos_r == -1.0 {
+            // A radius clamped to π holds the whole sphere. Solving for
+            // the half-width would round the antipodal row's `cos Δλ`
+            // just above −1 and leave its antipodal cell out.
+            return RowSpan::Full;
+        }
         let (sin_lat, cos_lat) = (trig.row_sin[row as usize], trig.row_cos[row as usize]);
         // cos(d) = sin φc sin φ + cos φc cos φ cos Δλ  ⇒
         // cos Δλ = (cos r − sin φc sin φ) / (cos φc cos φ)
@@ -522,6 +528,17 @@ mod tests {
         let mut n = 0u32;
         g.for_each_cell_in_cap(&cap, |_| n += 1);
         assert_eq!(n, g.num_cells());
+        // Centred on a cell centre, the antipodal cell is the one a
+        // half-width solve can drop: every such cap must still hold it.
+        for res in [0.5, 1.0, 2.0] {
+            let g = GeoGrid::new(res);
+            for cell in (0..g.num_cells()).step_by(g.num_cells() as usize / 41) {
+                let cap = SphericalCap::new(g.center(cell), 21_000.0);
+                let mut n = 0u32;
+                g.for_each_run_in_cap(&cap, |_, cols| n += cols.len() as u32);
+                assert_eq!(n, g.num_cells(), "cell {cell} at {res}°");
+            }
+        }
     }
 
     #[test]

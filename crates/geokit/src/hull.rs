@@ -125,11 +125,6 @@ impl PiecewiseLinear {
         PiecewiseLinear { vertices }
     }
 
-    /// Vertices of the polyline.
-    pub fn vertices(&self) -> &[(f64, f64)] {
-        &self.vertices
-    }
-
     /// Evaluate at `x`: linear interpolation between bracketing vertices,
     /// constant extrapolation outside the vertex range.
     pub fn eval(&self, x: f64) -> f64 {
@@ -148,12 +143,6 @@ impl PiecewiseLinear {
             return y0.min(y1);
         }
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    }
-
-    /// The x of the last vertex (the hull's reach; beyond it Octant switches
-    /// to fixed empirical speeds).
-    pub fn max_x(&self) -> f64 {
-        self.vertices[self.vertices.len() - 1].0
     }
 }
 
@@ -227,7 +216,6 @@ mod tests {
         assert_eq!(pl.eval(0.0), 10.0);
         assert_eq!(pl.eval(4.0), 20.0);
         assert!((pl.eval(2.0) - 15.0).abs() < 1e-12);
-        assert_eq!(pl.max_x(), 3.0);
     }
 
     #[test]

@@ -87,15 +87,6 @@ impl GeoPoint {
         GeoPoint::new(lat2.to_degrees(), lon2.to_degrees())
     }
 
-    /// Midpoint of the great-circle segment between this point and `other`.
-    pub fn midpoint(&self, other: &GeoPoint) -> GeoPoint {
-        let d = self.distance_km(other);
-        if d == 0.0 {
-            return *self;
-        }
-        self.destination(self.bearing_to(other), d / 2.0)
-    }
-
     /// Convert to a unit vector in Earth-centred Cartesian coordinates.
     /// Used for centroid computation, where averaging (lat, lon) directly
     /// would break across the antimeridian.
@@ -197,16 +188,6 @@ mod tests {
         let east = fiji.destination(90.0, 500.0);
         assert!(east.lon() < -177.0, "should wrap to west longitude: {east}");
         assert!((fiji.distance_km(&east) - 500.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn midpoint_is_equidistant() {
-        let a = p(35.0, 139.0); // Tokyo
-        let b = p(37.77, -122.42); // San Francisco
-        let m = a.midpoint(&b);
-        let da = a.distance_km(&m);
-        let db = b.distance_km(&m);
-        assert!((da - db).abs() < 1e-6 * da, "da={da} db={db}");
     }
 
     #[test]

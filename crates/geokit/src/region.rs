@@ -128,16 +128,6 @@ impl Region {
         }
     }
 
-    /// Remove one cell. Idempotent.
-    pub fn remove(&mut self, cell: CellId) {
-        let (w, b) = (cell as usize / 64, cell as usize % 64);
-        let mask = 1u64 << b;
-        if self.bits[w] & mask != 0 {
-            self.bits[w] &= !mask;
-            self.count -= 1;
-        }
-    }
-
     /// The word mask covering bit positions `[lo, hi)` of a word, given
     /// the clamped in-word bounds.
     #[inline]
@@ -194,27 +184,8 @@ impl Region {
         self.count -= removed;
     }
 
-    /// Number of member cells within the run `row * cols + cols_range`,
-    /// by word-level popcount.
-    pub fn count_run(&self, row: u32, cols: std::ops::Range<u32>) -> u32 {
-        let base = row * self.grid.cols();
-        let (lo, hi) = ((base + cols.start) as usize, (base + cols.end) as usize);
-        if lo >= hi {
-            return 0;
-        }
-        let (w0, w1) = (lo / 64, (hi - 1) / 64);
-        if w0 == w1 {
-            return (self.bits[w0] & Self::word_mask(lo % 64, (hi - 1) % 64 + 1)).count_ones();
-        }
-        let mut n = (self.bits[w0] & Self::word_mask(lo % 64, 64)).count_ones();
-        for w in w0 + 1..w1 {
-            n += self.bits[w].count_ones();
-        }
-        n + (self.bits[w1] & Self::word_mask(0, (hi - 1) % 64 + 1)).count_ones()
-    }
-
-    /// True if any member cell lies within the run (cheaper than
-    /// [`count_run`](Self::count_run): early-exits on the first hit).
+    /// True if any member cell lies within the run `row * cols +
+    /// cols_range` (early-exits on the first hit).
     pub fn intersects_run(&self, row: u32, cols: std::ops::Range<u32>) -> bool {
         let base = row * self.grid.cols();
         let (lo, hi) = ((base + cols.start) as usize, (base + cols.end) as usize);
@@ -281,17 +252,6 @@ impl Region {
         self.count = count;
     }
 
-    /// In-place union.
-    pub fn union_with(&mut self, other: &Region) {
-        self.assert_same_grid(other);
-        let mut count = 0u32;
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= *b;
-            count += a.count_ones();
-        }
-        self.count = count;
-    }
-
     /// In-place set difference (`self \ other`).
     pub fn subtract(&mut self, other: &Region) {
         self.assert_same_grid(other);
@@ -307,13 +267,6 @@ impl Region {
     pub fn intersection(&self, other: &Region) -> Region {
         let mut r = self.clone();
         r.intersect_with(other);
-        r
-    }
-
-    /// New region: union.
-    pub fn union(&self, other: &Region) -> Region {
-        let mut r = self.clone();
-        r.union_with(other);
         r
     }
 
@@ -531,8 +484,8 @@ mod tests {
         r.insert(10);
         r.insert(10);
         assert_eq!(r.cell_count(), 1);
-        r.remove(10);
-        r.remove(10);
+        r.remove_run(0, 10..11);
+        r.remove_run(0, 10..11);
         assert_eq!(r.cell_count(), 0);
     }
 
@@ -556,18 +509,6 @@ mod tests {
         let b = Region::from_cap(&g, &SphericalCap::new(GeoPoint::new(-50.0, 180.0), 500.0));
         assert!(!a.intersects(&b));
         assert!(a.intersection(&b).is_empty());
-    }
-
-    #[test]
-    fn union_counts() {
-        let g = grid();
-        let a = Region::from_cap(&g, &SphericalCap::new(GeoPoint::new(0.0, 0.0), 1000.0));
-        let b = Region::from_cap(&g, &SphericalCap::new(GeoPoint::new(0.0, 30.0), 1000.0));
-        let u = a.union(&b);
-        assert_eq!(u.cell_count(), a.cell_count() + b.cell_count()); // disjoint
-        let mut v = a.clone();
-        v.union_with(&a);
-        assert_eq!(v.cell_count(), a.cell_count());
     }
 
     #[test]
@@ -648,21 +589,13 @@ mod tests {
         }
         assert_eq!(by_runs, by_cells);
         for (row, run) in cases {
-            assert_eq!(by_runs.count_run(*row, run.clone()), run.len() as u32);
             assert!(by_runs.intersects_run(*row, run.clone()));
         }
-        assert_eq!(by_runs.count_run(4, 0..cols), 0);
         assert!(!by_runs.intersects_run(4, 0..cols));
-        // Partial overlap counts only the overlapping cells.
-        assert_eq!(by_runs.count_run(0, 10..30), 7);
-        // Removal mirrors insertion.
+        // Removal undoes insertion.
         for (row, run) in cases {
             by_runs.remove_run(*row, run.clone());
-            for c in run.clone() {
-                by_cells.remove(row * cols + c);
-            }
         }
-        assert_eq!(by_runs, by_cells);
         assert!(by_runs.is_empty());
     }
 

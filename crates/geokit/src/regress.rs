@@ -131,11 +131,6 @@ impl Polynomial {
             .fold(0.0, |acc, (k, &c)| acc * x + c * k as f64)
     }
 
-    /// Degree of the polynomial (length of coefficient vector − 1).
-    pub fn degree(&self) -> usize {
-        self.coefficients.len() - 1
-    }
-
     /// True if the polynomial is non-decreasing over `[lo, hi]`, checked by
     /// sampling the derivative at 64 evenly spaced points (exact root
     /// isolation is overkill for a cubic sanity gate).
@@ -283,7 +278,7 @@ mod tests {
         // p' = 2 + 6x + 12x²; p'(2) = 2 + 12 + 48 = 62.
         assert!((p.eval(2.0) - 49.0).abs() < 1e-12);
         assert!((p.derivative_at(2.0) - 62.0).abs() < 1e-12);
-        assert_eq!(p.degree(), 3);
+        assert_eq!(p.coefficients.len(), 4);
     }
 
     #[test]
@@ -335,7 +330,7 @@ mod tests {
             })
             .collect();
         let p = fit_monotone_polynomial(&pts, 3, 0.0, 49.0).unwrap();
-        assert_eq!(p.degree(), 3);
+        assert_eq!(p.coefficients.len(), 4);
     }
 
     #[test]

@@ -116,10 +116,6 @@ impl GeoBox {
     pub fn west(&self) -> f64 {
         self.west
     }
-    /// Eastern longitude bound (end of eastward span).
-    pub fn east(&self) -> f64 {
-        self.east
-    }
 
     /// True if the box's longitude span crosses the antimeridian.
     pub fn wraps(&self) -> bool {
@@ -192,14 +188,6 @@ impl Shape {
         match self {
             Shape::Cap(c) => c.area_km2(),
             Shape::Box(b) => b.area_km2(),
-        }
-    }
-
-    /// A bounding box containing the shape.
-    pub fn bounding_box(&self) -> GeoBox {
-        match self {
-            Shape::Cap(c) => c.bounding_box(),
-            Shape::Box(b) => *b,
         }
     }
 

@@ -53,11 +53,6 @@ impl Ecdf {
         Some(self.sorted[idx])
     }
 
-    /// The underlying sorted sample.
-    pub fn values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Evaluate the ECDF at `n` evenly spaced points across `[lo, hi]`,
     /// yielding `(x, F(x))` pairs — the series a CDF plot needs.
     pub fn curve(&self, lo: f64, hi: f64, n: usize) -> Vec<(f64, f64)> {

@@ -97,14 +97,6 @@ impl ProxyTactic {
         self.colluders.insert(landmark, factor.min(1.0));
         self
     }
-
-    /// True if this tactic does nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.hold_reply_ms.is_empty()
-            && self.timeouts.is_empty()
-            && self.self_ping_extra_ms == 0.0
-            && self.colluders.is_empty()
-    }
 }
 
 /// The full adversary configuration: which proxies play dirty, and how.
@@ -151,29 +143,10 @@ impl AdversaryPlan {
         self.tactics.entry(proxy).or_default()
     }
 
-    /// Install a complete tactic for `proxy`, replacing any existing one.
-    pub fn set_tactic(&mut self, proxy: NodeId, tactic: ProxyTactic) {
-        if tactic.is_empty() {
-            self.tactics.remove(&proxy);
-        } else {
-            self.tactics.insert(proxy, tactic);
-        }
-    }
-
-    /// Remove every tactic: the plan is inactive again.
-    pub fn clear(&mut self) {
-        self.tactics.clear();
-    }
-
     /// True if no proxy has a tactic — the fast-path check every hook
     /// makes first, so a disabled plan costs one branch per packet.
     pub fn is_active(&self) -> bool {
         !self.tactics.is_empty()
-    }
-
-    /// Number of proxies with an installed tactic.
-    pub fn adversarial_proxies(&self) -> usize {
-        self.tactics.len()
     }
 
     // --- engine hooks ---------------------------------------------------
@@ -264,7 +237,6 @@ mod tests {
             .inflate_self_ping(12.0)
             .add_colluder(3, 0.4);
         assert!(plan.is_active());
-        assert_eq!(plan.adversarial_proxies(), 2);
         assert_eq!(plan.hold_ms(7, 3), 25.0);
         assert_eq!(plan.hold_ms(9, 3), 0.0);
         assert!(plan.times_out(7, 4));
@@ -290,18 +262,5 @@ mod tests {
         let mut plan = AdversaryPlan::new();
         plan.tactic_mut(1).add_colluder(2, 3.0);
         assert_eq!(plan.collusion_factor(1, 2), Some(1.0));
-    }
-
-    #[test]
-    fn empty_tactic_is_dropped_on_set() {
-        let mut plan = AdversaryPlan::new();
-        plan.set_tactic(5, ProxyTactic::default());
-        assert!(!plan.is_active());
-        let mut t = ProxyTactic::default();
-        t.timeout_landmark(8);
-        plan.set_tactic(5, t);
-        assert!(plan.is_active());
-        plan.clear();
-        assert!(!plan.is_active());
     }
 }

@@ -98,8 +98,6 @@ pub struct WorldNet {
     atlas: Arc<WorldAtlas>,
     /// All IXP node ids, in creation order.
     ixps: Vec<NodeId>,
-    /// Parallel to `ixps`: (country, hub index).
-    ixp_meta: Vec<(usize, usize)>,
     /// RNG for post-build attachment decisions (distinct stream from the
     /// network's measurement RNG).
     attach_rng: StdRng,
@@ -219,7 +217,6 @@ impl WorldNet {
             network,
             atlas,
             ixps,
-            ixp_meta,
             attach_rng: StdRng::seed_from_u64(config.seed ^ 0xA77AC4E3),
         }
     }
@@ -237,16 +234,6 @@ impl WorldNet {
     /// The atlas this world was built from.
     pub fn atlas(&self) -> &Arc<WorldAtlas> {
         &self.atlas
-    }
-
-    /// All IXP node ids.
-    pub fn ixps(&self) -> &[NodeId] {
-        &self.ixps
-    }
-
-    /// (country, hub index) of an IXP.
-    pub fn ixp_meta(&self, idx: usize) -> (usize, usize) {
-        self.ixp_meta[idx]
     }
 
     /// The IXP nearest to a location.
@@ -344,6 +331,12 @@ mod tests {
     use geokit::GeoGrid;
     use std::sync::OnceLock;
 
+    /// The country of an IXP, read back from the AS number the build
+    /// gives the country's hubs.
+    fn ixp_country(net: &Network, ixp: NodeId) -> usize {
+        (net.topology().node(ixp).as_number as usize - 1000) / 8
+    }
+
     fn world() -> &'static WorldNet {
         static W: OnceLock<WorldNet> = OnceLock::new();
         W.get_or_init(|| {
@@ -355,25 +348,21 @@ mod tests {
     #[test]
     fn world_has_hundreds_of_ixps() {
         let w = world();
-        assert!(w.ixps().len() > 250, "only {} IXPs", w.ixps().len());
+        assert!(w.ixps.len() > 250, "only {} IXPs", w.ixps.len());
     }
 
     #[test]
     fn backbone_is_fully_connected() {
         let w = world();
         let net = w.network();
-        let frankfurt = w.ixps()[0]; // Germany hub 0 is the first country's first hub
+        let frankfurt = w.ixps[0]; // Germany hub 0 is the first country's first hub
         let mut reachable = 0;
-        for &ixp in w.ixps() {
+        for &ixp in &w.ixps {
             if ixp == frankfurt || net.floor_rtt_ms(frankfurt, ixp).is_some() {
                 reachable += 1;
             }
         }
-        assert_eq!(
-            reachable,
-            w.ixps().len(),
-            "unreachable IXPs in the backbone"
-        );
+        assert_eq!(reachable, w.ixps.len(), "unreachable IXPs in the backbone");
     }
 
     #[test]
@@ -385,8 +374,9 @@ mod tests {
         let net = w.network();
         let pairs = [(0usize, 60usize), (10, 120), (5, 200), (30, 250), (70, 150)];
         for (i, j) in pairs {
-            let (a, b) = (w.ixps()[i], w.ixps()[j]);
-            let gc = net.gc_distance_km(a, b);
+            let (a, b) = (w.ixps[i], w.ixps[j]);
+            let node = |id| net.topology().node(id).location;
+            let gc = node(a).distance_km(&node(b));
             if gc < 1500.0 {
                 continue;
             }
@@ -420,13 +410,12 @@ mod tests {
         // Pitcairn's IXP reaches the world, at a high floor.
         let pn = w.atlas().country_by_iso2("pn").unwrap();
         let pn_hub = w
-            .ixps()
+            .ixps
             .iter()
-            .enumerate()
-            .find(|&(i, _)| w.ixp_meta(i).0 == pn)
-            .map(|(_, &id)| id)
+            .copied()
+            .find(|&id| ixp_country(w.network(), id) == pn)
             .unwrap();
-        let frankfurt = w.ixps()[0];
+        let frankfurt = w.ixps[0];
         let floor = w.network().floor_rtt_ms(pn_hub, frankfurt).unwrap();
         assert!(floor > 120.0, "Pitcairn→Frankfurt floor {floor} too low");
     }
@@ -439,11 +428,10 @@ mod tests {
         let ng = w.atlas().country_by_iso2("ng").unwrap();
         let avg = |cid: usize| {
             let (sum, n) = w
-                .ixps()
+                .ixps
                 .iter()
-                .enumerate()
-                .filter(|&(i, _)| w.ixp_meta(i).0 == cid)
-                .fold((0.0, 0usize), |(s, n), (_, &id)| {
+                .filter(|&&id| ixp_country(w.network(), id) == cid)
+                .fold((0.0, 0usize), |(s, n), &id| {
                     (s + topo.node(id).congestion, n + 1)
                 });
             sum / n as f64

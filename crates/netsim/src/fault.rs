@@ -99,13 +99,6 @@ impl Clone for FaultPlan {
 }
 
 impl FaultPlan {
-    /// Remove every configured fault, returning to the default
-    /// (faultless) plan. Tests sharing a long-lived network use this to
-    /// restore a clean slate.
-    pub fn clear(&mut self) {
-        *self = FaultPlan::default();
-    }
-
     /// Set the global random-drop probability (clamped to `[0, 1]`).
     pub fn set_drop_chance(&mut self, p: f64) {
         self.drop_chance = p.clamp(0.0, 1.0);

@@ -451,17 +451,6 @@ impl Network {
         hops
     }
 
-    /// Round-trip time to the first hop on the way to `target` (a TTL-1
-    /// probe answered by time-exceeded), or `None` if the first hop
-    /// suppresses time-exceeded. This is the quantity the original Octant
-    /// uses to compute its "height" correction.
-    pub fn first_hop_rtt(&mut self, client: NodeId, target: NodeId) -> Option<SimDuration> {
-        match self.run_probe(client, target, PacketKind::TcpSyn { port: 80 }, Some(1))? {
-            (rtt, PacketKind::TimeExceeded { .. }) => Some(rtt),
-            _ => None,
-        }
-    }
-
     /// Run one TCP connect with full packet tracing: returns the ordered
     /// list of per-node arrivals (the walk's analogue of a packet dump)
     /// and the measured RTT if the probe completed. Used by the Fig. 7
@@ -547,14 +536,6 @@ impl Network {
     pub fn floor_rtt_ms(&self, src: NodeId, dst: NodeId) -> Option<f64> {
         let path = self.path_delays(src, dst)?;
         Some(2.0 * self.model.floor_one_way_ms(&path))
-    }
-
-    /// Great-circle distance between two nodes' physical locations, km.
-    pub fn gc_distance_km(&self, a: NodeId, b: NodeId) -> f64 {
-        self.topo
-            .node(a)
-            .location
-            .distance_km(&self.topo.node(b).location)
     }
 }
 
@@ -790,21 +771,6 @@ mod tests {
             assert_eq!(got.to_bits(), best.to_bits(), "congestion {congestion}");
             assert_eq!(bounded.rng.next_u64(), plain.rng.next_u64(), "{congestion}");
         }
-    }
-
-    #[test]
-    fn first_hop_rtt_measures_the_access_leg() {
-        let (mut net, client, _, lm) = net();
-        // First hop from the client is the Frankfurt IXP: RTT ≈ 2×0.3 ms
-        // propagation plus overheads.
-        let rtt = net
-            .first_hop_rtt(client, lm)
-            .expect("cooperative first hop");
-        assert!(rtt.as_ms() < 3.0, "{rtt}");
-        // Suppressing time-exceeded at the IXP hides the hop.
-        net.topology_mut().node_mut(0).policy.drop_time_exceeded = true;
-        assert!(net.first_hop_rtt(client, lm).is_none());
-        net.topology_mut().node_mut(0).policy.drop_time_exceeded = false;
     }
 
     #[test]
@@ -1048,7 +1014,7 @@ mod tests {
         let baseline = adversarial_round(|_, _, _| {});
         let cleared = adversarial_round(|adv, p, l| {
             adv.tactic_mut(p).hold_reply(l, 50.0);
-            adv.clear();
+            *adv = AdversaryPlan::new();
         });
         assert_eq!(baseline, cleared);
     }

@@ -14,7 +14,6 @@
 //! determinism matrix byte-compares the deterministic subset (see
 //! [`MetricSet::render_filtered`]) across shard and thread splits.
 
-use crate::json;
 use crate::registry;
 use crate::Hist;
 use std::collections::BTreeMap;
@@ -182,12 +181,6 @@ impl MetricSet {
             .map(|s| s.as_f64())
     }
 
-    /// The histogram sample `name{labels}`, if set.
-    pub fn hist(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Hist> {
-        let key = owned_labels(labels);
-        self.families.get(name)?.hists.get(&key)
-    }
-
     /// Every scalar sample of family `name` as `(labels, value)` pairs,
     /// sorted by labels. Empty when the family is absent or histogram.
     pub fn samples(&self, name: &str) -> Vec<(&[(String, String)], f64)> {
@@ -204,11 +197,6 @@ impl MetricSet {
     /// The family names present, sorted.
     pub fn family_names(&self) -> Vec<&str> {
         self.families.keys().map(String::as_str).collect()
-    }
-
-    /// The kind of family `name`, if present.
-    pub fn kind(&self, name: &str) -> Option<MetricKind> {
-        self.families.get(name).and_then(|f| f.kind)
     }
 
     /// Render the full exposition, `# EOF`-terminated.
@@ -673,21 +661,6 @@ pub fn deterministic_family(name: &str) -> bool {
         .is_some_and(|def| def.compartment == registry::Compartment::Deterministic)
 }
 
-/// Serialize a `MetricSet` summary of each histogram family as JSON
-/// quantile estimates (p50/p90/p99 plus count/sum), for human reports.
-pub fn hist_summary_json(name: &str, h: &Hist) -> String {
-    let q = |p: f64| h.quantile(p).unwrap_or(0);
-    format!(
-        "{{\"name\":{},\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-        json::json_str(name),
-        h.count,
-        h.sum,
-        q(0.50),
-        q(0.90),
-        q(0.99)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -838,9 +811,10 @@ mod tests {
             Some(3.0)
         );
         // A counter registered as a gauge exports as one.
-        assert_eq!(set.kind("pv_cache_entries"), Some(MetricKind::Gauge));
+        let text = set.render();
+        assert!(text.contains("# TYPE pv_cache_entries gauge\n"), "{text}");
         assert_eq!(set.value("pv_cache_entries", &[]), Some(2.0));
-        assert!(set.hist("pv_probe_rtt_microseconds", &[]).is_some());
+        assert!(text.contains("pv_probe_rtt_microseconds_bucket"), "{text}");
         assert!(set.lint_against_registry().is_empty());
 
         let stray = Recorder::new(Level::Counters);
@@ -865,16 +839,5 @@ mod tests {
         );
         assert!(!det.contains("pv_span_"), "span family leaked:\n{det}");
         assert!(parse_exposition(&det).is_ok(), "subset must still parse");
-    }
-
-    #[test]
-    fn hist_summary_json_is_valid_json() {
-        let mut h = Hist::default();
-        for v in [1u64, 2, 3, 100] {
-            h.record(v);
-        }
-        let js = hist_summary_json("net.probe.rtt_us", &h);
-        let parsed = crate::json::Json::parse(&js).expect("valid json");
-        assert_eq!(parsed.get("count").and_then(|j| j.as_f64()), Some(4.0));
     }
 }

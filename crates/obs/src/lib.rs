@@ -31,7 +31,7 @@
 //! `/`-separated path (`audit.proxy/audit.locate/subset.intersect`).
 //! Each path aggregates call count, cumulative nanoseconds, and *self*
 //! nanoseconds (cumulative minus time attributed to child spans), and
-//! [`Recorder::render_profile`] renders the whole thing as an indented
+//! [`render_profile_from`] renders the whole thing as an indented
 //! flamegraph-style text tree. Profile data merges additively across
 //! [`fork`](Recorder::fork)/[`absorb`](Recorder::absorb) and adds
 //! nothing to the deterministic compartment.
@@ -203,14 +203,6 @@ impl Event {
     pub fn field_u64(&self, key: &str) -> Option<u64> {
         match self.field(key) {
             Some(&Value::U64(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Field `key` as an `f64`, if present and floating.
-    pub fn field_f64(&self, key: &str) -> Option<f64> {
-        match self.field(key) {
-            Some(&Value::F64(v)) => Some(v),
             _ => None,
         }
     }
@@ -708,26 +700,16 @@ impl Recorder {
             .into_iter()
             .find_map(|(p, stat)| (p == path).then_some(stat))
     }
-
-    /// Render the profile tree as an indented flamegraph-style text
-    /// block: one line per path with call count, self time, and
-    /// cumulative time. Multiple roots (e.g. the coordinator's
-    /// `audit.run` next to absorbed workers' `audit.proxy`) render as a
-    /// forest. Siblings are ordered hottest-first (cumulative time
-    /// descending, name as the stable tiebreak), so the top of the
-    /// report is always the dominant path. **Timings are
-    /// scheduling-dependent by design** — keep out of determinism
-    /// diffs.
-    pub fn render_profile(&self) -> String {
-        render_profile_from(&self.profile())
-    }
 }
 
 /// Render a profile snapshot (as returned by [`Recorder::profile`]) as
-/// the indented forest of [`Recorder::render_profile`]. Siblings sort
-/// by cumulative time descending with a stable name tiebreak; a path
-/// seen only as a prefix (its own span never completed) sorts by the
-/// sum of its children.
+/// an indented flamegraph-style text forest: one line per path with
+/// call count, self time, and cumulative time. Siblings sort by
+/// cumulative time descending with a stable name tiebreak, so the top
+/// of the report is the dominant path; a path seen only as a prefix
+/// (its own span never completed) sorts by the sum of its children.
+/// **Timings are scheduling-dependent by design** — keep out of
+/// determinism diffs.
 pub fn render_profile_from(entries: &[(String, ProfileStat)]) -> String {
     #[derive(Default)]
     struct Node {
@@ -971,7 +953,6 @@ mod tests {
             ],
         };
         assert_eq!(e.field_u64("u"), Some(4));
-        assert_eq!(e.field_f64("f"), Some(2.5));
         assert_eq!(e.field_str("s"), Some("x"));
         assert_eq!(e.field_u64("missing"), None);
     }
@@ -1146,11 +1127,11 @@ mod tests {
             let _a = r.profile_span("alpha");
             let _b = r.profile_span("beta");
         }
-        let txt = r.render_profile();
+        let txt = render_profile_from(&r.profile());
         let alpha = txt.find("\nalpha").unwrap();
         let beta = txt.find("\n  beta").unwrap();
         assert!(alpha < beta, "beta must nest under alpha:\n{txt}");
-        assert!(Recorder::off().render_profile().is_empty());
+        assert!(render_profile_from(&Recorder::off().profile()).is_empty());
     }
 
     #[test]

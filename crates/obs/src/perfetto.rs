@@ -1,6 +1,6 @@
 //! Perfetto / Chrome trace-event export.
 //!
-//! Serializes a [`Recorder`](crate::Recorder)'s hierarchical profile
+//! Serializes a [`Recorder`]'s hierarchical profile
 //! tree and its sim-clock event stream to the catapult trace-event JSON
 //! format, so a study run opens directly in [Perfetto]
 //! (`ui.perfetto.dev`) or `chrome://tracing`.

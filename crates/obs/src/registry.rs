@@ -21,7 +21,7 @@
 //! verdict store's state) legitimately vary run to run and stay out of
 //! every determinism check.
 
-use crate::export::{lint_metric_name, MetricKind};
+use crate::export::MetricKind;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -525,13 +525,8 @@ pub fn family(name: &str) -> Option<&'static FamilyInfo> {
     family_map().get(name)
 }
 
-/// All registered family names, sorted.
-pub fn family_names() -> Vec<&'static str> {
-    family_map().keys().copied().collect()
-}
-
 /// Lint the whole registry. Returns every violation (empty = clean);
-/// the unit test below turns any violation into a build failure.
+/// `registry_is_lint_clean` turns any violation into a test failure.
 ///
 /// Rules enforced:
 /// 1. every family name is `pv_`-prefixed lowercase snake_case;
@@ -542,7 +537,8 @@ pub fn family_names() -> Vec<&'static str> {
 /// 5. label cardinality stays sane: at most one label key per family
 ///    and at most 16 statically registered values for it;
 /// 6. every entry has help text.
-pub fn lint() -> Vec<String> {
+#[cfg(test)]
+fn lint() -> Vec<String> {
     let mut problems = Vec::new();
     let statics: Vec<&MetricDef> = COUNTERS.iter().chain(HISTS).collect();
 
@@ -624,8 +620,8 @@ pub fn lint() -> Vec<String> {
         }
     }
 
-    for name in family_names() {
-        if let Err(e) = lint_metric_name(name) {
+    for &name in family_map().keys() {
+        if let Err(e) = crate::export::lint_metric_name(name) {
             problems.push(e);
         }
     }

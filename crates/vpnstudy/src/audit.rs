@@ -9,7 +9,7 @@ use geokit::{GeoGrid, GeoPoint, Region};
 use geoloc::algorithms::CbgPlusPlus;
 use geoloc::assess::{assess_claim, Assessment, ClaimVerdict, ContinentVerdict};
 use geoloc::defense::{run_defense, DefenseReport, TunnelPings};
-use geoloc::disambiguate::{by_data_centers, by_touched_sets, Disambiguation};
+use geoloc::disambiguate::{by_data_centers, by_touched_sets};
 use geoloc::iclab::{IclabChecker, IclabVerdict};
 use geoloc::multilateration::{DiskCache, DiskCacheStats};
 use geoloc::observation::Observation;
@@ -557,20 +557,9 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
     let verdict = assess_claim(atlas, &prediction.region, proxy.claimed);
 
     // Data-center disambiguation (Fig. 15).
-    let dc_country = match by_data_centers(registry, &prediction.region) {
-        Disambiguation::Resolved(c) => Some(c),
-        Disambiguation::Unresolved => None,
-    };
+    let by_dc = by_data_centers(registry, &prediction.region);
     let mut refined = verdict.clone();
-    if refined.assessment == Assessment::Uncertain {
-        if let Some(c) = dc_country {
-            refined.assessment = if c == proxy.claimed {
-                Assessment::Credible
-            } else {
-                Assessment::False
-            };
-        }
-    }
+    refined.assessment = by_dc.refine(verdict.assessment, proxy.claimed);
 
     // Byzantine defense (opt-in): look for evidence of actively shaped
     // measurements, re-locate on the trimmed observation set, and
@@ -663,15 +652,8 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
                 .collect();
             let robust = CbgPlusPlus.locate_traced(&kept, mask, Some(cache), &rec);
             refined = assess_claim(atlas, &robust.region, proxy.claimed);
-            if refined.assessment == Assessment::Uncertain {
-                if let Disambiguation::Resolved(c) = by_data_centers(registry, &robust.region) {
-                    refined.assessment = if c == proxy.claimed {
-                        Assessment::Credible
-                    } else {
-                        Assessment::False
-                    };
-                }
-            }
+            refined.assessment =
+                by_data_centers(registry, &robust.region).refine(refined.assessment, proxy.claimed);
         }
         // Evidence of tampering withholds any verdict short of False:
         // a proven-false claim stays false (the lie is established), but
@@ -703,7 +685,7 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
             iclab,
             verdict,
             refined,
-            dc_country,
+            dc_country: by_dc.country(),
             diagnostics,
             defense,
             proxy,
@@ -753,14 +735,6 @@ pub struct ReliabilitySummary {
     pub totals: MeasurementDiagnostics,
 }
 
-impl ReliabilitySummary {
-    /// The ledger partition `(measured, insufficient, unmeasurable)` —
-    /// sums to the number of proxies deployed.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (self.measured, self.insufficient, self.unmeasurable)
-    }
-}
-
 /// Resolve groups (same provider + AS + /24) whose members' regions share
 /// exactly one country; upgrade members' uncertain verdicts accordingly.
 fn apply_group_disambiguation(records: &mut [ProxyRecord]) {
@@ -778,16 +752,11 @@ fn apply_group_disambiguation(records: &mut [ProxyRecord]) {
             .map(|&i| records[i].verdict.touched.iter().map(|&(c, _)| c).collect())
             .collect();
         let refs: Vec<&[CountryId]> = touched_sets.iter().map(Vec::as_slice).collect();
-        if let Disambiguation::Resolved(country) = by_touched_sets(&refs) {
-            for &i in members {
-                if records[i].refined.assessment == Assessment::Uncertain {
-                    records[i].refined.assessment = if country == records[i].proxy.claimed {
-                        Assessment::Credible
-                    } else {
-                        Assessment::False
-                    };
-                }
-            }
+        let group = by_touched_sets(&refs);
+        for &i in members {
+            let record = &mut records[i];
+            record.refined.assessment =
+                group.refine(record.refined.assessment, record.proxy.claimed);
         }
     }
 }
@@ -1049,8 +1018,10 @@ mod tests {
             res.obs.counter("tp.quorum_degraded") as usize,
             s.quorum_degraded
         );
-        let (m, i, u) = s.counts();
-        assert_eq!(m + i + u, study.providers.proxies.len());
+        assert_eq!(
+            s.measured + s.insufficient + s.unmeasurable,
+            study.providers.proxies.len()
+        );
         assert!(res.obs.counter("net.probe.sent") > 0);
         assert!(
             res.obs.counter("net.probe.sent")
@@ -1178,7 +1149,7 @@ mod tests {
             assert!(stat.self_ns <= stat.cum_ns, "self > cum at {path}");
         }
         // The rendered tree indents children under their parents.
-        let tree = res.obs.render_profile();
+        let tree = obs::render_profile_from(&res.obs.profile());
         assert!(tree.contains("audit.proxy"));
         assert!(
             tree.contains("  audit.locate"),
@@ -1384,7 +1355,7 @@ mod tests {
     fn empty_study_has_all_zero_ledgers() {
         let res = empty_results();
         let s = res.reliability_summary();
-        assert_eq!(s.counts(), (0, 0, 0));
+        assert_eq!((s.measured, s.insufficient, s.unmeasurable), (0, 0, 0));
         assert_eq!(s.quorum_degraded, 0);
         assert_eq!(res.counts(false), (0, 0, 0));
         assert_eq!(res.counts(true), (0, 0, 0));
@@ -1422,7 +1393,7 @@ mod tests {
         ];
         res.unmeasured = res.failures.len();
         let s = res.reliability_summary();
-        assert_eq!(s.counts(), (0, 1, 2));
+        assert_eq!((s.measured, s.insufficient, s.unmeasurable), (0, 1, 2));
         // Nothing was measured, so every verdict table is empty …
         assert_eq!(res.counts(true), (0, 0, 0));
         assert_eq!(res.fig17_categories(), [0; 6]);

@@ -37,6 +37,7 @@ use crate::config::StudyConfig;
 use crate::report::VerdictTally;
 use geokit::GeoPoint;
 use geoloc::assess::Assessment;
+use geoloc::disambiguate::Disambiguation;
 use geoloc::proxy::DEFAULT_ETA;
 use netsim::{AdversaryPlan, NodeId};
 use std::fmt::Write as _;
@@ -291,16 +292,9 @@ pub fn shaping_plan(
 /// assessment upgraded by data-center disambiguation exactly as the
 /// pre-defense pipeline would have done.
 fn baseline_assessment(r: &crate::audit::ProxyRecord) -> Assessment {
-    if r.verdict.assessment == Assessment::Uncertain {
-        if let Some(c) = r.dc_country {
-            return if c == r.proxy.claimed {
-                Assessment::Credible
-            } else {
-                Assessment::False
-            };
-        }
-    }
-    r.verdict.assessment
+    r.dc_country
+        .map_or(Disambiguation::Unresolved, Disambiguation::Resolved)
+        .refine(r.verdict.assessment, r.proxy.claimed)
 }
 
 /// Score one finished study against the attacked-proxy list. The

@@ -8,7 +8,8 @@
 //! consequence is the whole measurement design: TCP connections to a
 //! common port are the only reliable probe.
 //!
-//! This module repeats that survey against the deployed fleet.
+//! This module repeats that survey against the deployed fleet; `figures
+//! fig13` prints its three rates beside the η fit.
 
 use crate::providers::DeployedProxy;
 use netsim::{Network, NodeId};

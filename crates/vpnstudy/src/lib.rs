@@ -22,12 +22,10 @@ pub mod confusion;
 pub mod crowd;
 pub mod feasibility;
 pub mod ipdb;
-pub mod longitudinal;
 pub mod ops;
 pub mod providers;
 pub mod report;
 pub mod store;
-pub mod testbench;
 
 pub use audit::{
     MeasureFailure, ProxyRecord, ReliabilitySummary, Study, StudyResults, UnmeasuredProxy,

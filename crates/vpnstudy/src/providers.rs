@@ -282,22 +282,6 @@ impl ProviderSet {
             .count();
         honest as f64 / self.proxies.len() as f64
     }
-
-    /// Group proxies by their co-location key (provider + AS + /24).
-    pub fn colocation_groups(&self) -> Vec<Vec<usize>> {
-        let mut sorted: Vec<usize> = (0..self.proxies.len()).collect();
-        sorted.sort_by_key(|&i| self.proxies[i].group_key);
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for idx in sorted {
-            match groups.last_mut() {
-                Some(g) if self.proxies[g[0]].group_key == self.proxies[idx].group_key => {
-                    g.push(idx)
-                }
-                _ => groups.push(vec![idx]),
-            }
-        }
-        groups
-    }
 }
 
 /// Give every co-location group a distinct AS and /24; hosts within a
@@ -328,8 +312,18 @@ mod tests {
     use super::*;
     use geokit::GeoGrid;
     use netsim::WorldNetConfig;
+    use std::collections::BTreeMap;
     use std::sync::{Arc, OnceLock};
     use worldmap::{Continent, WorldAtlas};
+
+    /// Proxy indices grouped by co-location key (provider + AS + /24).
+    fn colocation_groups(set: &ProviderSet) -> Vec<Vec<usize>> {
+        let mut groups: BTreeMap<_, Vec<usize>> = BTreeMap::new();
+        for (i, p) in set.proxies.iter().enumerate() {
+            groups.entry(p.group_key).or_default().push(i);
+        }
+        groups.into_values().collect()
+    }
 
     struct Fixture {
         world: WorldNet,
@@ -411,7 +405,7 @@ mod tests {
     fn groups_share_as_and_slash24() {
         let f = fixture();
         let topo = f.world.network().topology();
-        for group in f.set.colocation_groups() {
+        for group in colocation_groups(&f.set) {
             let first = &f.set.proxies[group[0]];
             let as0 = topo.node(first.node).as_number;
             let net0 = topo.node(first.node).ip >> 8;
@@ -428,7 +422,7 @@ mod tests {
     fn distinct_groups_have_distinct_slash24() {
         let f = fixture();
         let topo = f.world.network().topology();
-        let groups = f.set.colocation_groups();
+        let groups = colocation_groups(&f.set);
         let mut nets: Vec<u32> = groups
             .iter()
             .map(|g| topo.node(f.set.proxies[g[0]].node).ip >> 8)

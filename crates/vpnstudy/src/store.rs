@@ -1,4 +1,4 @@
-//! # The verdict store — append-only, mergeable, queryable (ROADMAP §2)
+//! # The verdict store — append-only and queryable
 //!
 //! A [`Study`](crate::Study) run is expensive (hundreds of simulated
 //! proxies, tens of landmarks each); its *verdicts* are tiny. This
@@ -19,9 +19,8 @@
 //! ```
 //!
 //! The file is **append-only**: an epoch header followed by its rows is
-//! atomic-enough for a single writer, merges concatenate epochs with
-//! renumbered ids, and a truncated final line (crash mid-append) is
-//! detected and reported at open. Assessment names on the wire are the
+//! atomic-enough for a single writer, and a truncated final line
+//! (crash mid-append) is detected and reported at open. Assessment names on the wire are the
 //! stable strings from [`Assessment::as_str`] / [`ContinentVerdict::as_str`].
 //!
 //! ## Freshness and revalidation
@@ -41,12 +40,12 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::{self, Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use worldmap::CountryId;
 
 use obs::json::{json_str, Json};
 
-/// Index of an epoch within one store file (renumbered on merge).
+/// Index of an epoch within one store file.
 pub type EpochId = u64;
 
 /// Per-epoch header: when the study ran and what it produced.
@@ -202,11 +201,6 @@ impl VerdictStore {
         Ok(store)
     }
 
-    /// The file backing this store.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Epoch headers, oldest first.
     pub fn epochs(&self) -> &[EpochMeta] {
         &self.epochs
@@ -263,36 +257,6 @@ impl VerdictStore {
             });
         }
         self.append_rows(&meta, &rows, &fails)
-    }
-
-    /// Fold every epoch of `other` into this store (appended in order,
-    /// renumbered to follow this store's epochs). Returns how many
-    /// epochs were merged. This is what makes sharded *deployments* —
-    /// not just sharded runs — composable: each site keeps a private
-    /// store and a coordinator merges them.
-    pub fn merge_from(&mut self, other: &VerdictStore) -> io::Result<usize> {
-        let merged = other.epochs.len();
-        for src in &other.epochs {
-            let epoch = self.epochs.len() as EpochId;
-            let meta = EpochMeta {
-                epoch,
-                ..src.clone()
-            };
-            let rows: Vec<StoredVerdict> = other
-                .verdicts
-                .iter()
-                .filter(|v| v.epoch == src.epoch)
-                .map(|v| StoredVerdict { epoch, ..v.clone() })
-                .collect();
-            let fails: Vec<StoredFailure> = other
-                .failures
-                .iter()
-                .filter(|f| f.epoch == src.epoch)
-                .map(|f| StoredFailure { epoch, ..f.clone() })
-                .collect();
-            self.append_rows(&meta, &rows, &fails)?;
-        }
-        Ok(merged)
     }
 
     /// Latest verdict for `node`, judged against the caller's clock and
@@ -790,31 +754,6 @@ mod tests {
         assert!((rates[0].1.false_rate() - 1.0).abs() < 1e-12);
         assert_eq!(rates[1].0, 2);
         assert!((rates[1].1.false_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_renumbers_epochs_and_preserves_rows() {
-        let (_a, a_path) = scratch("merge-a");
-        let (_b, b_path) = scratch("merge-b");
-        let mut a = VerdictStore::open(&a_path).unwrap();
-        let mut b = VerdictStore::open(&b_path).unwrap();
-        a.append_rows(
-            &meta(0, 0, 1),
-            &[verdict(0, 1, 0, Assessment::Credible)],
-            &[],
-        )
-        .unwrap();
-        b.append_rows(&meta(0, 99, 1), &[verdict(0, 2, 1, Assessment::False)], &[])
-            .unwrap();
-        assert_eq!(a.merge_from(&b).unwrap(), 1);
-        assert_eq!(a.epochs().len(), 2);
-        assert_eq!(a.epochs()[1].recorded_at_ms, 99);
-        assert_eq!(a.verdicts()[1].epoch, 1);
-        assert_eq!(a.verdicts()[1].node, 2);
-        // The merge is durable: a reopen sees the same state.
-        let reopened = VerdictStore::open(&a_path).unwrap();
-        assert_eq!(reopened.verdicts(), a.verdicts());
-        assert_eq!(reopened.epochs(), a.epochs());
     }
 
     #[test]

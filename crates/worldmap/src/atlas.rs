@@ -9,7 +9,6 @@
 //! are answered from it, so the study is self-consistent at grid
 //! resolution.
 
-use crate::continent::Continent;
 use crate::country::{Country, CountryId};
 use crate::data::all_countries;
 use crate::{MAX_PLAUSIBLE_LAT, MIN_PLAUSIBLE_LAT};
@@ -159,26 +158,6 @@ impl WorldAtlas {
         &self.plausible
     }
 
-    /// Rasterize one country as a region (built on demand from the painted
-    /// map — O(country bounding cells)).
-    pub fn country_region(&self, id: CountryId) -> Region {
-        let mut r = Region::empty(Arc::clone(&self.grid));
-        for shape in self.countries[id].shapes() {
-            paint_shape(&self.grid, shape, |cell| {
-                if self.cell_country[cell as usize] == id as u16 {
-                    r.insert(cell);
-                }
-            });
-        }
-        // Sub-cell territories own only their force-painted capital cell,
-        // which shape rasterization may not visit.
-        let capital_cell = self.grid.cell_of(&self.countries[id].capital());
-        if self.cell_country[capital_cell as usize] == id as u16 {
-            r.insert(capital_cell);
-        }
-        r
-    }
-
     /// The set of countries a region touches, with the touched area in km²
     /// per country, sorted by descending area. Cells outside any country
     /// are ignored.
@@ -196,19 +175,6 @@ impl WorldAtlas {
             .collect();
         out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("areas are finite"));
         out
-    }
-
-    /// The set of continents a region touches (via touched countries).
-    pub fn continents_touched(&self, region: &Region) -> Vec<Continent> {
-        let mut seen = [false; 8];
-        for (c, _) in self.countries_touched(region) {
-            seen[self.countries[c].continent().index()] = true;
-        }
-        Continent::ALL
-            .iter()
-            .copied()
-            .filter(|c| seen[c.index()])
-            .collect()
     }
 
     /// Minimum distance from a point to a country's outline (0 inside).
@@ -361,20 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn country_region_round_trip() {
-        let a = atlas();
-        let de = a.country_by_iso2("de").unwrap();
-        let region = a.country_region(de);
-        assert!(!region.is_empty());
-        // Every cell of the region maps back to Germany.
-        for cell in region.cells() {
-            assert_eq!(a.country_of_cell(cell), Some(de));
-        }
-        // Frankfurt is in it.
-        assert!(region.contains_point(&GeoPoint::new(50.11, 8.68)));
-    }
-
-    #[test]
     fn countries_touched_by_benelux_disk() {
         let a = atlas();
         let cap = geokit::SphericalCap::new(GeoPoint::new(50.8, 4.4), 250.0);
@@ -387,16 +339,6 @@ mod tests {
         for iso in ["be", "nl", "de", "fr"] {
             assert!(touched.contains(&iso), "{iso} missing from {touched:?}");
         }
-    }
-
-    #[test]
-    fn continents_touched() {
-        let a = atlas();
-        let cap = geokit::SphericalCap::new(GeoPoint::new(36.0, -5.5), 600.0);
-        let region = Region::from_cap(a.grid(), &cap).intersection(a.land());
-        let conts = a.continents_touched(&region);
-        assert!(conts.contains(&Continent::Europe)); // Spain
-        assert!(conts.contains(&Continent::Africa)); // Morocco
     }
 
     #[test]

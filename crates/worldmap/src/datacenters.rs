@@ -81,11 +81,6 @@ impl DataCenterRegistry {
         DataCenterRegistry { centers }
     }
 
-    /// All data centers.
-    pub fn centers(&self) -> &[DataCenter] {
-        &self.centers
-    }
-
     /// Data centers whose location falls inside a region.
     pub fn in_region<'a>(&'a self, region: &'a Region) -> impl Iterator<Item = &'a DataCenter> {
         self.centers
@@ -126,7 +121,7 @@ mod tests {
         for iso in ["us", "de", "nl", "gb", "sg", "jp"] {
             let id = atlas.country_by_iso2(iso).unwrap();
             assert!(
-                reg.centers().iter().any(|dc| dc.country == id),
+                reg.centers.iter().any(|dc| dc.country == id),
                 "{iso} should have data centers"
             );
         }
@@ -138,7 +133,7 @@ mod tests {
         for iso in ["kp", "pn", "va", "eh"] {
             let id = atlas.country_by_iso2(iso).unwrap();
             assert!(
-                !reg.centers().iter().any(|dc| dc.country == id),
+                !reg.centers.iter().any(|dc| dc.country == id),
                 "{iso} should have no data centers"
             );
         }
@@ -176,7 +171,7 @@ mod tests {
     fn dc_locations_are_in_their_country() {
         let (atlas, reg) = setup();
         let bad: Vec<String> = reg
-            .centers()
+            .centers
             .iter()
             .filter(|dc| atlas.country_of_point(&dc.location) != Some(dc.country))
             .map(|dc| {

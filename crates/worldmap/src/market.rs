@@ -80,14 +80,6 @@ impl MarketSurvey {
     pub fn popularity_order(&self) -> &[CountryId] {
         &self.popularity
     }
-
-    /// How many of the surveyed providers claim the given country.
-    pub fn claim_frequency(&self, country: CountryId) -> usize {
-        self.providers
-            .iter()
-            .filter(|p| p.claimed.binary_search(&country).is_ok())
-            .count()
-    }
 }
 
 /// Countries ordered by how commonly VPN providers claim them: hosting
@@ -218,13 +210,19 @@ mod tests {
     #[test]
     fn modest_providers_claim_common_countries() {
         let (atlas, survey) = setup();
-        let us = atlas.country_by_iso2("us").unwrap();
+        let claimants = |iso: &str| {
+            let country = atlas.country_by_iso2(iso).unwrap();
+            survey
+                .providers()
+                .iter()
+                .filter(|p| p.claimed.binary_search(&country).is_ok())
+                .count()
+        };
         // Almost every provider claims the US.
-        let freq = survey.claim_frequency(us);
+        let freq = claimants("us");
         assert!(freq > SURVEY_SIZE * 8 / 10, "US claimed by only {freq}");
         // North Korea is claimed only by the very broadest.
-        let kp = atlas.country_by_iso2("kp").unwrap();
-        assert!(survey.claim_frequency(kp) <= 5);
+        assert!(claimants("kp") <= 5);
     }
 
     #[test]

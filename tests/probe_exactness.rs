@@ -765,13 +765,6 @@ impl Reference {
         hops
     }
 
-    fn first_hop_rtt(&mut self, client: NodeId, target: NodeId) -> Option<SimDuration> {
-        match self.run_probe(client, target, PacketKind::TcpSyn { port: 80 }, Some(1))? {
-            (rtt, PacketKind::TimeExceeded { .. }) => Some(rtt),
-            _ => None,
-        }
-    }
-
     fn trace_tcp_connect(
         &mut self,
         client: NodeId,
@@ -861,7 +854,6 @@ enum Op {
     Tunnel(NodeId, NodeId, NodeId, u16),
     SelfPing(NodeId, NodeId),
     Traceroute(NodeId, NodeId, u32),
-    FirstHop(NodeId, NodeId),
     Trace(NodeId, NodeId, u16),
     Corrupt(u64),
     Advance(u64),
@@ -890,7 +882,6 @@ macro_rules! apply {
             }
             Op::SelfPing(c, p) => Reading::Rtt(nanos(net.self_ping_via_proxy_rtt(c, p))),
             Op::Traceroute(a, b, max_ttl) => Reading::Hops(net.traceroute(a, b, max_ttl)),
-            Op::FirstHop(a, b) => Reading::Rtt(nanos(net.first_hop_rtt(a, b))),
             Op::Trace(a, b, port) => {
                 let (trace, rtt) = net.trace_tcp_connect(a, b, port);
                 Reading::Trace(trace, nanos(rtt))
@@ -1095,7 +1086,7 @@ fn random_ops(seed: u64, n: usize, hosts: &[NodeId], nodes: u32) -> Vec<Op> {
                 3..=5 => Op::Tunnel(a, b, c, port(&mut rng)),
                 6 => Op::SelfPing(a, b),
                 7 => Op::Traceroute(a, b, rng.random_range(1..8u32)),
-                8 => Op::FirstHop(a, b),
+                8 => Op::Traceroute(a, b, 1),
                 9 => Op::Trace(a, b, port(&mut rng)),
                 10 => Op::Corrupt(rng.random_range(1..100_000u64)),
                 _ => Op::Advance(rng.random_range(0..3_000_000u64)),

@@ -109,15 +109,17 @@ proptest! {
         let ca = Region::from_cap(&grid, &SphericalCap::new(a, ra));
         let cb = Region::from_cap(&grid, &SphericalCap::new(b, rb));
         let inter = ca.intersection(&cb);
-        let union = ca.union(&cb);
-        // |A∩B| + |A∪B| = |A| + |B|
+        let mut only_a = ca.clone();
+        only_a.subtract(&cb);
+        // |A∖B| + |A∩B| = |A|
         prop_assert_eq!(
-            inter.cell_count() + union.cell_count(),
-            ca.cell_count() + cb.cell_count()
+            only_a.cell_count() + inter.cell_count(),
+            ca.cell_count()
         );
         prop_assert!(inter.is_subset_of(&ca));
         prop_assert!(inter.is_subset_of(&cb));
-        prop_assert!(ca.is_subset_of(&union));
+        prop_assert!(only_a.is_subset_of(&ca));
+        prop_assert!(!only_a.intersects(&cb));
         // Intersection membership is exactly conjunction.
         for cell in inter.cells().take(64) {
             prop_assert!(ca.contains_cell(cell) && cb.contains_cell(cell));

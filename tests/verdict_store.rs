@@ -134,33 +134,3 @@ fn study_round_trips_through_disk_and_answers_all_queries() {
         .count();
     assert_eq!(urgent, expected.false_claims + expected.suspicious);
 }
-
-#[test]
-fn merged_stores_answer_like_a_single_writer() {
-    let mut config = StudyConfig::small(0x57012f);
-    config.total_proxies = 12;
-    let mut study = Study::build(config);
-    let results = study.run();
-
-    // Site A and site B each persist the same run; a coordinator merges
-    // B into A and the combined store serves queries over both epochs.
-    let (_a, a_path) = scratch("site-a");
-    let (_b, b_path) = scratch("site-b");
-    let mut a = VerdictStore::open(&a_path).expect("open a");
-    let mut b = VerdictStore::open(&b_path).expect("open b");
-    a.append_epoch(&results, T0_MS).expect("epoch at a");
-    b.append_epoch(&results, T0_MS + DAY_MS)
-        .expect("epoch at b");
-    assert_eq!(a.merge_from(&b).expect("merge"), 1);
-
-    let merged = VerdictStore::open(&a_path).expect("reopen merged");
-    assert_eq!(merged.epochs().len(), 2);
-    assert_eq!(merged.verdicts().len(), 2 * results.records.len());
-    if let Some(r) = results.records.first() {
-        let answer = merged
-            .lookup(r.proxy.node, T0_MS + DAY_MS, DAY_MS)
-            .expect("lookup after merge");
-        assert_eq!(answer.verdict.epoch, 1, "merged epoch must win as latest");
-        assert_eq!(answer.recorded_at_ms, T0_MS + DAY_MS);
-    }
-}
