@@ -23,8 +23,8 @@
 //!   delay–distance model.
 //! * [`stats`] — ECDFs, percentiles, and summary statistics used to render
 //!   the paper's CDF figures.
-//! * [`sampling`] — deterministic samplers (normal, lognormal, exponential,
-//!   Pareto) built on a seeded [`simrng::Rng`], used by the network simulator;
+//! * [`sampling`] — deterministic samplers (normal, lognormal, Pareto)
+//!   built on a seeded [`simrng::Rng`], used by the network simulator;
 //!   the `rand` crate's distribution companions are not in our dependency
 //!   budget, so these are implemented from first principles.
 //!

@@ -1,9 +1,9 @@
 //! Deterministic random samplers built directly on [`simrng::Rng`].
 //!
-//! The network simulator needs normal, lognormal, exponential, and Pareto
-//! draws for queueing and congestion delays. The `rand_distr` companion
-//! crate is outside our dependency budget, so these are implemented from
-//! first principles (Box–Muller and inverse-CDF transforms). All functions
+//! The network simulator needs normal, lognormal, and Pareto draws for
+//! queueing and congestion delays. The `rand_distr` companion crate is
+//! outside our dependency budget, so these are implemented from first
+//! principles (Box–Muller and inverse-CDF transforms). All functions
 //! take the RNG explicitly: the entire project is seeded and reproducible.
 
 use simrng::{Rng, RngExt};
@@ -45,15 +45,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 /// queueing delays.
 pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu_log: f64, sigma_log: f64) -> f64 {
     normal(rng, mu_log, sigma_log).exp()
-}
-
-/// An exponential draw with the given rate (mean `1/rate`).
-///
-/// # Panics
-/// Panics if `rate` is not strictly positive.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    assert!(rate > 0.0, "exponential rate must be positive, got {rate}");
-    -open_unit(rng).ln() / rate
 }
 
 /// A Pareto draw with minimum `scale` and tail index `shape`.
@@ -143,14 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut r = rng();
-        let sample: Vec<f64> = (0..20_000).map(|_| exponential(&mut r, 0.5)).collect();
-        assert!((mean(&sample) - 2.0).abs() < 0.1, "mean {}", mean(&sample));
-        assert!(sample.iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
     fn pareto_minimum_and_tail() {
         let mut r = rng();
         let sample: Vec<f64> = (0..20_000).map(|_| pareto(&mut r, 2.0, 3.0)).collect();
@@ -195,11 +178,5 @@ mod tests {
     #[should_panic(expected = "sum to zero")]
     fn weighted_index_zero_total_panics() {
         weighted_index(&mut rng(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn exponential_bad_rate_panics() {
-        exponential(&mut rng(), 0.0);
     }
 }

@@ -46,30 +46,6 @@ impl SphericalCap {
         let angular = self.radius_km / EARTH_RADIUS_KM;
         2.0 * std::f64::consts::PI * EARTH_RADIUS_KM * EARTH_RADIUS_KM * (1.0 - angular.cos())
     }
-
-    /// A latitude/longitude bounding box that fully contains the cap.
-    /// Conservative near the poles (falls back to the full longitude span
-    /// when the cap touches a pole).
-    pub fn bounding_box(&self) -> GeoBox {
-        let dlat = (self.radius_km / EARTH_RADIUS_KM).to_degrees();
-        let south = self.center.lat() - dlat;
-        let north = self.center.lat() + dlat;
-        if south <= -89.9 || north >= 89.9 {
-            return GeoBox::new(south.max(-90.0), north.min(90.0), -180.0, 179.999);
-        }
-        // Longitude half-width of a cap at this latitude: the tangent
-        // meridian formula Δλ = asin(sin(r/R) / cos(lat)).
-        let angular = (self.radius_km / EARTH_RADIUS_KM).min(std::f64::consts::PI);
-        let max_abs_lat = south.abs().max(north.abs()).to_radians();
-        let s = (angular.sin() / max_abs_lat.cos()).min(1.0);
-        let dlon = s.asin().to_degrees();
-        GeoBox::new(
-            south,
-            north,
-            self.center.lon() - dlon,
-            self.center.lon() + dlon,
-        )
-    }
 }
 
 /// A latitude/longitude box. `west → east` travels eastward and may cross
@@ -276,24 +252,6 @@ mod tests {
         let c = SphericalCap::new(GeoPoint::new(0.0, 0.0), quarter);
         let hemisphere = 2.0 * std::f64::consts::PI * EARTH_RADIUS_KM * EARTH_RADIUS_KM;
         assert!((c.area_km2() - hemisphere).abs() / hemisphere < 1e-3);
-    }
-
-    #[test]
-    fn cap_bounding_box_contains_cap_boundary() {
-        let c = SphericalCap::new(GeoPoint::new(48.0, -123.0), 750.0);
-        let bb = c.bounding_box();
-        for bearing in 0..36 {
-            let p = c.center.destination(f64::from(bearing) * 10.0, 749.9);
-            assert!(bb.contains(&p), "bearing {bearing}: {p} outside bbox");
-        }
-    }
-
-    #[test]
-    fn cap_bounding_box_near_pole_spans_all_longitudes() {
-        let c = SphericalCap::new(GeoPoint::new(88.0, 0.0), 500.0);
-        let bb = c.bounding_box();
-        assert!(bb.contains(&GeoPoint::new(89.5, 179.0)));
-        assert!(bb.contains(&GeoPoint::new(89.5, -91.0)));
     }
 
     #[test]

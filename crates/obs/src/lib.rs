@@ -43,17 +43,23 @@
 //! streams nondeterministically, so a worker takes a detached child via
 //! [`Recorder::fork`], records into it worker-locally, and the
 //! coordinator folds the children back with [`Recorder::absorb`] **in a
-//! scheduling-independent order** (the audit merges per-proxy recorders
-//! in proxy order). Counters and histograms are commutative merges;
-//! events are concatenated in absorb order — which is why absorb order
-//! must be deterministic.
+//! scheduling-independent order** (the audit folds each proxy's recorder
+//! in proxy order, as soon as every earlier proxy's has been folded).
+//! Counters and histograms are commutative merges; events are
+//! concatenated in absorb order — which is why absorb order must be
+//! deterministic. A fork inherits its parent's sim clock and an absorb
+//! moves the parent's clock forward, so work that forks while earlier
+//! children are being folded forks from one base recorder that never
+//! absorbs (the audit's is a copy of the run recorder taken after η
+//! estimation).
 //!
 //! ## Recording without heap work
 //!
 //! The audit records at [`Level::Events`] by default, so recording is
 //! built to stay on. Each recorder keeps its events in one compact log:
 //! per event a sim time and an interned schema id (the target, the name
-//! and each field's key and value kind), then one `u64` word per field.
+//! and each field's key and value kind), then one word per field, every
+//! word stored as a LEB128 varint of one to ten bytes.
 //! A span path is an interned id for `(parent id, name)`, and a recorder
 //! keeps its [`ProfileStat`]s in a vector indexed by that id. Once a
 //! thread has seen a name, recording it again only writes into buffers

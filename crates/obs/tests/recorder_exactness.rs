@@ -4,7 +4,8 @@
 //! `reference` below is the recorder's event and span code as it was
 //! when every event owned a `Vec` of fields and every span path was a
 //! `String` key. A property drives it and `obs::Recorder` with the same
-//! random input: every value kind at its edges, events with no fields
+//! random input: every value kind at its edges, integers and times at
+//! every varint length from 1 to 10 bytes, events with no fields
 //! and with more than eight, one `(target, name)` pair under several key
 //! sets and kinds, clock moves, fork/absorb trees absorbed in order, and
 //! spans nested across two recorders, under `profile_span_root` and
@@ -310,11 +311,39 @@ fn pick<T: Copy>(rng: &mut StdRng, pool: &[T]) -> T {
     pool[rng.random_range(0..pool.len())]
 }
 
+/// The words where the log's LEB128 varints change length, 2^7k - 1
+/// and 2^7k for k = 1 to 9 (2^63 the last), and 0, 1 and `u64::MAX`:
+/// each of the 1 to 10 encoded lengths is drawn at both its ends.
+fn varint_edges() -> &'static [u64] {
+    static EDGES: OnceLock<Vec<u64>> = OnceLock::new();
+    EDGES.get_or_init(|| {
+        let mut edges = vec![0, 1, u64::MAX];
+        for k in 1..10 {
+            edges.extend([(1u64 << (7 * k)) - 1, 1u64 << (7 * k)]);
+        }
+        edges
+    })
+}
+
+/// A word of any encoded length: an edge, or a random word cut to a
+/// random bit width.
+fn random_word(rng: &mut StdRng) -> u64 {
+    if rng.random_bool(0.5) {
+        pick(rng, varint_edges())
+    } else {
+        rng.random::<u64>() >> rng.random_range(0..64u32)
+    }
+}
+
 fn random_value(rng: &mut StdRng) -> Value {
     let any: u64 = rng.random();
+    let word = random_word(rng);
     match rng.random_range(0..5u32) {
-        0 => Value::U64(pick(rng, &[0, 1, u64::MAX, any])),
-        1 => Value::I64(pick(rng, &[i64::MIN, -1, 0, i64::MAX, any as i64])),
+        0 => Value::U64(pick(rng, &[0, 1, u64::MAX, any, word])),
+        1 => Value::I64(pick(
+            rng,
+            &[i64::MIN, -1, 0, i64::MAX, any as i64, word as i64],
+        )),
         2 => Value::F64(pick(
             rng,
             &[
@@ -363,14 +392,14 @@ fn drive(pair: &Pair, side: &Pair, rng: &mut StdRng, depth: u32) -> Result<(), S
                     pair.old.event(target, name, fields);
                 } else {
                     let now = pair.old.now_ns();
-                    let any = rng.random_range(0..1u64 << 40);
-                    let t_ns = pick(rng, &[0, now, now + 1_000, any]);
+                    let any = random_word(rng);
+                    let t_ns = pick(rng, &[0, now, now.saturating_add(1_000), any]);
                     pair.new.event_at(t_ns, target, name, fields.as_slice());
                     pair.old.event_at(t_ns, target, name, fields);
                 }
             }
             4 => {
-                let t_ns = rng.random_range(0..1u64 << 40);
+                let t_ns = random_word(rng);
                 pair.new.set_now_ns(t_ns);
                 pair.old.set_now_ns(t_ns);
             }

@@ -33,11 +33,9 @@
 //! Modules:
 //!
 //! * [`rngs`] — the [`rngs::StdRng`] generator (xoshiro256++).
-//! * [`dist`] — normal / exponential samplers for the delay model.
 //! * [`prop`] — the in-repo property-test harness (seeded generation +
 //!   shrink-by-bisection), replacing the external `proptest` crate.
 
-pub mod dist;
 pub mod prop;
 pub mod rngs;
 

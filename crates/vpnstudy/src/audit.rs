@@ -212,9 +212,10 @@ impl Study {
     /// `(config.seed, proxy.node)` alone; a lineage never probes, so a
     /// fork of it is indistinguishable from a fork of the study
     /// network. All proxies share one landmark server and one fill-once
-    /// [`DiskCache`], whose counters are exact for any split. The
-    /// results are folded into the run recorder, the snapshot stream and
-    /// the record list in fleet order, never in completion order.
+    /// [`DiskCache`], whose counters are exact for any split. Each
+    /// proxy's result is folded into the run recorder, the snapshot
+    /// stream and the record list as soon as every earlier proxy's has
+    /// been: in fleet order, never in completion order.
     pub fn run_sharded(&mut self, shard_count: usize, threads: usize) -> StudyResults {
         let shard_count = shard_count.max(1);
         let threads = threads.max(1);
@@ -258,6 +259,7 @@ impl Study {
         let server = LandmarkServer::new(&self.constellation, &self.calibration, &atlas);
         let mut cache = DiskCache::new(Arc::clone(self.mask.grid()));
         cache.set_recorder(recorder.clone());
+        let fork_base = recorder.fork();
         let ctx = AuditCtx {
             client: self.client,
             eta,
@@ -267,7 +269,7 @@ impl Study {
             mask: &self.mask,
             registry: &self.registry,
             cache: &cache,
-            obs: &recorder,
+            fork_base: &fork_base,
         };
 
         let proxies = &self.providers.proxies;
@@ -285,29 +287,32 @@ impl Study {
                     .map(move |proxy| (lineage, proxy.clone()))
             })
             .collect();
-        let outcomes = parallel::map_indexed(threads, inputs, |_, (lineage, proxy)| {
-            measure_one_proxy(proxy, lineage, &ctx)
-        });
 
-        // Fold the worker-local buffers back in fleet order: the trace
-        // and the snapshot stream are byte-identical for any split.
-        let absorb_span = recorder.profile_span("audit.absorb");
+        // Fold each proxy's worker-local buffer into the run as soon as
+        // every earlier proxy has been folded: the trace and the snapshot
+        // stream are byte-identical for any split, and the run holds only
+        // the traces that finished ahead of an earlier proxy's.
         let mut builder =
-            SnapshotBuilder::new(outcomes.len() as u64, self.config.snapshot_every as u64);
+            SnapshotBuilder::new(inputs.len() as u64, self.config.snapshot_every as u64);
         let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
-        let mut records: Vec<ProxyRecord> = Vec::with_capacity(outcomes.len());
+        let mut records: Vec<ProxyRecord> = Vec::with_capacity(inputs.len());
         let mut failures: Vec<UnmeasuredProxy> = Vec::new();
-        for outcome in outcomes {
-            // Read the proxy's delta off its still-private trace, before
-            // it folds into the run recorder.
-            snapshots.extend(builder.push(&proxy_stat(&outcome)));
-            recorder.absorb(&outcome.trace);
-            match outcome.result {
-                ProxyResult::Record(r) => records.push(*r),
-                ProxyResult::Failure(f) => failures.push(f),
-            }
-        }
-        drop(absorb_span);
+        parallel::for_each_in_order(
+            threads,
+            inputs,
+            |_, (lineage, proxy)| measure_one_proxy(proxy, lineage, &ctx),
+            |_, outcome| {
+                let _absorb_span = recorder.profile_span("audit.absorb");
+                // Read the proxy's delta off its still-private trace,
+                // before it folds into the run recorder.
+                snapshots.extend(builder.push(&proxy_stat(&outcome)));
+                recorder.absorb(&outcome.trace);
+                match outcome.result {
+                    ProxyResult::Record(r) => records.push(*r),
+                    ProxyResult::Failure(f) => failures.push(f),
+                }
+            },
+        );
 
         // Co-location group disambiguation (Fig. 16): within a group, the
         // true country must be common to every member's touched set.
@@ -399,8 +404,7 @@ fn proxy_stat(outcome: &ProxyOutcome) -> ProxyStat {
 
 /// Everything [`measure_one_proxy`] needs beyond the proxy and its
 /// network lineage: the shared read-only world, the study knobs, and
-/// the observability recorder workers fork their per-proxy buffers
-/// from.
+/// the recorder workers fork their per-proxy buffers from.
 struct AuditCtx<'a> {
     client: NodeId,
     eta: f64,
@@ -412,7 +416,11 @@ struct AuditCtx<'a> {
     mask: &'a Region,
     registry: &'a DataCenterRegistry,
     cache: &'a DiskCache,
-    obs: &'a Recorder,
+    /// A fork of the run recorder taken once after η estimation. It
+    /// never absorbs anything, so every proxy's trace starts from the
+    /// post-η clock, while the run recorder's clock moves on as
+    /// proxies fold into it.
+    fork_base: &'a Recorder,
 }
 
 /// What one proxy's measurement produced, plus the worker-local event
@@ -447,7 +455,7 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
     let reliability = &config.reliability;
     // The per-proxy trace is detached from the study recorder (so
     // workers never interleave) and merged back in proxy order.
-    let rec = ctx.obs.fork();
+    let rec = ctx.fork_base.fork();
     // Rooted explicitly so the profile tree has the same shape whether
     // this ran inline on the coordinator (1 thread) or on a worker.
     let span = rec.profile_span_root("audit.proxy");
@@ -1099,13 +1107,16 @@ mod tests {
         let g = results().lock().unwrap();
         let (study, res) = &*g;
         let n = study.providers.proxies.len();
-        // Coordinator roots: η, then the one fold of every proxy's
-        // trace, both inside the run.
+        // Coordinator roots: η once, then one fold per proxy as its
+        // trace arrives, both inside the run.
         assert_eq!(res.obs.profile_stat("audit.run").unwrap().count, 1);
-        for stage in ["audit.run/audit.eta_estimation", "audit.run/audit.absorb"] {
+        for (stage, count) in [
+            ("audit.run/audit.eta_estimation", 1),
+            ("audit.run/audit.absorb", n as u64),
+        ] {
             assert_eq!(
                 res.obs.profile_stat(stage).map(|s| s.count),
-                Some(1),
+                Some(count),
                 "{stage}"
             );
         }

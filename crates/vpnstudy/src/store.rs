@@ -39,8 +39,8 @@ use netsim::NodeId;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::OpenOptions;
-use std::io::{self, Read as _, Write as _};
-use std::path::PathBuf;
+use std::io::{self, BufRead as _, Write as _};
+use std::path::{Path, PathBuf};
 use worldmap::CountryId;
 
 use obs::json::{json_str, Json};
@@ -172,7 +172,11 @@ pub struct VerdictStore {
 impl VerdictStore {
     /// Open a store at `path`, replaying any existing file into the
     /// in-memory index. A missing file is an empty store (the file is
-    /// created on first append).
+    /// created on first append). The file is read one line at a time,
+    /// never held whole; `\n` and `\r\n` endings, a last line without
+    /// one, and blank lines are all accepted. A line that is not UTF-8
+    /// or not a valid record fails the open with
+    /// [`io::ErrorKind::InvalidData`] and a `path:line: reason` message.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<VerdictStore> {
         let path = path.into();
         let mut store = VerdictStore {
@@ -182,21 +186,27 @@ impl VerdictStore {
             failures: Vec::new(),
             latest: HashMap::new(),
         };
-        let mut text = String::new();
-        match std::fs::File::open(&store.path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut text)?;
-            }
+        let mut reader = match std::fs::File::open(&store.path) {
+            Ok(f) => io::BufReader::new(f),
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(store),
             Err(e) => return Err(e),
-        }
-        for (lineno, line) in text.lines().enumerate() {
+        };
+        let mut buf = Vec::new();
+        for lineno in 1.. {
+            buf.clear();
+            if reader.read_until(b'\n', &mut buf)? == 0 {
+                break;
+            }
+            let line = std::str::from_utf8(&buf)
+                .map_err(|_| line_error(&store.path, lineno, "line is not UTF-8"))?;
+            let line = line.strip_suffix('\n').unwrap_or(line);
+            let line = line.strip_suffix('\r').unwrap_or(line);
             if line.trim().is_empty() {
                 continue;
             }
-            store.ingest_line(line).map_err(|msg| {
-                bad_data(format!("{}:{}: {msg}", store.path.display(), lineno + 1))
-            })?;
+            store
+                .ingest_line(line)
+                .map_err(|msg| line_error(&store.path, lineno, &msg))?;
         }
         Ok(store)
     }
@@ -506,8 +516,12 @@ fn get_continent(doc: &Json, key: &str) -> Result<ContinentVerdict, String> {
     ContinentVerdict::parse(s).ok_or_else(|| format!("unknown continent verdict {s:?} in {key:?}"))
 }
 
-fn bad_data(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
+/// An unreadable line (1-based) of the store file at `path`.
+fn line_error(path: &Path, lineno: usize, msg: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{}:{lineno}: {msg}", path.display()),
+    )
 }
 
 #[cfg(test)]
@@ -776,5 +790,100 @@ mod tests {
         )
         .unwrap();
         assert!(VerdictStore::open(&path).is_err());
+    }
+
+    /// Write `bytes` as the store file and reopen it.
+    fn reopen_bytes(path: &Path, bytes: &[u8]) -> io::Result<VerdictStore> {
+        std::fs::write(path, bytes).unwrap();
+        VerdictStore::open(path)
+    }
+
+    /// A two-epoch store's file bytes, and the store they open to.
+    fn two_epochs(path: &Path) -> (Vec<u8>, VerdictStore) {
+        let mut store = VerdictStore::open(path).unwrap();
+        let fails = [StoredFailure {
+            epoch: 0,
+            node: 12,
+            provider: 1,
+            claimed: 3,
+            failure: "Unmeasurable".into(),
+        }];
+        store
+            .append_rows(
+                &meta(0, 1_000, 1),
+                &[verdict(0, 7, 0, Assessment::False)],
+                &fails,
+            )
+            .unwrap();
+        store
+            .append_rows(
+                &meta(1, 2_000, 1),
+                &[verdict(1, 7, 0, Assessment::Credible)],
+                &[],
+            )
+            .unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 5);
+        (bytes, VerdictStore::open(path).unwrap())
+    }
+
+    fn same_store(a: &VerdictStore, b: &VerdictStore) {
+        assert_eq!(a.epochs(), b.epochs());
+        assert_eq!(a.verdicts(), b.verdicts());
+        assert_eq!(a.failures(), b.failures());
+        assert_eq!(a.lookup(7, 2_000, 1).map(|l| l.verdict.epoch), Some(1));
+    }
+
+    #[test]
+    fn crlf_line_endings_open_like_lf() {
+        let (_dir, path) = scratch("crlf");
+        let (bytes, want) = two_epochs(&path);
+        let crlf = String::from_utf8(bytes).unwrap().replace('\n', "\r\n");
+        same_store(&reopen_bytes(&path, crlf.as_bytes()).unwrap(), &want);
+    }
+
+    #[test]
+    fn a_last_line_without_a_newline_still_counts() {
+        let (_dir, path) = scratch("no-eol");
+        let (bytes, want) = two_epochs(&path);
+        let cut = &bytes[..bytes.len() - 1];
+        same_store(&reopen_bytes(&path, cut).unwrap(), &want);
+        let mut crlf_cut = String::from_utf8(cut.to_vec())
+            .unwrap()
+            .replace('\n', "\r\n");
+        crlf_cut.push('\r');
+        same_store(&reopen_bytes(&path, crlf_cut.as_bytes()).unwrap(), &want);
+    }
+
+    #[test]
+    fn blank_lines_are_skipped() {
+        let (_dir, path) = scratch("blank");
+        let (bytes, want) = two_epochs(&path);
+        let text = String::from_utf8(bytes).unwrap();
+        let padded = format!("\n  \r\n{}\n\t\n", text.replace('\n', "\n\n"));
+        same_store(&reopen_bytes(&path, padded.as_bytes()).unwrap(), &want);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_an_error_with_its_position() {
+        let (_dir, path) = scratch("not-utf8");
+        let (bytes, _) = two_epochs(&path);
+        let first_eol = bytes.iter().position(|&b| b == b'\n').unwrap();
+        for bad in [&b"\xff\xfe"[..], b"{\"t\":\"epoch\xc3\"}", b"\xed\xa0\x80"] {
+            // A bad second line, then the rest of the file.
+            let mut file = bytes[..=first_eol].to_vec();
+            file.extend_from_slice(bad);
+            file.push(b'\n');
+            file.extend_from_slice(&bytes[first_eol + 1..]);
+            let err = reopen_bytes(&path, &file).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(":2: line is not UTF-8"), "{err}");
+            // As the unterminated last line too.
+            let mut file = bytes.clone();
+            file.extend_from_slice(bad);
+            let err = reopen_bytes(&path, &file).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(":6: line is not UTF-8"), "{err}");
+        }
     }
 }
