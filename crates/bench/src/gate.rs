@@ -1,6 +1,6 @@
 //! The workspace's microbenchmark suite and CI perf-regression gate:
-//! sixteen smoke benches of set-up's and the audit's layers, re-measured
-//! and compared against a committed baseline artifact.
+//! seventeen smoke benches of set-up's and the audit's layers,
+//! re-measured and compared against a committed baseline artifact.
 //!
 //! The gate's job is to catch *large accidental regressions* (an
 //! algorithmic slip that doubles the cost of disk intersection, a cache
@@ -12,8 +12,9 @@
 //!   whole globe and over a baseline region, the defense's pairwise
 //!   flags, disk-cache lookups, one row of the calibration mesh, one
 //!   tunnelled probe bare and once more with the audit's Events
-//!   recorder, one full single-proxy audit, and CBG++ over sixteen
-//!   proxies' measurements from a cold disk cache);
+//!   recorder, a pass of tunnelled probes whose routes miss the memo,
+//!   one full single-proxy audit, and CBG++ over sixteen proxies'
+//!   measurements from a cold disk cache);
 //! * only **medians** are compared, with a generous relative tolerance —
 //!   ±30 % by default ([`DEFAULT_TOLERANCE`]), looser for the few entries
 //!   [`suite_tolerance`] names;
@@ -317,6 +318,30 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
         b.iter(|| probe(ctx.study.world.network_mut()))
     }));
     ctx.study.world.network_mut().set_recorder(quiet);
+
+    // Route building, which `gate/tunnel_probe` never reaches: the same
+    // probe to every landmark of the small study in turn, on a fresh
+    // fork per pass. Each landmark leg misses the fork's route memo, as
+    // a proxy's first probe of a landmark does, while the router's core
+    // trees stay warm. One iteration is one pass.
+    let landmarks: Vec<netsim::NodeId> = ctx
+        .study
+        .constellation
+        .landmarks()
+        .iter()
+        .map(|lm| lm.node)
+        .collect();
+    out.push(run_sampled("gate/route_miss", samples, |b| {
+        b.iter(|| {
+            let mut net = ctx.study.world.network().fork(0x5e7);
+            landmarks
+                .iter()
+                .filter_map(|&lm| {
+                    net.tcp_connect_via_proxy_rtt(client, proxy.node, black_box(lm), 80)
+                })
+                .count()
+        })
+    }));
 
     let atlas = std::sync::Arc::clone(ctx.study.world.atlas());
     let study_mask = ctx.study.mask.clone();
@@ -631,7 +656,7 @@ mod tests {
     }
 
     /// Every bench of the smoke suite, in order.
-    const GATE_BENCHES: [&str; 16] = [
+    const GATE_BENCHES: [&str; 17] = [
         "gate/cap_raster",
         "gate/disk_intersect",
         "gate/cached_subset",
@@ -644,6 +669,7 @@ mod tests {
         "gate/calibration_row",
         "gate/tunnel_probe",
         "gate/tunnel_probe_events",
+        "gate/route_miss",
         "gate/audit_one_proxy",
         "gate/locate_fleet",
         "gate/verdict_query",

@@ -390,7 +390,11 @@ pub struct PathDelays {
 }
 
 impl PathDelays {
-    /// Build from an explicit node path using the topology's links.
+    /// Build from an explicit node path using the topology's links, each
+    /// found by scanning the sender's adjacency for the first link to the
+    /// next node. The router builds its routes without the scan
+    /// (`Router::route`); this is the reference its hops are checked
+    /// against.
     ///
     /// # Panics
     /// Panics if the path is empty or consecutive path nodes are not

@@ -181,10 +181,11 @@ pub fn render_reliability(results: &StudyResults) -> String {
     out
 }
 
-/// Performance telemetry: the run's shape (worker and shard counts) and
-/// landmark disk-cache effectiveness. The cache counts are exact for
-/// any split, but the shape is a choice of the caller, so the
-/// determinism matrix leaves this block out.
+/// Performance telemetry: the run's shape (worker and shard counts),
+/// landmark disk-cache effectiveness, and the routing work (core trees
+/// and routes built). The cache counts are exact for any split, but the
+/// shape is a choice of the caller and the routing counts are work that
+/// is meant to fall, so the determinism matrix leaves this block out.
 pub fn render_perf_telemetry(results: &StudyResults) -> String {
     let mut out = String::new();
     let c = results.cache_stats();
@@ -197,6 +198,15 @@ pub fn render_perf_telemetry(results: &StudyResults) -> String {
         c.misses,
         c.hit_rate() * 100.0,
         c.entries
+    );
+    let r = results.routing;
+    let _ = writeln!(
+        out,
+        "routing: {} core trees ({} per anchor, {} per climb offset), {} routes built",
+        r.trees(),
+        r.shared_trees,
+        r.offset_trees,
+        r.routes
     );
     out
 }

@@ -1,11 +1,16 @@
 //! `netsim::routing::Router` routes exactly as a Dijkstra over the whole
 //! graph does — hosts never transit, heap ties break by node id, and only
 //! a strict improvement relaxes a node — for every (source, destination)
-//! pair: on random topologies built to meet the router's core/pendant
-//! split from every side, on the `StudyConfig::small` world, and, as an
-//! ignored test that `ci.sh` runs in release, on the paper world.
+//! pair, and each route's hops carry the links `PathDelays::from_node_path`
+//! finds by scanning adjacency: on random topologies built to meet the
+//! router's core/pendant split from every side, with exactly tied delays
+//! (which the per-anchor trees' certificate refuses to share) and with
+//! untied random ones (which it shares), on a hand-built near-tie that
+//! two climb offsets round apart, on the `StudyConfig::small` world, and,
+//! as an ignored test that `ci.sh` runs in release, on the paper world.
 
-use netsim::routing::Router;
+use netsim::delay::PathDelays;
+use netsim::routing::{RouteWork, Router};
 use netsim::topology::{plain_node, NodeKind, Topology};
 use netsim::NodeId;
 use simrng::prop::prelude::*;
@@ -90,28 +95,60 @@ fn reference_path(prev: &[Option<NodeId>], src: NodeId, dst: NodeId) -> Option<V
     Some(path)
 }
 
+/// Whether two routes carry the same hops, bit for bit.
+fn same_hops(a: &PathDelays, b: &PathDelays) -> bool {
+    (a.src, a.dst) == (b.src, b.dst)
+        && a.propagation_ms.to_bits() == b.propagation_ms.to_bits()
+        && a.hops.len() == b.hops.len()
+        && a.hops.iter().zip(&b.hops).all(|(x, y)| {
+            (x.node, x.link) == (y.node, y.link)
+                && x.propagation_ms.to_bits() == y.propagation_ms.to_bits()
+                && x.congestion.to_bits() == y.congestion.to_bits()
+        })
+}
+
 /// The first (source, destination) pair whose route differs from the
-/// reference, described; `None` when every pair matches.
-fn first_mismatch(topo: &Topology) -> Option<String> {
+/// reference, described, or `None` when every pair matches; and the
+/// router's work over all of them.
+fn check_every_pair(topo: &Topology) -> (Option<String>, RouteWork) {
     let router = Router::new();
     for src in topo.node_ids() {
         let prev = reference_tree(topo, src);
         for dst in topo.node_ids() {
-            let route = router.path(topo, src, dst);
+            let path = router.path(topo, src, dst);
             let want = reference_path(&prev, src, dst);
-            if route != want {
-                return Some(format!(
-                    "{src} → {dst}: router {route:?}, reference {want:?}"
-                ));
+            if path != want {
+                let why = format!("{src} → {dst}: router {path:?}, reference {want:?}");
+                return (Some(why), router.work());
+            }
+            let route = router.route(topo, src, dst);
+            let scanned = want.map(|path| PathDelays::from_node_path(topo, &path));
+            if route.is_some() != scanned.is_some()
+                || route.zip(scanned).is_some_and(|(r, s)| !same_hops(&r, &s))
+            {
+                return (Some(format!("{src} → {dst}: hops differ")), router.work());
             }
         }
     }
-    None
+    (None, router.work())
+}
+
+fn first_mismatch(topo: &Topology) -> Option<String> {
+    check_every_pair(topo).0
 }
 
 /// Link delays come from a few values (zero and sums that are exact in
 /// binary among them), so equal-delay routes tie exactly.
 const DELAYS_MS: [f64; 6] = [0.0, 0.1, 0.2, 0.25, 0.3, 0.5];
+
+/// How [`random_topology`] draws link delays.
+#[derive(Clone, Copy)]
+enum Delays {
+    /// From [`DELAYS_MS`], so routes tie exactly.
+    Tied,
+    /// Uniform in [0.01, 5) ms, so no two routes tie or come near it.
+    Untied,
+}
 
 /// A random topology with every shape the core/pendant split handles
 /// differently: a backbone of `core` routers that need not be connected
@@ -120,7 +157,7 @@ const DELAYS_MS: [f64; 6] = [0.0, 0.1, 0.2, 0.25, 0.3, 0.5];
 /// and multi-homed hosts, a host behind a host, a router reachable only
 /// through a host, and a lone router and host. Node ids and link order
 /// are shuffled so heap ties and adjacency order vary.
-fn random_topology(seed: u64, core: usize, stubs: usize) -> Topology {
+fn random_topology(seed: u64, core: usize, stubs: usize, delays: Delays) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut kinds: Vec<NodeKind> = Vec::new();
     let mut links: Vec<(usize, usize)> = Vec::new();
@@ -189,7 +226,10 @@ fn random_topology(seed: u64, core: usize, stubs: usize) -> Topology {
     rng.shuffle(&mut links);
     for (a, b) in links {
         let (a, b) = if rng.random_bool(0.5) { (a, b) } else { (b, a) };
-        let ms = DELAYS_MS[rng.random_range(0..DELAYS_MS.len())];
+        let ms = match delays {
+            Delays::Tied => DELAYS_MS[rng.random_range(0..DELAYS_MS.len())],
+            Delays::Untied => rng.random_range(0.01..5.0),
+        };
         topo.add_link(ids[a], ids[b], ms);
     }
     topo
@@ -204,11 +244,69 @@ proptest! {
         core in 1usize..9,
         stubs in 0usize..6,
     ) {
-        let topo = random_topology(seed, core, stubs);
+        let topo = random_topology(seed, core, stubs, Delays::Tied);
         if let Some(mismatch) = first_mismatch(&topo) {
             prop_assert!(false, "{mismatch}");
         }
     }
+
+    // Untied delays leave every core node a margin far above the
+    // rounding a climb offset can cause, so every source crosses the
+    // core on its anchor's tree.
+    #[test]
+    fn untied_routes_share_one_tree_per_anchor_and_match_dijkstra(
+        seed in 0u64..u64::MAX,
+        core in 1usize..9,
+        stubs in 0usize..6,
+    ) {
+        let topo = random_topology(seed, core, stubs, Delays::Untied);
+        let (mismatch, work) = check_every_pair(&topo);
+        if let Some(mismatch) = mismatch {
+            prop_assert!(false, "{mismatch}");
+        }
+        prop_assert_eq!(work.offset_trees, 0);
+        prop_assert!(work.shared_trees > 0);
+    }
+}
+
+/// Two hosts behind one anchor whose climb offsets round a core near-tie
+/// apart. From the anchor A, T is 0.05 + 0.25 ms away through X and
+/// 0.1 + 0.2 ms through Y, and the sums differ by 2⁻⁵⁴: X wins by less
+/// than an offset's rounding. From h1, 0.3 ms up, X still wins; from h2,
+/// 0.6 ms up, the rounded sums put Y first. The anchor's certificate must
+/// refuse both offsets, and each host's route must follow its own.
+#[test]
+fn a_near_tie_that_offsets_round_apart_is_not_shared() {
+    let mut t = Topology::new();
+    let node =
+        |t: &mut Topology, kind| t.add_node(plain_node(kind, geokit::GeoPoint::new(0.0, 0.0)));
+    let a = node(&mut t, NodeKind::Ixp);
+    let x = node(&mut t, NodeKind::Ixp);
+    let y = node(&mut t, NodeKind::Ixp);
+    let tgt = node(&mut t, NodeKind::Ixp);
+    let h1 = node(&mut t, NodeKind::Host);
+    let h2 = node(&mut t, NodeKind::Host);
+    t.add_link(a, x, 0.05);
+    t.add_link(x, tgt, 0.25);
+    t.add_link(a, y, 0.1);
+    t.add_link(y, tgt, 0.2);
+    t.add_link(h1, a, 0.3);
+    t.add_link(h2, a, 0.6);
+    // The sums the two Dijkstras compare at T, offset first.
+    let via = |offset: f64, first: f64, second: f64| (offset + first) + second;
+    assert!(
+        via(0.0, 0.05, 0.25) < via(0.0, 0.1, 0.2),
+        "X wins from the anchor"
+    );
+    assert!(via(0.3, 0.05, 0.25) < via(0.3, 0.1, 0.2), "X wins from h1");
+    assert!(via(0.6, 0.1, 0.2) < via(0.6, 0.05, 0.25), "Y wins from h2");
+    let router = Router::new();
+    assert_eq!(router.path(&t, a, tgt), Some(vec![a, x, tgt]));
+    assert_eq!(router.path(&t, h1, tgt), Some(vec![h1, a, x, tgt]));
+    assert_eq!(router.path(&t, h2, tgt), Some(vec![h2, a, y, tgt]));
+    let work = router.work();
+    assert_eq!((work.shared_trees, work.offset_trees), (1, 2), "{work:?}");
+    assert_eq!(first_mismatch(&t), None);
 }
 
 fn study_topology(config: StudyConfig) -> Topology {
