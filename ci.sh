@@ -75,6 +75,22 @@ for run in a b; do
 done
 diff -r -x profile.txt -x ops.metrics.om -x ops.trace.json "$figs/a" "$figs/b"
 
+# Committed figures, in release (about 20 s): the medium and paper sets
+# must re-render to the bytes in bench_output/ and bench_output_paper/.
+# Left out: the same wall-clock outputs, and the bench artifacts that
+# `figures` does not write (BENCH_*.json, bench_parallel.txt).
+for scale in medium paper; do
+    case $scale in
+        medium) committed=bench_output ;;
+        paper) committed=bench_output_paper ;;
+    esac
+    cargo run -q --release --offline -p bench --bin figures -- \
+        --all --scale "$scale" --out "$figs/$scale" 2> "$figs/$scale.log" \
+        || { cat "$figs/$scale.log" >&2; exit 1; }
+    diff -r -x profile.txt -x ops.metrics.om -x ops.trace.json \
+        -x 'BENCH_*.json' -x bench_parallel.txt "$committed" "$figs/$scale"
+done
+
 # Benchmark smoke: perfbench/ is a package of its own, outside the
 # workspace, that calls the audit's public API by signature and checks
 # that its traced replay reproduces every proxy and the cache counters.

@@ -33,6 +33,9 @@ pub struct Landmark {
     pub port_80_open: bool,
 }
 
+/// Fraction of landmarks listening on port 80.
+const PORT_80_FRACTION: f64 = 0.6;
+
 /// Constellation size and placement parameters.
 #[derive(Debug, Clone)]
 pub struct ConstellationConfig {
@@ -43,8 +46,6 @@ pub struct ConstellationConfig {
     pub anchors_per_continent: [usize; 8],
     /// Probe quota per continent, same order.
     pub probes_per_continent: [usize; 8],
-    /// Fraction of landmarks listening on port 80.
-    pub port_80_fraction: f64,
 }
 
 impl Default for ConstellationConfig {
@@ -56,7 +57,6 @@ impl Default for ConstellationConfig {
             //                      EU  AF  AS  OC  NA  CA  SA  AU
             anchors_per_continent: [140, 8, 25, 6, 55, 2, 12, 2],
             probes_per_continent: [300, 20, 70, 15, 150, 10, 30, 5],
-            port_80_fraction: 0.6,
         }
     }
 }
@@ -68,7 +68,6 @@ impl ConstellationConfig {
             seed,
             anchors_per_continent: [28, 2, 5, 2, 11, 1, 3, 1],
             probes_per_continent: [60, 4, 14, 3, 30, 2, 6, 1],
-            port_80_fraction: 0.6,
         }
     }
 }
@@ -119,7 +118,7 @@ impl Constellation {
                     let location = world
                         .atlas()
                         .sample_point_in_country(country, jitter_km, &mut rng);
-                    let port_80_open = geokit::sampling::coin(&mut rng, config.port_80_fraction);
+                    let port_80_open = geokit::sampling::coin(&mut rng, PORT_80_FRACTION);
                     let node = world.attach_host(location, FilterPolicy::landmark(port_80_open));
                     landmarks.push(Landmark {
                         node,

@@ -3,9 +3,10 @@
 //! refinement. Not a paper figure — the paper motivates each choice in
 //! §5.1/§5.2; this quantifies them on our substrate.
 
+use super::validation::{score_algorithm, AlgorithmScores};
 use crate::scale::CrowdContext;
-use geoloc::algorithms::CbgPlusPlusVariant;
-use geoloc::Geolocator;
+use geoloc::algorithms::{Cbg, CbgPlusPlusVariant};
+use geoloc::{Geolocator, Observation};
 use std::fmt::Write as _;
 
 /// Ablation sweep over the crowd cohort:
@@ -44,20 +45,21 @@ pub fn ablation_cbgpp(ctx: &CrowdContext) -> String {
         "# variant,coverage,empty,median_area_km2,median_miss_km"
     );
     for v in variants {
-        let (coverage, empty, med_area, med_miss) = score(ctx, &mask, &v, usize::MAX);
+        let s = score(ctx, &mask, &v, first(ctx, usize::MAX));
         let _ = writeln!(
             out,
-            "{},{coverage:.3},{empty},{med_area:.0},{med_miss:.0}",
-            v.name()
+            "{},{:.3},{},{:.0},{:.0}",
+            v.name(),
+            s.coverage(),
+            s.empty,
+            median(&s.area_km2),
+            median(&s.miss_km)
         );
     }
 
     // Under clean measurements all four variants coincide (nothing to
-    // clamp, nothing to filter). The §5.1 machinery earns its keep under
-    // *underestimation* stress: deflate a third of each host's delays by
-    // 45 % — the congested-calibration / fast-path mismatch regime.
-    // Under clean measurements all four variants coincide, so each §5.1
-    // mechanism gets the failure scenario it was designed for.
+    // clamp, nothing to filter), so each §5.1 mechanism gets the failure
+    // scenario it was designed for.
 
     // Scenario A — congested calibration: every landmark's two-week mesh
     // data was taken under 3× delays, so the unconstrained bestlines are
@@ -66,40 +68,23 @@ pub fn ablation_cbgpp(ctx: &CrowdContext) -> String {
         out,
         "# scenario A (3x congested calibrations): algorithm,coverage,empty"
     );
-    let congested: Vec<Vec<geoloc::Observation>> = ctx
-        .records
-        .iter()
-        .map(|r| {
-            r.observations
-                .iter()
-                .map(|o| {
-                    geoloc::Observation::new(
-                        o.landmark,
-                        o.one_way_ms,
-                        atlas::CalibrationSet::from_points(
-                            o.calibration
-                                .points()
-                                .iter()
-                                .map(|&(d, t)| (d, t * 3.0))
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let scenario_a: Vec<Box<dyn Geolocator>> = vec![
-        Box::new(geoloc::algorithms::Cbg),
-        Box::new(CbgPlusPlusVariant {
-            use_slowline: false,
-            use_baseline_filter: true,
-        }),
-        Box::new(CbgPlusPlusVariant::default()),
-    ];
-    for algo in &scenario_a {
-        let (coverage, empty) = score_sets(ctx, &mask, algo.as_ref(), &congested);
-        let _ = writeln!(out, "{},{coverage:.3},{empty}", algo.name());
-    }
+    let congested = rewritten(ctx, |_, o| {
+        let points = o.calibration.points().iter().map(|&(d, t)| (d, t * 3.0));
+        let calibration = atlas::CalibrationSet::from_points(points.collect());
+        Observation::new(o.landmark, o.one_way_ms, calibration)
+    });
+    let no_slowline = CbgPlusPlusVariant {
+        use_slowline: false,
+        use_baseline_filter: true,
+    };
+    let full = CbgPlusPlusVariant::default();
+    scenario(
+        &mut out,
+        ctx,
+        &mask,
+        &[&Cbg, &no_slowline, &full],
+        &congested,
+    );
     let _ = writeln!(
         out,
         "# expected: plain CBG collapses; the slowline restores coverage"
@@ -112,32 +97,11 @@ pub fn ablation_cbgpp(ctx: &CrowdContext) -> String {
         out,
         "# scenario B (one delay deflated to 20 %): algorithm,coverage,empty"
     );
-    let corrupted: Vec<Vec<geoloc::Observation>> = ctx
-        .records
-        .iter()
-        .map(|r| {
-            r.observations
-                .iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    let factor = if i == 0 { 0.20 } else { 1.0 };
-                    geoloc::Observation::new(
-                        o.landmark,
-                        o.one_way_ms * factor,
-                        o.calibration.clone(),
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let scenario_b: Vec<Box<dyn Geolocator>> = vec![
-        Box::new(geoloc::algorithms::Cbg),
-        Box::new(CbgPlusPlusVariant::default()),
-    ];
-    for algo in &scenario_b {
-        let (coverage, empty) = score_sets(ctx, &mask, algo.as_ref(), &corrupted);
-        let _ = writeln!(out, "{},{coverage:.3},{empty}", algo.name());
-    }
+    let corrupted = rewritten(ctx, |i, o| {
+        let factor = if i == 0 { 0.20 } else { 1.0 };
+        Observation::new(o.landmark, o.one_way_ms * factor, o.calibration.clone())
+    });
+    scenario(&mut out, ctx, &mask, &[&Cbg, &full], &corrupted);
     let _ = writeln!(
         out,
         "# expected: plain CBG often returns nothing; CBG++ never does"
@@ -148,9 +112,8 @@ pub fn ablation_cbgpp(ctx: &CrowdContext) -> String {
         "# landmark budget (full CBG++): k,coverage,median_area_km2"
     );
     for k in [3usize, 5, 10, 15, 20, 25, 100] {
-        let v = CbgPlusPlusVariant::default();
-        let (coverage, _, med_area, _) = score(ctx, &mask, &v, k);
-        let _ = writeln!(out, "{k},{coverage:.3},{med_area:.0}");
+        let s = score(ctx, &mask, &full, first(ctx, k));
+        let _ = writeln!(out, "{k},{:.3},{:.0}", s.coverage(), median(&s.area_km2));
     }
     let _ = writeln!(
         out,
@@ -160,65 +123,59 @@ pub fn ablation_cbgpp(ctx: &CrowdContext) -> String {
     out
 }
 
-/// Coverage + empty count of an algorithm over prepared observation sets.
-fn score_sets(
+/// Score `algo` on the crowd hosts, locating each from its set in `sets`.
+fn score<'a>(
     ctx: &CrowdContext,
     mask: &geokit::Region,
     algo: &dyn Geolocator,
-    sets: &[Vec<geoloc::Observation>],
-) -> (f64, usize) {
-    let (mut hits, mut total, mut empty) = (0usize, 0usize, 0usize);
-    for (r, obs) in ctx.records.iter().zip(sets) {
-        let p = algo.locate(obs, mask);
-        match p.region.distance_from_km(&r.host.true_location) {
-            None => empty += 1,
-            Some(miss) => {
-                total += 1;
-                if miss == 0.0 {
-                    hits += 1;
-                }
-            }
-        }
-    }
-    (hits as f64 / total.max(1) as f64, empty)
+    sets: impl Iterator<Item = &'a [Observation]>,
+) -> AlgorithmScores {
+    let truths = ctx.records.iter().map(|r| r.host.true_location);
+    score_algorithm(algo, mask, truths.zip(sets))
 }
 
-fn score(
+/// Each crowd host's observations, each rewritten by `f` from its index
+/// and itself.
+fn rewritten(
+    ctx: &CrowdContext,
+    f: impl Fn(usize, &Observation) -> Observation,
+) -> Vec<Vec<Observation>> {
+    ctx.records
+        .iter()
+        .map(|r| {
+            r.observations
+                .iter()
+                .enumerate()
+                .map(|(i, o)| f(i, o))
+                .collect()
+        })
+        .collect()
+}
+
+/// One `algorithm,coverage,empty` line per algorithm, each locating the
+/// crowd hosts from `sets`.
+fn scenario(
+    out: &mut String,
     ctx: &CrowdContext,
     mask: &geokit::Region,
-    algo: &CbgPlusPlusVariant,
-    max_obs: usize,
-) -> (f64, usize, f64, f64) {
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    let mut empty = 0usize;
-    let mut areas = Vec::new();
-    let mut misses = Vec::new();
-    for r in &ctx.records {
-        let obs = if r.observations.len() > max_obs {
-            &r.observations[..max_obs]
-        } else {
-            &r.observations[..]
-        };
-        let p = algo.locate(obs, mask);
-        match p.region.distance_from_km(&r.host.true_location) {
-            None => empty += 1,
-            Some(miss) => {
-                total += 1;
-                if miss == 0.0 {
-                    hits += 1;
-                }
-                misses.push(miss);
-                areas.push(p.area_km2());
-            }
-        }
+    algos: &[&dyn Geolocator],
+    sets: &[Vec<Observation>],
+) {
+    for &algo in algos {
+        let s = score(ctx, mask, algo, sets.iter().map(Vec::as_slice));
+        let _ = writeln!(out, "{},{:.3},{}", s.name, s.coverage(), s.empty);
     }
-    (
-        hits as f64 / total.max(1) as f64,
-        empty,
-        geokit::stats::median(&areas).unwrap_or(f64::NAN),
-        geokit::stats::median(&misses).unwrap_or(f64::NAN),
-    )
+}
+
+/// Each crowd host's first `k` observations.
+fn first(ctx: &CrowdContext, k: usize) -> impl Iterator<Item = &[Observation]> {
+    ctx.records
+        .iter()
+        .map(move |r| &r.observations[..r.observations.len().min(k)])
+}
+
+fn median(values: &[f64]) -> f64 {
+    geokit::stats::median(values).unwrap_or(f64::NAN)
 }
 
 /// Constellation map dumps: Fig. 3 (anchors + probes) and Fig. 8 (crowd

@@ -44,7 +44,7 @@ pub fn ops_telemetry(ctx: &StudyContext) -> OpsBundle {
     let alerts = ops::evaluate_slos(&set, None);
     let mut dashboard = report::render_ops(results, &set, &alerts);
     let _ = writeln!(dashboard, "--- SLO ruleset ---");
-    let _ = write!(dashboard, "{}", ops::DEFAULT_RULES);
+    dashboard.push_str(&obs::alert::render_rules(&ops::DEFAULT_RULES));
 
     OpsBundle {
         dashboard,

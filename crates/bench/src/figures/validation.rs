@@ -3,7 +3,7 @@
 
 use crate::render::render_ecdf;
 use crate::scale::CrowdContext;
-use geokit::EARTH_LAND_AREA_KM2;
+use geokit::{GeoPoint, Region, EARTH_LAND_AREA_KM2};
 use geoloc::algorithms::{Cbg, CbgPlusPlus, Hybrid, QuasiOctant, ShortestPing, Spotter};
 use geoloc::delay_model::{CbgModel, SpotterModel};
 use geoloc::effectiveness::analyze_effectiveness;
@@ -21,8 +21,8 @@ pub struct AlgorithmScores {
     /// Distance from the region centroid to the true location, km.
     /// Panel B.
     pub centroid_km: Vec<f64>,
-    /// Region area / Earth land area. Panel C.
-    pub area_fraction: Vec<f64>,
+    /// Region area, km² (Panel C divides it by Earth's land area).
+    pub area_km2: Vec<f64>,
     /// Hosts for which the algorithm produced no region at all.
     pub empty: usize,
 }
@@ -40,6 +40,37 @@ impl AlgorithmScores {
     }
 }
 
+/// Score `algo` on each host, given as its true location and the
+/// observations to locate it from. Fig. 9 and the ablations both score
+/// through here, so one rule decides coverage.
+pub fn score_algorithm<'a>(
+    algo: &dyn Geolocator,
+    mask: &Region,
+    hosts: impl IntoIterator<Item = (GeoPoint, &'a [Observation])>,
+) -> AlgorithmScores {
+    let mut scores = AlgorithmScores {
+        name: algo.name(),
+        miss_km: Vec::new(),
+        centroid_km: Vec::new(),
+        area_km2: Vec::new(),
+        empty: 0,
+    };
+    for (truth, observations) in hosts {
+        let p = algo.locate(observations, mask);
+        match p.region.distance_from_km(&truth) {
+            Some(miss) => {
+                scores.miss_km.push(miss);
+                if let Some(c) = p.region.centroid() {
+                    scores.centroid_km.push(c.distance_km(&truth));
+                }
+                scores.area_km2.push(p.area_km2());
+            }
+            None => scores.empty += 1,
+        }
+    }
+    scores
+}
+
 /// Score every algorithm on every measured crowd host (paired inputs).
 pub fn score_algorithms(ctx: &CrowdContext) -> Vec<AlgorithmScores> {
     let mask = ctx.mask();
@@ -49,46 +80,24 @@ pub fn score_algorithms(ctx: &CrowdContext) -> Vec<AlgorithmScores> {
         .collect();
     let spotter_model = SpotterModel::calibrate(&pool);
 
-    let algorithms: Vec<(&'static str, Box<dyn Geolocator>)> = vec![
-        ("Shortest-ping", Box::new(ShortestPing)),
-        ("CBG", Box::new(Cbg)),
-        ("Quasi-Octant", Box::new(QuasiOctant)),
-        ("Spotter", Box::new(Spotter::new(spotter_model.clone()))),
-        ("Hybrid", Box::new(Hybrid::new(spotter_model))),
-        ("CBG++", Box::new(CbgPlusPlus)),
+    let algorithms: [Box<dyn Geolocator>; 6] = [
+        Box::new(ShortestPing),
+        Box::new(Cbg),
+        Box::new(QuasiOctant),
+        Box::new(Spotter::new(spotter_model.clone())),
+        Box::new(Hybrid::new(spotter_model)),
+        Box::new(CbgPlusPlus),
     ];
-
-    let mut out: Vec<AlgorithmScores> = algorithms
+    algorithms
         .iter()
-        .map(|(name, _)| AlgorithmScores {
-            name,
-            miss_km: Vec::new(),
-            centroid_km: Vec::new(),
-            area_fraction: Vec::new(),
-            empty: 0,
+        .map(|algo| {
+            let hosts = ctx
+                .records
+                .iter()
+                .map(|r| (r.host.true_location, r.observations.as_slice()));
+            score_algorithm(algo.as_ref(), &mask, hosts)
         })
-        .collect();
-
-    for record in &ctx.records {
-        for (scores, (_, algo)) in out.iter_mut().zip(&algorithms) {
-            let p = algo.locate(&record.observations, &mask);
-            match p.region.distance_from_km(&record.host.true_location) {
-                Some(miss) => {
-                    scores.miss_km.push(miss);
-                    if let Some(c) = p.region.centroid() {
-                        scores
-                            .centroid_km
-                            .push(c.distance_km(&record.host.true_location));
-                    }
-                    scores
-                        .area_fraction
-                        .push(p.area_km2() / EARTH_LAND_AREA_KM2);
-                }
-                None => scores.empty += 1,
-            }
-        }
-    }
-    out
+        .collect()
 }
 
 /// Fig. 9: ECDFs of (A) miss distance, (B) centroid distance, (C) area
@@ -129,9 +138,10 @@ pub fn fig9_algorithm_comparison(ctx: &CrowdContext) -> String {
             20_000.0,
             41,
         ));
+        let area_fraction: Vec<f64> = s.area_km2.iter().map(|a| a / EARTH_LAND_AREA_KM2).collect();
         out.push_str(&render_ecdf(
             &format!("C area_fraction {}", s.name),
-            &s.area_fraction,
+            &area_fraction,
             0.0,
             1.0,
             41,
@@ -229,7 +239,10 @@ pub fn fig11_effectiveness(ctx: &mut CrowdContext) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::AlgorithmScores;
+    use super::{score_algorithm, AlgorithmScores};
+    use geokit::{GeoGrid, GeoPoint, Region};
+    use geoloc::algorithms::Cbg;
+    use geoloc::Observation;
 
     #[test]
     fn coverage_counts_empty_predictions_as_misses() {
@@ -237,12 +250,27 @@ mod tests {
             name: "test",
             miss_km,
             centroid_km: Vec::new(),
-            area_fraction: Vec::new(),
+            area_km2: Vec::new(),
             empty,
         };
         assert_eq!(scores(vec![0.0, 0.0, 120.0], 1).coverage(), 0.5);
         assert_eq!(scores(vec![0.0; 189], 1).coverage(), 189.0 / 190.0);
         assert_eq!(scores(Vec::new(), 3).coverage(), 0.0);
         assert_eq!(scores(Vec::new(), 0).coverage(), 0.0);
+    }
+
+    #[test]
+    fn an_empty_prediction_scores_as_a_miss() {
+        let mask = Region::full(GeoGrid::new(2.0));
+        let truth = GeoPoint::new(50.0, 8.0);
+        let at = |lat, lon| Observation::new(GeoPoint::new(lat, lon), 1.0, Default::default());
+        let near = [at(50.0, 8.0)];
+        // Frankfurt and Sydney, 1 ms one-way each: the disks cannot
+        // meet, so CBG returns an empty region.
+        let apart = [at(50.0, 8.0), at(-33.9, 151.2)];
+        let hosts = [(truth, &near[..]), (truth, &apart[..]), (truth, &near[..])];
+        let s = score_algorithm(&Cbg, &mask, hosts);
+        assert_eq!((s.miss_km.len(), s.empty), (2, 1));
+        assert_eq!(s.coverage(), 2.0 / 3.0);
     }
 }

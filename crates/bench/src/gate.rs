@@ -38,8 +38,9 @@ use geoloc::multilateration::{
     intersect_constraints, max_consistent_subset, max_consistent_subset_profiled,
     pairwise_infeasible_flags, robust_max_consistent_subset, DiskCache, RingConstraint,
 };
-use geoloc::proxy::ProxyContext;
-use geoloc::twophase::{run_two_phase, ProxyProber};
+use geoloc::proxy::{ProxyContext, DEFAULT_ETA};
+use geoloc::reliability::ProbeScheduler;
+use geoloc::twophase::{run_two_phase, run_two_phase_reliable, ProxyProber};
 use geoloc::{Geolocator, Observation};
 use simrng::rngs::StdRng;
 use simrng::SeedableRng;
@@ -175,6 +176,43 @@ fn fleet_observations(
         .collect()
 }
 
+/// A recorder holding what the audit's per-proxy recorder holds once its
+/// proxy is measured: the counters and histograms of one proxy's
+/// two-phase run under the study's retry policy and its CBG++ locate,
+/// recorded at `Level::Events` on a fork of the study network.
+fn measured_proxy_recorder(
+    study: &vpnstudy::Study,
+    server: &atlas::LandmarkServer<'_>,
+    proxy: &vpnstudy::DeployedProxy,
+) -> obs::Recorder {
+    let rec = obs::Recorder::new(obs::Level::Events);
+    let mut net = study.world.network().fork(0x9e7);
+    net.set_recorder(rec.clone());
+    let config = &study.config;
+    let tunnel = ProxyContext::establish(
+        &mut net,
+        study.client,
+        proxy.node,
+        DEFAULT_ETA,
+        config.self_ping_attempts,
+    )
+    .expect("tunnel up");
+    let prober = ProxyProber::new(tunnel, config.attempts_per_landmark);
+    let mut scheduler = ProbeScheduler::new(prober, config.reliability.retry, 7);
+    let mut rng = StdRng::seed_from_u64(7);
+    let outcome = run_two_phase_reliable(
+        &mut net,
+        server,
+        &mut scheduler,
+        &mut rng,
+        &config.reliability,
+    );
+    let observations = outcome.result.expect("measured").observations;
+    let cache = DiskCache::new(std::sync::Arc::clone(study.mask.grid()));
+    CbgPlusPlus.locate_traced(&observations, &study.mask, Some(&cache), &rec);
+    rec
+}
+
 /// Measure the gate's smoke suite at `samples` samples per bench.
 /// Expensive setup (the small study world) happens once, outside the
 /// timed loops.
@@ -306,17 +344,27 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
         b.iter(|| probe(ctx.study.world.network_mut()))
     }));
 
-    // The same probe recorded as the audit ships it: the difference
-    // from `gate/tunnel_probe` is the Events recorder's price per probe
-    // (span, counters, RTT sample and one event).
+    // The same probe recorded as the audit records it: into a per-proxy
+    // recorder that already holds a measured proxy's counters and
+    // histograms, with `net.probe` under the spans a phase-2 probe runs
+    // in. The difference from `gate/tunnel_probe` is the Events
+    // recorder's price per probe (span, counters, RTT sample and one
+    // event).
+    let atlas = std::sync::Arc::clone(ctx.study.world.atlas());
+    let server =
+        atlas::LandmarkServer::new(&ctx.study.constellation, &ctx.study.calibration, &atlas);
+    let rec = measured_proxy_recorder(&ctx.study, &server, &proxy);
     let quiet = ctx.study.world.network().recorder().clone();
-    ctx.study
-        .world
-        .network_mut()
-        .set_recorder(obs::Recorder::new(obs::Level::Events));
+    ctx.study.world.network_mut().set_recorder(rec.clone());
+    let spans = [
+        rec.profile_span_root("audit.proxy"),
+        rec.profile_span("twophase.phase2"),
+        rec.profile_span("rel.probe"),
+    ];
     out.push(run_sampled("gate/tunnel_probe_events", samples, |b| {
         b.iter(|| probe(ctx.study.world.network_mut()))
     }));
+    drop(spans);
     ctx.study.world.network_mut().set_recorder(quiet);
 
     // Route building, which `gate/tunnel_probe` never reaches: the same
@@ -343,13 +391,10 @@ pub fn smoke_suite(samples: usize) -> Vec<Sampled> {
         })
     }));
 
-    let atlas = std::sync::Arc::clone(ctx.study.world.atlas());
     let study_mask = ctx.study.mask.clone();
     // One server for every iteration, mirroring the audit (which builds
     // one per run and shares it across proxies) — the per-iteration cost
     // here is what one additional proxy actually costs the study.
-    let server =
-        atlas::LandmarkServer::new(&ctx.study.constellation, &ctx.study.calibration, &atlas);
     out.push(run_sampled("gate/audit_one_proxy", samples, |b| {
         b.iter(|| {
             let proxy_ctx =

@@ -31,7 +31,6 @@ impl Scale {
                     //                      EU  AF  AS  OC  NA  CA  SA  AU
                     anchors_per_continent: [56, 4, 10, 3, 22, 1, 5, 1],
                     probes_per_continent: [120, 8, 28, 6, 60, 4, 12, 2],
-                    port_80_fraction: 0.6,
                 },
                 calibration_pings: 15,
                 attempts_per_landmark: 3,
@@ -95,13 +94,7 @@ pub fn build_crowd_context(scale: Scale) -> CrowdContext {
     let atlas = Arc::new(worldmap::WorldAtlas::new(geokit::GeoGrid::new(
         config.grid_resolution_deg,
     )));
-    let mut world = netsim::WorldNet::build(
-        atlas,
-        netsim::WorldNetConfig {
-            seed: config.seed,
-            ..netsim::WorldNetConfig::default()
-        },
-    );
+    let mut world = netsim::WorldNet::build(atlas, netsim::WorldNetConfig { seed: config.seed });
     let constellation = Constellation::place(&mut world, &config.constellation);
     let calibration = CalibrationDb::collect(
         world.network_mut(),

@@ -23,20 +23,9 @@ pub enum IclabVerdict {
     Rejected,
 }
 
-/// The checker, parameterized by its speed limit.
-#[derive(Debug, Clone, Copy)]
-pub struct IclabChecker {
-    /// Maximum believable speed, km/ms.
-    pub speed_limit: f64,
-}
-
-impl Default for IclabChecker {
-    fn default() -> Self {
-        IclabChecker {
-            speed_limit: ICLAB_SPEED_LIMIT_KM_PER_MS,
-        }
-    }
-}
+/// The checker, at ICLab's [`ICLAB_SPEED_LIMIT_KM_PER_MS`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IclabChecker;
 
 impl IclabChecker {
     /// Check a claimed country against landmark measurements.
@@ -58,7 +47,7 @@ impl IclabChecker {
                 return IclabVerdict::Rejected;
             }
             let required_speed = min_dist / obs.one_way_ms;
-            if required_speed > self.speed_limit {
+            if required_speed > ICLAB_SPEED_LIMIT_KM_PER_MS {
                 return IclabVerdict::Rejected;
             }
         }
@@ -92,7 +81,7 @@ mod tests {
         let de = a.country_by_iso2("de").unwrap();
         // A Paris landmark, 4 ms one-way: Germany is ~300 km away —
         // 75 km/ms needed, fine.
-        let v = IclabChecker::default().check(a, de, &[obs(48.86, 2.35, 4.0)]);
+        let v = IclabChecker.check(a, de, &[obs(48.86, 2.35, 4.0)]);
         assert_eq!(v, IclabVerdict::Accepted);
     }
 
@@ -102,7 +91,7 @@ mod tests {
         let kp = a.country_by_iso2("kp").unwrap(); // North Korea
                                                    // A Frankfurt landmark with a 5 ms one-way time: North Korea is
                                                    // ~8000 km away — would need 1600 km/ms.
-        let v = IclabChecker::default().check(a, kp, &[obs(50.11, 8.68, 5.0)]);
+        let v = IclabChecker.check(a, kp, &[obs(50.11, 8.68, 5.0)]);
         assert_eq!(v, IclabVerdict::Rejected);
     }
 
@@ -110,7 +99,7 @@ mod tests {
     fn landmark_inside_claimed_country_never_rejects() {
         let a = atlas();
         let de = a.country_by_iso2("de").unwrap();
-        let v = IclabChecker::default().check(a, de, &[obs(50.11, 8.68, 0.1)]);
+        let v = IclabChecker.check(a, de, &[obs(50.11, 8.68, 0.1)]);
         assert_eq!(v, IclabVerdict::Accepted);
     }
 
@@ -122,31 +111,29 @@ mod tests {
             obs(39.0, 125.8, 2.0), // Pyongyang-ish landmark: consistent
             obs(50.11, 8.68, 5.0), // Frankfurt: impossible
         ];
-        let v = IclabChecker::default().check(a, kp, &observations);
+        let v = IclabChecker.check(a, kp, &observations);
         assert_eq!(v, IclabVerdict::Rejected);
     }
 
     #[test]
     fn stricter_limit_rejects_more() {
+        // ICLab's limit is stricter than light in fibre: a reading that
+        // needs just over 153 km/ms is physically possible, yet rejected.
+        // One reading either side of the limit, Frankfurt → Spain.
         let a = atlas();
         let es = a.country_by_iso2("es").unwrap();
-        // Frankfurt → Spain ≈ 1000 km, 8 ms ⇒ 125 km/ms.
-        let o = [obs(50.11, 8.68, 8.0)];
-        assert_eq!(
-            IclabChecker::default().check(a, es, &o),
-            IclabVerdict::Accepted
-        );
-        let strict = IclabChecker { speed_limit: 100.0 };
-        assert_eq!(strict.check(a, es, &o), IclabVerdict::Rejected);
+        let km = a.distance_to_country_km(&GeoPoint::new(50.11, 8.68), es);
+        let at_limit_ms = km / ICLAB_SPEED_LIMIT_KM_PER_MS;
+        let check = |ms: f64| IclabChecker.check(a, es, &[obs(50.11, 8.68, ms)]);
+        assert_eq!(check(at_limit_ms * 1.01), IclabVerdict::Accepted);
+        assert!(km / (at_limit_ms * 0.99) < geokit::FIBER_SPEED_KM_PER_MS);
+        assert_eq!(check(at_limit_ms * 0.99), IclabVerdict::Rejected);
     }
 
     #[test]
     fn no_observations_accepts() {
         let a = atlas();
         let de = a.country_by_iso2("de").unwrap();
-        assert_eq!(
-            IclabChecker::default().check(a, de, &[]),
-            IclabVerdict::Accepted
-        );
+        assert_eq!(IclabChecker.check(a, de, &[]), IclabVerdict::Accepted);
     }
 }

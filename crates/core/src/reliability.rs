@@ -28,11 +28,19 @@
 //! raw names is a registry change, not a local edit.
 
 use crate::twophase::RttProber;
+use netsim::network::DEFAULT_PROBE_TIMEOUT_MS;
 use netsim::{Network, NodeId, SimDuration};
 use simrng::rngs::StdRng;
 use simrng::{RngExt, SeedableRng};
 
-/// Retry/backoff/fallback policy for one measurement campaign.
+/// Uniform jitter applied to each scheduler backoff, as a fraction (±)
+/// of it.
+const JITTER_FRAC: f64 = 0.25;
+
+/// Retry/backoff policy for one measurement campaign. A landmark whose
+/// primary method spends its budget gets the same budget on the
+/// prober's fallback method (§4.2: TCP connect works where ping does
+/// not).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts per landmark per method before giving up on the method.
@@ -43,13 +51,6 @@ pub struct RetryPolicy {
     pub backoff_factor: f64,
     /// Backoff ceiling, ms.
     pub max_backoff_ms: f64,
-    /// Uniform jitter applied to each backoff, as a fraction (±) of it.
-    pub jitter_frac: f64,
-    /// Readings above this are discarded as timeouts-in-disguise, ms.
-    pub timeout_ms: f64,
-    /// After the primary method's budget is spent, try the prober's
-    /// fallback method (§4.2: TCP connect works where ping does not).
-    pub method_fallback: bool,
 }
 
 impl Default for RetryPolicy {
@@ -59,9 +60,6 @@ impl Default for RetryPolicy {
             base_backoff_ms: 200.0,
             backoff_factor: 2.0,
             max_backoff_ms: 5_000.0,
-            jitter_frac: 0.25,
-            timeout_ms: netsim::network::DEFAULT_PROBE_TIMEOUT_MS,
-            method_fallback: true,
         }
     }
 }
@@ -185,14 +183,7 @@ impl<P> ProbeScheduler<P> {
     fn backoff_ms(&mut self, retry: usize) -> f64 {
         let raw = (self.policy.base_backoff_ms * self.policy.backoff_factor.powi(retry as i32))
             .min(self.policy.max_backoff_ms);
-        if self.policy.jitter_frac > 0.0 {
-            let j = self
-                .rng
-                .random_range(-self.policy.jitter_frac..self.policy.jitter_frac);
-            raw * (1.0 + j)
-        } else {
-            raw
-        }
+        raw * (1.0 + self.rng.random_range(-JITTER_FRAC..JITTER_FRAC))
     }
 
     /// One method's retry loop. Returns the first sane reading.
@@ -231,8 +222,10 @@ impl<P> ProbeScheduler<P> {
             } else {
                 self.inner.probe(network, landmark)
             };
+            // A reading past the client's probe timeout is a timeout in
+            // disguise.
             match reading {
-                Some(ms) if ms.is_finite() && ms <= self.policy.timeout_ms => return Some(ms),
+                Some(ms) if ms.is_finite() && ms <= DEFAULT_PROBE_TIMEOUT_MS => return Some(ms),
                 Some(_) => {
                     self.diagnostics.corrupt_readings += 1;
                     network.recorder().count("rel.corrupt_reading", 1);
@@ -253,22 +246,20 @@ impl<P: RttProber> RttProber for ProbeScheduler<P> {
                 self.diagnostics.landmarks_measured += 1;
                 return Some(ms);
             }
-            if self.policy.method_fallback {
-                if let Some(ms) = self.try_method(network, landmark, true) {
-                    self.diagnostics.fallbacks += 1;
-                    self.diagnostics.landmarks_measured += 1;
-                    let rec = network.recorder();
-                    rec.count("rel.fallback", 1);
-                    if rec.events_enabled() {
-                        rec.set_now_ns(network.now().as_nanos());
-                        rec.event(
-                            "reliability",
-                            "fallback_used",
-                            [("landmark", landmark.into()), ("rtt_ms", ms.into())],
-                        );
-                    }
-                    return Some(ms);
+            if let Some(ms) = self.try_method(network, landmark, true) {
+                self.diagnostics.fallbacks += 1;
+                self.diagnostics.landmarks_measured += 1;
+                let rec = network.recorder();
+                rec.count("rel.fallback", 1);
+                if rec.events_enabled() {
+                    rec.set_now_ns(network.now().as_nanos());
+                    rec.event(
+                        "reliability",
+                        "fallback_used",
+                        [("landmark", landmark.into()), ("rtt_ms", ms.into())],
+                    );
                 }
+                return Some(ms);
             }
             self.diagnostics.dead_landmarks += 1;
             let rec = network.recorder();
@@ -372,16 +363,18 @@ mod tests {
             calls: HashMap::new(),
             fallback_answers: false,
         };
-        let policy = RetryPolicy {
-            jitter_frac: 0.0,
-            ..RetryPolicy::default()
-        };
         let before = network.now();
-        let mut sched = ProbeScheduler::new(scripted, policy, 5);
+        let mut sched = ProbeScheduler::new(scripted, RetryPolicy::default(), 5);
         sched.probe(&mut network, 0);
-        // Two backoffs: 200 ms then 400 ms (no jitter).
-        let waited = network.now().since(before).as_ms();
-        assert!((waited - 600.0).abs() < 1e-6, "waited {waited} ms");
+        // Two backoffs, 200 ms then 400 ms, each jittered by a draw from
+        // the scheduler's own RNG: replay it from the seed.
+        let mut jitter = StdRng::seed_from_u64(5);
+        let waits = [200.0_f64, 400.0].map(|raw| raw * (1.0 + jitter.random_range(-0.25..0.25)));
+        let expected: u64 = waits
+            .iter()
+            .map(|&w| SimDuration::from_ms(w).as_nanos())
+            .sum();
+        assert_eq!(network.now().since(before).as_nanos(), expected);
     }
 
     #[test]

@@ -410,34 +410,13 @@ fn make_observation(server: &LandmarkServer<'_>, id: usize, rtt_ms: f64) -> Obse
     )
 }
 
-/// Iterative refinement (§8.1): after the initial two-phase run, keep
-/// adding the unmeasured landmarks closest to the current prediction's
-/// centroid — the ones most likely to be *effective* (§5.2) — re-locating
-/// after each batch, until the region stops shrinking or the landmark
-/// budget is spent.
-///
-/// This is the paper's proposed fix for the noisy per-measurement
-/// variation of Fig. 16: "additional probes and anchors are included in
-/// the measurement as necessary to reduce the size of the predicted
-/// region."
-pub struct RefinementConfig {
-    /// Landmarks added per refinement round.
-    pub batch: usize,
-    /// Maximum refinement rounds.
-    pub max_rounds: usize,
-    /// Stop when a round shrinks the region by less than this fraction.
-    pub min_shrink: f64,
-}
-
-impl Default for RefinementConfig {
-    fn default() -> Self {
-        RefinementConfig {
-            batch: 10,
-            max_rounds: 4,
-            min_shrink: 0.05,
-        }
-    }
-}
+/// Landmarks [`run_refined`] adds per refinement round.
+const REFINE_BATCH: usize = 10;
+/// Refinement rounds at most.
+const REFINE_MAX_ROUNDS: usize = 4;
+/// Refinement stops when a round shrinks the region by less than this
+/// fraction.
+const REFINE_MIN_SHRINK: f64 = 0.05;
 
 /// Result of an iteratively refined measurement.
 pub struct RefinedResult {
@@ -451,15 +430,22 @@ pub struct RefinedResult {
     pub area_history: Vec<f64>,
 }
 
-/// Run two-phase measurement followed by iterative refinement using the
-/// given locator.
+/// Iterative refinement (§8.1): run the two-phase measurement, then keep
+/// adding the unmeasured landmarks closest to the current prediction's
+/// centroid — the ones most likely to be *effective* (§5.2) — re-locating
+/// with `locator` after each batch, until the region stops shrinking or
+/// the rounds are spent.
+///
+/// This is the paper's proposed fix for the noisy per-measurement
+/// variation of Fig. 16: "additional probes and anchors are included in
+/// the measurement as necessary to reduce the size of the predicted
+/// region."
 pub fn run_refined<P: RttProber, R: Rng + ?Sized>(
     network: &mut Network,
     server: &LandmarkServer<'_>,
     prober: &mut P,
     locator: &dyn crate::Geolocator,
     mask: &geokit::Region,
-    config: &RefinementConfig,
     rng: &mut R,
 ) -> Option<RefinedResult> {
     let two_phase = run_two_phase(network, server, prober, rng)?;
@@ -482,7 +468,7 @@ pub fn run_refined<P: RttProber, R: Rng + ?Sized>(
         }
     }
 
-    for _ in 0..config.max_rounds {
+    for _ in 0..REFINE_MAX_ROUNDS {
         let Some(centroid) = region.centroid() else {
             break;
         };
@@ -500,7 +486,7 @@ pub fn run_refined<P: RttProber, R: Rng + ?Sized>(
             break;
         }
         let mut measured_any = false;
-        for &(_, id) in candidates.iter().take(config.batch) {
+        for &(_, id) in candidates.iter().take(REFINE_BATCH) {
             used[id] = true;
             if let Some(rtt) = prober.probe(network, landmarks[id].node) {
                 observations.push(make_observation(server, id, rtt));
@@ -515,7 +501,7 @@ pub fn run_refined<P: RttProber, R: Rng + ?Sized>(
         let new_area = new_region.area_km2();
         region = new_region;
         area_history.push(new_area);
-        if old_area <= 0.0 || (old_area - new_area) / old_area < config.min_shrink {
+        if old_area <= 0.0 || (old_area - new_area) / old_area < REFINE_MIN_SHRINK {
             break;
         }
     }
@@ -698,7 +684,6 @@ mod tests {
             &mut prober,
             &locator,
             &mask,
-            &RefinementConfig::default(),
             &mut rng,
         )
         .unwrap();

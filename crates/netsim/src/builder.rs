@@ -33,26 +33,23 @@ use simrng::{RngExt, SeedableRng};
 use std::sync::Arc;
 use worldmap::{Continent, WorldAtlas};
 
+/// How many nearest foreign IXPs each IXP peers with.
+const KNN_LINKS: usize = 3;
+/// Range of per-link circuitousness factors (cable length ÷ great-circle
+/// distance).
+const CIRCUITOUSNESS: std::ops::Range<f64> = 1.7..2.3;
+
 /// Configuration for world-network construction.
 #[derive(Debug, Clone)]
 pub struct WorldNetConfig {
     /// Master seed: drives link circuitousness, congestion jitter, and the
     /// network's measurement RNG.
     pub seed: u64,
-    /// How many nearest foreign IXPs each IXP peers with.
-    pub knn_links: usize,
-    /// Range of per-link circuitousness factors (cable length ÷
-    /// great-circle distance).
-    pub circuitousness: (f64, f64),
 }
 
 impl Default for WorldNetConfig {
     fn default() -> Self {
-        WorldNetConfig {
-            seed: 0x9e01,
-            knn_links: 3,
-            circuitousness: (1.7, 2.3),
-        }
+        WorldNetConfig { seed: 0x9e01 }
     }
 }
 
@@ -133,7 +130,7 @@ impl WorldNet {
                 return;
             }
             let dist = topo.node(a).location.distance_km(&topo.node(b).location);
-            let inflation = rng.random_range(config.circuitousness.0..config.circuitousness.1);
+            let inflation = rng.random_range(CIRCUITOUSNESS);
             // Even a metro link pays some minimum path length.
             let cable_km = (dist * inflation).max(20.0);
             topo.add_link(a, b, cable_km / geokit::FIBER_SPEED_KM_PER_MS);
@@ -164,7 +161,7 @@ impl WorldNet {
                 .map(|(_, &b)| (topo.node(a).location.distance_km(&topo.node(b).location), b))
                 .collect();
             dists.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite").then(x.1.cmp(&y.1)));
-            for &(_, b) in dists.iter().take(config.knn_links) {
+            for &(_, b) in dists.iter().take(KNN_LINKS) {
                 link(&mut topo, &mut rng, a, b);
             }
         }

@@ -35,8 +35,8 @@ use simrng::rngs::StdRng;
 use simrng::SeedableRng;
 use std::sync::Arc;
 
-/// Default wait before a probe with no reply is charged to the clock:
-/// the client's timeout (ms).
+/// How long a probe with no reply occupies the clock: the client's
+/// timeout (ms).
 pub const DEFAULT_PROBE_TIMEOUT_MS: f64 = 2_000.0;
 
 /// A simulated network ready to be measured.
@@ -74,8 +74,6 @@ pub struct Network {
     /// timeout when nothing comes back). Outage windows and reply
     /// rate-limits are defined against this clock.
     now: SimTime,
-    /// How long an unanswered probe occupies the clock.
-    probe_timeout: SimDuration,
     /// Observability sink. Defaults to [`Recorder::off`]; attach one with
     /// [`Network::set_recorder`]. Everything measured through this handle
     /// (and the geolocation layers driving it) emits here.
@@ -99,7 +97,6 @@ impl Network {
             adversary: Arc::new(AdversaryPlan::default()),
             rng: StdRng::seed_from_u64(seed),
             now: SimTime::ZERO,
-            probe_timeout: SimDuration::from_ms(DEFAULT_PROBE_TIMEOUT_MS),
             obs: Recorder::off(),
         }
     }
@@ -138,7 +135,6 @@ impl Network {
             adversary: Arc::clone(&self.adversary),
             rng: StdRng::seed_from_u64(seed),
             now: self.now,
-            probe_timeout: self.probe_timeout,
             // Detached: the fork starts with no recorder. Workers that
             // want per-proxy traces attach their own recorder fork and
             // the audit merges them back in proxy order — sharing the
@@ -297,7 +293,7 @@ impl Network {
                 Some((rtt, reply))
             }
             Outcome::TimedOut => {
-                self.now = start + self.probe_timeout;
+                self.now = start + SimDuration::from_ms(DEFAULT_PROBE_TIMEOUT_MS);
                 if self.obs.counters_enabled() {
                     self.obs.count("net.probe.timeout", 1);
                     if self.obs.events_enabled() {
@@ -480,7 +476,7 @@ impl Network {
         };
         self.now = match rtt {
             Some(d) => start + d,
-            None => start + self.probe_timeout,
+            None => start + SimDuration::from_ms(DEFAULT_PROBE_TIMEOUT_MS),
         };
         (trace, rtt)
     }

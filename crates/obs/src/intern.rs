@@ -23,7 +23,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Kind {
     U64,
-    I64,
     F64,
     Str,
     Bool,

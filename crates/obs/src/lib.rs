@@ -113,8 +113,6 @@ pub enum Level {
 pub enum Value {
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Floating point (formatted by shortest round-trip, so identical
     /// bits render identically).
     F64(f64),
@@ -128,9 +126,6 @@ impl Value {
     fn write_json(&self, out: &mut String) {
         match *self {
             Value::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::I64(v) => {
                 let _ = write!(out, "{v}");
             }
             Value::F64(v) if v.is_finite() => {
@@ -162,11 +157,6 @@ impl From<usize> for Value {
 impl From<u32> for Value {
     fn from(v: u32) -> Value {
         Value::U64(u64::from(v))
-    }
-}
-impl From<i64> for Value {
-    fn from(v: i64) -> Value {
-        Value::I64(v)
     }
 }
 impl From<f64> for Value {

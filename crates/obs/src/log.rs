@@ -102,7 +102,6 @@ impl Value {
     pub(crate) fn kind(&self) -> Kind {
         match self {
             Value::U64(_) => Kind::U64,
-            Value::I64(_) => Kind::I64,
             Value::F64(_) => Kind::F64,
             Value::Str(_) => Kind::Str,
             Value::Bool(_) => Kind::Bool,
@@ -112,7 +111,6 @@ impl Value {
     fn to_word(self) -> u64 {
         match self {
             Value::U64(v) => v,
-            Value::I64(v) => v as u64,
             Value::F64(v) => v.to_bits(),
             Value::Str(s) => u64::from(intern::str_id(s)),
             Value::Bool(b) => u64::from(b),
@@ -122,7 +120,6 @@ impl Value {
     fn from_word(kind: Kind, word: u64) -> Value {
         match kind {
             Kind::U64 => Value::U64(word),
-            Kind::I64 => Value::I64(word as i64),
             Kind::F64 => Value::F64(f64::from_bits(word)),
             Kind::Str => Value::Str(intern::str_of(word as u32)),
             Kind::Bool => Value::Bool(word != 0),

@@ -21,40 +21,23 @@ use crate::{Events, ProfileStat, Recorder};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Export tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceOptions {
-    /// Cap on exported sim-clock instants: a paper-scale audit emits
-    /// hundreds of thousands of events, and a multi-hundred-MB trace
-    /// helps nobody. When the cap bites, a final instant reports how
-    /// many events were dropped.
-    pub max_instants: usize,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions {
-            max_instants: 20_000,
-        }
-    }
-}
+/// Cap on exported sim-clock instants: a paper-scale audit emits
+/// hundreds of thousands of events, and a multi-hundred-MB trace helps
+/// nobody. When the cap bites, a final instant reports how many events
+/// were dropped.
+const MAX_INSTANTS: usize = 20_000;
 
 const PID: u32 = 1;
 const TID_PROFILE: u32 = 1;
 const TID_SIM: u32 = 2;
 
-/// Render the recorder's profile tree and event stream as a trace-event
-/// JSON document (default [`TraceOptions`]).
+/// Render the recorder's profile tree and event stream (its first
+/// 20,000 events) as a trace-event JSON document.
 pub fn render_trace(rec: &Recorder) -> String {
-    render_trace_with(rec, TraceOptions::default())
-}
-
-/// Render with explicit [`TraceOptions`].
-pub fn render_trace_with(rec: &Recorder, opts: TraceOptions) -> String {
     let mut events: Vec<String> = Vec::new();
     metadata(&mut events);
     profile_events(&rec.profile(), &mut events);
-    rec.with_events(|evs| instant_events(evs, opts.max_instants, &mut events));
+    rec.with_events(|evs| instant_events(evs, &mut events));
     let mut out = String::with_capacity(events.len() * 96 + 64);
     out.push_str("{\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
@@ -137,11 +120,12 @@ fn profile_events(entries: &[(String, ProfileStat)], out: &mut Vec<String>) {
     }
 }
 
-/// Write the first `cap` events as instants, then a marker naming how
-/// many were left out; only the written events and the last are built.
-fn instant_events(mut events: Events<'_>, cap: usize, out: &mut Vec<String>) {
+/// Write the first `MAX_INSTANTS` events as instants, then a marker
+/// naming how many were left out; only the written events and the last
+/// are built.
+fn instant_events(mut events: Events<'_>, out: &mut Vec<String>) {
     let total = events.len();
-    for e in events.by_ref().take(cap) {
+    for e in events.by_ref().take(MAX_INSTANTS) {
         let mut line = format!(
             "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{TID_SIM},\"s\":\"t\",\"name\":{},\"ts\":{}",
             json_str(&format!("{}.{}", e.target, e.name)),
@@ -163,8 +147,8 @@ fn instant_events(mut events: Events<'_>, cap: usize, out: &mut Vec<String>) {
         line.push('}');
         out.push(line);
     }
-    if total > cap {
-        let dropped = total - cap;
+    if total > MAX_INSTANTS {
+        let dropped = total - MAX_INSTANTS;
         let last_ts = events.last().map(|e| e.t_ns).unwrap_or(0);
         out.push(format!(
             "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{TID_SIM},\"s\":\"t\",\"name\":\"trace truncated\",\"ts\":{},\"args\":{{\"dropped_events\":{dropped}}}}}",
@@ -268,17 +252,22 @@ mod tests {
     #[test]
     fn instant_cap_truncates_with_a_marker() {
         let rec = Recorder::new(Level::Events);
-        for i in 0..10u64 {
+        let dropped = 6;
+        for i in 0..(MAX_INSTANTS + dropped) as u64 {
             rec.event_at(i, "net", "probe", vec![]);
         }
-        let doc = render_trace_with(&rec, TraceOptions { max_instants: 4 });
+        let doc = render_trace(&rec);
         let events = trace_events(&doc);
         let instants: Vec<&Json> = events
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
             .collect();
-        // 4 kept + 1 truncation marker.
-        assert_eq!(instants.len(), 5);
+        // The first MAX_INSTANTS kept, then one truncation marker.
+        assert_eq!(instants.len(), MAX_INSTANTS + 1);
+        assert_eq!(
+            instants[MAX_INSTANTS - 1].get("ts").and_then(Json::as_f64),
+            Some((MAX_INSTANTS - 1) as f64 / 1_000.0)
+        );
         let marker = instants.last().unwrap();
         assert_eq!(
             marker.get("name").and_then(Json::as_str),
@@ -289,7 +278,7 @@ mod tests {
                 .get("args")
                 .and_then(|a| a.get("dropped_events"))
                 .and_then(Json::as_f64),
-            Some(6.0)
+            Some(dropped as f64)
         );
     }
 

@@ -159,13 +159,7 @@ impl Study {
         let survey = MarketSurvey::generate(&atlas, config.seed ^ 0x5a1e5);
         drop(span);
         let span = build_profile.profile_span("build.world");
-        let mut world = WorldNet::build(
-            Arc::clone(&atlas),
-            WorldNetConfig {
-                seed: config.seed,
-                ..WorldNetConfig::default()
-            },
-        );
+        let mut world = WorldNet::build(Arc::clone(&atlas), WorldNetConfig { seed: config.seed });
         drop(span);
         let span = build_profile.profile_span("build.constellation");
         let constellation = Constellation::place(&mut world, &config.constellation);
@@ -303,11 +297,10 @@ impl Study {
         let mut records: Vec<ProxyRecord> = Vec::with_capacity(inputs.len());
         let mut failures: Vec<UnmeasuredProxy> = Vec::new();
         // With workers, the pool span's self time is the coordinator's
-        // wait for them. On one thread each proxy runs inline, and its
-        // self time is instead the proxy's work outside `audit.proxy`:
-        // forking its recorder, building its record (region area and
-        // centroid), and dropping its network fork, scheduler and
-        // regions. Each fold nests under it.
+        // wait for them. On one thread each proxy runs inline under its
+        // own `audit.proxy` root, which the pool counts as child time,
+        // so what is left is forking each proxy's recorder and handing
+        // out the work. Each fold nests under it.
         let pool_span = recorder.profile_span("audit.pool");
         parallel::for_each_in_order(
             threads,
@@ -472,8 +465,10 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
     // workers never interleave) and merged back in proxy order.
     let rec = ctx.fork_base.fork();
     // Rooted explicitly so the profile tree has the same shape whether
-    // this ran inline on the coordinator (1 thread) or on a worker.
-    let span = rec.profile_span_root("audit.proxy");
+    // this ran inline on the coordinator (1 thread) or on a worker. It
+    // closes when this function returns, so it also covers building the
+    // record and dropping the proxy's network fork, scheduler and regions.
+    let _span = rec.profile_span_root("audit.proxy");
     if rec.events_enabled() {
         rec.event(
             "audit",
@@ -511,7 +506,6 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
     }
     drop(establish_span);
     let Some(tunnel) = ctx_established else {
-        drop(span);
         return finish_proxy(
             rec,
             &net,
@@ -546,7 +540,6 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
     let two_phase = match (outcome.status, outcome.result) {
         (MeasurementStatus::Ok, Some(r)) => r,
         (MeasurementStatus::InsufficientData, _) => {
-            drop(span);
             return finish_proxy(
                 rec,
                 &net,
@@ -559,7 +552,6 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
             );
         }
         _ => {
-            drop(span);
             return finish_proxy(
                 rec,
                 &net,
@@ -688,9 +680,8 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
         drop(defense_span);
     }
 
-    let iclab = IclabChecker::default().check(atlas, proxy.claimed, &two_phase.observations);
+    let iclab = IclabChecker.check(atlas, proxy.claimed, &two_phase.observations);
     drop(assess_span);
-    drop(span);
     finish_proxy(
         rec,
         &net,

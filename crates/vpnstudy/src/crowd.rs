@@ -152,13 +152,7 @@ mod tests {
         S.get_or_init(|| {
             let config = StudyConfig::small(7);
             let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(config.grid_resolution_deg)));
-            let mut world = WorldNet::build(
-                atlas,
-                WorldNetConfig {
-                    seed: config.seed,
-                    ..WorldNetConfig::default()
-                },
-            );
+            let mut world = WorldNet::build(atlas, WorldNetConfig { seed: config.seed });
             let constellation =
                 Constellation::place(&mut world, &ConstellationConfig::small(config.seed));
             let calibration = CalibrationDb::collect(

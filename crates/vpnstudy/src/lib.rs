@@ -31,7 +31,7 @@ pub use audit::{
     MeasureFailure, ProxyRecord, ReliabilitySummary, Study, StudyResults, UnmeasuredProxy,
 };
 pub use config::StudyConfig;
-pub use ops::{default_rules, evaluate_slos, store_metrics, study_metrics, DEFAULT_RULES};
+pub use ops::{evaluate_slos, store_metrics, study_metrics, DEFAULT_RULES};
 pub use providers::{DeployedProxy, ProviderProfile, ProviderSet};
 pub use report::{tally_records, VerdictTally};
 pub use store::{

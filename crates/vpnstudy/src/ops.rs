@@ -6,7 +6,7 @@
 //! counters, histograms, spans, and snapshots; this module maps them
 //! into registered `pv_*` families ([`study_metrics`]), folds in the
 //! verdict store's staleness picture ([`store_metrics`]), and runs the
-//! default SLO ruleset ([`default_rules`], grammar in [`obs::alert`])
+//! default SLO ruleset ([`DEFAULT_RULES`], evaluated by [`obs::alert`])
 //! over the result. Run time is the `audit.run` span's
 //! `pv_span_seconds_total`; no other gauge restates it.
 //!
@@ -20,30 +20,41 @@
 use crate::audit::StudyResults;
 use crate::store::{RevalidationPriority, VerdictStore};
 use geoloc::assess::Assessment;
-use obs::alert::{evaluate, parse_rules, Alert, Rule};
+use obs::alert::{evaluate, Alert, Rule};
 use obs::export::{recorder_metrics, MetricSet};
 use obs::registry;
 
-/// The default SLO ruleset (one rule per line; see [`obs::alert`] for
-/// the grammar). Thresholds are the study's stated operating envelope:
-/// more than 30 % probe loss, a pile of landmarks whose retry budget
-/// ran dry, a provider's suspicious-verdict rate doubling against the
-/// prior epoch, or any urgent verdict sitting stale in the store.
-pub const DEFAULT_RULES: &str = "\
-# Fraction of sent probes that never completed.
-probe_loss: pv_probe_loss_rate > 0.3
-# Landmarks abandoned after the full retry budget.
-retry_exhaustion: pv_retry_exhaustion_total > 10
-# Per-provider False/Suspicious rate doubling vs the prior store epoch.
-suspicious_spike: pv_suspicious_rate{provider} spikes x2 vs prior
-# Refuted/withheld verdicts overdue for revalidation.
-stale_urgent: pv_stale_urgent_verdicts > 0
-";
-
-/// Parse [`DEFAULT_RULES`].
-pub fn default_rules() -> Vec<Rule> {
-    parse_rules(DEFAULT_RULES).expect("default SLO ruleset must parse")
-}
+/// The default SLO ruleset. Thresholds are the study's stated operating
+/// envelope: more than 30 % probe loss, a pile of landmarks whose retry
+/// budget ran dry, a provider's suspicious-verdict rate doubling against
+/// the prior epoch, or any urgent verdict sitting stale in the store.
+pub const DEFAULT_RULES: [Rule; 4] = [
+    Rule::Above {
+        name: "probe_loss",
+        help: "Fraction of sent probes that never completed.",
+        family: "pv_probe_loss_rate",
+        limit: 0.3,
+    },
+    Rule::Above {
+        name: "retry_exhaustion",
+        help: "Landmarks abandoned after the full retry budget.",
+        family: "pv_retry_exhaustion_total",
+        limit: 10.0,
+    },
+    Rule::Spike {
+        name: "suspicious_spike",
+        help: "Per-provider False/Suspicious rate doubling vs the prior store epoch.",
+        family: "pv_suspicious_rate",
+        label: "provider",
+        factor: 2.0,
+    },
+    Rule::Above {
+        name: "stale_urgent",
+        help: "Refuted/withheld verdicts overdue for revalidation.",
+        family: "pv_stale_urgent_verdicts",
+        limit: 0.0,
+    },
+];
 
 /// Set a gauge whose family is registered in [`obs::registry`], pulling
 /// the `# HELP` text from the registry so exposition and registry can
@@ -179,7 +190,7 @@ pub fn epoch_suspicious_metrics(store: &VerdictStore, epoch: u64) -> Option<Metr
 /// Evaluate the default SLO ruleset over a study's metrics, with an
 /// optional prior-epoch metric set for the spike rule.
 pub fn evaluate_slos(current: &MetricSet, prior: Option<&MetricSet>) -> Vec<Alert> {
-    evaluate(&default_rules(), current, prior)
+    evaluate(&DEFAULT_RULES, current, prior)
 }
 
 #[cfg(test)]
@@ -227,7 +238,6 @@ mod tests {
     #[test]
     fn default_ruleset_parses_and_is_quiet_on_a_healthy_run() {
         let (_, set) = metrics();
-        assert_eq!(default_rules().len(), 4);
         // A clean small study must not trip loss/exhaustion/staleness;
         // the spike rule has no prior here and suspicious defaults 0.
         let alerts = evaluate_slos(set, None);
@@ -235,6 +245,23 @@ mod tests {
         assert!(
             !loud.contains(&"probe_loss") && !loud.contains(&"stale_urgent"),
             "healthy run tripped: {loud:?}"
+        );
+    }
+
+    #[test]
+    fn default_rules_render_the_published_ruleset() {
+        assert_eq!(
+            obs::alert::render_rules(&DEFAULT_RULES),
+            "\
+# Fraction of sent probes that never completed.
+probe_loss: pv_probe_loss_rate > 0.3
+# Landmarks abandoned after the full retry budget.
+retry_exhaustion: pv_retry_exhaustion_total > 10
+# Per-provider False/Suspicious rate doubling vs the prior store epoch.
+suspicious_spike: pv_suspicious_rate{provider} spikes x2 vs prior
+# Refuted/withheld verdicts overdue for revalidation.
+stale_urgent: pv_stale_urgent_verdicts > 0
+"
         );
     }
 

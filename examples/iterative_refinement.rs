@@ -13,7 +13,7 @@
 
 use proxy_verifier::atlas::{CalibrationDb, Constellation, LandmarkServer};
 use proxy_verifier::geoloc::proxy::ProxyContext;
-use proxy_verifier::geoloc::twophase::{run_refined, ProxyProber, RefinementConfig};
+use proxy_verifier::geoloc::twophase::{run_refined, ProxyProber};
 use proxy_verifier::netsim::{FilterPolicy, WorldNetConfig};
 use proxy_verifier::vpnstudy::colocation::{detect_same_lan_groups, SAME_LAN_RTT_MS};
 use proxy_verifier::vpnstudy::{ProviderSet, StudyConfig};
@@ -36,10 +36,7 @@ fn main() {
     let survey = MarketSurvey::generate(&atlas, config.seed);
     let mut world = proxy_verifier::netsim::WorldNet::build(
         Arc::clone(&atlas),
-        WorldNetConfig {
-            seed: config.seed,
-            ..Default::default()
-        },
+        WorldNetConfig { seed: config.seed },
     );
     let constellation = Constellation::place(&mut world, &config.constellation);
     let calibration = CalibrationDb::collect(
@@ -69,7 +66,6 @@ fn main() {
         &mut prober,
         &CbgPlusPlus,
         &mask,
-        &RefinementConfig::default(),
         &mut rng,
     )
     .expect("measurable");

@@ -26,10 +26,7 @@ fn fixture() -> &'static Fixture {
         let atlas = Arc::new(WorldAtlas::new(GeoGrid::new(config.grid_resolution_deg)));
         let mut world = proxy_verifier::netsim::WorldNet::build(
             Arc::clone(&atlas),
-            proxy_verifier::netsim::WorldNetConfig {
-                seed: config.seed,
-                ..Default::default()
-            },
+            proxy_verifier::netsim::WorldNetConfig { seed: config.seed },
         );
         let constellation = Constellation::place(&mut world, &config.constellation);
         let calibration = CalibrationDb::collect(
