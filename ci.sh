@@ -61,6 +61,17 @@ cargo test -q --offline --test adversary_campaign
 # diff means a result depended on scheduling: a bug, not noise.
 cargo test -q --release --offline -p bench --test determinism
 
+# Contract bytes against the committed digest, in release (about 5 s):
+# the matrix above compares splits of one build with each other; this
+# compares the build with the bytes the repository last agreed on, so a
+# change that moves any contract byte fails here. A change that means to
+# move them regenerates the digest with
+#   cargo run -q --release --offline -p bench --bin determinism_report \
+#       | sha256sum > crates/bench/determinism_report.sha256
+# and says in CHANGES.md which bytes moved and why.
+cargo run -q --release --offline -p bench --bin determinism_report \
+    | sha256sum -c crates/bench/determinism_report.sha256
+
 # Figure determinism, in release (about 5 s): two processes must render
 # every small-scale figure to the same bytes. Each process draws its own
 # hash keys, so a renderer that ranks ties in `HashMap` order fails here.

@@ -104,7 +104,7 @@ fn main() {
     fn crowd_ctx(crowd: &mut Option<CrowdContext>, scale: Scale) -> &mut CrowdContext {
         if crowd.is_none() {
             eprintln!("[figures] building crowd context ({scale:?})…");
-            *crowd = Some(build_crowd_context(scale));
+            *crowd = Some(build_crowd_context(scale.study_config()));
         }
         crowd.as_mut().unwrap()
     }

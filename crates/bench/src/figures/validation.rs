@@ -5,7 +5,7 @@ use crate::render::render_ecdf;
 use crate::scale::CrowdContext;
 use geokit::{GeoPoint, Region, EARTH_LAND_AREA_KM2};
 use geoloc::algorithms::{Cbg, CbgPlusPlus, Hybrid, QuasiOctant, ShortestPing, Spotter};
-use geoloc::delay_model::{CbgModel, SpotterModel};
+use geoloc::delay_model::CbgModel;
 use geoloc::effectiveness::analyze_effectiveness;
 use geoloc::multilateration::RingConstraint;
 use geoloc::{Geolocator, Observation};
@@ -74,11 +74,7 @@ pub fn score_algorithm<'a>(
 /// Score every algorithm on every measured crowd host (paired inputs).
 pub fn score_algorithms(ctx: &CrowdContext) -> Vec<AlgorithmScores> {
     let mask = ctx.mask();
-    // Global Spotter model pooled over the anchor mesh.
-    let pool: Vec<&atlas::CalibrationSet> = (0..ctx.constellation.num_anchors())
-        .map(|i| ctx.calibration.for_anchor(i))
-        .collect();
-    let spotter_model = SpotterModel::calibrate(&pool);
+    let spotter_model = ctx.spotter_model();
 
     let algorithms: [Box<dyn Geolocator>; 6] = [
         Box::new(ShortestPing),

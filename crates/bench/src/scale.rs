@@ -1,6 +1,7 @@
 //! Scale presets and context builders for the figure harness.
 
-use atlas::{CalibrationDb, Constellation, ConstellationConfig, LandmarkServer};
+use atlas::{CalibrationDb, CalibrationSet, Constellation, ConstellationConfig, LandmarkServer};
+use geoloc::delay_model::SpotterModel;
 use std::sync::Arc;
 use vpnstudy::audit::{Study, StudyResults};
 use vpnstudy::crowd::{measure_crowd, synthesize_hosts, CrowdHost, CrowdRecord};
@@ -86,11 +87,19 @@ impl CrowdContext {
     pub fn mask(&self) -> geokit::Region {
         self.world.atlas().plausibility_mask().clone()
     }
+
+    /// The global Spotter model, pooled over the whole anchor mesh.
+    pub fn spotter_model(&self) -> SpotterModel {
+        let pool: Vec<&CalibrationSet> = (0..self.constellation.num_anchors())
+            .map(|i| self.calibration.for_anchor(i))
+            .collect();
+        SpotterModel::calibrate(&pool)
+    }
 }
 
-/// Build the crowd-validation world at a scale.
-pub fn build_crowd_context(scale: Scale) -> CrowdContext {
-    let config = scale.study_config();
+/// Build the crowd-validation world for `config` (a scale's
+/// [`Scale::study_config`], or a cohort of its own).
+pub fn build_crowd_context(config: StudyConfig) -> CrowdContext {
     let atlas = Arc::new(worldmap::WorldAtlas::new(geokit::GeoGrid::new(
         config.grid_resolution_deg,
     )));

@@ -2,12 +2,14 @@
 //!
 //! A constraint says "the target is between `min_km` and `max_km` from
 //! this landmark" (a disk when `min_km` is zero — CBG's case — or an
-//! annulus — Octant's). The intersection engine exploits the structure of
-//! the problem: the *smallest* disk confines the search, so it is
-//! rasterized once and every other constraint is evaluated as a
-//! point-in-ring test on the survivors. Most constraints are wildly
-//! slack ("ineffective", §5.2), so this is orders of magnitude cheaper
-//! than rasterizing every disk.
+//! annulus — Octant's). The intersection engine works on latitude rows:
+//! on each row a constraint allows at most a few contiguous column runs,
+//! found in closed form, and run lists intersect by a linear merge, so
+//! no per-cell distance is computed. The *smallest* disk confines the
+//! search, so only its rows are visited ([`intersect_constraints`]); the
+//! cached variant ([`intersect_constraints_cached`]) folds each disk into
+//! the rows still alive and skips the disks that provably cover all of
+//! them, as most constraints are wildly slack ("ineffective", §5.2).
 
 use crate::multilateration::diskcache::DiskCache;
 use geokit::{CapRaster, GeoGrid, GeoPoint, GridTrig, Region, SphericalCap, EARTH_RADIUS_KM};

@@ -141,8 +141,8 @@ impl ProxyContext {
     /// in ms and the infeasibility flag from
     /// [`correct_indirect_rtt_checked`] — true when the tunnel-leg
     /// subtraction went negative and the reading was clamped to zero.
-    /// The reliability layer's fallback uses port 443 when a landmark
-    /// rate-limits or filters port 80.
+    /// The reliability layer falls back to port 443 when port 80 gets no
+    /// answer.
     pub fn measure_landmark_port_checked(
         &self,
         network: &mut Network,
@@ -151,8 +151,9 @@ impl ProxyContext {
         attempts: usize,
     ) -> Option<(f64, bool)> {
         let raw = min_of(attempts, || {
-            let d = network.tcp_connect_via_proxy_rtt(self.client, self.proxy, landmark, port)?;
-            Some(network.corrupt_rtt_ms(d.as_ms()))
+            network
+                .tcp_connect_via_proxy_rtt(self.client, self.proxy, landmark, port)
+                .map(|d| d.as_ms())
         })?;
         Some(correct_indirect_rtt_checked(
             raw,

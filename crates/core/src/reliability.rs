@@ -2,15 +2,16 @@
 //! degradation accounting.
 //!
 //! The paper's measurements run against the real Internet, where
-//! landmarks go dark mid-campaign, links lose packets, and middleboxes
-//! rate-limit probes (§4.2, §7.1). A measurement layer that silently
-//! shrinks its denominator when landmarks fail produces results that
-//! *look* precise but are built on fewer constraints than advertised.
-//! This module makes failure explicit: every probe is scheduled with a
-//! bounded retry budget and exponential backoff, a failed method falls
-//! back to one that "always works" (TCP connect, §4.2), and everything
-//! that went wrong is tallied in [`MeasurementDiagnostics`] so the audit
-//! layer can refuse to issue a verdict on thin evidence.
+//! landmarks go dark mid-campaign and probes get lost (§4.2, §7.1); the
+//! simulator injects both faults ([`netsim::FaultPlan`]). A measurement
+//! layer that silently shrinks its denominator when landmarks fail
+//! produces results that *look* precise but are built on fewer
+//! constraints than advertised. This module makes failure explicit:
+//! every probe is scheduled with a bounded retry budget and exponential
+//! backoff, a failed method falls back to one that "always works" (TCP
+//! connect, §4.2), and everything that went wrong is tallied in
+//! [`MeasurementDiagnostics`] so the audit layer can refuse to issue a
+//! verdict on thin evidence.
 //!
 //! Determinism contract: with all faults disabled, a
 //! [`ProbeScheduler`]-wrapped prober consumes *exactly* the same network
@@ -61,6 +62,14 @@ impl Default for RetryPolicy {
             backoff_factor: 2.0,
             max_backoff_ms: 5_000.0,
         }
+    }
+}
+
+impl RetryPolicy {
+    /// The un-jittered backoff before retry number `retry` (0-based), ms:
+    /// the base grown by the factor per earlier retry, capped.
+    pub fn backoff_ms(&self, retry: usize) -> f64 {
+        (self.base_backoff_ms * self.backoff_factor.powi(retry as i32)).min(self.max_backoff_ms)
     }
 }
 
@@ -148,9 +157,10 @@ impl Default for ReliabilityConfig {
 /// and method fallback, tallying diagnostics as it goes.
 ///
 /// Backoffs advance the network's simulation clock (a retry *waits*), so
-/// a landmark in a brief outage window can genuinely recover between
-/// attempts. The jitter RNG is the scheduler's own: when no retry fires,
-/// the network RNG stream is untouched relative to the bare prober.
+/// a retried probe goes out later, as it would on the wire. A retry
+/// recovers a lost probe; a landmark in an outage stays down. The jitter
+/// RNG is the scheduler's own: when no retry fires, the network RNG
+/// stream is untouched relative to the bare prober.
 pub struct ProbeScheduler<P> {
     /// The wrapped prober (public so callers can reach its knobs).
     pub inner: P,
@@ -181,9 +191,7 @@ impl<P> ProbeScheduler<P> {
 
     /// Backoff before retry number `retry` (0-based), with jitter.
     fn backoff_ms(&mut self, retry: usize) -> f64 {
-        let raw = (self.policy.base_backoff_ms * self.policy.backoff_factor.powi(retry as i32))
-            .min(self.policy.max_backoff_ms);
-        raw * (1.0 + self.rng.random_range(-JITTER_FRAC..JITTER_FRAC))
+        self.policy.backoff_ms(retry) * (1.0 + self.rng.random_range(-JITTER_FRAC..JITTER_FRAC))
     }
 
     /// One method's retry loop. Returns the first sane reading.

@@ -119,8 +119,8 @@ impl RttProber for ProxyProber {
     }
 
     fn probe_fallback(&mut self, network: &mut Network, landmark: NodeId) -> Option<f64> {
-        // Port 443: a landmark rate-limiting or filtering port 80 still
-        // answers its TLS port.
+        // Port 443: a landmark that filters port 80 may still answer
+        // its TLS port.
         self.checked(network, landmark, 443)
     }
 }
@@ -535,14 +535,10 @@ mod tests {
 
     impl CliProber {
         fn min_connect(&self, network: &mut Network, landmark: NodeId, port: u16) -> Option<f64> {
-            let mut best: Option<f64> = None;
-            for _ in 0..self.attempts {
-                if let Some(d) = network.tcp_connect_rtt(self.client, landmark, port) {
-                    let ms = network.corrupt_rtt_ms(d.as_ms());
-                    best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-                }
-            }
-            best
+            (0..self.attempts)
+                .filter_map(|_| network.tcp_connect_rtt(self.client, landmark, port))
+                .map(|d| d.as_ms())
+                .reduce(f64::min)
         }
     }
 

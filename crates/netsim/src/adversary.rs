@@ -22,9 +22,8 @@
 //!   faster than the honest floor);
 //! * **colluding landmarks** — a compromised landmark answers the
 //!   proxy's probe before it physically could (pre-sent replies),
-//!   modelled as a deterministic deflation of the completed reading,
-//!   the same reading-level hook [`FaultPlan`](crate::FaultPlan) uses
-//!   for corruption.
+//!   modelled as a deterministic deflation of the completed reading
+//!   (the simulation clock keeps the true arrival).
 //!
 //! Design contract (mirrors [`crate::fault`]):
 //!

@@ -109,15 +109,10 @@ impl PacketKind {
 /// hot loop never touches a recorder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LossTally {
-    /// Swallowed by a node inside an outage window (forwarding or
-    /// delivery).
+    /// Swallowed by a node in an outage (forwarding or delivery).
     pub outage: u32,
     /// Per-node random loss.
     pub random_drop: u32,
-    /// Per-link loss.
-    pub link_loss: u32,
-    /// Reply rate-limiting at the destination (§4.2).
-    pub rate_limited: u32,
     /// Silently dropped by the destination's filter policy (ICMP
     /// filtered, SYN to a filtered port).
     pub filtered: u32,
@@ -126,7 +121,7 @@ pub struct LossTally {
 impl LossTally {
     /// Total packets swallowed, all causes.
     pub fn total(&self) -> u32 {
-        self.outage + self.random_drop + self.link_loss + self.rate_limited + self.filtered
+        self.outage + self.random_drop + self.filtered
     }
 
     /// The most frequent cause's label, or `None` when nothing was lost
@@ -135,9 +130,7 @@ impl LossTally {
     pub fn dominant(&self) -> Option<&'static str> {
         let causes = [
             (self.outage, "outage"),
-            (self.rate_limited, "rate_limit"),
             (self.filtered, "filtered"),
-            (self.link_loss, "link_loss"),
             (self.random_drop, "drop"),
         ];
         causes
@@ -328,8 +321,8 @@ impl<'a, R: Rng> Engine<'a, R> {
 
     /// Carry the leg's packet along its route. At every forwarding node
     /// (the source included) the order of checks and draws is fixed:
-    /// TTL, outage, random drop, queueing, link loss, added delay. Each
-    /// hop's delay is truncated to whole nanoseconds on its own.
+    /// TTL, outage, random drop, queueing, added delay. Each hop's delay
+    /// is truncated to whole nanoseconds on its own.
     fn walk(&mut self, route: &PathDelays, leg: &Leg) -> Arrival {
         let mut at = leg.at;
         let mut ttl = leg.ttl;
@@ -361,10 +354,6 @@ impl<'a, R: Rng> Engine<'a, R> {
             } else {
                 0.0
             };
-            if self.faults.drops_on_link(hop.link, self.rng) {
-                self.losses.link_loss += 1;
-                return Arrival::Lost;
-            }
             let extra = self.faults.added_delay_ms(here, self.rng);
             let hop_ms = hop.propagation_ms + self.model.per_hop_fixed_ms + queue_ms + extra;
             at = at + SimDuration::from_ms(hop_ms);
@@ -385,20 +374,10 @@ impl<'a, R: Rng> Engine<'a, R> {
     ) -> Step {
         let here = leg.dst;
         let silence = Step::Done(Outcome::TimedOut);
-        // A node inside an outage window swallows everything addressed
-        // to it — no replies, no tunnel forwarding.
+        // A node in an outage swallows everything addressed to it — no
+        // replies, no tunnel forwarding.
         if self.faults.is_down(here, at) {
             self.losses.outage += 1;
-            return silence;
-        }
-        // Reply rate-limiting (§4.2): a limited node silently drops
-        // request probes beyond its reply budget for the window.
-        if matches!(
-            leg.kind,
-            PacketKind::EchoRequest | PacketKind::TcpSyn { .. }
-        ) && self.faults.rate_limited(here, at)
-        {
-            self.losses.rate_limited += 1;
             return silence;
         }
         let mut at = at + SimDuration::from_ms(self.model.endpoint_ms);

@@ -18,8 +18,8 @@
 //!   heavy-tailed (congestion, bufferbloat), heavier in some regions than
 //!   others (the paper: China/academic-network effects, §2),
 //! * and with endpoint policies that filter ICMP, discard time-exceeded,
-//!   and rate-limit unusual ports (§4.2: ~90 % of VPN servers ignore
-//!   pings; a third break traceroute entirely).
+//!   and filter unusual ports (§4.2: ~90 % of VPN servers ignore pings;
+//!   a third break traceroute entirely).
 //!
 //! Two evaluation paths read the same routed hops and the same delay
 //! model:
@@ -57,7 +57,7 @@ pub mod topology;
 
 pub use adversary::{AdversaryPlan, AdversaryTally, ProxyTactic};
 pub use builder::{WorldNet, WorldNetConfig};
-pub use fault::{FaultPlan, OutageWindow, RateLimit};
+pub use fault::FaultPlan;
 pub use network::Network;
 pub use policy::FilterPolicy;
 pub use time::{SimDuration, SimTime};

@@ -59,20 +59,17 @@ pub struct Network {
     /// whenever they no longer fit `model`, so an edited model never
     /// reads stale ones.
     bounds: Option<Arc<QueueBounds>>,
-    /// `Arc`-shared copy-on-write like `model`, **except** when the plan
-    /// carries sliding-window rate-limit state, which mutates through
-    /// `&FaultPlan` during runs — then forks deep-copy (see
-    /// [`fork`](Network::fork)).
+    /// `Arc`-shared copy-on-write like `model`: probes only read the
+    /// plan, so forks always share it and mutation clones first
+    /// (`Arc::make_mut`).
     faults: Arc<FaultPlan>,
-    /// The active-adversary plan. `Arc`-shared copy-on-write like
-    /// `model` — it carries no interior-mutable state, so forks always
-    /// share it and mutation clones first (`Arc::make_mut`).
+    /// The active-adversary plan, shared copy-on-write like `faults`.
     adversary: Arc<AdversaryPlan>,
     rng: StdRng,
     /// The persistent simulation clock: probes are injected at `now`,
     /// and `now` advances by each probe's wall time (or the probe
-    /// timeout when nothing comes back). Outage windows and reply
-    /// rate-limits are defined against this clock.
+    /// timeout when nothing comes back). Outages start at instants of
+    /// this clock.
     now: SimTime,
     /// Observability sink. Defaults to [`Recorder::off`]; attach one with
     /// [`Network::set_recorder`]. Everything measured through this handle
@@ -103,35 +100,22 @@ impl Network {
 
     /// An independent measurement handle over the same world.
     ///
-    /// The fork shares the topology, the router's core trees, and
-    /// the delay model (all `Arc`; all read-only during runs, so sharing
-    /// across threads cannot change any result), starts an empty memo of
-    /// recent routes, inherits the parent's clock, and starts a **fresh
-    /// RNG stream** from `seed`. Probing through a fork never advances
-    /// the parent's clock or RNG — the basis of the audit's per-proxy
-    /// parallelism: results depend only on (shared world, per-proxy
-    /// seed), not on which thread measures which proxy first.
-    ///
-    /// The fault plan is `Arc`-shared too **unless** it carries reply
-    /// rate limits: their sliding-window state mutates through
-    /// `&FaultPlan` during probes, so sharing it would let one
-    /// fork's probes consume another fork's rate-limit budget (and make
-    /// results scheduling-dependent). Plans with rate limits are
-    /// deep-copied per fork, exactly as every fork was before the
-    /// copy-on-write optimization; the common fault-free audit pays no
-    /// per-proxy clone at all.
+    /// The fork shares the topology, the router's core trees, the delay
+    /// model, the fault plan and the adversary plan (all `Arc`; all
+    /// read-only during runs, so sharing across threads cannot change
+    /// any result), starts an empty memo of recent routes, inherits the
+    /// parent's clock, and starts a **fresh RNG stream** from `seed`.
+    /// Probing through a fork never advances the parent's clock or RNG —
+    /// the basis of the audit's per-proxy parallelism: results depend
+    /// only on (shared world, per-proxy seed), not on which thread
+    /// measures which proxy first.
     pub fn fork(&self, seed: u64) -> Network {
-        let faults = if self.faults.has_rate_limits() {
-            Arc::new(FaultPlan::clone(&self.faults))
-        } else {
-            Arc::clone(&self.faults)
-        };
         Network {
             topo: Arc::clone(&self.topo),
             routes: self.routes.fork(),
             model: Arc::clone(&self.model),
             bounds: self.bounds.clone(),
-            faults,
+            faults: Arc::clone(&self.faults),
             adversary: Arc::clone(&self.adversary),
             rng: StdRng::seed_from_u64(seed),
             now: self.now,
@@ -202,10 +186,9 @@ impl Network {
         &self.faults
     }
 
-    /// Mutable fault plan (drops, outages, rate limits, corruption,
-    /// adversarial proxies). If forks share this plan it is
-    /// copied-on-write — forks keep the plan as it was when they were
-    /// taken.
+    /// Mutable fault plan (drops, outages, adversarial proxies). If
+    /// forks share this plan it is copied-on-write — forks keep the plan
+    /// as it was when they were taken.
     pub fn faults_mut(&mut self) -> &mut FaultPlan {
         Arc::make_mut(&mut self.faults)
     }
@@ -221,14 +204,6 @@ impl Network {
     /// they were taken.
     pub fn adversary_mut(&mut self) -> &mut AdversaryPlan {
         Arc::make_mut(&mut self.adversary)
-    }
-
-    /// Apply the fault plan's measurement-corruption model to a
-    /// completed RTT reading (ms). Identity — and RNG-neutral — when the
-    /// corrupt chance is zero. The corrupted reading may be NaN;
-    /// consumers must tolerate non-finite values.
-    pub fn corrupt_rtt_ms(&mut self, ms: f64) -> f64 {
-        self.faults.corrupt_rtt_ms(ms, &mut self.rng)
     }
 
     // --- Packet-level, protocol-faithful operations ---------------------
@@ -364,8 +339,6 @@ impl Network {
         for (n, name) in [
             (t.outage, "net.loss.outage"),
             (t.random_drop, "net.loss.drop"),
-            (t.link_loss, "net.loss.link"),
-            (t.rate_limited, "net.loss.rate_limit"),
             (t.filtered, "net.loss.filtered"),
         ] {
             if n > 0 {
@@ -819,66 +792,12 @@ mod tests {
     }
 
     #[test]
-    fn outage_window_darkens_then_recovers() {
-        let (mut net, client, _, lm) = net();
-        // Landmark down for the first simulated second.
-        net.faults_mut().add_outage(
-            lm,
-            SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_ms(1_000.0),
-        );
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_none());
-        // The failed probe advanced the clock past the outage window.
-        assert!(net.now() >= SimTime::ZERO + SimDuration::from_ms(1_000.0));
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_some());
-    }
-
-    #[test]
     fn permanent_outage_never_recovers() {
         let (mut net, client, _, lm) = net();
         net.faults_mut().add_permanent_outage(lm, SimTime::ZERO);
         for _ in 0..5 {
             assert!(net.tcp_connect_rtt(client, lm, 80).is_none());
         }
-    }
-
-    #[test]
-    fn rate_limited_landmark_answers_only_its_budget() {
-        let (mut net, client, _, lm) = net();
-        // Two replies per 10-second window; everything in this test fits
-        // inside one window (successful probes advance the clock by only
-        // a few ms each; the two timeouts add 2 s each).
-        net.faults_mut()
-            .set_rate_limit(lm, 2, SimDuration::from_ms(10_000.0));
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_some());
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_some());
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_none());
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_none());
-        // After the window slides past the first replies, service resumes.
-        net.advance(SimDuration::from_ms(10_000.0));
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_some());
-    }
-
-    #[test]
-    fn total_link_loss_times_out() {
-        let (mut net, client, _, lm) = net();
-        // Link 0 is fra—par: the only path from client to landmark.
-        net.faults_mut().set_link_loss(0, 1.0);
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_none());
-        net.faults_mut().set_link_loss(0, 0.0);
-        assert!(net.tcp_connect_rtt(client, lm, 80).is_some());
-    }
-
-    #[test]
-    fn corruption_flows_through_the_rtt_surface() {
-        let (mut net, client, _, lm) = net();
-        net.faults_mut().set_corrupt_chance(1.0);
-        let d = net.tcp_connect_rtt(client, lm, 80).unwrap();
-        let corrupted = net.corrupt_rtt_ms(d.as_ms());
-        // Always corrupted at chance 1.0: never the clean reading.
-        assert!(corrupted.to_bits() != d.as_ms().to_bits());
-        net.faults_mut().set_corrupt_chance(0.0);
-        assert_eq!(net.corrupt_rtt_ms(7.5), 7.5);
     }
 
     #[test]
@@ -904,7 +823,8 @@ mod tests {
         assert_eq!(run_a, run_b);
         // Forks never touched the parent's clock.
         assert_eq!(parent.now(), parent_now);
-        // Fault state is copied, not shared.
+        // A fork's fault edits are its own: the shared plan is copied on
+        // write.
         let mut c = parent.fork(3);
         c.faults_mut().add_permanent_outage(lm, SimTime::ZERO);
         assert!(c.tcp_connect_rtt(client, lm, 80).is_none());

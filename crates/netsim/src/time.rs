@@ -17,11 +17,6 @@ impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// A time later than any reachable simulation instant — the open end
-    /// of a permanent outage window. Kept below `u64::MAX` so adding
-    /// small durations to nearby times cannot overflow the clock.
-    pub const FAR_FUTURE: SimTime = SimTime(u64::MAX / 2);
-
     /// Nanoseconds since simulation start.
     pub fn as_nanos(self) -> u64 {
         self.0

@@ -111,11 +111,6 @@ impl Topology {
         self.nodes.len()
     }
 
-    /// Number of links.
-    pub fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
     /// Node accessor.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id as usize]
@@ -171,7 +166,6 @@ mod tests {
         t.add_link(a, b, 8.0);
         t.add_link(h, a, 0.5);
         assert_eq!(t.num_nodes(), 3);
-        assert_eq!(t.num_links(), 2);
         assert_eq!(t.neighbours(a).len(), 2);
         assert_eq!(t.neighbours(h), &[(1, a)]);
     }

@@ -111,18 +111,6 @@ pub const COUNTERS: &[MetricDef] = &[
         LOSS_HELP,
     ),
     def(
-        "net.loss.link",
-        "pv_probe_loss_total",
-        &[("cause", "link")],
-        LOSS_HELP,
-    ),
-    def(
-        "net.loss.rate_limit",
-        "pv_probe_loss_total",
-        &[("cause", "rate_limit")],
-        LOSS_HELP,
-    ),
-    def(
         "net.loss.filtered",
         "pv_probe_loss_total",
         &[("cause", "filtered")],

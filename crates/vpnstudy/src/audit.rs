@@ -484,17 +484,15 @@ fn measure_one_proxy(proxy: DeployedProxy, lineage: &Network, ctx: &AuditCtx<'_>
     net.set_recorder(rec.clone());
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xaad17 ^ mix);
     // Establish the tunnel context with the same retry budget as a
-    // probe: a flap during session setup should not write the proxy
-    // off. The backoff here is deterministic (no jitter) — it only
+    // probe: self-pings lost during session setup should not write the
+    // proxy off. The backoff here is deterministic (no jitter) — it only
     // advances the sim clock.
     let establish_span = rec.profile_span("audit.establish");
     let mut establish_attempts = 0usize;
     let mut ctx_established = None;
     for attempt in 0..reliability.retry.max_attempts.max(1) {
         if attempt > 0 {
-            let wait = (reliability.retry.base_backoff_ms
-                * reliability.retry.backoff_factor.powi(attempt as i32 - 1))
-            .min(reliability.retry.max_backoff_ms);
+            let wait = reliability.retry.backoff_ms(attempt - 1);
             net.advance(SimDuration::from_ms(wait));
         }
         establish_attempts += 1;

@@ -9,6 +9,7 @@
 //! simulated path) and 10 % of landmarks in permanent outage.
 
 use bench::determinism::{check_scenario, Scenario, REFERENCE};
+use proxy_verifier::netsim::network::DEFAULT_PROBE_TIMEOUT_MS;
 use proxy_verifier::netsim::NodeId;
 use proxy_verifier::vpnstudy::{MeasureFailure, Study, StudyConfig, StudyResults};
 
@@ -155,6 +156,10 @@ fn faulted_campaign_trips_the_default_slo_rules() {
     );
 }
 
+/// No tunnel answers: every proxy spends its whole establish budget and
+/// is refused a verdict, and the budget's price is exact. Each attempt
+/// is `self_ping_attempts` self-pings that each time out, and between
+/// attempts the un-jittered backoffs wait 200 ms, then 400 ms.
 #[test]
 fn total_blackout_degrades_loudly_not_silently() {
     let mut config = campaign_config();
@@ -165,11 +170,34 @@ fn total_blackout_degrades_loudly_not_silently() {
     let results = study.run();
     assert!(results.records.is_empty(), "verdicts issued in a blackout");
     assert_eq!(results.failures.len(), total);
+    let retry = study.config.reliability.retry;
+    let max_attempts = retry.max_attempts;
+    assert_eq!(max_attempts, 3, "the price below assumes two backoffs");
     for f in &results.failures {
         assert_eq!(f.failure, MeasureFailure::Unmeasurable);
-        assert!(!f.diagnostics.is_empty());
+        let d = &f.diagnostics;
+        assert_eq!(d.attempts, max_attempts, "{d:?}");
+        assert_eq!(d.retries, max_attempts - 1, "{d:?}");
+        assert_eq!(d.timeouts, max_attempts, "{d:?}");
     }
     let summary = results.reliability_summary();
     assert_eq!(summary.unmeasurable, total);
     assert_eq!(summary.measured, 0);
+
+    let timeout_ns = (DEFAULT_PROBE_TIMEOUT_MS * 1e6) as u64;
+    let price_ns = (max_attempts * study.config.self_ping_attempts) as u64 * timeout_ns
+        + 200_000_000
+        + 400_000_000;
+    let mut spans = Vec::new();
+    results.obs.with_events(|events| {
+        let mut start = None;
+        for e in events {
+            match e.name {
+                "proxy_start" => start = Some(e.t_ns),
+                "proxy_done" => spans.push(e.t_ns - start.take().expect("started")),
+                _ => {}
+            }
+        }
+    });
+    assert_eq!(spans, vec![price_ns; total]);
 }

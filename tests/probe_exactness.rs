@@ -2,9 +2,11 @@
 //! engine it replaced. That engine is kept below as the reference, as it
 //! stood before the walk (an event heap, sequence numbers, probe ids, a
 //! route rebuilt per leg, a link found by scanning neighbours), together
-//! with the `Network` facade code that drove it. Only three lines differ:
-//! `FaultPlan::drops_packet` and the queueing draw lost their node
-//! arguments, and `PacketKind` became `Copy`. The queueing draw is the
+//! with the `Network` facade code that drove it, less its checks for
+//! the faults the plan has since lost (per-link loss, reply rate limits,
+//! reading corruption). Three lines differ: `FaultPlan::drops_packet`
+//! and the queueing draw lost their node arguments, and `PacketKind`
+//! became `Copy`. The queueing draw is the
 //! plain body `DelayModel::queue_draw_ms` had before it was split into
 //! uniforms and their transform (`geokit::sampling`'s draws in turn),
 //! and the closed form is the plain loop `min_of_n_rtt_ms` had before
@@ -319,11 +321,6 @@ impl<'a, R: Rng> Engine<'a, R> {
             .find(|&&(_, n)| n == next)
             .map(|&(l, _)| l)
             .expect("route follows links");
-        // Fault injection: independent loss on the traversed link.
-        if self.faults.drops_on_link(link, self.rng) {
-            self.losses.link_loss += 1;
-            return;
-        }
         let extra = self.faults.added_delay_ms(here, self.rng);
         let hop = SimDuration::from_ms(
             self.topo.link(link).propagation_ms + self.model.per_hop_fixed_ms + queue_ms + extra,
@@ -334,20 +331,10 @@ impl<'a, R: Rng> Engine<'a, R> {
 
     fn handle_delivery(&mut self, at: SimTime, packet: Packet) {
         let here = packet.dst;
-        // A node inside an outage window swallows everything addressed
-        // to it — no replies, no tunnel forwarding.
+        // A node in an outage swallows everything addressed to it — no
+        // replies, no tunnel forwarding.
         if self.faults.is_down(here, at) {
             self.losses.outage += 1;
-            return;
-        }
-        // Reply rate-limiting (§4.2): a limited node silently drops
-        // request probes beyond its reply budget for the window.
-        if matches!(
-            packet.kind,
-            PacketKind::EchoRequest | PacketKind::TcpSyn { .. }
-        ) && self.faults.rate_limited(here, at)
-        {
-            self.losses.rate_limited += 1;
             return;
         }
         let stack = SimDuration::from_ms(self.model.endpoint_ms);
@@ -680,8 +667,6 @@ impl Reference {
         for (n, name) in [
             (t.outage, "net.loss.outage"),
             (t.random_drop, "net.loss.drop"),
-            (t.link_loss, "net.loss.link"),
-            (t.rate_limited, "net.loss.rate_limit"),
             (t.filtered, "net.loss.filtered"),
         ] {
             if n > 0 {
@@ -700,10 +685,6 @@ impl Reference {
 
     fn advance(&mut self, d: SimDuration) {
         self.now = self.now + d;
-    }
-
-    fn corrupt_rtt_ms(&mut self, ms: f64) -> f64 {
-        self.faults.corrupt_rtt_ms(ms, &mut self.rng)
     }
 
     fn ping(&mut self, client: NodeId, target: NodeId) -> Option<SimDuration> {
@@ -855,17 +836,15 @@ enum Op {
     SelfPing(NodeId, NodeId),
     Traceroute(NodeId, NodeId, u32),
     Trace(NodeId, NodeId, u16),
-    Corrupt(u64),
     Advance(u64),
 }
 
-/// What one call returned, with RTTs as exact nanoseconds or bits.
+/// What one call returned, with RTTs as exact nanoseconds.
 #[derive(Debug, PartialEq)]
 enum Reading {
     Rtt(Option<u64>),
     Hops(Vec<Option<NodeId>>),
     Trace(Vec<TraceEvent>, Option<u64>),
-    Bits(u64),
     Nothing,
 }
 
@@ -886,7 +865,6 @@ macro_rules! apply {
                 let (trace, rtt) = net.trace_tcp_connect(a, b, port);
                 Reading::Trace(trace, nanos(rtt))
             }
-            Op::Corrupt(us) => Reading::Bits(net.corrupt_rtt_ms(us as f64 / 1e3).to_bits()),
             Op::Advance(us) => {
                 net.advance(SimDuration::from_us(us as f64));
                 Reading::Nothing
@@ -1007,37 +985,12 @@ fn random_world(seed: u64, core: usize, hosts: usize, long: bool) -> (Topology, 
 fn arm_randomly(net: &mut Network, seed: u64, hosts: &[NodeId]) {
     let mut rng = StdRng::seed_from_u64(seed);
     let nodes = net.topology().num_nodes() as NodeId;
-    let links = net.topology().num_links() as u32;
-    let ms = |rng: &mut StdRng, max: f64| {
-        SimTime::ZERO + SimDuration::from_ms(rng.random_range(0.0..max))
-    };
     let host = |rng: &mut StdRng| hosts[rng.random_range(0..hosts.len())];
     let faults = net.faults_mut();
     faults.set_drop_chance([0.0, 0.0, 0.02, 0.2][rng.random_range(0..4usize)]);
-    for _ in 0..rng.random_range(0..3u32) {
-        faults.set_link_loss(
-            rng.random_range(0..links),
-            [0.1, 0.5, 1.0][rng.random_range(0..3usize)],
-        );
-    }
     for _ in 0..rng.random_range(0..4u32) {
-        let at = rng.random_range(0..nodes);
-        let (start, end) = (ms(&mut rng, 20_000.0), ms(&mut rng, 40_000.0));
-        match rng.random_range(0..3u32) {
-            0 if start <= end => faults.add_outage(at, start, end),
-            1 => faults.add_permanent_outage(at, start),
-            _ => faults.add_flapping(
-                at,
-                start,
-                SimDuration::from_ms(rng.random_range(1.0..3_000.0)),
-                SimDuration::from_ms(rng.random_range(1.0..3_000.0)),
-                3,
-            ),
-        }
-    }
-    for _ in 0..rng.random_range(0..3u32) {
-        let window = SimDuration::from_ms(rng.random_range(1.0..5_000.0));
-        faults.set_rate_limit(host(&mut rng), rng.random_range(0..3usize), window);
+        let start = SimTime::ZERO + SimDuration::from_ms(rng.random_range(0.0..20_000.0));
+        faults.add_permanent_outage(rng.random_range(0..nodes), start);
     }
     for _ in 0..rng.random_range(0..3u32) {
         let jitter = [0.0, 0.7][rng.random_range(0..2usize)];
@@ -1050,7 +1003,6 @@ fn arm_randomly(net: &mut Network, seed: u64, hosts: &[NodeId]) {
     if rng.random_bool(0.3) {
         faults.set_forge_synack(host(&mut rng), true);
     }
-    faults.set_corrupt_chance([0.0, 0.3][rng.random_range(0..2usize)]);
     let adversary = net.adversary_mut();
     for _ in 0..rng.random_range(0..3u32) {
         let tactic = adversary.tactic_mut(host(&mut rng));
@@ -1080,7 +1032,7 @@ fn random_ops(seed: u64, n: usize, hosts: &[NodeId], nodes: u32) -> Vec<Op> {
     (0..n)
         .map(|_| {
             let (a, b, c) = (pick(&mut rng), pick(&mut rng), pick(&mut rng));
-            match rng.random_range(0..12u32) {
+            match rng.random_range(0..11u32) {
                 0 => Op::Ping(a, b),
                 1 | 2 => Op::Connect(a, b, port(&mut rng)),
                 3..=5 => Op::Tunnel(a, b, c, port(&mut rng)),
@@ -1088,7 +1040,6 @@ fn random_ops(seed: u64, n: usize, hosts: &[NodeId], nodes: u32) -> Vec<Op> {
                 7 => Op::Traceroute(a, b, rng.random_range(1..8u32)),
                 8 => Op::Traceroute(a, b, 1),
                 9 => Op::Trace(a, b, port(&mut rng)),
-                10 => Op::Corrupt(rng.random_range(1..100_000u64)),
                 _ => Op::Advance(rng.random_range(0..3_000_000u64)),
             }
         })
