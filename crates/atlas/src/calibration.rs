@@ -90,12 +90,12 @@ impl CalibrationDb {
     /// `pings_per_pair` RTT draws (the "two weeks of pings" summary),
     /// halved to a one-way time.
     ///
-    /// Cost is `O(anchors² · pings_per_pair)` uniform draws, but
-    /// `Network::min_of_n_rtt_ms` transforms only the round trips that
-    /// can still lower a pair's minimum, about one in nine at 40 draws.
-    /// The default 250-anchor constellation at 40 draws takes about half
-    /// a second single-threaded in a release build on a 2-vCPU VM, so
-    /// bulk callers still cache the result.
+    /// Cost is `O(anchors² · pings_per_pair)` uniform draws, read as
+    /// integers, but `Network::min_of_n_rtt_ms` transforms only the round
+    /// trips that can set a pair's minimum: 1.16 per pair (of 40) on the
+    /// default 250-anchor constellation, whose mesh takes about 0.4 s
+    /// single-threaded in a release build on a 2-vCPU VM, so bulk callers
+    /// still cache the result.
     pub fn collect(
         network: &mut Network,
         constellation: &Constellation,

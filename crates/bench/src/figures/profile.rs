@@ -15,10 +15,10 @@ use vpnstudy::report;
 
 /// Render the study's span tree, set-up's `build.*` spans included,
 /// plus the run-shape telemetry block (thread and shard counts,
-/// disk-cache hit rate).
+/// disk-cache hit rate, routing and calibration work).
 pub fn profile_spans(ctx: &StudyContext) -> String {
     let mut out = report::render_profile(&ctx.study, &ctx.results);
     out.push('\n');
-    out.push_str(&report::render_perf_telemetry(&ctx.results));
+    out.push_str(&report::render_perf_telemetry(&ctx.study, &ctx.results));
     out
 }

@@ -233,27 +233,16 @@ impl WorldNet {
         &self.atlas
     }
 
-    /// The IXP nearest to a location.
+    /// The IXP nearest to a location; of equally near ones, the lowest
+    /// id. Each IXP's distance is computed once.
     pub fn nearest_ixp(&self, location: &GeoPoint) -> NodeId {
+        let topo = self.network.topology();
         self.ixps
             .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                let da = self
-                    .network
-                    .topology()
-                    .node(a)
-                    .location
-                    .distance_km(location);
-                let db = self
-                    .network
-                    .topology()
-                    .node(b)
-                    .location
-                    .distance_km(location);
-                da.partial_cmp(&db).expect("finite").then(a.cmp(&b))
-            })
+            .map(|&id| (topo.node(id).location.distance_km(location), id))
+            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)))
             .expect("world has IXPs")
+            .1
     }
 
     /// Attach a host behind its own first-hop gateway router: the
@@ -325,6 +314,7 @@ impl WorldNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::plain_node;
     use geokit::GeoGrid;
     use std::sync::OnceLock;
 
@@ -415,6 +405,75 @@ mod tests {
         let frankfurt = w.ixps[0];
         let floor = w.network().floor_rtt_ms(pn_hub, frankfurt).unwrap();
         assert!(floor > 120.0, "Pitcairn→Frankfurt floor {floor} too low");
+    }
+
+    /// `nearest_ixp` as it was: both distances recomputed at every
+    /// comparison.
+    fn nearest_ixp_reference(w: &WorldNet, location: &GeoPoint) -> NodeId {
+        let topo = w.network().topology();
+        w.ixps
+            .iter()
+            .copied()
+            .min_by(|&a, &b| {
+                let da = topo.node(a).location.distance_km(location);
+                let db = topo.node(b).location.distance_km(location);
+                da.partial_cmp(&db).expect("finite").then(a.cmp(&b))
+            })
+            .expect("world has IXPs")
+    }
+
+    #[test]
+    fn nearest_ixp_matches_the_pairwise_comparator() {
+        let w = world();
+        let mut rng = StdRng::seed_from_u64(0x1c5);
+        let random = (0..2000).map(|_| {
+            GeoPoint::new(
+                rng.random_range(-90.0..90.0),
+                rng.random_range(-180.0..180.0),
+            )
+        });
+        let edges = [
+            (90.0, 0.0),
+            (-90.0, 0.0),
+            (89.999, 45.0),
+            (-89.999, -135.0),
+            (0.0, 180.0),
+            (0.0, -180.0),
+            (-17.5, 179.999),
+            (-17.5, -179.999),
+            (65.0, 180.0),
+        ]
+        .map(|(lat, lon)| GeoPoint::new(lat, lon));
+        let ixp_sites = w
+            .ixps
+            .iter()
+            .map(|&id| w.network().topology().node(id).location);
+        for p in random.chain(edges).chain(ixp_sites) {
+            assert_eq!(w.nearest_ixp(&p), nearest_ixp_reference(w, &p), "{p:?}");
+        }
+        // A point equidistant from two IXPs (mirror images across its
+        // meridian) takes the lower id, whichever comes first in the list.
+        for flip in [false, true] {
+            let mut topo = Topology::new();
+            let east = topo.add_node(plain_node(NodeKind::Ixp, GeoPoint::new(10.0, 20.0)));
+            let west = topo.add_node(plain_node(NodeKind::Ixp, GeoPoint::new(10.0, 0.0)));
+            let ixps = if flip {
+                vec![west, east]
+            } else {
+                vec![east, west]
+            };
+            let tie = WorldNet {
+                network: Network::new(topo, 1),
+                atlas: Arc::clone(w.atlas()),
+                ixps,
+                attach_rng: StdRng::seed_from_u64(1),
+            };
+            let mid = GeoPoint::new(40.0, 10.0);
+            let node = |id| tie.network().topology().node(id).location;
+            assert_eq!(node(east).distance_km(&mid), node(west).distance_km(&mid));
+            assert_eq!(tie.nearest_ixp(&mid), east.min(west));
+            assert_eq!(tie.nearest_ixp(&mid), nearest_ixp_reference(&tie, &mid));
+        }
     }
 
     #[test]

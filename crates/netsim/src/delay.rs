@@ -18,9 +18,10 @@
 //!
 //! A queueing draw is two steps: its uniforms, then their transform.
 //! The probe walk and the closed-form sampler share both. The sampler's
-//! minimum of many round trips also reads the uniforms first, through
-//! certified lower bounds (`QueueBounds`), to settle a round trip that
-//! cannot set the minimum without transforming it.
+//! minimum of many round trips also reads each draw's uniforms as
+//! integers first (`QueueBins`) and bounds the draw from both sides
+//! through certified tables (`QueueBounds`), so that it transforms only
+//! the round trips that can set the minimum.
 
 use crate::topology::Topology;
 use crate::{LinkId, NodeId};
@@ -97,9 +98,24 @@ impl DelayModel {
     ) -> QueueUniforms {
         let u1 = open_unit(rng);
         let u2 = rng.random();
-        let p = (self.spike_probability * congestion.min(3.0)).clamp(0.0, 1.0);
+        let p = self.spike_chance(congestion);
         let spike = (rng.random::<f64>() < p).then(|| open_unit(rng));
         QueueUniforms { u1, u2, spike }
+    }
+
+    /// The spike coin's probability at a node with the given congestion
+    /// factor.
+    #[inline]
+    fn spike_chance(&self, congestion: f64) -> f64 {
+        (self.spike_probability * congestion.min(3.0)).clamp(0.0, 1.0)
+    }
+
+    /// The spike coin as an integer test: the coin lands on the uniform
+    /// `k·2⁻⁵³` exactly when `k` is below this. `k·2⁻⁵³ < p` is
+    /// `k < p·2⁵³` (scaling by a power of two is exact), which for an
+    /// integer `k` is `k < ⌈p·2⁵³⌉`; a NaN `p` lands no coin either way.
+    pub(crate) fn spike_threshold(&self, congestion: f64) -> u64 {
+        (self.spike_chance(congestion) * UNIT_SCALE).ceil() as u64
     }
 
     /// The queueing delay, in ms, that `u` gives at a node with the given
@@ -184,6 +200,72 @@ pub(crate) struct QueueUniforms {
     pub spike: Option<f64>,
 }
 
+/// `2⁵³`: the RNG's float uniforms are `k·2⁻⁵³` for the 53-bit integer
+/// `k = next_u64() >> 11`.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The 53-bit integer `k` of the next uniform `k·2⁻⁵³` the RNG yields.
+#[inline]
+fn unit_bits<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// [`open_unit`] as an integer: again until it is non-zero.
+#[inline]
+fn open_unit_bits<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+    loop {
+        let k = unit_bits(rng);
+        if k != 0 {
+            return k;
+        }
+    }
+}
+
+/// What the bounds of one queueing draw read of its uniforms: the `u1`
+/// and `u2` bins and whether the spike coin landed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct QueueBins {
+    /// The `u1` bin, an index into [`QueueBounds`]' radius table.
+    pub radius: usize,
+    /// The `u2` bin, an index into its cosine table.
+    pub cos: usize,
+    /// Whether the spike coin landed.
+    pub spike: bool,
+}
+
+impl QueueBins {
+    /// Take one queueing draw from the RNG as
+    /// [`DelayModel::queue_uniforms`] does, reading each uniform as its
+    /// integer `k` and converting none to a float: `u1`'s bin from `k`'s
+    /// leading zeros and next six bits, `u2`'s from `k >> 44`, the coin
+    /// as `k < spike_below` (see [`DelayModel::spike_threshold`]).
+    /// `open_unit`'s test `u > 0` is `k ≠ 0`, so the RNG ends where the
+    /// float draw leaves it.
+    #[inline]
+    pub(crate) fn draw<R: Rng + ?Sized>(rng: &mut R, spike_below: u64) -> QueueBins {
+        let radius = radius_bin(open_unit_bits(rng));
+        // `u2·512 = k·2⁻⁴⁴` is exact, so its floor is `k >> 44`.
+        let cos = (unit_bits(rng) >> 44) as usize;
+        let spike = unit_bits(rng) < spike_below;
+        if spike {
+            open_unit_bits(rng);
+        }
+        QueueBins { radius, cos, spike }
+    }
+}
+
+/// The bin of `u1 = k·2⁻⁵³` (`k ≠ 0`): bin `i` holds the `u1` whose
+/// exponent and top six mantissa bits, `u1.to_bits() >> 46`, are
+/// `RADIUS_TOP_KEY − i`. `k`'s leading one sits `lz − 11` octaves below
+/// ½ and the mantissa's top bits are `k`'s next six, so that key is
+/// `RADIUS_TOP_KEY − ((lz − 11)·64 + 63 − top)`.
+#[inline]
+fn radius_bin(k: u64) -> usize {
+    let lz = k.leading_zeros() as usize;
+    let top = ((k << lz) >> 57) as usize & 63;
+    ((lz - 11) * 64 + 63 - top).min(RADIUS_BINS - 1)
+}
+
 /// `u1` bins: 64 per octave over the 20 octaves below 1, then one bin
 /// for everything below 2⁻²⁰.
 const RADIUS_BINS: usize = 20 * 64 + 1;
@@ -192,22 +274,23 @@ const RADIUS_BINS: usize = 20 * 64 + 1;
 const RADIUS_TOP_KEY: u64 = (1022 << 6) | 63;
 /// The least uniform `open_unit` yields: the RNG's floats are multiples
 /// of 2⁻⁵³.
-const LEAST_UNIFORM: f64 = 1.0 / (1u64 << 53) as f64;
+const LEAST_UNIFORM: f64 = 1.0 / UNIT_SCALE;
 /// `u2` bins, each `1/512` wide.
 const COS_BINS: usize = 512;
-/// Steps of the `exp` table per unit of `z`.
+/// Steps of the `exp` tables per unit of `z`.
 const EXP_STEPS: f64 = 128.0;
-/// The `exp` table's index of `z = 0`, before [`INDEX_SLACK`]. It puts
-/// the table's first step below the least `z` bound, `−r(2⁻⁵³) ≈ −8.572`.
+/// The `exp` tables' index of `z = 0`, before [`INDEX_SLACK`]. It puts
+/// the tables' first step below the least `z` bound, `−r(2⁻⁵³) ≈ −8.572`.
 const EXP_ZERO: usize = 1100;
 /// `exp` table entries: `z` from about −8.59 to 8.59, above the greatest
 /// `z` bound, `r(2⁻⁵³)`.
 const EXP_LEN: usize = 2 * EXP_ZERO;
-/// How far, in steps, each `exp` table entry sits below its grid point.
-/// The index `(z·128 + EXP_ZERO) as u32` rounds the sum to nearest
-/// first, which can carry it up to the next integer by at most 2⁻⁴²
-/// (the sum stays below 4096), so entry `k` must cover
-/// `z ≥ (k − EXP_ZERO − 2⁻⁴²) / 128`.
+/// How far, in steps, each `exp` table entry sits outside its grid
+/// point. The index `(z·128 + EXP_ZERO) as u32` rounds the sum to
+/// nearest first, which can move it by at most 2⁻⁴² either way (the sum
+/// stays below 4096), so entry `k` of the lower table must cover
+/// `z ≥ (k − EXP_ZERO − 2⁻⁴²) / 128`, and of the upper table
+/// `z < (k + 1 − EXP_ZERO + 2⁻⁴²) / 128`.
 const INDEX_SLACK: f64 = 1.0 / (1u64 << 23) as f64;
 /// Outward rounding of every table entry, relative (absolute for the
 /// cosine, which is at most 1). `ln`, `sqrt`, `cos` and `exp` are each
@@ -216,34 +299,43 @@ const INDEX_SLACK: f64 = 1.0 / (1u64 << 23) as f64;
 /// value the same call yields inside the bin; 2⁻⁴⁰ is 4096 ulps.
 const MARGIN: f64 = 1.0 / (1u64 << 40) as f64;
 
-/// Certified lower bounds on queueing draws, read from their uniforms
-/// alone. Built from one [`DelayModel`]'s parameters;
+/// Certified bounds on queueing draws, read from their bins alone.
+/// Built from one [`DelayModel`]'s parameters;
 /// [`fits`](QueueBounds::fits) tells whether a model still has them.
 ///
-/// For uniforms `u` and congestion `c ≥ 0`,
-/// `hop_ms(c, u) ≤ model.queue_transform_ms(c, u)` bit for bit:
+/// For uniforms `u` with bins `b` and congestion `c` finite and `≥ 0`,
+/// `hop_ms(c, b) ≤ model.queue_transform_ms(c, u) ≤ hop_max_ms(c, b)`
+/// bit for bit:
 /// - `r = sqrt(−2 ln u1)` lies in its `u1` bin's `[rmin, rmax]`, and
-///   `cos(2π u2)` is at least its `u2` bin's `cmin`, each the same libm
-///   call at the bin's worst corner, rounded outward by [`MARGIN`];
+///   `cos(2π u2)` in its `u2` bin's `[cmin, cmax]`, each end the same
+///   libm call at the bin's worst corner, rounded outward by [`MARGIN`];
 /// - so `z = r·cos` is at least `rmin·cmin` when `cmin ≥ 0` and
-///   `rmax·cmin` otherwise (floating-point products are monotone);
-/// - `exp(μ + σz)` (σ ≥ 0) is at least the `exp` table's entry at the
-///   grid point below that bound, itself rounded down by [`MARGIN`]
-///   (or 0 where it would be subnormal);
+///   `rmax·cmin` otherwise, and at most `rmax·cmax` when `cmax ≥ 0` and
+///   `rmin·cmax` otherwise (floating-point products are monotone);
+/// - `exp(μ + σz)` (σ ≥ 0) is at least the lower `exp` table's entry at
+///   the grid point below the least `z`, rounded down by [`MARGIN`] (or
+///   0 where it would be subnormal), and at most the upper table's entry
+///   at the grid point above the greatest `z`, rounded up by [`MARGIN`]
+///   (or `2·f64::MIN_POSITIVE` where it would be subnormal);
 /// - a spike, `scale / v^(1/shape)` with `v^(1/shape) ≤ 1`, adds at
-///   least `spike_scale_ms`;
+///   least `spike_scale_ms` and has no finite upper bound;
 /// - the sum and the product by `c` are monotone.
 #[derive(Debug)]
 pub(crate) struct QueueBounds {
     /// The bits of `(μ, σ, spike scale, spike shape)` it was built from.
     params: [u64; 4],
-    /// Per `u1` bin: `[rmin, rmax]`, picked by the sign of `cmin`.
+    /// Per `u1` bin: `[rmin, rmax]`, picked by the sign of the cosine
+    /// bound.
     radius: Box<[[f64; 2]; RADIUS_BINS]>,
-    /// Per `u2` bin: `cmin`.
-    cos_min: Box<[f64; COS_BINS]>,
+    /// Per `u2` bin: `[cmin, cmax]`.
+    cos: Box<[[f64; 2]; COS_BINS]>,
     /// Entry `k`: a lower bound on `exp(μ + σz)` for every
     /// `z ≥ (k − EXP_ZERO − INDEX_SLACK) / 128`.
     exp_min: Box<[f64; EXP_LEN]>,
+    /// Entry `k`: an upper bound on `exp(μ + σz)` for every
+    /// `z < (k + 1 − EXP_ZERO + INDEX_SLACK) / 128`; the last is +∞, so
+    /// an index clamped to it still bounds.
+    exp_max: Box<[f64; EXP_LEN]>,
     /// What a spike adds at least: `spike_scale_ms`, or NaN (a bound
     /// that never settles a round trip) when the Pareto parameters are
     /// ones `queue_transform_ms` rejects.
@@ -258,17 +350,19 @@ impl QueueBounds {
             [radius(hi) * (1.0 - MARGIN), radius(lo) * (1.0 + MARGIN)]
         });
         // cos(2πu2) falls to u2 = ½, a bin edge, and rises after it, so
-        // its least value in a bin is at one of the bin's edges.
+        // its least and greatest values in a bin are at the bin's edges.
         let cosines = (0..COS_BINS).map(|j| {
-            let (lo, hi) = (j as f64 / COS_BINS as f64, (j + 1) as f64 / COS_BINS as f64);
-            unit_cos(lo).min(unit_cos(hi)) - MARGIN
+            let lo = unit_cos(j as f64 / COS_BINS as f64);
+            let hi = unit_cos((j + 1) as f64 / COS_BINS as f64);
+            [lo.min(hi) - MARGIN, lo.max(hi) + MARGIN]
         });
         let (mu, sigma) = (model.queue_mu_log, model.queue_sigma_log);
-        // The table leans on μ + σz rising with z; when it does not, the
-        // table holds NaN, a bound that never settles a round trip.
+        // The tables lean on μ + σz rising with z; when it does not, they
+        // hold NaN, a bound that never settles a round trip.
         let rising = sigma >= 0.0;
-        let exps = (0..EXP_LEN).map(|k| {
-            let e = (mu + sigma * exp_grid(k)).exp() * (1.0 - MARGIN);
+        let exp_at = |z: f64| (mu + sigma * z).exp();
+        let exps_below = (0..EXP_LEN).map(|k| {
+            let e = exp_at(exp_grid(k, -INDEX_SLACK)) * (1.0 - MARGIN);
             // Below the normal range `exp` is accurate only in absolute
             // terms, so the bound drops to 0 there.
             if !rising {
@@ -279,12 +373,26 @@ impl QueueBounds {
                 e
             }
         });
+        let exps_above = (0..EXP_LEN).map(|k| {
+            let e = exp_at(exp_grid(k + 1, INDEX_SLACK)) * (1.0 + MARGIN);
+            // And rises to just above every subnormal there.
+            if !rising {
+                f64::NAN
+            } else if k == EXP_LEN - 1 {
+                f64::INFINITY
+            } else if e < 2.0 * f64::MIN_POSITIVE {
+                2.0 * f64::MIN_POSITIVE
+            } else {
+                e
+            }
+        });
         let (scale, shape) = (model.spike_scale_ms, model.spike_shape);
         QueueBounds {
             params: QueueBounds::key(model),
             radius: boxed(radii),
-            cos_min: boxed(cosines),
-            exp_min: boxed(exps),
+            cos: boxed(cosines),
+            exp_min: boxed(exps_below),
+            exp_max: boxed(exps_above),
             spike_min: if scale > 0.0 && shape > 0.0 {
                 scale
             } else {
@@ -307,38 +415,45 @@ impl QueueBounds {
         self.params == QueueBounds::key(model)
     }
 
-    /// A lower bound on the queueing delay `u` gives at a node with
-    /// congestion factor `congestion` (finite and ≥ 0), without a
-    /// transcendental function.
+    /// A lower bound on the queueing delay of a draw with bins `b` at a
+    /// node with congestion factor `congestion` (finite and ≥ 0),
+    /// without a transcendental function.
     #[inline]
-    pub(crate) fn hop_ms(&self, congestion: f64, u: &QueueUniforms) -> f64 {
-        // `u2 < 1` and `u1 < 1`, so both bins are in range; the mask and
-        // the `min` only spare the bounds checks. `as u32` floors the
-        // non-negative `u2 · 512`.
-        let c = self.cos_min[(u.u2 * COS_BINS as f64) as u32 as usize & (COS_BINS - 1)];
-        let bin = RADIUS_TOP_KEY.saturating_sub(u.u1.to_bits() >> 46) as usize;
+    pub(crate) fn hop_ms(&self, congestion: f64, b: QueueBins) -> f64 {
+        // Both bins are in range; the mask and the `min` only spare the
+        // bounds checks.
+        let c = self.cos[b.cos & (COS_BINS - 1)][0];
         // rmin when cmin ≥ 0, rmax when it is negative: by the sign bit,
         // not a branch, which would go either way half the time.
-        let z = self.radius[bin.min(RADIUS_BINS - 1)][usize::from(c.is_sign_negative())] * c;
-        let spike = if u.spike.is_some() {
-            self.spike_min
-        } else {
-            0.0
-        };
+        let z = self.radius[b.radius.min(RADIUS_BINS - 1)][usize::from(c.is_sign_negative())] * c;
+        let spike = if b.spike { self.spike_min } else { 0.0 };
         (self.exp_min[exp_step(z)] + spike) * congestion
+    }
+
+    /// An upper bound on the same delay: +∞ when the spike coin landed.
+    #[inline]
+    pub(crate) fn hop_max_ms(&self, congestion: f64, b: QueueBins) -> f64 {
+        if b.spike {
+            return f64::INFINITY;
+        }
+        let c = self.cos[b.cos & (COS_BINS - 1)][1];
+        // rmax when cmax ≥ 0, rmin when it is negative.
+        let z = self.radius[b.radius.min(RADIUS_BINS - 1)][usize::from(!c.is_sign_negative())] * c;
+        self.exp_max[exp_step(z)] * congestion
     }
 }
 
-/// The `exp` table entry for a `z` bound: one whose `z` is at most the
-/// bound (see [`INDEX_SLACK`]).
+/// The `exp` tables' entry for a `z` bound: the lower table's entry
+/// there covers `z` from below, the upper table's from above (see
+/// [`INDEX_SLACK`]).
 #[inline]
 fn exp_step(z: f64) -> usize {
     ((z * EXP_STEPS + EXP_ZERO as f64) as u32 as usize).min(EXP_LEN - 1)
 }
 
-/// The `z` at which `exp` table entry `k` is evaluated.
-fn exp_grid(k: usize) -> f64 {
-    (k as f64 - EXP_ZERO as f64 - INDEX_SLACK) / EXP_STEPS
+/// The `z` of grid point `k`, moved by `slack` steps.
+fn exp_grid(k: usize, slack: f64) -> f64 {
+    (k as f64 - EXP_ZERO as f64 + slack) / EXP_STEPS
 }
 
 /// The `[lo, hi)` range of `u1` bin `i`; the lowest bin starts at the
@@ -435,6 +550,7 @@ mod tests {
     use super::*;
     use crate::topology::{plain_node, NodeKind};
     use geokit::GeoPoint;
+    use simrng::prop::prelude::*;
     use simrng::rngs::StdRng;
     use simrng::SeedableRng;
 
@@ -538,6 +654,58 @@ mod tests {
             .collect()
     }
 
+    /// The bins of float uniforms, read from the floats' bits: the
+    /// reference for [`QueueBins::draw`]'s integer reading.
+    fn float_bins(u: &QueueUniforms) -> QueueBins {
+        QueueBins {
+            radius: (RADIUS_TOP_KEY.saturating_sub(u.u1.to_bits() >> 46) as usize)
+                .min(RADIUS_BINS - 1),
+            cos: (u.u2 * COS_BINS as f64) as u32 as usize & (COS_BINS - 1),
+            spike: u.spike.is_some(),
+        }
+    }
+
+    /// `hop_ms ≤ queue_transform_ms ≤ hop_max_ms`, bit for bit.
+    fn assert_brackets(
+        bounds: &QueueBounds,
+        model: &DelayModel,
+        congestion: f64,
+        u: QueueUniforms,
+    ) {
+        let bins = float_bins(&u);
+        let lower = bounds.hop_ms(congestion, bins);
+        let exact = model.queue_transform_ms(congestion, u);
+        let upper = bounds.hop_max_ms(congestion, bins);
+        assert!(
+            lower <= exact && exact <= upper,
+            "{u:?} at {congestion}: {lower} ≤ {exact} ≤ {upper} fails"
+        );
+    }
+
+    /// The models the bound tests cover: the default, a wider and slower
+    /// lognormal with a small spike floor, σ = 0, and a spiky one.
+    fn bound_models() -> [DelayModel; 4] {
+        [
+            DelayModel::default(),
+            DelayModel {
+                queue_mu_log: 0.5,
+                queue_sigma_log: 2.0,
+                spike_scale_ms: 0.25,
+                ..DelayModel::default()
+            },
+            DelayModel {
+                queue_sigma_log: 0.0,
+                ..DelayModel::default()
+            },
+            DelayModel {
+                spike_probability: 0.3,
+                ..DelayModel::default()
+            },
+        ]
+    }
+
+    /// The lower tables never exceed the transform and the upper ones
+    /// never fall below it, at every bin edge.
     #[test]
     fn table_bounds_never_exceed_the_transform() {
         let tail = 1.0 - f64::EPSILON / 2.0;
@@ -552,38 +720,71 @@ mod tests {
                     .flat_map(|u2| some_u1s.map(|u1| (u1, u2))),
             )
             .collect();
-        let models = [
-            DelayModel::default(),
-            DelayModel {
-                queue_mu_log: 0.5,
-                queue_sigma_log: 2.0,
-                spike_scale_ms: 0.25,
-                ..DelayModel::default()
-            },
-        ];
-        for model in &models {
+        for model in &bound_models()[..3] {
             let bounds = QueueBounds::new(model);
-            // The factors one by one: the radius inside its bin's range,
-            // the cosine above its bin's least value.
+            // The factors one by one: the radius and the cosine inside
+            // their bins' ranges.
             for u1 in edge_u1s() {
-                let bin = (RADIUS_TOP_KEY - (u1.to_bits() >> 46)) as usize;
-                let [rmin, rmax] = bounds.radius[bin.min(RADIUS_BINS - 1)];
+                let [rmin, rmax] = bounds.radius[float_bins(&QueueUniforms {
+                    u1,
+                    u2: 0.0,
+                    spike: None,
+                })
+                .radius];
                 assert!(rmin <= radius(u1) && radius(u1) <= rmax, "u1 {u1:e}");
             }
             for u2 in edge_u2s() {
-                let bin = (u2 * COS_BINS as f64) as usize;
-                assert!(bounds.cos_min[bin] <= unit_cos(u2), "u2 {u2}");
+                let [cmin, cmax] = bounds.cos[(u2 * COS_BINS as f64) as usize];
+                assert!(cmin <= unit_cos(u2) && unit_cos(u2) <= cmax, "u2 {u2}");
             }
             // And the whole hop.
             for &(u1, u2) in &pairs {
                 for spike in [None, Some(LEAST_UNIFORM), Some(0.5), Some(tail)] {
-                    let u = QueueUniforms { u1, u2, spike };
-                    for congestion in [0.0, 0.5, 1.0, 2.2, 5.0] {
-                        let bound = bounds.hop_ms(congestion, &u);
-                        let exact = model.queue_transform_ms(congestion, u);
-                        assert!(bound <= exact, "{u:?} at {congestion}: {bound} > {exact}");
+                    for congestion in [0.0, -0.0, 0.5, 1.0, 2.2, 5.0] {
+                        assert_brackets(
+                            &bounds,
+                            model,
+                            congestion,
+                            QueueUniforms { u1, u2, spike },
+                        );
                     }
                 }
+            }
+        }
+    }
+
+    // Random draws, and random draws with one uniform moved to an edge:
+    // a bin edge, `u1 = 2⁻⁵³`, or `u2` just below 1.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn table_bounds_bracket_random_draws(
+            seed in 0u64..u64::MAX,
+            model in 0usize..4,
+            congestion in 0usize..7,
+            edge in 0usize..4096,
+        ) {
+            let model = &bound_models()[model];
+            // Zero, the world's factors, and past the spike coin's cap of 3.
+            let congestion = [0.0, 0.5, 1.0, 2.2, 3.0, 5.0, 40.0][congestion];
+            let bounds = QueueBounds::new(model);
+            let (u1s, u2s) = (edge_u1s(), edge_u2s());
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in 0..64 {
+                let mut u = model.queue_uniforms(congestion, &mut rng);
+                match i % 4 {
+                    0 => {}
+                    1 => u.u1 = u1s[(edge + i) % u1s.len()],
+                    2 => u.u2 = u2s[(edge + i) % u2s.len()],
+                    _ => (u.u1, u.u2) = (LEAST_UNIFORM, 1.0 - f64::EPSILON / 2.0),
+                }
+                let bins = float_bins(&u);
+                let lower = bounds.hop_ms(congestion, bins);
+                let exact = model.queue_transform_ms(congestion, u);
+                let upper = bounds.hop_max_ms(congestion, bins);
+                prop_assert!(lower <= exact, "{:?} at {}: {} > {}", u, congestion, lower, exact);
+                prop_assert!(exact <= upper, "{:?} at {}: {} > {}", u, congestion, exact, upper);
             }
         }
     }
@@ -591,15 +792,121 @@ mod tests {
     #[test]
     fn exp_steps_never_pass_their_z() {
         // Around every grid point (zero from both sides) and half-step,
-        // where rounding the index's sum could carry it up to the next
-        // entry.
+        // where rounding the index's sum could carry it to the next entry.
         for k in 1..EXP_LEN {
             let grid = (k as f64 - EXP_ZERO as f64) / EXP_STEPS;
             let zs = around(grid)
                 .chain(around(-grid))
                 .chain(around(grid - 0.5 / EXP_STEPS));
             for z in zs.filter(|z| z.is_finite()) {
-                assert!(exp_grid(exp_step(z)) <= z, "z {z:e}: entry {}", exp_step(z));
+                let step = exp_step(z);
+                assert!(exp_grid(step, -INDEX_SLACK) <= z, "z {z:e}: entry {step}");
+                assert!(z < exp_grid(step + 1, INDEX_SLACK), "z {z:e}: entry {step}");
+            }
+        }
+    }
+
+    /// An RNG that yields a script, then one non-zero value.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl Rng for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().unwrap_or(0x9e37_79b9_7f4a_7c15)
+        }
+    }
+
+    #[test]
+    fn integer_bins_and_coin_equal_the_float_ones() {
+        let unit = |k: u64| k as f64 / UNIT_SCALE;
+        // The u1 bin over every exponent class of k·2⁻⁵³: each class's
+        // least and greatest k, and its first and last k for each value
+        // of the six bits after the leading one.
+        for lz in 11..64 {
+            let lead = 1u64 << (63 - lz);
+            let mut ks = vec![lead, (lead << 1) - 1];
+            if lead >= 64 {
+                let step = lead >> 6;
+                ks.extend((0..64).flat_map(|t| [lead + t * step, lead + (t + 1) * step - 1]));
+            }
+            for k in ks {
+                let u = QueueUniforms {
+                    u1: unit(k),
+                    u2: unit(k),
+                    spike: None,
+                };
+                assert_eq!(radius_bin(k), float_bins(&u).radius, "k {k}");
+                assert_eq!((k >> 44) as usize, float_bins(&u).cos, "k {k}");
+            }
+        }
+        // The coin at and beside its threshold, for probabilities with
+        // and without an exact k, and NaN.
+        for p in [
+            0.0,
+            1e-300,
+            0.02,
+            0.06,
+            0.5,
+            0.9,
+            1.0 - f64::EPSILON,
+            1.0,
+            f64::NAN,
+        ] {
+            let model = DelayModel {
+                spike_probability: p,
+                ..DelayModel::default()
+            };
+            let below = model.spike_threshold(1.0);
+            let ks = [
+                0,
+                1,
+                below.saturating_sub(1),
+                below,
+                below + 1,
+                (1 << 53) - 1,
+            ];
+            for k in ks.into_iter().filter(|&k| k < 1 << 53) {
+                assert_eq!(k < below, unit(k) < p, "p {p}, k {k}");
+            }
+        }
+        // Whole draws, integer against float, with the RNG left in the
+        // same place: scripts with zero uniforms for `open_unit` to skip,
+        // and a seeded stream.
+        let zero = 0x7ff; // below 2¹¹: k = 0
+        let script = vec![
+            zero,
+            u64::MAX,
+            zero,
+            0,
+            1 << 11,
+            1 << 63,
+            5,
+            zero,
+            42 << 11,
+            7,
+        ];
+        for congestion in [0.0, 1.0, 5.0, f64::NAN] {
+            for model in bound_models() {
+                let (mut ints, mut floats) = (
+                    Script(script.clone().into_iter()),
+                    Script(script.clone().into_iter()),
+                );
+                let below = model.spike_threshold(congestion);
+                for _ in 0..3 {
+                    let u = model.queue_uniforms(congestion, &mut floats);
+                    assert_eq!(QueueBins::draw(&mut ints, below), float_bins(&u));
+                    assert_eq!(ints.0.len(), floats.0.len());
+                }
+                let mut ints = StdRng::seed_from_u64(congestion.to_bits());
+                let mut floats = ints.clone();
+                for _ in 0..20_000 {
+                    let u = model.queue_uniforms(congestion, &mut floats);
+                    assert_eq!(
+                        QueueBins::draw(&mut ints, below),
+                        float_bins(&u),
+                        "{model:?}"
+                    );
+                }
+                assert_eq!(ints.next_u64(), floats.next_u64());
             }
         }
     }

@@ -34,9 +34,10 @@ pub struct FaultPlan {
     added_delay: HashMap<NodeId, (f64, f64)>,
     /// Proxies that forge SYN-ACKs for tunnelled connections.
     forge_synack: HashMap<NodeId, bool>,
-    /// Per-node first instant of a permanent outage, in absolute sim
-    /// time.
-    down_from: HashMap<NodeId, SimTime>,
+    /// Per node id, the first instant of its permanent outage, in
+    /// absolute sim time. It reaches only as far as the highest node
+    /// taken down, so a plan with no outage answers from its length.
+    down_from: Vec<Option<SimTime>>,
 }
 
 impl FaultPlan {
@@ -61,7 +62,11 @@ impl FaultPlan {
     /// Take a node down permanently from `start` onwards. A node taken
     /// down more than once stays down from the earliest start.
     pub fn add_permanent_outage(&mut self, node: NodeId, start: SimTime) {
-        let from = self.down_from.entry(node).or_insert(start);
+        let i = node as usize;
+        if self.down_from.len() <= i {
+            self.down_from.resize(i + 1, None);
+        }
+        let from = self.down_from[i].get_or_insert(start);
         *from = (*from).min(start);
     }
 
@@ -73,7 +78,7 @@ impl FaultPlan {
 
     /// Is the node down at `at`?
     pub fn is_down(&self, node: NodeId, at: SimTime) -> bool {
-        self.down_from.get(&node).is_some_and(|&from| from <= at)
+        matches!(self.down_from.get(node as usize), Some(&Some(from)) if from <= at)
     }
 
     /// Extra forwarding delay at this node, ms.
@@ -153,5 +158,14 @@ mod tests {
         assert!(f.is_down(5, t(10.0)));
         assert!(f.is_down(5, t(1e12)));
         assert!(!f.is_down(6, t(15.0)));
+        // Node 0, below the one taken down, and ids past the end of the
+        // plan's table.
+        assert!(!f.is_down(0, t(15.0)));
+        assert!(!f.is_down(6, SimTime::ZERO));
+        assert!(!f.is_down(NodeId::MAX, t(1e12)));
+        f.add_permanent_outage(0, SimTime::ZERO);
+        assert!(f.is_down(0, SimTime::ZERO));
+        assert!(!f.is_down(4, t(1e12)));
+        assert!(f.is_down(5, t(10.0)));
     }
 }

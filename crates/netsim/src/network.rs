@@ -23,7 +23,7 @@
 //! runs reach (`net.adv.*` included).
 
 use crate::adversary::{AdversaryPlan, AdversaryTally};
-use crate::delay::{DelayModel, Hop, PathDelays, QueueBounds};
+use crate::delay::{DelayModel, PathDelays, QueueBins, QueueBounds};
 use crate::engine::{Engine, LossTally, Outcome, PacketKind, TraceEvent};
 use crate::fault::FaultPlan;
 use crate::routing::{RouteWork, Routes};
@@ -59,6 +59,8 @@ pub struct Network {
     /// whenever they no longer fit `model`, so an edited model never
     /// reads stale ones.
     bounds: Option<Arc<QueueBounds>>,
+    /// The closed-form round trips this handle has drawn.
+    round_trips: RoundTripWork,
     /// `Arc`-shared copy-on-write like `model`: probes only read the
     /// plan, so forks always share it and mutation clones first
     /// (`Arc::make_mut`).
@@ -90,6 +92,7 @@ impl Network {
             routes: Routes::new(),
             model: Arc::new(model),
             bounds: None,
+            round_trips: RoundTripWork::default(),
             faults: Arc::new(FaultPlan::default()),
             adversary: Arc::new(AdversaryPlan::default()),
             rng: StdRng::seed_from_u64(seed),
@@ -103,8 +106,9 @@ impl Network {
     /// The fork shares the topology, the router's core trees, the delay
     /// model, the fault plan and the adversary plan (all `Arc`; all
     /// read-only during runs, so sharing across threads cannot change
-    /// any result), starts an empty memo of recent routes, inherits the
-    /// parent's clock, and starts a **fresh RNG stream** from `seed`.
+    /// any result), starts an empty memo of recent routes and zero
+    /// [`RoundTripWork`], inherits the parent's clock, and starts a
+    /// **fresh RNG stream** from `seed`.
     /// Probing through a fork never advances the parent's clock or RNG —
     /// the basis of the audit's per-proxy parallelism: results depend
     /// only on (shared world, per-proxy seed), not on which thread
@@ -115,6 +119,7 @@ impl Network {
             routes: self.routes.fork(),
             model: Arc::clone(&self.model),
             bounds: self.bounds.clone(),
+            round_trips: RoundTripWork::default(),
             faults: Arc::clone(&self.faults),
             adversary: Arc::clone(&self.adversary),
             rng: StdRng::seed_from_u64(seed),
@@ -174,6 +179,12 @@ impl Network {
     /// A handle that edits its topology starts a fresh router.
     pub fn route_work(&self) -> RouteWork {
         self.routes.work()
+    }
+
+    /// The closed-form round trips this handle has drawn, settled and
+    /// transformed so far (see [`RoundTripWork`]); a fork starts at zero.
+    pub fn round_trip_work(&self) -> RoundTripWork {
+        self.round_trips
     }
 
     /// The delay model in force.
@@ -474,12 +485,13 @@ impl Network {
     /// converges to, and what CBG calibration consumes.
     ///
     /// Bit for bit the minimum of `n` [`sample_rtt_ms`](Self::sample_rtt_ms)
-    /// draws, and it leaves the RNG where they would, but it transforms
-    /// only the round trips that can still set the minimum. The first is
-    /// drawn outright. Each later one is settled from its uniforms when
-    /// a certified lower bound shows it cannot lower the minimum (see
-    /// `RoundTrips` below); otherwise it is drawn outright again, from a
-    /// copy of the RNG taken before it, which replays the same draws.
+    /// draws, and it leaves the RNG where they would, but for `n > 1` it
+    /// transforms only the round trips that can set the minimum. It
+    /// first reads all `n` round trips' uniforms as integers and bounds
+    /// each round trip from both sides (see `RoundTrips` below). Then,
+    /// in draw order, it draws outright each round trip whose lower
+    /// bound is at most the least upper bound, from a copy of the RNG
+    /// taken before it, which replays the same uniforms.
     pub fn min_of_n_rtt_ms(&mut self, src: NodeId, dst: NodeId, n: usize) -> Option<f64> {
         assert!(n > 0, "need at least one draw");
         let path = self
@@ -487,24 +499,39 @@ impl Network {
             .get(&self.topo, src, dst)
             .filter(|path| !path.hops.is_empty())?;
         let model = &*self.model;
+        let trips = if n > 1 {
+            if !self.bounds.as_ref().is_some_and(|b| b.fits(model)) {
+                self.bounds = Some(Arc::new(QueueBounds::new(model)));
+            }
+            RoundTrips::new(model, self.bounds.as_deref().expect("built above"), path)
+        } else {
+            None
+        };
         // A local copy of the RNG stays in registers through the loop.
         let mut rng = self.rng.clone();
         let round_trip =
             |rng: &mut StdRng| model.one_way_ms(path, rng) + model.one_way_ms(path, rng);
-        let mut best = f64::INFINITY.min(round_trip(&mut rng));
-        if n > 1 {
-            if !self.bounds.as_ref().is_some_and(|b| b.fits(model)) {
-                self.bounds = Some(Arc::new(QueueBounds::new(model)));
-            }
-            let trips = RoundTrips::new(model, self.bounds.as_deref().expect("built above"), path);
-            for _ in 1..n {
-                let mut replay = rng.clone();
-                if !trips.settles(best, &mut rng) {
-                    best = best.min(round_trip(&mut replay));
+        let mut best = f64::INFINITY;
+        let mut transformed = 0;
+        match trips {
+            Some(trips) => {
+                for mut copy in trips.candidates(n, &mut rng) {
+                    best = best.min(round_trip(&mut copy));
+                    transformed += 1;
                 }
+            }
+            // One draw, or queueing that may be negative or NaN and so
+            // has no bound: every round trip is drawn outright.
+            None => {
+                for _ in 0..n {
+                    best = best.min(round_trip(&mut rng));
+                }
+                transformed = n as u64;
             }
         }
         self.rng = rng;
+        self.round_trips.drawn += n as u64;
+        self.round_trips.transformed += transformed;
         Some(best)
     }
 
@@ -515,85 +542,133 @@ impl Network {
     }
 }
 
-/// The later round trips of [`Network::min_of_n_rtt_ms`] over one path,
-/// settled from their uniforms where a certified bound allows.
+/// The closed-form round trips a [`Network`] handle has drawn
+/// ([`Network::min_of_n_rtt_ms`], [`Network::sample_rtt_ms`]), as work
+/// counts like [`RouteWork`]: they are meant to fall, so they stay out of
+/// every determinism contract. A fork starts at zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoundTripWork {
+    /// Round trips drawn: `n` per call that found a route.
+    pub drawn: u64,
+    /// Round trips transformed: drawn outright, through the queueing
+    /// draws' transcendental functions.
+    pub transformed: u64,
+}
+
+impl RoundTripWork {
+    /// Round trips settled from their bounds alone, with no transform.
+    pub fn settled(&self) -> u64 {
+        self.drawn - self.transformed
+    }
+
+    /// The work done after `earlier`, a reading of the same handle.
+    pub fn since(&self, earlier: RoundTripWork) -> RoundTripWork {
+        RoundTripWork {
+            drawn: self.drawn - earlier.drawn,
+            transformed: self.transformed - earlier.transformed,
+        }
+    }
+}
+
+/// The round trips of [`Network::min_of_n_rtt_ms`] over one path,
+/// bounded from both sides from their uniforms' integers.
 ///
-/// Each round trip's uniforms are drawn in order, and a lower bound on
-/// each hop's queueing ([`QueueBounds::hop_ms`]) is added in the exact
-/// sum's order: `floor + q₁ + …` each way, then `fwd + rev`. Queueing is
-/// never negative and floating-point addition is monotone, so the
-/// partial bound, plus the least the other leg can add, never exceeds
-/// the round trip. Once it reaches the running minimum the round trip
-/// cannot lower it, and its remaining hops only advance the RNG.
+/// Each hop's draw is read as [`QueueBins`] and bounded below by
+/// [`QueueBounds::hop_ms`] and above by [`QueueBounds::hop_max_ms`], and
+/// each bound is summed in the exact sum's order: `floor + q₁ + …` each
+/// way, then `fwd + rev`. Floating-point addition is monotone and the
+/// queueing here is never negative, so the two sums bound the round
+/// trip, and the partial lower sum plus the least the other leg adds
+/// never exceeds it. Once that passes the least upper bound of the
+/// round trips before, the round trip cannot be the minimum, and its
+/// remaining hops only advance the RNG.
 struct RoundTrips<'a> {
-    model: &'a DelayModel,
     bounds: &'a QueueBounds,
-    /// The hops that queue: every hop but the source's.
-    queued: &'a [Hop],
+    /// The hops that queue (every hop but the source's): each one's
+    /// congestion factor and spike threshold
+    /// ([`DelayModel::spike_threshold`]).
+    queued: Vec<(f64, u64)>,
     /// Each leg's floor: propagation and fixed costs, no queueing.
     floor: f64,
-    /// Where each leg's bound starts: the floor, or NaN, which never
-    /// reaches the minimum, when a congestion factor is not finite and
-    /// ≥ 0 (its queueing could be negative and lower the sum).
-    start: f64,
 }
 
 impl<'a> RoundTrips<'a> {
-    fn new(model: &'a DelayModel, bounds: &'a QueueBounds, path: &'a PathDelays) -> Self {
+    /// The bounded round trips over `path`, or `None` when a congestion
+    /// factor is not finite and ≥ 0, so that its queueing could be
+    /// negative or NaN.
+    fn new(model: &DelayModel, bounds: &'a QueueBounds, path: &PathDelays) -> Option<Self> {
         let queued = &path.hops[1..];
-        let floor = model.floor_one_way_ms(path);
-        let start = if queued
+        queued
             .iter()
             .all(|hop| hop.congestion.is_finite() && hop.congestion >= 0.0)
-        {
-            floor
-        } else {
-            f64::NAN
-        };
-        RoundTrips {
-            model,
-            bounds,
-            queued,
-            floor,
-            start,
-        }
+            .then(|| RoundTrips {
+                bounds,
+                queued: queued
+                    .iter()
+                    .map(|hop| (hop.congestion, model.spike_threshold(hop.congestion)))
+                    .collect(),
+                floor: model.floor_one_way_ms(path),
+            })
     }
 
-    /// Draw one round trip's uniforms from `rng` and tell whether its
-    /// bound reached `best`, so that it cannot lower the minimum.
-    #[inline]
-    fn settles(&self, best: f64, rng: &mut StdRng) -> bool {
-        match self.leg_bound(self.floor, best, rng) {
-            None => {
-                self.advance(self.queued, rng);
-                true
+    /// Draw `n` round trips from `rng` and return, in draw order, a copy
+    /// of the RNG from before each one whose lower bound is at most the
+    /// least upper bound of all `n`. Every other round trip's exact value
+    /// is at least its lower bound, so above that least upper bound,
+    /// which is at least the exact value of the round trip it bounds,
+    /// one of those returned.
+    fn candidates(&self, n: usize, rng: &mut StdRng) -> impl Iterator<Item = StdRng> {
+        let mut least_upper = f64::INFINITY;
+        let mut kept = Vec::with_capacity(n);
+        for _ in 0..n {
+            let copy = rng.clone();
+            if let Some((lower, upper)) = self.bound(least_upper, rng) {
+                least_upper = least_upper.min(upper);
+                kept.push((copy, lower));
             }
-            Some(forward) => self.leg_bound(forward, best, rng).is_none(),
         }
+        // A NaN bound, which bounds nothing, is kept too.
+        kept.into_iter()
+            .filter(move |&(_, lower)| lower <= least_upper || lower.is_nan())
+            .map(|(copy, _)| copy)
     }
 
-    /// Draw one leg's uniforms and bound its one-way delay from below:
-    /// `None` as soon as that bound plus `other`, a lower bound on the
-    /// other leg, reaches `best`.
+    /// Draw one round trip's bins from `rng` and bound it from below and
+    /// above, or return `None` as soon as its lower bound passes
+    /// `least_upper`.
     #[inline]
-    fn leg_bound(&self, other: f64, best: f64, rng: &mut StdRng) -> Option<f64> {
-        let mut bound = self.start;
-        for (i, hop) in self.queued.iter().enumerate() {
-            let u = self.model.queue_uniforms(hop.congestion, rng);
-            bound += self.bounds.hop_ms(hop.congestion, &u);
-            if bound + other >= best {
+    fn bound(&self, least_upper: f64, rng: &mut StdRng) -> Option<(f64, f64)> {
+        let Some((fwd_lower, fwd_upper)) = self.leg(self.floor, least_upper, rng) else {
+            self.advance(&self.queued, rng);
+            return None;
+        };
+        let (rev_lower, rev_upper) = self.leg(fwd_lower, least_upper, rng)?;
+        Some((fwd_lower + rev_lower, fwd_upper + rev_upper))
+    }
+
+    /// Draw one leg's bins and bound its one-way delay from both sides,
+    /// or return `None` as soon as the lower bound plus `other`, a lower
+    /// bound on the other leg, passes `least_upper`.
+    #[inline]
+    fn leg(&self, other: f64, least_upper: f64, rng: &mut StdRng) -> Option<(f64, f64)> {
+        let (mut lower, mut upper) = (self.floor, self.floor);
+        for (i, &(congestion, spike_below)) in self.queued.iter().enumerate() {
+            let bins = QueueBins::draw(rng, spike_below);
+            lower += self.bounds.hop_ms(congestion, bins);
+            if lower + other > least_upper {
                 self.advance(&self.queued[i + 1..], rng);
                 return None;
             }
+            upper += self.bounds.hop_max_ms(congestion, bins);
         }
-        Some(bound)
+        Some((lower, upper))
     }
 
     /// Advance `rng` past the queueing draws of `hops`.
     #[inline]
-    fn advance(&self, hops: &[Hop], rng: &mut StdRng) {
-        for hop in hops {
-            self.model.queue_uniforms(hop.congestion, rng);
+    fn advance(&self, hops: &[(f64, u64)], rng: &mut StdRng) {
+        for &(_, spike_below) in hops {
+            QueueBins::draw(rng, spike_below);
         }
     }
 }
@@ -729,24 +804,79 @@ mod tests {
         assert!(many >= floor);
     }
 
+    /// The plain loop's minimum of `n` round trips over `client → lm` on
+    /// a fork of `net` seeded 7, beside the bounded one's, and both
+    /// forks' next RNG draws; also the bounded fork's work.
+    fn plain_and_bounded(net: &Network, n: usize) -> ([u64; 2], [u64; 2], RoundTripWork) {
+        let (client, lm) = (2, 4);
+        let path = net.path_delays(client, lm).unwrap();
+        let (mut plain, mut bounded) = (net.fork(7), net.fork(7));
+        let model = net.delay_model().clone();
+        let mut best = f64::INFINITY;
+        for _ in 0..n {
+            let fwd = model.one_way_ms(&path, &mut plain.rng);
+            let rev = model.one_way_ms(&path, &mut plain.rng);
+            best = best.min(fwd + rev);
+        }
+        let got = bounded.min_of_n_rtt_ms(client, lm, n).unwrap();
+        (
+            [got.to_bits(), best.to_bits()],
+            [bounded.rng.next_u64(), plain.rng.next_u64()],
+            bounded.round_trip_work(),
+        )
+    }
+
     #[test]
     fn min_of_n_matches_the_plain_loop_for_any_congestion() {
-        for congestion in [0.0, 0.5, 5.0, -1.0, -0.0, f64::NAN, f64::INFINITY] {
-            let (mut net, client, _, lm) = net();
-            net.topology_mut().node_mut(0).congestion = congestion;
-            let path = net.path_delays(client, lm).unwrap();
-            let (mut plain, mut bounded) = (net.fork(7), net.fork(7));
-            let model = DelayModel::default();
-            let mut best = f64::INFINITY;
-            for _ in 0..64 {
-                let fwd = model.one_way_ms(&path, &mut plain.rng);
-                let rev = model.one_way_ms(&path, &mut plain.rng);
-                best = best.min(fwd + rev);
+        let spiky = DelayModel {
+            spike_probability: 1.0,
+            ..DelayModel::default()
+        };
+        for n in [2, 3, 40, 64] {
+            for congestion in [0.0, 0.5, 5.0, -1.0, -0.0, f64::NAN, f64::INFINITY] {
+                let (mut net, ..) = net();
+                net.topology_mut().node_mut(0).congestion = congestion;
+                let (bits, next, work) = plain_and_bounded(&net, n);
+                assert_eq!(bits[0], bits[1], "congestion {congestion}, n {n}");
+                assert_eq!(next[0], next[1], "congestion {congestion}, n {n}");
+                assert_eq!(work.drawn, n as u64);
+                assert!((1..=n as u64).contains(&work.transformed), "{work:?}");
             }
-            let got = bounded.min_of_n_rtt_ms(client, lm, 64).unwrap();
-            assert_eq!(got.to_bits(), best.to_bits(), "congestion {congestion}");
-            assert_eq!(bounded.rng.next_u64(), plain.rng.next_u64(), "{congestion}");
+            // NaN and negative congestion on one path: no bound, so every
+            // round trip is transformed.
+            let (mut invalid, ..) = net();
+            invalid.topology_mut().node_mut(0).congestion = f64::NAN;
+            invalid.topology_mut().node_mut(1).congestion = -2.0;
+            let (bits, next, work) = plain_and_bounded(&invalid, n);
+            assert_eq!((bits[0], next[0]), (bits[1], next[1]), "n {n}");
+            assert_eq!(work.transformed, n as u64);
+            // Every hop spikes, so no round trip has a finite upper
+            // bound, none is settled, and each is transformed.
+            let topo = net().0.topology().clone();
+            let spiking = Network::with_model(topo, spiky.clone(), 42);
+            let (bits, next, work) = plain_and_bounded(&spiking, n);
+            assert_eq!((bits[0], next[0]), (bits[1], next[1]), "n {n}");
+            assert_eq!(work.transformed, n as u64);
         }
+    }
+
+    #[test]
+    fn round_trip_work_counts_each_handle_s_draws() {
+        let (mut net, client, proxy, lm) = net();
+        net.min_of_n_rtt_ms(client, lm, 40).unwrap();
+        net.sample_rtt_ms(client, proxy).unwrap();
+        // No route from a node to itself: nothing drawn.
+        assert!(net.min_of_n_rtt_ms(lm, lm, 40).is_none());
+        let work = net.round_trip_work();
+        assert_eq!(work.drawn, 41);
+        // The one draw is transformed, and so is at least one of the 40.
+        assert!((2..=10).contains(&work.transformed), "{work:?}");
+        assert_eq!(work.settled(), work.drawn - work.transformed);
+        assert_eq!(net.fork(1).round_trip_work(), RoundTripWork::default());
+        let before = work;
+        net.sample_rtt_ms(client, lm).unwrap();
+        let one = net.round_trip_work().since(before);
+        assert_eq!((one.drawn, one.transformed, one.settled()), (1, 1, 0));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use geoloc::observation::Observation;
 use geoloc::proxy::{estimate_eta, EtaEstimate, ProxyContext, DEFAULT_ETA};
 use geoloc::reliability::{MeasurementDiagnostics, ProbeScheduler};
 use geoloc::twophase::{run_two_phase_reliable, MeasurementStatus, ProxyProber, RttProber};
+use netsim::network::RoundTripWork;
 use netsim::routing::RouteWork;
 use netsim::{FilterPolicy, Network, NodeId, SimDuration, WorldNet, WorldNetConfig};
 use obs::snapshot::{
@@ -95,6 +96,10 @@ pub struct Study {
     pub constellation: Constellation,
     /// Anchor-mesh calibration.
     pub calibration: CalibrationDb,
+    /// The closed-form round trips the calibration drew, settled and
+    /// transformed. Work counts, meant to fall, so they are in no
+    /// determinism contract.
+    pub calibration_work: RoundTripWork,
     /// The provider fleet.
     pub providers: ProviderSet,
     /// Data-center registry for disambiguation.
@@ -165,11 +170,13 @@ impl Study {
         let constellation = Constellation::place(&mut world, &config.constellation);
         drop(span);
         let span = build_profile.profile_span("build.calibration");
+        let before = world.network().round_trip_work();
         let calibration = CalibrationDb::collect(
             world.network_mut(),
             &constellation,
             config.calibration_pings,
         );
+        let calibration_work = world.network().round_trip_work().since(before);
         drop(span);
         let span = build_profile.profile_span("build.deploy");
         let providers = ProviderSet::deploy(&mut world, &survey, &config);
@@ -181,6 +188,7 @@ impl Study {
             world,
             constellation,
             calibration,
+            calibration_work,
             providers,
             registry,
             survey,
@@ -1004,9 +1012,32 @@ mod tests {
         // Fill-once: each distinct key is rasterized by exactly one
         // worker, so the miss count *is* the entry count.
         assert_eq!(cache.entries as u64, cache.misses);
-        let rendered = crate::report::render_perf_telemetry(res);
+        let rendered = crate::report::render_perf_telemetry(study, res);
         assert!(rendered.contains("disk cache"));
         assert!(rendered.contains("threads"));
+        assert!(rendered.contains("round trips drawn"));
+    }
+
+    #[test]
+    fn the_mesh_transforms_about_one_round_trip_per_pair() {
+        let g = results().lock().unwrap();
+        let (study, _) = &*g;
+        let pairs: usize = (0..study.calibration.len())
+            .map(|i| study.calibration.for_anchor(i).len())
+            .sum();
+        let work = study.calibration_work;
+        assert!(pairs > 0);
+        assert_eq!(work.drawn, (pairs * study.config.calibration_pings) as u64);
+        // Each pair's minimum is one transformed round trip; a bound that
+        // settled nothing would transform every pings-per-pair.
+        assert!(
+            work.transformed >= pairs as u64,
+            "{work:?} over {pairs} pairs"
+        );
+        assert!(
+            2 * work.transformed <= 3 * pairs as u64,
+            "{work:?} over {pairs} pairs"
+        );
     }
 
     /// Each node's anchor as the router's split defines it: peel every

@@ -182,11 +182,13 @@ pub fn render_reliability(results: &StudyResults) -> String {
 }
 
 /// Performance telemetry: the run's shape (worker and shard counts),
-/// landmark disk-cache effectiveness, and the routing work (core trees
-/// and routes built). The cache counts are exact for any split, but the
-/// shape is a choice of the caller and the routing counts are work that
-/// is meant to fall, so the determinism matrix leaves this block out.
-pub fn render_perf_telemetry(results: &StudyResults) -> String {
+/// landmark disk-cache effectiveness, the routing work (core trees and
+/// routes built), and the calibration's round trips at set-up (drawn,
+/// settled from their bounds, transformed). The cache counts are exact
+/// for any split, but the shape is a choice of the caller and the work
+/// counts are meant to fall, so the determinism matrix leaves this block
+/// out.
+pub fn render_perf_telemetry(study: &Study, results: &StudyResults) -> String {
     let mut out = String::new();
     let c = results.cache_stats();
     let _ = writeln!(out, "threads: {}", results.threads);
@@ -207,6 +209,19 @@ pub fn render_perf_telemetry(results: &StudyResults) -> String {
         r.shared_trees,
         r.offset_trees,
         r.routes
+    );
+    let w = study.calibration_work;
+    let pairs: usize = (0..study.calibration.len())
+        .map(|i| study.calibration.for_anchor(i).len())
+        .sum();
+    let _ = writeln!(
+        out,
+        "calibration: {} round trips drawn, {} settled from their bounds, {} transformed ({:.2} per pair over {} pairs)",
+        w.drawn,
+        w.settled(),
+        w.transformed,
+        w.transformed as f64 / pairs.max(1) as f64,
+        pairs
     );
     out
 }

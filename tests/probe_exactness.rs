@@ -19,7 +19,8 @@
 //! topologies with every fault and adversary tactic, and another the
 //! minimum of up to 64 round trips; ignored tests, which `ci.sh` runs in
 //! release, replay the audit's probe kinds over a slice of the paper
-//! world's fleet, clean and hostile, and collect the paper's anchor mesh.
+//! world's fleet, clean and hostile, and collect the paper's anchor mesh
+//! within a budget of transformed round trips.
 
 use atlas::CalibrationDb;
 use geokit::sampling;
@@ -1220,6 +1221,13 @@ fn the_bounded_mesh_matches_the_plain_loop_at_paper_scale() {
         points += got.len();
     }
     assert_eq!(points, 250 * 249);
+    // The work budget: each pair's minimum takes one transformed round
+    // trip, and a few pairs a second (72,470 in all). Transforming every
+    // round trip that may lower the running minimum takes about 278,000,
+    // so the budget fails a rule that does so even when the bits match.
+    let work = net.round_trip_work();
+    assert_eq!(work.drawn, 40 * 250 * 249);
+    assert!(work.transformed <= 80_000, "{work:?}");
     // The RNG's next draws.
     let (a, b) = (anchors[0].node, anchors[1].node);
     for _ in 0..4 {
